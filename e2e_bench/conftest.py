@@ -1,0 +1,12 @@
+"""Make the package source and the benchmark modules importable in tests.
+
+Run the benchmark's own tests with ``python -m pytest e2e_bench``.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
