@@ -10,15 +10,16 @@ PYTHON ?= python
 BENCH_FLAGS = --benchmark-sort=name --benchmark-columns=min,mean,stddev,rounds \
 	--benchmark-warmup=on --benchmark-warmup-iterations=2 --benchmark-disable-gc
 
-.PHONY: install verify lint typecheck test test-fast docs-check bench bench-smoke bench-faults-smoke bench-perf bench-perf-smoke bench-scale-smoke guards-smoke chaos-smoke serve-smoke verify-smoke figures examples clean
+.PHONY: install verify lint typecheck test test-fast test-e2e-bench docs-check bench bench-smoke bench-faults-smoke bench-perf bench-perf-smoke bench-scale-smoke guards-smoke chaos-smoke serve-smoke verify-smoke figures examples clean
 
 # The default verify path: repo-specific static analysis, type checking,
-# the fast test tier, executable-docs check, a guarded fault-recovery
-# smoke, a seeded chaos-campaign smoke, a crash-recovery service smoke,
-# a bounded-model-checking smoke, then one-round perf- and
+# the fast test tier, the end-to-end benchmark's own tests,
+# executable-docs check, a guarded fault-recovery smoke, a seeded
+# chaos-campaign smoke, a crash-recovery service smoke, a
+# bounded-model-checking smoke, then one-round perf- and
 # scale-regression smokes. CI and the verify skill run this.
 .DEFAULT_GOAL := verify
-verify: lint typecheck test-fast docs-check guards-smoke chaos-smoke serve-smoke verify-smoke bench-perf-smoke bench-scale-smoke
+verify: lint typecheck test-fast test-e2e-bench docs-check guards-smoke chaos-smoke serve-smoke verify-smoke bench-perf-smoke bench-scale-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -48,6 +49,12 @@ test:
 
 test-fast:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m "not slow"
+
+# The end-to-end benchmark's own tests (e2e_bench/, ~3 s). Its tracer
+# wraps repro methods by name, so renaming or deleting one fails here
+# instead of crashing a traced benchmark run.
+test-e2e-bench:
+	$(PYTHON) -m pytest e2e_bench
 
 # Execute every ```python fence in docs/*.md so documented examples can't
 # rot; fragments keep highlighting with ```python no-check (docs/TOPOLOGIES.md).

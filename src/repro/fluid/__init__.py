@@ -10,10 +10,8 @@ from .allocation import (
     SRPT,
     water_fill,
     water_fill_array,
-    water_fill_batch,
 )
 from .arrays import FlowArrays, link_index_matrix
-from .batch import BatchedFluidExperiment, run_fluid_batch
 from .fabric import FluidFabric, fabric_capacities, place_on_fabric
 from .network import (
     NetworkFluidResult,
@@ -42,11 +40,8 @@ __all__ = [
     "FlowView",
     "water_fill",
     "water_fill_array",
-    "water_fill_batch",
     "FlowArrays",
     "link_index_matrix",
-    "BatchedFluidExperiment",
-    "run_fluid_batch",
     "FluidSimulator",
     "FluidResult",
     "IterationResult",

@@ -45,7 +45,6 @@ __all__ = [
     "PIAS",
     "water_fill",
     "water_fill_array",
-    "water_fill_batch",
     "allocation_excess",
     "allocation_excess_array",
 ]
@@ -137,8 +136,7 @@ class AllocationPolicy(ABC):
         previous rate vector for as long as the token is unchanged instead
         of re-running water-filling every event.  ``None`` (the default)
         disables reuse; policies whose output varies continuously with flow
-        progress must keep it that way unless they quantize (see
-        :class:`MLTCPWeighted`'s ``ratio_granularity``).
+        progress (:class:`MLTCPWeighted`) must keep it that way.
         """
         return None
 
@@ -330,106 +328,6 @@ def water_fill_array(
     return np.where(rates > 0.0, rates, 0.0)
 
 
-def water_fill_batch(
-    demands: np.ndarray,
-    weights: np.ndarray,
-    capacity: float,
-    active: np.ndarray,
-    rank: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Water-fill ``S`` independent scenarios stacked on a leading seed axis.
-
-    ``demands`` is ``(n,)`` (flow caps are seed-invariant), ``weights``
-    and ``active`` are ``(S, n)``; the flow axis is in candidate order
-    with ``rank`` carrying sort positions exactly as for
-    :func:`water_fill_array`.  Lane ``s`` of the result is bit-identical
-    to ``water_fill_array(demands[active[s]], weights[s, active[s]],
-    capacity, rank=rank[active[s]])`` scattered back over ``n`` flows
-    (inactive lanes are 0): inactive flows are skipped, not zero-padded,
-    in every float accumulation the scalar reference performs — a
-    skipped flow adds a literal ``+0.0``, an exact identity.
-
-    Zero-weight rounds (unreachable for the strictly positive FairShare/
-    MLTCP weights the batched engine produces) fall back to the per-seed
-    array path for the affected seeds.
-    """
-    if capacity <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity!r}")
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    demands = np.ascontiguousarray(demands, dtype=np.float64)
-    n_seeds, n = weights.shape
-    if demands.shape != (n,) or active.shape != (n_seeds, n):
-        raise ValueError(
-            f"shape mismatch: weights {weights.shape}, demands "
-            f"{demands.shape}, active {active.shape}"
-        )
-    if bool((weights[active] < 0.0).any()):
-        raise ValueError("weights must be non-negative")
-    # Work internally in sorted-id column order so every axis-1
-    # accumulation visits flows exactly as the scalar's sorted loop does;
-    # scatter back to the caller's candidate order at the end.
-    if rank is None:
-        cols = np.arange(n, dtype=np.intp)
-    else:
-        cols = np.argsort(rank, kind="stable")
-    d_sorted = demands[cols]
-    w_sorted = np.ascontiguousarray(weights[:, cols])
-    rates = np.zeros((n_seeds, n))
-    unsat = np.ascontiguousarray(active[:, cols])
-    remaining = np.full(n_seeds, float(capacity))
-    live = np.ones(n_seeds, dtype=bool)
-    fallback_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    d_row = d_sorted[None, :]
-    while True:
-        live &= unsat.any(axis=1) & (remaining > 1e-12)
-        if not live.any():
-            break
-        masked_w = np.where(unsat, w_sorted, 0.0)
-        totals = np.add.accumulate(masked_w, axis=1)[:, -1]
-        degenerate = live & (totals <= 0.0)
-        if degenerate.any():
-            # Zero-weight refill rounds: replay those seeds individually
-            # through the (bit-identical) single-scenario path.
-            for s in np.nonzero(degenerate)[0]:
-                lanes = np.nonzero(active[s])[0]
-                sub_rank = rank[lanes] if rank is not None else None
-                fallback_rows[int(s)] = (
-                    lanes,
-                    water_fill_array(
-                        demands[lanes], weights[s, lanes], capacity,
-                        rank=sub_rank,
-                    ),
-                )
-                live[s] = False
-            if not live.any():
-                break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = (remaining[:, None] * w_sorted) / totals[:, None]
-        capped = unsat & (w_sorted > 0.0) & (shares >= d_row - 1e-12)
-        capped[~live] = False
-        has_capped = capped.any(axis=1)
-        finishing = live & ~has_capped
-        if finishing.any():
-            take = unsat & finishing[:, None]
-            rates[take] = shares[take]
-            live &= ~finishing
-        if has_capped.any():
-            rates = np.where(capped, d_row, rates)
-            # Per-seed sequential ``remaining -= demand`` chain.
-            seq = np.concatenate(
-                [remaining[:, None], np.where(capped, -d_row, 0.0)], axis=1
-            )
-            new_remaining = np.add.accumulate(seq, axis=1)[:, -1]
-            remaining = np.where(has_capped & live, new_remaining, remaining)
-            unsat &= ~capped
-    out = np.zeros((n_seeds, n))
-    out[:, cols] = np.where(rates > 0.0, rates, 0.0)
-    for s, (lanes, row) in fallback_rows.items():
-        out[s] = 0.0
-        out[s, lanes] = row
-    return out
-
-
 def allocation_excess_array(sorted_rates: np.ndarray, capacity_bps: float) -> float:
     """:func:`allocation_excess` on a rate array already in sorted-id order.
 
@@ -476,22 +374,8 @@ class MLTCPWeighted(AllocationPolicy):
 
     name = "mltcp"
 
-    def __init__(
-        self,
-        function: AggressivenessFunction | None = None,
-        ratio_granularity: Optional[float] = None,
-    ) -> None:
+    def __init__(self, function: AggressivenessFunction | None = None) -> None:
         self.function = function if function is not None else default_aggressiveness()
-        if ratio_granularity is not None and ratio_granularity <= 0:
-            raise ValueError(
-                f"ratio_granularity must be positive, got {ratio_granularity!r}"
-            )
-        #: Opt-in approximation knob: when set, ``cache_key`` buckets each
-        #: flow's ``bytes_ratio`` at this granularity so the fluid simulator
-        #: reuses the previous allocation until some flow crosses a bucket
-        #: boundary.  ``None`` (the default) recomputes every event and is
-        #: bit-identical to the pre-optimization behaviour.
-        self.ratio_granularity = ratio_granularity
         # Fast path for the paper's deployed linear F (Eq. 2): evaluating
         # ``slope * ratio + intercept`` inline is the same arithmetic as the
         # AggressivenessFunction call chain (clamp is a no-op on the already
@@ -530,17 +414,8 @@ class MLTCPWeighted(AllocationPolicy):
     def cache_key(
         self, flows: Sequence[FlowView], capacity_bps: float
     ) -> Optional[Hashable]:
-        """Bucketed-progress token when ``ratio_granularity`` is set."""
-        granularity = self.ratio_granularity
-        if granularity is None:
-            return None
-        return (
-            capacity_bps,
-            tuple(
-                (f.flow_id, f.demand_bps, int(f.bytes_ratio / granularity))
-                for f in flows
-            ),
-        )
+        """Always ``None``: the weights move with every byte sent."""
+        return None
 
 
 class SRPT(AllocationPolicy):

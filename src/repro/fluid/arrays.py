@@ -41,6 +41,11 @@ PHASE_COMM = np.int8(1)
 PHASE_COMPUTE = np.int8(2)
 PHASE_DONE = np.int8(3)
 
+#: Bits below which a communication phase counts as finished.
+_EPS_BITS = 1e-6
+#: Seconds below which an event is "now".
+_EPS_TIME = 1e-12
+
 
 @dataclass
 class FlowArrays:

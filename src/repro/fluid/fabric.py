@@ -26,6 +26,7 @@ from ..faults.fluid import ECN_STORM_CAPACITY_FACTOR
 from ..faults.routing import FabricRoutingState
 from ..faults.schedule import FABRIC_KINDS, FaultEvent, FaultSchedule
 from ..workloads.placement import FabricSpec, JobPlacement
+from .arrays import _EPS_TIME
 from .network import PlacedJob
 
 __all__ = [
@@ -79,8 +80,6 @@ class FluidFabric:
 
 #: Classic link kinds that scale a single directed link's fluid capacity.
 _CAPACITY_KINDS = ("link_down", "bandwidth", "loss_burst", "ecn_storm")
-
-_EPS_TIME = 1e-12
 
 
 class FluidFabricFaults:

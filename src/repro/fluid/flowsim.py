@@ -42,7 +42,15 @@ from .allocation import (
     allocation_excess,
     water_fill_array,
 )
-from .arrays import PHASE_COMM, PHASE_COMPUTE, PHASE_DONE, PHASE_WAITING, FlowArrays
+from .arrays import (
+    _EPS_BITS,
+    _EPS_TIME,
+    PHASE_COMM,
+    PHASE_COMPUTE,
+    PHASE_DONE,
+    PHASE_WAITING,
+    FlowArrays,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.schedule import FaultSchedule
@@ -67,10 +75,6 @@ __all__ = [
     "run_fluid",
 ]
 
-#: Bits below which a communication phase counts as finished.
-_EPS_BITS = 1e-6
-#: Seconds below which an event is "now".
-_EPS_TIME = 1e-12
 #: Flow count at which the array engine takes over from the scalar one.
 #: numpy's fixed per-op cost dominates small populations — the measured
 #: crossover is ~32 flows (docs/PERFORMANCE.md, "Vectorized core & scale
@@ -333,13 +337,11 @@ class FluidSimulator:
         # through the FlowView-compat path with semantics unchanged.
         fast: Optional[str] = None
         slope = intercept = 0.0
-        granularity: Optional[float] = None
         mltcp_function = None
         if type(policy) is FairShare:
             fast = "fair"
         elif type(policy) is MLTCPWeighted:
             fast = "mltcp"
-            granularity = policy.ratio_granularity
             if policy._linear is not None:
                 slope, intercept = policy._linear
             else:
@@ -349,8 +351,7 @@ class FluidSimulator:
         # AllocationPolicy.cache_key).  Token-less policies recompute every
         # event, exactly as before.  The fast path mirrors the scalar
         # policies' tokens bit-for-bit: same capacity + same active index
-        # set (+ same bytes_ratio buckets for a granular MLTCPWeighted)
-        # if and only if the scalar tuple key would have compared equal.
+        # set if and only if the scalar tuple key would have compared equal.
         last_key: Optional[object] = None
         last_rates: dict[str, float] = {}
         last_alloc = np.zeros(0)
@@ -376,37 +377,26 @@ class FluidSimulator:
             rates_arr.fill(0.0)
             if active_idx.size and capacity > 0:
                 if fast is not None:
-                    key: Optional[object]
-                    ratio = None
-                    if fast == "fair":
-                        # FairShare's scalar token is (capacity, active ids +
-                        # demands); ids and demands are static per index, so
-                        # the index set is an equivalent token.
-                        key = (capacity, active_idx.tobytes())
-                    else:
-                        quotient = sent[active_idx] / total_bits[active_idx]
-                        ratio = np.where(quotient < 1.0, quotient, 1.0)
-                        if granularity is not None:
-                            key = (
-                                capacity,
-                                active_idx.tobytes(),
-                                # int() truncates toward zero; so does astype
-                                # on these non-negative quotients.
-                                (ratio / granularity).astype(np.int64).tobytes(),
-                            )
-                        else:
-                            key = None
+                    # FairShare's scalar token is (capacity, active ids +
+                    # demands); ids and demands are static per index, so
+                    # the index set is an equivalent token.  MLTCP's is None.
+                    key: Optional[object] = (
+                        (capacity, active_idx.tobytes()) if fast == "fair" else None
+                    )
                     if key is not None and key == last_key:
                         alloc = last_alloc
                     else:
                         if fast == "fair":
                             weights = np.ones(active_idx.size)
-                        elif mltcp_function is None:
-                            weights = slope * ratio + intercept
                         else:
-                            weights = np.array(
-                                [mltcp_function(r) for r in ratio.tolist()]
-                            )
+                            quotient = sent[active_idx] / total_bits[active_idx]
+                            ratio = np.where(quotient < 1.0, quotient, 1.0)
+                            if mltcp_function is None:
+                                weights = slope * ratio + intercept
+                            else:
+                                weights = np.array(
+                                    [mltcp_function(r) for r in ratio.tolist()]
+                                )
                         alloc = water_fill_array(
                             demand_bps[active_idx],
                             weights,

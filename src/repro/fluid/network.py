@@ -31,6 +31,8 @@ from ..core.aggressiveness import (
 from ..core.units import bps_from_gbps
 from ..workloads.job import JobSpec
 from .arrays import (
+    _EPS_BITS,
+    _EPS_TIME,
     PHASE_COMM,
     PHASE_COMPUTE,
     PHASE_DONE,
@@ -50,10 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fabric import FluidFabricFaults
 
 __all__ = ["PlacedJob", "NetworkFluidResult", "NetworkFluidSimulator", "run_network_fluid"]
-
-_EPS_BITS = 1e-6
-_EPS_TIME = 1e-12
-_EPS_CAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,15 +126,15 @@ class NetworkFluidResult:
     def link_utilization(self) -> dict[str, float]:
         """Mean utilization of every link over the run.
 
-        Fluid flows deliver exactly their nominal per-iteration volume, so
-        the bits a link carried are ``comm_bits x completed iterations``
-        summed over the flows crossing it, divided by ``capacity x
-        end_time``.  Keys are sorted link names, mirroring the packet
-        side's :meth:`repro.simulator.topology.Network.link_utilization`.
-        (With ``volume_jitter_fraction > 0`` this uses nominal volumes —
-        a mean-level approximation.)  Faulted runs record the bits each
-        link actually carried (reroutes shift traffic off nominal paths),
-        so those use the measured accounting instead.
+        Fluid flows deliver exactly their nominal per-iteration volume
+        (the simulator rejects volume jitter), so the bits a link carried
+        are ``comm_bits x completed iterations`` summed over the flows
+        crossing it, divided by ``capacity x end_time``.  Keys are sorted
+        link names, mirroring the packet side's
+        :meth:`repro.simulator.topology.Network.link_utilization`.
+        Faulted runs record the bits each link actually carried (reroutes
+        shift traffic off nominal paths), so those use the measured
+        accounting instead.
         """
         bits_by_link = {link: 0.0 for link in sorted(self.capacities_gbps)}
         if self.delivered_bits_by_link:
@@ -470,6 +468,14 @@ class NetworkFluidSimulator:
                     raise ValueError(
                         f"{placement.job.name}: no capacity for link {link!r}"
                     )
+            if placement.job.volume_jitter_fraction > 0.0:
+                # Every comm phase loads the nominal comm_bits; accepting a
+                # jittered job would silently run it without jitter.
+                raise ValueError(
+                    f"{placement.job.name}: volume_jitter_fraction must be 0 "
+                    "on the network fluid simulator, got "
+                    f"{placement.job.volume_jitter_fraction!r}"
+                )
         if any(c <= 0 for c in capacities_gbps.values()):
             raise ValueError("link capacities must be positive")
         if quantum <= 0:

@@ -28,7 +28,7 @@ from .cache import ResultCache
 from .runner import ExperimentRunner
 from .telemetry import RunTelemetry
 
-__all__ = ["SeedSummary", "repeat_with_seeds", "run_batched_seeds", "sweep"]
+__all__ = ["SeedSummary", "repeat_with_seeds", "sweep"]
 
 #: z-value for a 95% two-sided normal confidence interval.
 _Z95 = 1.96
@@ -133,36 +133,6 @@ def _summarize(values: Sequence[object], seeds: Sequence[int]) -> SeedSummary:
     )
 
 
-def run_batched_seeds(
-    experiment: Callable[[int], float],
-    seeds: Sequence[int],
-) -> SeedSummary:
-    """Fold all seeds through the experiment's vectorized batch path.
-
-    ``experiment`` must expose ``run_batch(seeds) -> sequence of floats``
-    (one value per seed, in seed order) — e.g.
-    :class:`repro.fluid.BatchedFluidExperiment`, which stacks the seeds on
-    one array axis and runs a single vectorized fluid pass instead of N
-    event loops or N worker processes.  The per-seed values feed the same
-    :class:`SeedSummary` the process-pool route produces; a conforming
-    batch path makes them bit-identical to ``experiment(seed)`` per seed.
-    """
-    seeds = _validate_seeds(seeds)
-    run_batch = getattr(experiment, "run_batch", None)
-    if run_batch is None:
-        raise TypeError(
-            f"experiment {getattr(experiment, '__name__', experiment)!r} has "
-            "no run_batch(seeds) method; use repeat_with_seeds for "
-            "per-seed execution"
-        )
-    values = list(run_batch(seeds))
-    if len(values) != len(seeds):
-        raise ValueError(
-            f"run_batch returned {len(values)} values for {len(seeds)} seeds"
-        )
-    return _summarize(values, seeds)
-
-
 def repeat_with_seeds(
     experiment: Callable[[int], float],
     seeds: Sequence[int],
@@ -171,24 +141,14 @@ def repeat_with_seeds(
     cache: Optional[ResultCache] = None,
     telemetry: Optional[RunTelemetry] = None,
     name: Optional[str] = None,
-    batch: bool = False,
 ) -> SeedSummary:
     """Run ``experiment(seed)`` per seed and summarize the scalar results.
 
     ``workers``, ``cache`` and ``telemetry`` are forwarded to the
     :class:`~repro.harness.runner.ExperimentRunner` executing the seeds;
     ``name`` labels cache keys and the run-report (defaults to the
-    experiment's ``__name__``).  ``batch=True`` routes through
-    :func:`run_batched_seeds` when the experiment exposes a
-    ``run_batch(seeds)`` vectorized path (see
-    :class:`repro.fluid.BatchedFluidExperiment`), bypassing pool, cache
-    and telemetry — one in-process array pass replaces the N point
-    executions.  A ``batch=True`` experiment without ``run_batch`` is a
-    ``TypeError``: silently degrading to N processes would defeat the
-    reason the caller asked for batching.
+    experiment's ``__name__``).
     """
-    if batch:
-        return run_batched_seeds(experiment, seeds)
     seeds = _validate_seeds(seeds)
     runner = ExperimentRunner(
         name=name or getattr(experiment, "__name__", "experiment"),

@@ -29,6 +29,14 @@ import numpy as np
 
 from ..core.units import bps_from_gbps
 from ..fluid.allocation import MLTCPWeighted, water_fill_array
+from ..fluid.arrays import (
+    _EPS_BITS,
+    _EPS_TIME,
+    PHASE_COMM,
+    PHASE_COMPUTE,
+    PHASE_DONE,
+    PHASE_WAITING,
+)
 from ..workloads.job import JobSpec
 
 __all__ = ["LiveFluidEngine", "ENGINE_POLICIES"]
@@ -37,14 +45,6 @@ __all__ = ["LiveFluidEngine", "ENGINE_POLICIES"]
 #: vectorized water-fill: ``fair`` with unit weights (N synchronized Reno
 #: flows), ``mltcp`` with the paper's linear ``F(bytes_ratio)`` weights.
 ENGINE_POLICIES = ("fair", "mltcp")
-
-_EPS_BITS = 1e-6
-_EPS_TIME = 1e-12
-
-PHASE_WAITING = np.int8(0)
-PHASE_COMM = np.int8(1)
-PHASE_COMPUTE = np.int8(2)
-PHASE_DONE = np.int8(3)
 
 
 class LiveFluidEngine:
@@ -163,6 +163,8 @@ class LiveFluidEngine:
         self.demand_bps = np.append(self.demand_bps, spec.demand_bps)
         self.remaining = np.append(self.remaining, 0.0)
         self.sent = np.append(self.sent, 0.0)
+        # bytes_ratio's denominator is the nominal TOTAL_BYTES (Algorithm 1),
+        # not the per-iteration volume ``_start_comm`` samples.
         self.cur_total = np.append(self.cur_total, spec.comm_bits)
         self.deadline = np.append(self.deadline, start)
         self.comm_start = np.append(self.comm_start, np.nan)
@@ -218,7 +220,6 @@ class LiveFluidEngine:
         self.phase[i] = PHASE_COMM
         self.remaining[i] = volume
         self.sent[i] = 0.0
-        self.cur_total[i] = volume
         self.comm_start[i] = self.clock
         self.deadline[i] = np.nan
 

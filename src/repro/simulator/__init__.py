@@ -7,7 +7,7 @@ from .app import (
     SenderLike,
     TrainingApp,
 )
-from .engine import EventEntry, EventHandle, Simulator
+from .engine import EventEntry, Simulator
 from .link import Link
 from .node import Host, Node, Switch
 from .packet import ACK_SIZE_BYTES, DATA_HEADER_BYTES, Packet
@@ -16,7 +16,6 @@ from .topology import Network, build_dumbbell, build_from_graph, build_leaf_spin
 
 __all__ = [
     "Simulator",
-    "EventHandle",
     "EventEntry",
     "Packet",
     "DATA_HEADER_BYTES",

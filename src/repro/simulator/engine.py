@@ -16,31 +16,21 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
 * The entry returned by :meth:`Simulator.schedule` *is* the cancellation
   token: pass it to :meth:`Simulator.cancel`.  Cancellation is O(1) — it
   nulls the callback slot and bumps a counter, so
-  :meth:`Simulator.pending_events` never scans the queue.  Call sites
-  that want an object with ``.cancel()`` (rare, timer-style code) can use
-  :meth:`Simulator.schedule_handle`, which wraps the entry in a
-  ``__slots__`` :class:`EventHandle`.
+  :meth:`Simulator.pending_events` never scans the queue.
 * The hot ``run()`` loop binds ``heappop``/the queue to locals and has a
-  branch-free fast path when no horizon, event budget, or calendar
-  front-end is active.
-* ``Simulator(calendar=True)`` enables an optional bucketed "calendar"
-  front-end: events that share an *exact* timestamp are appended to a
-  per-time bucket and the heap holds one marker per distinct time, so N
-  same-time timers cost one heap push instead of N.  Firing order is
-  identical to the plain heap (insertion order within a timestamp).
+  branch-free fast path when no horizon, event budget, or monitor is
+  active.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Deque, Dict, List, Optional, Protocol
+from typing import Any, Callable, List, Optional, Protocol
 
 __all__ = [
     "Simulator",
     "SimMonitor",
-    "EventHandle",
     "EventEntry",
     "total_events_processed",
 ]
@@ -99,46 +89,11 @@ class _Sentinel:
 
 #: Callback-slot sentinel: the event already fired (cancel is a no-op).
 _FIRED = _Sentinel("<fired>")
-#: Callback-slot sentinel: heap entry is a marker for a calendar bucket.
-_BUCKET = _Sentinel("<bucket>")
-
-
-class EventHandle:
-    """Object-style view of a scheduled event, for timer ergonomics.
-
-    The fast path returns raw :data:`EventEntry` tokens; this wrapper
-    exists for call sites that prefer ``handle.cancel()`` over
-    ``sim.cancel(entry)`` and for backwards compatibility with the
-    pre-rewrite API.  Build one with :meth:`Simulator.schedule_handle`.
-    """
-
-    __slots__ = ("_sim", "_entry")
-
-    def __init__(self, sim: "Simulator", entry: EventEntry) -> None:
-        self._sim = sim
-        self._entry = entry
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time the event fires at."""
-        return float(self._entry[0])
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the event has been cancelled."""
-        return self._entry[2] is None
-
-    def cancel(self) -> None:
-        """Cancel the underlying event (idempotent, O(1))."""
-        self._sim.cancel(self._entry)
 
 
 class Simulator:
     """Event queue with a monotonically advancing clock.
 
-    :param calendar: enable the bucketed same-timestamp front-end
-        (identical firing order, fewer heap operations when many events
-        share exact times).  Default off.
     :param monitor: optional :class:`SimMonitor` (a
         ``repro.guards.GuardRail``).  When set, the event loop checks two
         engine invariants per dispatched event — dispatch times never run
@@ -156,16 +111,13 @@ class Simulator:
         "_counter",
         "_events_processed",
         "_cancelled",
-        "_calendar",
-        "_buckets",
-        "_bucketed",
         "_monitor",
         "_stall_event_limit",
     )
 
     def __init__(
         self,
-        calendar: bool = False,
+        *,
         monitor: Optional[SimMonitor] = None,
         stall_event_limit: int = 1_000_000,
     ) -> None:
@@ -177,12 +129,8 @@ class Simulator:
         self._queue: list[EventEntry] = []
         self._counter = count()
         self._events_processed = 0
-        #: Cancelled entries still resident in the queue (or buckets).
+        #: Cancelled entries still resident in the queue.
         self._cancelled = 0
-        self._calendar = bool(calendar)
-        self._buckets: Dict[float, Deque[EventEntry]] = {}
-        #: Entries resident in calendar buckets (calendar mode only).
-        self._bucketed = 0
         self._monitor = monitor
         self._stall_event_limit = stall_event_limit
 
@@ -199,12 +147,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay!r}")
-        time = self.now + delay
-        entry = [time, next(self._counter), callback]
-        if self._calendar:
-            self._bucket_push(time, entry)
-        else:
-            heappush(self._queue, entry)
+        entry = [self.now + delay, next(self._counter), callback]
+        heappush(self._queue, entry)
         return entry
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventEntry:
@@ -214,26 +158,8 @@ class Simulator:
                 f"cannot schedule in the past: time={time!r} < now={self.now!r}"
             )
         entry = [time, next(self._counter), callback]
-        if self._calendar:
-            self._bucket_push(time, entry)
-        else:
-            heappush(self._queue, entry)
+        heappush(self._queue, entry)
         return entry
-
-    def schedule_handle(
-        self, delay: float, callback: Callable[[], None]
-    ) -> EventHandle:
-        """:meth:`schedule`, wrapped in an :class:`EventHandle`."""
-        return EventHandle(self, self.schedule(delay, callback))
-
-    def _bucket_push(self, time: float, entry: EventEntry) -> None:
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = deque((entry,))
-            heappush(self._queue, [time, entry[1], _BUCKET])
-        else:
-            bucket.append(entry)
-        self._bucketed += 1
 
     def cancel(self, entry: EventEntry) -> None:
         """Cancel a scheduled event (O(1), idempotent).
@@ -264,13 +190,8 @@ class Simulator:
         queue = self._queue
         processed = 0
         try:
-            if (
-                until is None
-                and max_events is None
-                and not self._calendar
-                and self._monitor is None
-            ):
-                # Hot path: no horizon, no budget, plain heap, no monitor.
+            if until is None and max_events is None and self._monitor is None:
+                # Hot path: no horizon, no budget, no monitor.
                 pop = heappop
                 while queue:
                     entry = pop(queue)
@@ -293,8 +214,8 @@ class Simulator:
     def _run_general(
         self, until: Optional[float], max_events: Optional[int]
     ) -> int:
-        """Slow-path loop: horizons, event budgets, calendar buckets,
-        monitored invariant checks."""
+        """Slow-path loop: horizons, event budgets, monitored invariant
+        checks."""
         queue = self._queue
         processed = 0
         monitor = self._monitor
@@ -343,56 +264,11 @@ class Simulator:
                             f"clock advancing past {last_time!r}; "
                             "zero-delay livelock?",
                         )
-            if cb is _BUCKET:
-                processed += self._drain_bucket(
-                    time,
-                    None if max_events is None else max_events - processed,
-                )
-                continue
             entry[2] = _FIRED
             self.now = time
             cb()
             processed += 1
         return processed
-
-    def _drain_bucket(self, time: float, budget: Optional[int]) -> int:
-        """Fire the calendar bucket at ``time``; returns callbacks run.
-
-        Callbacks may schedule new events at the same timestamp; those
-        land in a *fresh* bucket (with a fresh heap marker) and fire
-        after this one drains, which is exactly the plain-heap order.
-        If ``budget`` runs out mid-bucket the remainder is re-queued
-        ahead of any such fresh bucket, preserving sequence order.
-        """
-        bucket = self._buckets.pop(time)
-        self.now = time
-        processed = 0
-        while bucket:
-            if budget is not None and processed >= budget:
-                self._requeue_bucket_remainder(time, bucket)
-                break
-            entry = bucket.popleft()
-            self._bucketed -= 1
-            cb = entry[2]
-            if cb is None:
-                self._cancelled -= 1
-                continue
-            entry[2] = _FIRED
-            cb()
-            processed += 1
-        return processed
-
-    def _requeue_bucket_remainder(
-        self, time: float, remainder: Deque[EventEntry]
-    ) -> None:
-        fresh = self._buckets.get(time)
-        if fresh is None:
-            self._buckets[time] = remainder
-            heappush(self._queue, [time, remainder[0][1], _BUCKET])
-        else:
-            # A callback in this bucket scheduled same-time events before
-            # the budget ran out; they must fire after the remainder.
-            fresh.extendleft(reversed(remainder))
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the queue is empty.
@@ -405,26 +281,13 @@ class Simulator:
         queue = self._queue
         while queue:
             top = queue[0]
-            cb = top[2]
-            if cb is None:
+            if top[2] is None:
                 heappop(queue)
                 self._cancelled -= 1
                 continue
-            if cb is _BUCKET:
-                bucket = self._buckets[top[0]]
-                while bucket and bucket[0][2] is None:
-                    bucket.popleft()
-                    self._bucketed -= 1
-                    self._cancelled -= 1
-                if not bucket:
-                    del self._buckets[top[0]]
-                    heappop(queue)
-                    continue
             return float(top[0])
         return None
 
     def pending_events(self) -> int:
         """Live (non-cancelled) events still queued — O(1)."""
-        if self._calendar:
-            return self._bucketed - self._cancelled
         return len(self._queue) - self._cancelled

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator.engine import EventHandle, Simulator
+from repro.simulator.engine import Simulator
 
 
 class TestScheduling:
@@ -81,19 +81,6 @@ class TestCancellation:
         assert not sim.is_cancelled(entry)
         sim.schedule(1.0, lambda: None)
         assert sim.pending_events() == 1
-
-    def test_handle_wrapper_cancel(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_handle(0.5, lambda: fired.append(1))
-        assert isinstance(handle, EventHandle)
-        assert handle.time == pytest.approx(0.5)
-        assert not handle.cancelled
-        handle.cancel()
-        handle.cancel()
-        sim.run()
-        assert fired == []
-        assert handle.cancelled
 
 
 class TestRunHorizon:
@@ -174,77 +161,6 @@ class TestIntrospection:
         assert fired == [3, 4]
         assert sim.pending_events() == 0
         assert sim.peek_time() is None
-
-
-class TestCalendarMode:
-    """The bucketed front-end must be observationally identical."""
-
-    @staticmethod
-    def _mixed_workload(sim):
-        order = []
-        # Same-timestamp bursts plus distinct times, some cancelled.
-        for i in range(4):
-            sim.schedule(0.5, lambda i=i: order.append(("burst", i)))
-        sim.schedule(0.2, lambda: order.append(("early", 0)))
-        dead = sim.schedule(0.5, lambda: order.append(("dead", 0)))
-        sim.cancel(dead)
-        sim.schedule(0.9, lambda: order.append(("late", 0)))
-
-        def reschedule():
-            order.append(("resched", 0))
-            sim.schedule(0.0, lambda: order.append(("same-time-child", 0)))
-
-        sim.schedule(0.5, reschedule)
-        return order
-
-    def test_matches_plain_heap_order(self):
-        plain, calendar = Simulator(), Simulator(calendar=True)
-        expected = self._mixed_workload(plain)
-        observed = self._mixed_workload(calendar)
-        plain.run()
-        calendar.run()
-        assert observed == expected
-        assert calendar.events_processed == plain.events_processed
-
-    def test_pending_peek_and_horizon(self):
-        sim = Simulator(calendar=True)
-        fired = []
-        for i in range(3):
-            sim.schedule(0.5, lambda i=i: fired.append(i))
-        entry = sim.schedule(0.5, lambda: fired.append(99))
-        sim.cancel(entry)
-        sim.schedule(1.0, lambda: fired.append(10))
-        assert sim.pending_events() == 4
-        assert sim.peek_time() == pytest.approx(0.5)
-        sim.run(until=0.25)
-        assert fired == []
-        assert sim.now == 0.25
-        sim.run(until=0.75)
-        assert fired == [0, 1, 2]
-        assert sim.pending_events() == 1
-        sim.run()
-        assert fired == [0, 1, 2, 10]
-        assert sim.pending_events() == 0
-
-    def test_max_events_splits_bucket_resumably(self):
-        sim = Simulator(calendar=True)
-        fired = []
-        for i in range(5):
-            sim.schedule(0.5, lambda i=i: fired.append(i))
-        sim.run(max_events=2)
-        assert fired == [0, 1]
-        assert sim.pending_events() == 3
-        sim.run()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_all_cancelled_bucket_peek(self):
-        sim = Simulator(calendar=True)
-        entries = [sim.schedule(0.5, lambda: None) for _ in range(3)]
-        sim.schedule(0.9, lambda: None)
-        for entry in entries:
-            sim.cancel(entry)
-        assert sim.peek_time() == pytest.approx(0.9)
-        assert sim.pending_events() == 1
 
 
 class TestProcessWideCounter:

@@ -1,5 +1,7 @@
 """Tests for the multi-bottleneck fluid simulator and weighted max-min."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,13 @@ class TestSimulatorBasics:
             PlacedJob(job=gpt2_job(), links=())
         with pytest.raises(ValueError, match="duplicate"):
             PlacedJob(job=gpt2_job(), links=("l", "l"))
+
+    def test_rejects_volume_jitter(self):
+        """Both engines load the nominal ``comm_bits`` every iteration, so
+        a jittered job would otherwise run silently unjittered."""
+        job = replace(gpt2_job(), volume_jitter_fraction=0.2)
+        with pytest.raises(ValueError, match="J2: volume_jitter_fraction"):
+            NetworkFluidSimulator([place(job, "l")], {"l": 50.0})
 
 
 class TestMultiBottleneckConvergence:

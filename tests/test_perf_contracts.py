@@ -15,7 +15,8 @@ Two halves:
 
 Plus the allocation-cache protocol the fluid fast path leans on:
 ``AllocationPolicy.cache_key`` must be stable exactly when reusing the
-previous rates is sound.
+previous rates is sound; and the size dispatch between the scalar and
+array fluid engines, which must be invisible in every output.
 """
 
 import json
@@ -23,7 +24,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.fluid.allocation import FairShare, FlowView, MLTCPWeighted
+from repro.fluid import SRPT, FairShare, MLTCPWeighted, run_fluid
+from repro.fluid.allocation import FlowView
 from repro.harness.perfbench import (
     DEFAULT_REGRESSION_THRESHOLD,
     BenchStat,
@@ -31,6 +33,7 @@ from repro.harness.perfbench import (
     load_report,
     write_baseline,
 )
+from repro.workloads import JobSpec
 
 from .perf_fixtures import (
     FIXTURE_PATH,
@@ -39,6 +42,7 @@ from .perf_fixtures import (
     packet_fingerprint,
     water_fill_fingerprint,
 )
+from .test_chaos import small_spec
 
 
 @pytest.fixture(scope="module")
@@ -279,25 +283,168 @@ class TestAllocationCacheKeys:
     def test_mltcp_default_is_exact_so_never_cached(self):
         assert MLTCPWeighted().cache_key(_views(), 1e9) is None
 
-    def test_mltcp_granularity_buckets_progress(self):
-        policy = MLTCPWeighted(ratio_granularity=0.1)
-        views = _views()
-        key = policy.cache_key(views, 1e9)
-        views[0].sent_bits = 5.4e8  # 0.50 -> 0.54: same 0.1-wide bucket
-        assert policy.cache_key(views, 1e9) == key
-        views[0].sent_bits = 6.5e8  # 0.65: next bucket
-        assert policy.cache_key(views, 1e9) != key
 
-    def test_mltcp_granularity_validation(self):
-        with pytest.raises(ValueError):
-            MLTCPWeighted(ratio_granularity=0.0)
-        with pytest.raises(ValueError):
-            MLTCPWeighted(ratio_granularity=-0.5)
+def _jobs(jitter_sigma=0.0, volume_jitter_fraction=0.0):
+    return [
+        JobSpec(
+            name="gpt3",
+            comm_bits=8e9,
+            demand_gbps=40.0,
+            compute_time=0.12,
+            jitter_sigma=jitter_sigma,
+            volume_jitter_fraction=volume_jitter_fraction,
+        ),
+        JobSpec(
+            name="gpt2a",
+            comm_bits=2e9,
+            demand_gbps=40.0,
+            compute_time=0.05,
+            jitter_sigma=jitter_sigma,
+            volume_jitter_fraction=volume_jitter_fraction,
+        ),
+        JobSpec(
+            name="gpt2b",
+            comm_bits=2e9,
+            demand_gbps=40.0,
+            compute_time=0.05,
+            start_offset=0.01,
+            jitter_sigma=jitter_sigma,
+            iteration_limit=3,
+            volume_jitter_fraction=volume_jitter_fraction,
+        ),
+    ]
 
-    def test_cached_policy_matches_exact_policy_end_to_end(self):
-        """Granularity-cached allocation must not change *which* rates are
-        produced for identical inputs — only how often allocate() runs."""
-        exact = MLTCPWeighted()
-        cached = MLTCPWeighted(ratio_granularity=0.05)
-        views = _views()
-        assert exact.allocate(views, 1e9) == cached.allocate(views, 1e9)
+
+def _fingerprint(result):
+    """Hex-exact record of a run's iterations and end time."""
+    return (
+        [
+            (
+                it.job,
+                it.index,
+                it.comm_start.hex(),
+                it.comm_end.hex(),
+                it.iteration_end.hex(),
+            )
+            for it in result.iterations
+        ],
+        result.end_time.hex(),
+    )
+
+
+class TestEngineDispatch:
+    """The scalar and array engines behind the size dispatch are twins.
+
+    ``FluidSimulator``/``NetworkFluidSimulator`` route populations under
+    ``_VECTORIZED_MIN_FLOWS`` to the original scalar engine (numpy's
+    per-op cost dominates small runs) and everything else to the array
+    engine.  Forcing the threshold down must not change a single bit of
+    any output — iterations, segments, end time.
+    """
+
+    @pytest.mark.parametrize("policy_factory", [FairShare, MLTCPWeighted, SRPT])
+    def test_single_link_engines_bit_identical(self, monkeypatch, policy_factory):
+        jobs = _jobs(jitter_sigma=0.002, volume_jitter_fraction=0.05)
+        scalar = run_fluid(
+            jobs, 50.0, policy=policy_factory(), max_iterations=4, seed=3
+        )
+        monkeypatch.setattr("repro.fluid.flowsim._VECTORIZED_MIN_FLOWS", 1)
+        array = run_fluid(
+            jobs, 50.0, policy=policy_factory(), max_iterations=4, seed=3
+        )
+        assert _fingerprint(scalar) == _fingerprint(array)
+        assert [
+            (seg.start.hex(), seg.end.hex(),
+             {k: v.hex() for k, v in seg.rates_bps.items()})
+            for seg in scalar.segments
+        ] == [
+            (seg.start.hex(), seg.end.hex(),
+             {k: v.hex() for k, v in seg.rates_bps.items()})
+            for seg in array.segments
+        ]
+
+    @pytest.mark.parametrize("mltcp", [True, False])
+    def test_network_engines_bit_identical(self, monkeypatch, mltcp):
+        from repro.fluid import PlacedJob, run_network_fluid
+
+        placements = [
+            PlacedJob(job=job, links=("up", "spine") if i % 2 else ("up",))
+            for i, job in enumerate(_jobs(jitter_sigma=0.002))
+        ]
+        caps = {"up": 50.0, "spine": 30.0}
+        scalar = run_network_fluid(
+            placements, caps, mltcp=mltcp, max_iterations=4, seed=3
+        )
+        monkeypatch.setattr("repro.fluid.network._VECTORIZED_MIN_FLOWS", 1)
+        array = run_network_fluid(
+            placements, caps, mltcp=mltcp, max_iterations=4, seed=3
+        )
+        assert _fingerprint(scalar) == _fingerprint(array)
+
+    def test_network_fault_branch_engines_bit_identical(self, monkeypatch):
+        """Reroutes, stalled flows, degraded links and guards on both engines.
+
+        A spine failure reroutes half the cross-rack jobs, a bandwidth
+        fault then squeezes a link the rerouted and native flows share,
+        and a host-link outage leaves one flow allocated across a severed
+        link, which the record-mode rail logs as ``route-liveness``.
+        """
+        from repro.faults import FaultEvent, FaultSchedule
+        from repro.fluid.fabric import FluidFabric, FluidFabricFaults
+        from repro.fluid.network import run_network_fluid
+        from repro.guards import GuardRail
+        from repro.workloads import cross_rack_scenario
+        from repro.workloads.placement import place_jobs
+
+        spec = small_spec()
+        fabric = FluidFabric.from_spec(spec)
+        placements = place_jobs(
+            cross_rack_scenario(spec.n_hosts // 2, jitter_sigma=0.0005),
+            spec,
+            policy="spread",
+            seed=2,
+        )
+        placed = fabric.place(placements)
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent("spine_down", time=0.05, duration=0.3, spine="spine0"),
+                FaultEvent(
+                    "bandwidth", time=0.1, duration=0.15,
+                    link="rack2->spine1", factor=0.5,
+                ),
+                FaultEvent(
+                    "link_down", time=0.2, duration=0.1, link=placed[0].links[0]
+                ),
+            ),
+            seed=2,
+        )
+
+        def run():
+            rail = GuardRail("record")
+            result = run_network_fluid(
+                placed,
+                fabric.capacities_gbps,
+                mltcp=True,
+                max_iterations=10,
+                seed=3,
+                quantum=min(0.02, placements[0].job.ideal_iteration_time / 10.0),
+                fabric_faults=FluidFabricFaults(spec, schedule),
+                guards=rail,
+            )
+            return (
+                _fingerprint(result),
+                result.fault_log,
+                {link: bits.hex()
+                 for link, bits in result.delivered_bits_by_link.items()},
+                [(v.guard, v.subject, v.time.hex(), v.message)
+                 for v in rail.violations],
+            )
+
+        scalar = run()
+        monkeypatch.setattr("repro.fluid.network._VECTORIZED_MIN_FLOWS", 1)
+        array = run()
+        assert scalar == array
+        _, fault_log, delivered, guard_events = scalar
+        assert len(fault_log) == 6
+        assert delivered
+        assert {event[0] for event in guard_events} == {"route-liveness"}

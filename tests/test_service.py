@@ -8,9 +8,12 @@ and the schema-v6 ``service`` snapshot stream.
 """
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.fluid.arrays import PHASE_COMM
 from repro.guards import GuardRail, StepperWatchdog
 from repro.harness.telemetry import (
     REPORT_SCHEMA_VERSION,
@@ -515,6 +518,23 @@ class TestOverloadShedding:
         assert json.dumps(engine_m.completed, sort_keys=True) == json.dumps(
             engine_f.completed, sort_keys=True
         )
+
+    def test_mltcp_bytes_ratio_divides_by_nominal_volume(self):
+        """Algorithm 1 (and FluidSimulator) normalise bytes_sent by the
+        nominal TOTAL_BYTES, not by the iteration's jittered volume."""
+        spec = replace(
+            gpt2_fast_job("j0", jitter_sigma=0.0), volume_jitter_fraction=0.2
+        ).with_iteration_limit(4)
+        engine = LiveFluidEngine(50.0, "mltcp", seed=0)
+        engine.admit(spec)
+        engine.step(0.2)  # inside the first ~0.45 s communication phase
+        active = np.flatnonzero(engine.phase == PHASE_COMM)
+        assert active.tolist() == [0]
+        volume = engine.remaining[0] + engine.sent[0]
+        assert abs(volume - spec.comm_bits) > 0.01 * spec.comm_bits
+        ratio = min(1.0, engine.sent[0] / spec.comm_bits)
+        expected = engine._slope * ratio + engine._intercept
+        assert engine._weights(active)[0] == expected
 
 
 class TestRetryBackoff:

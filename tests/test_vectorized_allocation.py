@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.fluid.allocation import (
     water_fill,
     water_fill_array,
-    water_fill_batch,
 )
 from repro.fluid.arrays import (
     PHASE_COMM,
@@ -181,55 +180,6 @@ class TestWaterFillFixtureVectors:
             rank=_rank_for(ids),
         )
         assert _hex_rates(_array_as_mapping(ids, got)) == fixture
-
-
-class TestWaterFillBatch:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        case=water_fill_cases(),
-        n_seeds=st.integers(min_value=1, max_value=4),
-        data=st.data(),
-    )
-    def test_each_lane_matches_single_scenario_path(self, case, n_seeds, data):
-        demands, weights, capacity = case
-        ids = list(demands)
-        n = len(ids)
-        d = np.array([demands[fid] for fid in ids])
-        rank = _rank_for(ids)
-        w = np.empty((n_seeds, n))
-        active = np.empty((n_seeds, n), dtype=bool)
-        for s in range(n_seeds):
-            w[s] = [data.draw(weight_values) for _ in range(n)]
-            active[s] = [data.draw(st.booleans()) for _ in range(n)]
-        got = water_fill_batch(d, w, capacity, active, rank=rank)
-        for s in range(n_seeds):
-            lanes = np.nonzero(active[s])[0]
-            expected = np.zeros(n)
-            if lanes.size:
-                expected[lanes] = water_fill_array(
-                    d[lanes], w[s, lanes], capacity, rank=rank[lanes]
-                )
-            assert [v.hex() for v in got[s].tolist()] == [
-                v.hex() for v in expected.tolist()
-            ]
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            water_fill_batch(
-                np.array([1e9]),
-                np.ones((2, 1)),
-                1e9,
-                np.ones((3, 1), dtype=bool),
-            )
-
-    def test_rejects_negative_active_weight(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            water_fill_batch(
-                np.array([1e9]),
-                np.array([[-1.0]]),
-                1e9,
-                np.array([[True]]),
-            )
 
 
 @st.composite
