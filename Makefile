@@ -10,16 +10,16 @@ PYTHON ?= python
 BENCH_FLAGS = --benchmark-sort=name --benchmark-columns=min,mean,stddev,rounds \
 	--benchmark-warmup=on --benchmark-warmup-iterations=2 --benchmark-disable-gc
 
-.PHONY: install verify lint typecheck test test-fast test-e2e-bench docs-check bench bench-smoke bench-faults-smoke bench-perf bench-perf-smoke bench-scale-smoke guards-smoke chaos-smoke serve-smoke verify-smoke figures examples clean
+.PHONY: install verify lint typecheck test test-fast test-e2e-bench bench-e2e-smoke docs-check bench bench-smoke bench-faults-smoke bench-perf bench-perf-smoke bench-scale-smoke guards-smoke chaos-smoke serve-smoke verify-smoke figures examples clean
 
 # The default verify path: repo-specific static analysis, type checking,
-# the fast test tier, the end-to-end benchmark's own tests,
-# executable-docs check, a guarded fault-recovery smoke, a seeded
-# chaos-campaign smoke, a crash-recovery service smoke, a
-# bounded-model-checking smoke, then one-round perf- and
+# the fast test tier, the end-to-end benchmark's own tests and a short
+# traced run of each of its workloads, executable-docs check, a guarded
+# fault-recovery smoke, a seeded chaos-campaign smoke, a crash-recovery
+# service smoke, a bounded-model-checking smoke, then one-round perf- and
 # scale-regression smokes. CI and the verify skill run this.
 .DEFAULT_GOAL := verify
-verify: lint typecheck test-fast test-e2e-bench docs-check guards-smoke chaos-smoke serve-smoke verify-smoke bench-perf-smoke bench-scale-smoke
+verify: lint typecheck test-fast test-e2e-bench bench-e2e-smoke docs-check guards-smoke chaos-smoke serve-smoke verify-smoke bench-perf-smoke bench-scale-smoke
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -55,6 +55,23 @@ test-fast:
 # instead of crashing a traced benchmark run.
 test-e2e-bench:
 	$(PYTHON) -m pytest e2e_bench
+
+# One short traced run of each end-to-end benchmark workload (~30 s in
+# all).  Fails unless the result line (the last line of output) reports
+# "correct": true: every output digest matched e2e_bench/references.json
+# and every layer predicted to run on the workload (e2e_bench/metrics.py,
+# PREDICTIONS) recorded calls.
+bench-e2e-smoke:
+	@tmp=$$(mktemp) && status=0 && \
+	for workload in paper fabric-serve; do \
+		$(PYTHON) e2e_bench/run.py --workload $$workload --seed 0 --seconds 5 \
+			--trace 1 > $$tmp && \
+		tail -n 1 $$tmp | $(PYTHON) -c 'import json, sys; \
+			sys.exit(json.load(sys.stdin)["correct"] is not True)' && \
+		echo "bench-e2e-smoke: $$workload correct" || \
+		{ cat $$tmp; echo "bench-e2e-smoke: $$workload is not correct"; \
+			status=1; break; }; \
+	done; rm -f $$tmp; exit $$status
 
 # Execute every ```python fence in docs/*.md so documented examples can't
 # rot; fragments keep highlighting with ```python no-check (docs/TOPOLOGIES.md).

@@ -15,11 +15,12 @@ slices of it straight to :func:`repro.fluid.allocation.water_fill_array`
 / :func:`repro.fluid.network.weighted_max_min_array`.
 
 The ``rank`` array caches each flow's unique position in the sorted
-order of job names.  The scalar reference implementations iterate
-``sorted(ids)`` when accumulating floats; carrying the precomputed rank
-lets the vectorized twins replay that exact order with integer argsorts
-instead of per-call string sorts (see docs/PERFORMANCE.md, "Vectorized
-core & scale benchmarks", for the bit-identity contract).
+order of job names.  The scalar allocators accumulate floats over
+``sorted(ids)``; carrying the precomputed rank lets ``water_fill_array``
+replay that exact order with integer argsorts, and lets
+``weighted_max_min_array`` list each link's flows in it, instead of
+sorting strings per call (see docs/PERFORMANCE.md, "Vectorized core &
+scale benchmarks", for the bit-identity contract).
 """
 
 from __future__ import annotations
@@ -124,8 +125,7 @@ def link_index_matrix(
     ``K`` is the longest path.  Fabric link sets are sparse — a flow
     crosses a handful of a fat tree's thousands of links — so this stays
     tiny where a dense links x flows membership matrix would not.
-    Unknown link names raise ``KeyError`` exactly like the scalar
-    ``weighted_max_min`` residual lookup would.
+    Unknown link names raise ``KeyError``, as ``weighted_max_min`` does.
     """
     link_index = {link: i for i, link in enumerate(links)}
     paths = [tuple(flow_links.get(name, ())) for name in names]

@@ -13,13 +13,22 @@ With unit weights this is classic max-min TCP sharing; with
 ``F(bytes_ratio)`` weights it is network-wide MLTCP — each congested link
 independently develops the sliding effect, which is the paper's
 distributed-scalability argument ("easily deployable and scalable").
+
+The allocator has two entry points, one per engine: :func:`weighted_max_min`
+takes a dict of flows (the scalar engine) and :func:`weighted_max_min_array`
+takes ``FlowArrays`` slices (the array engine).  Both map their inputs to
+integer flow and link indices and call one progressive-filling core, which
+keeps the links in a heap by share and, after each round, re-scores only
+the links the newly fixed flows cross (docs/PERFORMANCE.md, "One weighted
+max-min core").
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +54,8 @@ from .flowsim import _VECTORIZED_MIN_FLOWS, IterationResult
 # repro-lint: hot-path-module
 # (Scopes the PRF002 per-flow-loop rule here: flow state advances via
 # whole-array numpy passes; the remaining Python loops are the gated
-# fault/guard sections and per-index transition dispatch.)
+# fault/guard sections, per-index transition dispatch and the allocator
+# core, which walks integer flow and link indices.)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..guards.core import GuardRail
@@ -179,6 +189,139 @@ class _FlowRuntime:
         return min(1.0, self.sent_bits / self.spec.comm_bits)
 
 
+def _flow_error(flow: str, weight: float, demand: float) -> ValueError:
+    """The error for a flow whose weight or demand is out of range."""
+    if not math.isfinite(weight):
+        return ValueError(f"{flow}: weight must be finite, got {weight!r}")
+    if weight < 0:
+        return ValueError(f"{flow}: weight must be non-negative, got {weight!r}")
+    if not math.isfinite(demand):
+        return ValueError(f"{flow}: demand must be finite, got {demand!r}")
+    return ValueError(f"{flow}: demand must be positive, got {demand!r}")
+
+
+def _link_members(
+    order: Iterable[int],
+    paths: list[list[int]],
+    repeat_error: Callable[[int, int], ValueError],
+) -> dict[int, list[int]]:
+    """The flows crossing each link, listed in ``order``.
+
+    Raises ``repeat_error(flow, link)`` for a link repeated in a path.
+    """
+    members: dict[int, list[int]] = {}
+    for i in order:
+        for k in paths[i]:
+            crossing = members.get(k)
+            if crossing is None:
+                members[k] = [i]
+            elif crossing[-1] == i:
+                raise repeat_error(i, k)
+            else:
+                crossing.append(i)
+    return members
+
+
+def _progressive_fill(
+    eff: list[float],
+    demands: list[float],
+    paths: list[list[int]],
+    members: dict[int, list[int]],
+    residual: list[float],
+) -> tuple[list[float], list[int]]:
+    """Weighted max-min by progressive filling over integer indices.
+
+    Flows are ``0..n-1``: effective weight ``eff[i]``, demand cap
+    ``demands[i]`` and the links ``paths[i]`` (no repeats).  Links are
+    the positions ``0..m-1`` of ``residual`` in scan order, each holding
+    the link's capacity (updated in place); ``members`` maps every link
+    some flow crosses to those flows, in the order their weights are
+    summed.  Flow ``i``'s demand cap is a virtual link at position
+    ``m + i``, after every real link.
+
+    Each round saturates the link of smallest finite share (residual
+    over the summed weights of its unfixed members) and fixes those
+    members at ``share * weight``; ties go to the earlier position, as
+    in a scan that keeps the first strictly smaller share.  A heap keyed
+    ``(share, position, version)`` holds each link's current share.  A
+    round re-scores only the links its fixed flows cross, bumping their
+    versions so older entries are dropped when popped; any other link
+    kept its members and residual, so re-summing it would give the same
+    float.  Residuals follow the sequential ``max(0.0, r - rate)`` chain
+    in fixing order.
+
+    Returns the per-flow rates (0.0 for a flow never fixed) and the
+    order in which flows were fixed.
+    """
+    n = len(eff)
+    m = len(residual)
+    inf = math.inf
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    heap: list[tuple[float, int, int]] = []
+    for k, crossing in members.items():
+        total = 0.0
+        for i in crossing:
+            total += eff[i]
+        share = residual[k] / total
+        if share < inf:  # an infinite share never saturates; NaN never wins
+            heap.append((share, k, 0))
+    for i in range(n):
+        share = demands[i] / eff[i]
+        if share < inf:
+            heap.append((share, m + i, 0))
+    heapq.heapify(heap)
+    version = [0] * m
+    unfixed = [True] * n
+    rates = [0.0] * n
+    fixed_order: list[int] = []
+    pending = n
+    while pending and heap:
+        share, pos, stamp = heappop(heap)
+        if pos < m:
+            if stamp != version[pos]:
+                continue
+            # A current entry's member list holds exactly its unfixed flows.
+            fixing: Sequence[int] = members[pos]
+        else:
+            # A virtual link changes only once: when its flow is fixed.
+            if not unfixed[pos - m]:
+                continue
+            fixing = (pos - m,)
+        touched: dict[int, None] = {}
+        for i in fixing:
+            rate = share * eff[i]
+            if not rate > 0.0:
+                rate = 0.0
+            rates[i] = rate
+            for k in paths[i]:
+                left = residual[k] - rate
+                residual[k] = left if left > 0.0 else 0.0
+                touched[k] = None
+            unfixed[i] = False
+            fixed_order.append(i)
+        pending -= len(fixing)
+        for k in touched:
+            stamp = version[k] + 1
+            version[k] = stamp
+            before = members[k]
+            if len(before) == 1:  # its one member was fixed this round
+                members[k] = []
+                continue
+            crossing = []
+            total = 0.0
+            for i in before:
+                if unfixed[i]:
+                    crossing.append(i)
+                    total += eff[i]
+            members[k] = crossing
+            if crossing:
+                share = residual[k] / total
+                if share < inf:
+                    heappush(heap, (share, k, stamp))
+    return rates, fixed_order
+
+
 def weighted_max_min(
     flows: dict[str, tuple[float, float, tuple[str, ...]]],
     capacities_bps: dict[str, float],
@@ -188,65 +331,47 @@ def weighted_max_min(
     ``flows`` maps flow id to ``(weight, demand_bps, links)``.  Demand caps
     become virtual per-flow links.  Progressive filling: the link with the
     smallest capacity-per-unit-weight saturates first and fixes its flows.
+    Zero-weight flows keep a vanishing (but non-zero) share, so no flow
+    fully starves — the §5 non-starvation property.
+
+    Links scan in ``capacities_bps`` order and sum their members' weights
+    in sorted-id order (PYTHONHASHSEED-independent, DET004); the filling
+    is :func:`_progressive_fill`, shared with
+    :func:`weighted_max_min_array`.  Raises ``ValueError`` naming the flow
+    for a non-finite or negative weight, a non-finite or non-positive
+    demand, or a link repeated in its path, and ``KeyError`` for a link
+    missing from ``capacities_bps``.
     """
-    residual = dict(capacities_bps)
-    members: dict[str, set[str]] = {link: set() for link in residual}
-    # Zero-weight flows keep a vanishing (but non-zero) share, so no flow
-    # fully starves — the §5 non-starvation property.
-    effective_weight: dict[str, float] = {}
+    inf = math.inf
+    position = dict(zip(capacities_bps, range(len(capacities_bps))))
+    eff: list[float] = []
+    demands: list[float] = []
+    paths: list[list[int]] = []
     for fid, (weight, demand, links) in flows.items():
-        if weight < 0:
-            raise ValueError(f"{fid}: weight must be non-negative, got {weight!r}")
-        if demand <= 0:
-            raise ValueError(f"{fid}: demand must be positive, got {demand!r}")
-        effective_weight[fid] = max(weight, 1e-9)
-        virtual = f"__demand__{fid}"
-        residual[virtual] = demand
-        members[virtual] = {fid}
-        for link in links:
-            if link not in residual:
-                raise KeyError(f"{fid}: unknown link {link!r}")
-            members[link].add(fid)
-
-    # Per-link member lists sorted once up front instead of re-sorted every
-    # progressive-filling round; the per-round filter below preserves that
-    # order, so the float sums accumulate in exactly the order the old
-    # per-round ``sorted()`` produced (PYTHONHASHSEED-independent, DET004).
-    ordered_members = {link: sorted(ids) for link, ids in members.items()}
-
-    rates: dict[str, float] = {}
-    unfixed = set(flows)
-
-    while unfixed:
-        best_link: Optional[str] = None
-        best_share = math.inf
-        for link, ordered in ordered_members.items():
-            total_weight = 0.0
-            any_active = False
-            for fid in ordered:
-                if fid in unfixed:
-                    total_weight += effective_weight[fid]
-                    any_active = True
-            if not any_active:
-                continue
-            share = residual[link] / total_weight
-            if share < best_share:
-                best_share = share
-                best_link = link
-        if best_link is None:
-            break
-        for fid in ordered_members[best_link]:
-            if fid not in unfixed:
-                continue
-            rate = max(0.0, best_share * effective_weight[fid])
-            rates[fid] = rate
-            for link in flows[fid][2]:
-                residual[link] = max(0.0, residual[link] - rate)
-            residual[f"__demand__{fid}"] = 0.0
-            unfixed.discard(fid)
-    for fid in flows:
-        rates.setdefault(fid, 0.0)
-    return rates
+        if not (0.0 <= weight < inf and 0.0 < demand < inf):
+            raise _flow_error(fid, weight, demand)
+        try:
+            paths.append([position[link] for link in links])
+        except KeyError as missing:
+            raise KeyError(f"{fid}: unknown link {missing.args[0]!r}") from None
+        eff.append(weight if weight > 1e-9 else 1e-9)
+        demands.append(demand)
+    fids = list(flows)
+    members = _link_members(
+        sorted(range(len(fids)), key=fids.__getitem__),
+        paths,
+        lambda i, k: ValueError(
+            f"{fids[i]}: links must not repeat, got "
+            f"{list(capacities_bps)[k]!r} twice"
+        ),
+    )
+    rates, fixed_order = _progressive_fill(
+        eff, demands, paths, members, list(capacities_bps.values())
+    )
+    out = {fids[i]: rates[i] for i in fixed_order}
+    for fid in fids:
+        out.setdefault(fid, 0.0)
+    return out
 
 
 def weighted_max_min_array(
@@ -256,191 +381,62 @@ def weighted_max_min_array(
     capacities: np.ndarray,
     rank: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized twin of :func:`weighted_max_min` on contiguous arrays.
+    """Array entry point of :func:`weighted_max_min`, for the array engine.
 
     The flow axis is in *candidate* order — the insertion order of the
-    scalar reference's ``flows`` mapping (active runtimes in placement
-    order) — and ``rank`` carries each flow's unique sort position among
-    the flow ids, so per-link accumulations can replay the scalar's
-    ``sorted(ids)`` iteration without re-sorting strings per call.
-    ``flow_links`` is ``(n, K)`` integer, each row the flow's link
-    indices into ``capacities`` padded with ``-1`` (duplicate links per
-    flow are a precondition violation, as in :class:`PlacedJob`); demand
-    caps are handled as the scalar does, as virtual single-member links
-    appended after the real ones.  Fabric link sets are sparse (a flow
-    crosses a handful of a fat tree's thousands of links), so membership
-    is materialized as ragged per-link member lists padded to the
-    maximum degree, never as a dense links x flows matrix.
+    dict API's ``flows`` mapping (active runtimes in placement order) —
+    and ``rank`` carries each flow's unique sort position among the flow
+    ids, so each link sums its members' weights in the same sorted-id
+    order without sorting strings.  ``flow_links`` is ``(n, K)`` integer,
+    each row the flow's link indices into ``capacities`` padded with
+    ``-1``; links scan in ``capacities`` order and demand caps are
+    virtual links after them.  Fabric link sets are sparse (a flow
+    crosses a handful of a fat tree's thousands of links), so only the
+    links some flow crosses get member lists.
 
-    Bit-identity contract (docs/PERFORMANCE.md): every selection and
-    every float the scalar progressive-filling loop produces is
-    reproduced exactly —
-
-    * per-link weight totals accumulate strictly left-to-right over
-      members in sorted-id order (``np.add.accumulate``); padding and
-      already-fixed members contribute a literal ``+0.0``, an exact
-      identity on a non-negative running total, and totals are only
-      *recomputed* for links whose unfixed member set changed — links
-      whose set did not change would re-sum to the exact same float, so
-      their cached shares stand;
-    * a virtual link's share ``demand / effective_weight`` never changes
-      until its flow fixes, so virtual candidates are pre-sorted once
-      (stable, so ties keep candidate order) and consumed by a cursor;
-    * the chained ``max(0.0, residual - rate)`` updates are replayed via
-      a per-link prefix accumulation: clamping at any step forces every
-      later step to 0, so the chain equals 0 when any prefix dips below
-      zero and the exact sequential sum otherwise;
-    * real links win share ties against virtual links, and earlier links
-      win ties against later ones, exactly like the scalar's strict
-      ``<`` scan over reals-then-virtuals (links with active members
-      enter the scan in capacities order).
+    The arrays become the lists :func:`_progressive_fill` works on, the
+    core the dict API uses too, so both entry points return the same
+    floats by construction (docs/PERFORMANCE.md).  Raises ``ValueError``
+    naming ``flow[i]`` for every input the dict API rejects.
     """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    demands = np.ascontiguousarray(demands, dtype=np.float64)
-    capacities = np.ascontiguousarray(capacities, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    demands = np.asarray(demands, dtype=np.float64)
     n = weights.shape[0]
     if flow_links.ndim != 2 or flow_links.shape[0] != n:
         raise ValueError(
             f"flow_links must be (flows, K) = ({n}, K), got {flow_links.shape}"
         )
-    bad = weights < 0.0
-    if bad.any():
-        first = int(np.argmax(bad))
+    if demands.shape != (n,) or len(rank) != n:
         raise ValueError(
-            f"flow[{first}]: weight must be non-negative, got {weights[first]!r}"
+            f"demands and rank need one entry per flow ({n}), "
+            f"got shapes {demands.shape} and {np.shape(rank)}"
         )
-    bad = demands <= 0.0
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise ValueError(
-            f"flow[{first}]: demand must be positive, got {demands[first]!r}"
-        )
-    rates = np.zeros(n)
-    if n == 0:
-        return rates
-    eff = np.where(weights > 1e-9, weights, 1e-9)
-
-    order = np.argsort(rank, kind="stable")  # sorted-id positions -> flow idx
-    inv_order = np.empty(n, dtype=np.intp)
-    inv_order[order] = np.arange(n)
-    w_sorted = eff[order]
-
-    # Ragged per-link member lists: group the (link, member) incidence
-    # pairs by link with a stable sort, so each link's segment lists its
-    # member positions in ascending sorted-id order — exactly the order
-    # the scalar's up-front per-link ``sorted(ids)`` produced.  ``padded``
-    # points row r's members into the sorted axis, with the sentinel ``n``
-    # resolving to weight 0.0 / unfixed False through the extended arrays.
-    n_flows_axis = flow_links.shape[1]
-    flat_links = flow_links[order].ravel()
-    flat_pos = np.repeat(np.arange(n, dtype=np.intp), n_flows_axis)
-    valid = flat_links >= 0
-    flat_links = flat_links[valid]
-    flat_pos = flat_pos[valid]
-    perm = np.argsort(flat_links, kind="stable")
-    seg_link = flat_links[perm]
-    seg_pos = flat_pos[perm]
-    uniq_links, seg_start = np.unique(seg_link, return_index=True)
-    n_links = int(uniq_links.size)
-    fixed = np.zeros(n, dtype=bool)
-    unfixed_ext = np.ones(n + 1, dtype=bool)
-    unfixed_ext[n] = False
-    if n_links:
-        degree = np.diff(np.append(seg_start, seg_link.size))
-        counts = degree.copy()
-        max_degree = int(degree.max())
-        padded = np.full((n_links, max_degree), n, dtype=np.intp)
-        padded[
-            np.repeat(np.arange(n_links, dtype=np.intp), degree),
-            np.arange(seg_link.size) - np.repeat(seg_start, degree),
-        ] = seg_pos
-        w_ext = np.append(w_sorted, 0.0)
-        member_w = w_ext[padded]
-        residual = capacities[uniq_links]
-        totals = np.add.accumulate(member_w, axis=1)[:, -1]
-        lshare = residual / totals  # every listed link has >= 1 member
-        link_row = np.full(capacities.shape[0], -1, dtype=np.intp)
-        link_row[uniq_links] = np.arange(n_links)
-    else:
-        lshare = np.empty(0)
-
-    # Virtual-link shares are invariant for the whole call: the virtual
-    # residual stays at the demand until the flow fixes, and its total is
-    # always the flow's own effective weight.
-    vshare = demands / eff
-    vorder = np.argsort(vshare, kind="stable")
-    vptr = 0
-    n_fixed = 0
-
-    while n_fixed < n:
-        if n_links:
-            li = int(np.argmin(lshare))
-            lmin = float(lshare[li])
-        else:
-            li = -1
-            lmin = math.inf
-        while vptr < n and fixed[vorder[vptr]]:
-            vptr += 1
-        vmin = float(vshare[vorder[vptr]]) if vptr < n else math.inf
-        if not (lmin < math.inf or vmin < math.inf):  # pragma: no cover
-            break  # mirrors the scalar's (unreachable) best_link=None exit
-        if lmin <= vmin:
-            share = lmin
-            members = padded[li]
-            memb_pos = members[unfixed_ext[members]]
-            flow_idx = order[memb_pos]
-            fixed_rates = share * w_sorted[memb_pos]
-            fixed_rates = np.where(fixed_rates > 0.0, fixed_rates, 0.0)
-        else:
-            fi = int(vorder[vptr])
-            share = vmin
-            rate = share * float(eff[fi])
-            if not rate > 0.0:
-                rate = 0.0
-            flow_idx = np.array([fi], dtype=np.intp)
-            memb_pos = inv_order[flow_idx]
-            fixed_rates = np.array([rate])
-        rates[flow_idx] = fixed_rates
-        fixed[flow_idx] = True
-        unfixed_ext[memb_pos] = False
-        n_round = int(flow_idx.size)
-        n_fixed += n_round
-
-        if n_links:
-            round_links = flow_links[flow_idx].ravel()
-            link_valid = round_links >= 0
-            rows = link_row[round_links[link_valid]]
-            col = np.repeat(
-                np.arange(n_round, dtype=np.intp), flow_links.shape[1]
-            )[link_valid]
-            aff = np.unique(rows)
-            if aff.size:
-                # Chained max(0, residual - rate) per link, members in fix
-                # order: 0 if any prefix goes negative, else the exact
-                # sequential sum (rates are non-negative, so once clamped
-                # a residual stays clamped); skipped columns add +0.0.
-                deltas = np.zeros((aff.size, n_round))
-                deltas[np.searchsorted(aff, rows), col] = -fixed_rates[col]
-                seq = np.concatenate(
-                    [residual[aff][:, None], deltas], axis=1
-                )
-                prefix = np.add.accumulate(seq, axis=1)
-                clamped = prefix[:, 1:].min(axis=1) < 0.0
-                residual[aff] = np.where(clamped, 0.0, prefix[:, -1])
-                counts[aff] -= np.bincount(
-                    np.searchsorted(aff, rows), minlength=aff.size
-                )
-                # Fresh per-link totals over the surviving members, in the
-                # same sorted order the scalar re-sums every round.
-                aff_counts = counts[aff]
-                sub = padded[aff]
-                vals = np.where(unfixed_ext[sub], member_w[aff], 0.0)
-                new_totals = np.add.accumulate(vals, axis=1)[:, -1]
-                safe = np.where(aff_counts > 0, new_totals, 1.0)
-                lshare[aff] = np.where(
-                    aff_counts > 0, residual[aff] / safe, math.inf
-                )
-    return rates
+    inf = math.inf
+    eff: list[float] = []
+    demand_list = demands.tolist()
+    for i, (weight, demand) in enumerate(zip(weights.tolist(), demand_list)):
+        if not (0.0 <= weight < inf and 0.0 < demand < inf):
+            raise _flow_error(f"flow[{i}]", weight, demand)
+        eff.append(weight if weight > 1e-9 else 1e-9)
+    paths = [
+        row if min(row, default=0) >= 0 else [k for k in row if k >= 0]
+        for row in flow_links.tolist()
+    ]
+    members = _link_members(
+        sorted(range(n), key=np.asarray(rank).tolist().__getitem__),
+        paths,
+        lambda i, k: ValueError(
+            f"flow[{i}]: links must not repeat, got link {k} twice"
+        ),
+    )
+    rates, _ = _progressive_fill(
+        eff,
+        demand_list,
+        paths,
+        members,
+        np.asarray(capacities, dtype=np.float64).tolist(),
+    )
+    return np.array(rates)
 
 
 class NetworkFluidSimulator:
@@ -476,8 +472,12 @@ class NetworkFluidSimulator:
                     "on the network fluid simulator, got "
                     f"{placement.job.volume_jitter_fraction!r}"
                 )
-        if any(c <= 0 for c in capacities_gbps.values()):
-            raise ValueError("link capacities must be positive")
+        for link, capacity in capacities_gbps.items():
+            if not 0.0 < capacity < math.inf:  # NaN fails this test too
+                raise ValueError(
+                    f"link {link!r}: capacity must be finite and positive, "
+                    f"got {capacity!r} Gbps"
+                )
         if quantum <= 0:
             raise ValueError(f"quantum must be positive, got {quantum!r}")
         self.placements = tuple(placements)

@@ -1,5 +1,6 @@
 """Tests for the multi-bottleneck fluid simulator and weighted max-min."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,13 @@ class TestSimulatorBasics:
             PlacedJob(job=gpt2_job(), links=())
         with pytest.raises(ValueError, match="duplicate"):
             PlacedJob(job=gpt2_job(), links=("l", "l"))
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_capacity_naming_link(self, capacity):
+        """A NaN capacity passes a ``<= 0`` check and would run as if the
+        link had no cap."""
+        with pytest.raises(ValueError, match="link 'l': capacity"):
+            NetworkFluidSimulator([place(gpt2_job(), "l")], {"l": capacity})
 
     def test_rejects_volume_jitter(self):
         """Both engines load the nominal ``comm_bits`` every iteration, so

@@ -1,22 +1,29 @@
-"""Bit-identity tests for the vectorized allocation core (PR 9).
+"""Bit-identity and input tests for the vectorized allocation core.
 
-The scalar implementations — ``water_fill`` and ``weighted_max_min`` —
-are the oracles: every float the array twins return must equal the
-scalar result *exactly* (``float.hex()`` comparison, no tolerance).
-Hypothesis drives random demands/weights/capacities through both paths,
-including zero demands, zero weights, exact ties and shuffled insertion
-order; fixed vectors re-check the checked-in ``perf_contracts_seed.json``
+The oracles are the scalar ``water_fill`` and a verbatim copy of the
+full-scan ``weighted_max_min`` kept here (both network entry points now
+share one progressive-filling core, so comparing them with each other
+alone would test the core against itself).  Every float the fast paths
+return must equal the oracle's *exactly* (``float.hex()`` comparison, no
+tolerance).  Hypothesis drives random demands/weights/capacities through
+both paths, including zero demands, zero weights, zero capacities, empty
+paths, exact share ties, shuffled insertion order and an 8x8x2 fabric;
+fixed vectors re-check the checked-in ``perf_contracts_seed.json``
 fixture so the vectorized path is pinned to the pre-PR floats.
 """
 
 import json
+import math
+from functools import lru_cache
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.units import bps_from_gbps
 from repro.fluid.allocation import (
     water_fill,
     water_fill_array,
@@ -27,8 +34,10 @@ from repro.fluid.arrays import (
     FlowArrays,
     link_index_matrix,
 )
+from repro.fluid.fabric import FluidFabric
 from repro.fluid.network import weighted_max_min, weighted_max_min_array
-from repro.workloads import JobSpec
+from repro.workloads import FabricSpec, JobSpec, place_jobs
+from repro.workloads.presets import cross_rack_scenario
 
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "perf_contracts_seed.json"
 
@@ -182,16 +191,143 @@ class TestWaterFillFixtureVectors:
         assert _hex_rates(_array_as_mapping(ids, got)) == fixture
 
 
+def _weighted_max_min_reference(
+    flows: dict[str, tuple[float, float, tuple[str, ...]]],
+    capacities_bps: dict[str, float],
+) -> dict[str, float]:
+    """The full-scan ``weighted_max_min`` (before the shared core), verbatim.
+
+    Every round rescans every link, real and virtual, and keeps the first
+    strictly smaller share.  :class:`TestWeightedMaxMinArray` and
+    :class:`TestWeightedMaxMinReference` pin both entry points to it.
+    """
+    residual = dict(capacities_bps)
+    members: dict[str, set[str]] = {link: set() for link in residual}
+    # Zero-weight flows keep a vanishing (but non-zero) share, so no flow
+    # fully starves — the §5 non-starvation property.
+    effective_weight: dict[str, float] = {}
+    for fid, (weight, demand, links) in flows.items():
+        if weight < 0:
+            raise ValueError(f"{fid}: weight must be non-negative, got {weight!r}")
+        if demand <= 0:
+            raise ValueError(f"{fid}: demand must be positive, got {demand!r}")
+        effective_weight[fid] = max(weight, 1e-9)
+        virtual = f"__demand__{fid}"
+        residual[virtual] = demand
+        members[virtual] = {fid}
+        for link in links:
+            if link not in residual:
+                raise KeyError(f"{fid}: unknown link {link!r}")
+            members[link].add(fid)
+
+    # Per-link member lists sorted once up front instead of re-sorted every
+    # progressive-filling round; the per-round filter below preserves that
+    # order, so the float sums accumulate in exactly the order the old
+    # per-round ``sorted()`` produced (PYTHONHASHSEED-independent, DET004).
+    ordered_members = {link: sorted(ids) for link, ids in members.items()}
+
+    rates: dict[str, float] = {}
+    unfixed = set(flows)
+
+    while unfixed:
+        best_link: Optional[str] = None
+        best_share = math.inf
+        for link, ordered in ordered_members.items():
+            total_weight = 0.0
+            any_active = False
+            for fid in ordered:
+                if fid in unfixed:
+                    total_weight += effective_weight[fid]
+                    any_active = True
+            if not any_active:
+                continue
+            share = residual[link] / total_weight
+            if share < best_share:
+                best_share = share
+                best_link = link
+        if best_link is None:
+            break
+        for fid in ordered_members[best_link]:
+            if fid not in unfixed:
+                continue
+            rate = max(0.0, best_share * effective_weight[fid])
+            rates[fid] = rate
+            for link in flows[fid][2]:
+                residual[link] = max(0.0, residual[link] - rate)
+            residual[f"__demand__{fid}"] = 0.0
+            unfixed.discard(fid)
+    for fid in flows:
+        rates.setdefault(fid, 0.0)
+    return rates
+
+
+#: Link capacities: zero (a severed link), values shared by several links
+#: (share ties between links) and arbitrary ones.
+capacity_values = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e9, 2e9]),
+    st.floats(min_value=1e6, max_value=2e10, allow_nan=False),
+)
+#: Weights whose sums depend on the order they are added in
+#: ((0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1), so a link that sums its
+#: members out of sorted-id order shows up in the last bit.
+network_weight_values = st.one_of(
+    weight_values, st.sampled_from([0.1, 0.2, 0.3, 0.7])
+)
+#: Demands: values that tie with the shared capacities, and arbitrary ones.
+network_demand_values = st.one_of(
+    st.sampled_from([5e8, 1e9]),
+    st.floats(min_value=1e6, max_value=1e10, allow_nan=False),
+)
+
+
+@lru_cache(maxsize=None)
+def _fabric_8x8x2() -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict]:
+    """The 32 cross-rack flows of the 8x8x2 fat tree and its link capacities."""
+    spec = FabricSpec(n_racks=8, hosts_per_rack=8, n_spines=2, oversubscription=2.0)
+    fabric = FluidFabric.from_spec(spec)
+    placed = fabric.place(
+        place_jobs(cross_rack_scenario(spec.n_hosts // 2), spec, seed=2)
+    )
+    capacities = {
+        link: bps_from_gbps(gbps) for link, gbps in fabric.capacities_gbps.items()
+    }
+    return tuple((p.job.name, p.links) for p in placed), capacities
+
+
+@st.composite
+def fabric_network_cases(draw):
+    """16-32 flows of the 8x8x2 fabric, a few links severed to 0 bps."""
+    paths, base = _fabric_8x8x2()
+    chosen = draw(st.permutations(range(len(paths))))[
+        : draw(st.integers(min_value=16, max_value=len(paths)))
+    ]
+    unit = draw(st.booleans())
+    flows = {}
+    for j in chosen:
+        name, links = paths[j]
+        weight = 1.0 if unit else draw(network_weight_values)
+        flows[name] = (weight, draw(network_demand_values), links)
+    capacities = dict(base)
+    for link in draw(st.sets(st.sampled_from(sorted(base)), max_size=3)):
+        capacities[link] = 0.0
+    return flows, capacities
+
+
 @st.composite
 def network_cases(draw):
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        return draw(fabric_network_cases())
     n_links = draw(st.integers(min_value=1, max_value=4))
     links = [f"L{i}" for i in range(n_links)]
     n_flows = draw(st.integers(min_value=1, max_value=8))
     ids = draw(st.permutations([f"f{i:02d}" for i in range(n_flows)]))
+    # Unit weights over equal capacities make exact share ties the rule.
+    unit = draw(st.booleans())
     flows = {}
     for fid in ids:
-        weight = draw(weight_values)
-        demand = draw(st.floats(min_value=1e6, max_value=1e10, allow_nan=False))
+        weight = 1.0 if unit else draw(network_weight_values)
+        demand = draw(network_demand_values)
         path = tuple(
             sorted(
                 draw(
@@ -202,11 +338,22 @@ def network_cases(draw):
             )
         )
         flows[fid] = (weight, demand, path)
-    capacities = {
-        link: draw(st.floats(min_value=1e6, max_value=2e10, allow_nan=False))
-        for link in links
-    }
+    capacities = {link: draw(capacity_values) for link in links}
     return flows, capacities
+
+
+def _array_call(flows, capacities):
+    ids = list(flows)
+    matrix = link_index_matrix(
+        list(capacities), {fid: flows[fid][2] for fid in ids}, ids
+    )
+    return weighted_max_min_array(
+        np.array([flows[fid][0] for fid in ids]),
+        np.array([flows[fid][1] for fid in ids]),
+        matrix,
+        np.array([capacities[link] for link in capacities]),
+        _rank_for(ids),
+    )
 
 
 class TestWeightedMaxMinArray:
@@ -214,19 +361,83 @@ class TestWeightedMaxMinArray:
     @given(case=network_cases())
     def test_bit_identical_to_scalar_oracle(self, case):
         flows, capacities = case
-        expected = weighted_max_min(flows, capacities)
-        ids = list(flows)
-        matrix = link_index_matrix(
-            list(capacities), {fid: flows[fid][2] for fid in ids}, ids
+        expected = _weighted_max_min_reference(flows, capacities)
+        got = _array_call(flows, capacities)
+        assert _hex_rates(expected) == _hex_rates(
+            _array_as_mapping(list(flows), got)
         )
-        got = weighted_max_min_array(
-            np.array([flows[fid][0] for fid in ids]),
-            np.array([flows[fid][1] for fid in ids]),
-            matrix,
-            np.array([capacities[link] for link in capacities]),
-            _rank_for(ids),
+
+
+class TestWeightedMaxMinReference:
+    """The dict entry point against the full-scan reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=network_cases())
+    def test_dict_entry_point_bit_identical(self, case):
+        flows, capacities = case
+        expected = _weighted_max_min_reference(flows, capacities)
+        got = weighted_max_min(flows, capacities)
+        # Same floats, and the same keys in the same (fixing) order.
+        assert [(fid, rate.hex()) for fid, rate in got.items()] == [
+            (fid, rate.hex()) for fid, rate in expected.items()
+        ]
+
+    def test_fabric_case_ties_and_severed_links(self):
+        """A fixed 8x8x2 case: 32 unit-weight flows, one severed uplink."""
+        paths, base = _fabric_8x8x2()
+        flows = {name: (1.0, 1e9, links) for name, links in paths}
+        capacities = dict(base)
+        capacities[paths[0][1][1]] = 0.0
+        expected = _weighted_max_min_reference(flows, capacities)
+        assert len(flows) >= 16
+        assert _hex_rates(weighted_max_min(flows, capacities)) == _hex_rates(
+            expected
         )
-        assert _hex_rates(expected) == _hex_rates(_array_as_mapping(ids, got))
+        assert _hex_rates(expected) == _hex_rates(
+            _array_as_mapping(list(flows), _array_call(flows, capacities))
+        )
+
+
+class TestAllocatorInputValidation:
+    """Both entry points reject a non-finite weight or demand, or a link
+    repeated in a path, with an error naming the flow and the field.
+
+    Unchecked, a NaN weight makes the two entry points disagree and
+    breaks the heap order, a NaN demand runs as if uncapped, an infinite
+    weight starves every flow on its link, and a repeated link charges
+    the flow twice.
+    """
+
+    #: case -> (flows, index of the bad flow, field the error names)
+    CASES = {
+        "nan-weight": (
+            {"a": (math.nan, 1e9, ("l",)), "b": (1.0, 1e9, ("l",))}, 0, "weight",
+        ),
+        "inf-weight": (
+            {"a": (1.0, 1e9, ("l",)), "b": (math.inf, 1e9, ("l",))}, 1, "weight",
+        ),
+        "neg-inf-weight": ({"a": (-math.inf, 1e9, ("l",))}, 0, "weight"),
+        "nan-demand": (
+            {"a": (1.0, 1e9, ("l",)), "b": (1.0, math.nan, ("l",))}, 1, "demand",
+        ),
+        "inf-demand": ({"a": (1.0, math.inf, ("l",))}, 0, "demand"),
+        "repeated-link": (
+            {"a": (1.0, 1e9, ("l",)), "b": (1.0, 1e9, ("l", "m", "l"))}, 1, "links",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_dict_entry_names_flow_and_field(self, case):
+        flows, bad, field = self.CASES[case]
+        fid = list(flows)[bad]
+        with pytest.raises(ValueError, match=rf"^{fid}: {field} "):
+            weighted_max_min(flows, {"l": 1e9, "m": 1e9})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_array_entry_names_flow_and_field(self, case):
+        flows, bad, field = self.CASES[case]
+        with pytest.raises(ValueError, match=rf"^flow\[{bad}\]: {field} "):
+            _array_call(flows, {"l": 1e9, "m": 1e9})
 
 
 class TestFlowArrays:
