@@ -137,7 +137,7 @@ guards-smoke:
 		--substrate both --iterations 24
 
 # One tiny seeded chaos campaign on the default fabric, with monitors
-# recording and the recovery-SLO report validated against the v4 schema
+# recording and the recovery-SLO report validated against the schema
 # (docs/FAULTS.md "Fabric faults & chaos campaigns").
 chaos-smoke:
 	@tmp=$$(mktemp) && \
@@ -149,7 +149,7 @@ chaos-smoke:
 
 # A short seeded churn run of the service daemon with one injected
 # stepper crash: the supervisor must recover from the write-ahead
-# journal and the v6 run-report (with its service snapshot stream) must
+# journal and the run-report (with its service snapshot records) must
 # validate against the schema (docs/SERVICE.md).
 serve-smoke:
 	@tmp=$$(mktemp -d) && \
@@ -163,7 +163,7 @@ serve-smoke:
 # Bounded model checking of Algorithm 1 on each property's reduced smoke
 # grid, with a short per-query solver budget: every property must reach
 # its expected verdict and every committed certificate/counterexample must
-# exist and be fresh; the run-report's verification section must validate
+# exist and be fresh; the run-report's verification records must validate
 # against the schema (docs/VERIFICATION.md).
 verify-smoke:
 	@tmp=$$(mktemp) && \
@@ -185,7 +185,7 @@ bench-smoke:
 
 # The fault-recovery bench with a deliberately crashing point injected:
 # the sweep must survive the crash (isolate_failures), record it in the
-# run-report's degradations section, and the report must still validate.
+# run-report as a crash record, and the report must still validate.
 bench-faults-smoke:
 	@tmp=$$(mktemp -d) && \
 	REPRO_CACHE_DIR=$$tmp REPRO_WORKERS=2 REPRO_FAULTS_INJECT_CRASH=1 \

@@ -6,7 +6,7 @@ where placement and ECMP decide the competitor sets: the default 4-rack,
 2-spine, 2:1-oversubscribed fat tree of ``cross_rack_interleaving``
 (docs/TOPOLOGIES.md), swept over placement policies on the fluid
 substrate.  The run-report carries per-link utilization telemetry
-(``link_utilization`` section of docs/run_report.schema.json).
+(``link_utilization`` records, docs/run_report.schema.json).
 """
 
 from _common import emit, emit_run_report, runner_from_env
@@ -67,9 +67,10 @@ def test_cross_rack_fabric(benchmark):
     for policy in ("mltcp", "fair"):
         runtime = "mltcp" if policy == "mltcp" else "fair"
         for link in spread["fabric_links"]:
-            runner.telemetry.record_link_utilization(
-                link,
-                spread["link_utilization"][runtime][link],
+            runner.telemetry.record(
+                "link_utilization",
+                link=link,
+                utilization=spread["link_utilization"][runtime][link],
                 capacity_gbps=spread["uplink_gbps"],
                 policy=policy,
                 substrate="fluid",

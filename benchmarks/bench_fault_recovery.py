@@ -12,7 +12,7 @@ This bench also exercises the harness's own robustness: it runs with
 ``isolate_failures=True`` and one retry, and setting
 ``REPRO_FAULTS_INJECT_CRASH=1`` (as ``make bench-faults-smoke`` does) adds
 a deliberately crashing point — the sweep must survive it, record the
-failure in the run-report's ``degradations`` section, and still validate
+failure in the run-report as a ``crash`` record, and still validate
 against docs/run_report.schema.json.
 """
 
@@ -115,31 +115,32 @@ def test_fault_recovery(benchmark):
         lambda: runner.run_points(_run_one, points), rounds=1, iterations=1
     )
 
-    # Injected fault transitions feed the degradations section, tagged with
-    # the point that replayed them.
+    # Each injected fault transition becomes a ``fault`` record, tagged
+    # with the point that replayed it.
     for point, row in zip(points, rows):
         if isinstance(row, FailedPoint):
             continue
         for line in row["fault_log"]:
-            runner.telemetry.record_degradation("fault", line, params=point)
+            runner.telemetry.record("fault", detail=line, params=point)
 
     emit("fault_recovery", _report(points, rows))
     emit_run_report("fault_recovery", runner)
 
     report = runner.telemetry.as_report()
     assert validate_run_report(report) == [], validate_run_report(report)
-    assert report["degradations"], "expected recorded fault injections"
+    kinds = [r["kind"] for r in report["records"]]
+    assert "fault" in kinds, "expected recorded fault injections"
 
     failed = [r for r in rows if isinstance(r, FailedPoint)]
     good = [r for r in rows if not isinstance(r, FailedPoint)]
     if inject_crash:
         # The sweep must survive the crash: exactly the injected point
-        # fails, with a crash-kind FailedPoint and a degradation record.
+        # fails, with a crash-kind FailedPoint and a ``crash`` record.
         assert len(failed) == 1 and failed[0].kind == "crash", failed
         assert failed[0].params.get("crash") is True
         assert failed[0].traceback
         assert report["totals"]["failed_points"] == 1
-        assert any(d["kind"] == "crash" for d in report["degradations"])
+        assert "crash" in kinds
     else:
         assert not failed, failed
 

@@ -45,17 +45,18 @@ performance baseline (docs/PERFORMANCE.md) and fails on regressions beyond
 a threshold — the perf-gate behind ``make bench-perf``.
 
 ``guards`` is the runtime-guardrail front end (docs/ROBUSTNESS.md): given a
-run-report it summarizes the v3 ``guards`` section and fails (exit 1) when
-invariant violations were recorded; with ``--run`` it executes a guarded
-fault-recovery experiment itself, attaching a
+run-report it summarizes the report's ``violation``, ``degradation`` and
+``watchdog`` records and fails (exit 1) when invariant violations were
+recorded, or exits 2 when the report does not validate; with ``--run`` it
+executes a guarded fault-recovery experiment itself, attaching a
 :class:`repro.guards.GuardRail` to both substrates — the smoke target
 behind ``make guards-smoke``.
 
 ``cross-rack`` compares MLTCP against vanilla congestion control on a
 parameterized multi-rack fat tree (racks, spines, oversubscription,
 placement policy; docs/TOPOLOGIES.md) in either or both substrates, and
-writes per-link utilization into the run-report's ``link_utilization``
-section.
+writes each link's utilization into the run-report as a
+``link_utilization`` record.
 
 ``serve`` runs the long-lived scheduling service (docs/SERVICE.md): an
 open-loop arrival model admits jobs into the live array-backed fluid
@@ -337,12 +338,10 @@ def _faults_command(args) -> int:
                  "-", "-", f"FAILED ({result.kind})"]
             )
             continue
-        # Every injected fault the point replayed goes into the report's
-        # degradations section, tagged with the point that saw it.
+        # Every injected fault the point replayed becomes a ``fault``
+        # record, tagged with the point that saw it.
         for line in result.fault_log:
-            runner.telemetry.record_degradation(
-                "fault", line, params=point
-            )
+            runner.telemetry.record("fault", detail=line, params=point)
         rows.append(
             [result.substrate, result.fault, result.policy,
              result.disturbed_rounds,
@@ -375,11 +374,13 @@ def _guards_command(args) -> int:
 
     Exit codes follow :mod:`repro.cliutil`: 0 when no invariant violation
     was found, 1 when violations exist (in the report or during ``--run``),
-    2 when the input cannot be read.
+    2 when the input cannot be read or does not validate against the
+    run-report schema.
     """
     import json
 
     from .harness.report import render_guard_summary
+    from .harness.telemetry import validate_run_report
 
     if args.run:
         return _guards_run_command(args)
@@ -389,19 +390,18 @@ def _guards_command(args) -> int:
         report = json.loads(Path(args.report_file).read_text())
     except (OSError, ValueError) as error:
         return fail(f"cannot read report {args.report_file}: {error}")
-    guards = report.get("guards")
-    if guards is None:
-        print(
-            f"{args.report_file}: no guards section "
-            f"(schema v{report.get('schema_version', '?')} report predates v3)"
+    errors = validate_run_report(report)
+    if errors:
+        return fail(
+            f"{args.report_file} is not a valid run-report "
+            f"({len(errors)} schema error(s)); first: {errors[0]}"
         )
-        return EXIT_OK
-    print(render_guard_summary(guards))
-    violations = guards.get("violations", [])
+    print(render_guard_summary(report["records"]))
+    violations = [r for r in report["records"] if r["kind"] == "violation"]
     if violations:
         return report_violations(
             f"{args.report_file}: {len(violations)} invariant violation(s)",
-            [str(v.get("detail", "")) for v in violations],
+            [v["detail"] for v in violations],
         )
     return EXIT_OK
 
@@ -410,11 +410,11 @@ def _guards_run_command(args) -> int:
     """Execute ``repro guards --run``: guarded fault-recovery end to end.
 
     Attaches one :class:`~repro.guards.GuardRail` per substrate to a
-    :func:`~repro.harness.experiments.fault_recovery` run, then partitions
-    everything the rail caught into the v3 ``guards`` telemetry section:
-    fallback-engaged reports (MLTCP degrading to vanilla CC) are
-    *degradations* — expected, graceful —, everything else is a genuine
-    invariant *violation* and fails the command.
+    :func:`~repro.harness.experiments.fault_recovery` run, then records
+    everything the rail caught: fallback-engaged reports (MLTCP degrading
+    to vanilla CC) are ``degradation`` records — expected, graceful —,
+    everything else is a genuine invariant ``violation`` and fails the
+    command.
     """
     from .faults.schedule import FAULT_KINDS
     from .guards import GuardRail, GuardViolationError
@@ -457,9 +457,9 @@ def _guards_run_command(args) -> int:
             recovered = "yes" if result.recovered else "NO"
             episodes = len(result.degradation_episodes)
         for violation in rail.violations:
-            telemetry.record_guard_event(
+            telemetry.record(
                 "degradation" if violation.fallback_engaged else "violation",
-                violation.render(),
+                detail=violation.render(),
                 guard=violation.guard,
                 subject=violation.subject,
                 time=violation.time,
@@ -477,13 +477,12 @@ def _guards_run_command(args) -> int:
             ),
         )
     )
-    report = telemetry.as_report()
-    print(render_guard_summary(report["guards"]))
+    print(render_guard_summary(telemetry.records))
     if args.report:
         path = telemetry.write(args.report)
         print(f"run-report written to {path}")
     problems = hard_failures + [
-        str(e["detail"]) for e in report["guards"]["violations"]
+        r["detail"] for r in telemetry.records if r["kind"] == "violation"
     ]
     if problems:
         return report_violations(
@@ -640,7 +639,7 @@ def _cross_rack_command(args) -> int:
     each requested substrate through the experiment runner, prints the
     per-link contention analysis and converged iteration times, and
     records every fabric link's utilization (both policies) into the
-    run-report's ``link_utilization`` section (docs/TOPOLOGIES.md).
+    run-report as ``link_utilization`` records (docs/TOPOLOGIES.md).
     """
     from .harness.experiments import cross_rack_interleaving
     from .workloads.placement import PLACEMENT_POLICIES
@@ -723,9 +722,10 @@ def _cross_rack_command(args) -> int:
         for policy in ("mltcp", "fair"):
             utilization = result.link_utilization[policy]
             for link in sorted(fabric_links):
-                runner.telemetry.record_link_utilization(
-                    link,
-                    utilization[link],
+                runner.telemetry.record(
+                    "link_utilization",
+                    link=link,
+                    utilization=utilization[link],
                     capacity_gbps=result.spec.uplink_gbps,
                     policy=policy,
                     substrate=result.substrate,
@@ -745,9 +745,10 @@ def _chaos_command(args) -> int:
     experiment runner, prints a per-fault campaign summary (time to
     reroute, time to re-interleave, goodput lost for MLTCP vs fair
     share), and records everything into the run-report: each scheduled
-    fault in ``degradations``, every guard report and MLTCP degradation
-    episode (annotated with its coinciding fault window) in ``guards``,
-    and the per-fault SLOs in the v4 ``recovery`` section.
+    fault as a ``fault`` record, every guard report and MLTCP degradation
+    episode (annotated with its coinciding fault window) as a
+    ``violation`` / ``degradation`` record, and the per-fault SLOs as
+    ``recovery`` records.
     """
     from .harness.experiments import chaos_recovery
     from .workloads.placement import PLACEMENT_POLICIES
@@ -815,19 +816,14 @@ def _chaos_command(args) -> int:
                     ]
                 )
             for description in result.fault_descriptions:
-                runner.telemetry.record_degradation(
-                    "fault", description, params=point
+                runner.telemetry.record(
+                    "fault", detail=description, params=point
                 )
             for policy in ("mltcp", "fair"):
                 for slo in result.slos[policy]:
-                    runner.telemetry.record_recovery(
-                        slo.fault,
-                        strike_time=slo.strike_time,
-                        recovery_time=slo.recovery_time,
-                        time_to_reroute=slo.time_to_reroute,
-                        time_to_reinterleave=slo.time_to_reinterleave,
-                        goodput_lost_bits=slo.goodput_lost_bits,
-                        interleavable=slo.interleavable,
+                    runner.telemetry.record(
+                        "recovery",
+                        **slo.as_record(),
                         policy=policy,
                         substrate=result.substrate,
                         campaign=result.campaign_index,
@@ -835,9 +831,9 @@ def _chaos_command(args) -> int:
                     )
                 for violation in result.violations[policy]:
                     context = violation.get("fault_context")
-                    runner.telemetry.record_guard_event(
+                    runner.telemetry.record(
                         "violation",
-                        violation["message"]
+                        detail=violation["message"]
                         + (f" (during: {context})" if context else ""),
                         guard=violation["guard"],
                         subject=violation["subject"],
@@ -846,9 +842,9 @@ def _chaos_command(args) -> int:
                     )
             for episode in result.degradation_episodes:
                 context = episode.get("fault_context")
-                runner.telemetry.record_guard_event(
+                runner.telemetry.record(
                     "degradation",
-                    str(episode.get("reason", "degraded to vanilla CC"))
+                    detail=str(episode.get("reason", "degraded to vanilla CC"))
                     + (f" (during: {context})" if context else ""),
                     subject=str(episode.get("flow")),
                     time=float(episode.get("start", 0.0)),
@@ -1143,8 +1139,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     faults.add_argument(
         "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes the degradations "
-        "section: every fault, retry, timeout and crash)",
+        help="also write the JSON run-report (includes a record for "
+        "every fault, retry, timeout and crash)",
     )
     lint = subparsers.add_parser(
         "lint",
@@ -1216,7 +1212,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     verify.add_argument(
         "--report", metavar="PATH", default=None,
-        help="also write a JSON run-report with the verification section",
+        help="also write a JSON run-report with a verification record per "
+        "property",
     )
     verify.add_argument(
         "--list", action="store_true", dest="list_properties",
@@ -1268,12 +1265,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     guards = subparsers.add_parser(
         "guards",
-        help="summarize a run-report's guards section, or --run a guarded "
+        help="summarize a run-report's guard records, or --run a guarded "
         "fault-recovery experiment (docs/ROBUSTNESS.md)",
     )
     guards.add_argument(
         "report_file", nargs="?", default=None, metavar="REPORT",
-        help="run-report (.run.json) whose guards section to summarize",
+        help="run-report (.run.json) whose guard records to summarize",
     )
     guards.add_argument(
         "--run", action="store_true",
@@ -1306,7 +1303,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     guards.add_argument(
         "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (v3 guards section) to PATH",
+        help="also write the JSON run-report (guard records) to PATH",
     )
     cross_rack = subparsers.add_parser(
         "cross-rack",
@@ -1364,7 +1361,7 @@ def main(argv: list[str] | None = None) -> int:
     cross_rack.add_argument(
         "--report", metavar="PATH", default=None,
         help="also write the JSON run-report (includes the "
-        "link_utilization section) to PATH",
+        "link_utilization records) to PATH",
     )
     chaos = subparsers.add_parser(
         "chaos",
@@ -1429,8 +1426,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     chaos.add_argument(
         "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes the v4 recovery "
-        "section) to PATH",
+        help="also write the JSON run-report (includes the recovery "
+        "records) to PATH",
     )
     serve = subparsers.add_parser(
         "serve",
@@ -1504,7 +1501,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--snapshot-every", type=_positive_int, default=5, metavar="N",
-        help="emit a schema-v6 service snapshot every N epochs (default 5)",
+        help="emit a service snapshot record every N epochs (default 5)",
     )
     serve.add_argument(
         "--churn-limit", type=_positive_int, default=4, metavar="N",
@@ -1536,8 +1533,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve.add_argument(
         "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes the v6 service "
-        "section) to PATH",
+        help="also write the JSON run-report (includes the service "
+        "snapshot records) to PATH",
     )
     serve.add_argument(
         "--query", metavar="PATH", default=None,

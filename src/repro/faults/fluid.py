@@ -80,7 +80,7 @@ class FluidFaultState:
         self._restarts_applied = 0
         self._transitions = list(schedule.transition_times())
         #: Applied transitions, mirroring the packet injector's log:
-        #: ``(sim_time, description)`` pairs for the degradations section.
+        #: ``(sim_time, description)`` pairs for the report's ``fault`` records.
         self.log: list[tuple[float, str]] = []
 
     @staticmethod

@@ -42,7 +42,7 @@ DEFAULT_BOTTLENECK = "sw_l->sw_r"
 
 @dataclass
 class InjectionLog:
-    """What the injector actually did, for telemetry's degradations section.
+    """What the injector actually did, for telemetry's ``fault`` records.
 
     One entry per applied transition: ``(sim_time, description)``.  The
     harness copies these into the run-report so a report reader can see

@@ -46,7 +46,6 @@ __all__ = [
     "water_fill",
     "water_fill_array",
     "allocation_excess",
-    "allocation_excess_array",
 ]
 
 
@@ -326,17 +325,6 @@ def water_fill_array(
         rates[idx] = shares
         return np.where(rates > 0.0, rates, 0.0)
     return np.where(rates > 0.0, rates, 0.0)
-
-
-def allocation_excess_array(sorted_rates: np.ndarray, capacity_bps: float) -> float:
-    """:func:`allocation_excess` on a rate array already in sorted-id order.
-
-    Sums sequentially (``np.add.accumulate``) so the total matches the
-    scalar loop bit-for-bit.
-    """
-    if sorted_rates.size == 0:
-        return 0.0 - capacity_bps
-    return float(np.add.accumulate(sorted_rates)[-1]) - capacity_bps
 
 
 class FairShare(AllocationPolicy):

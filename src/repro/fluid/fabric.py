@@ -137,7 +137,7 @@ class FluidFabricFaults:
             e for e in schedule.sorted_events() if e.kind in _CAPACITY_KINDS
         ]
         #: Applied transitions, mirroring the packet injector's log:
-        #: ``(sim_time, description)`` pairs for the degradations section.
+        #: ``(sim_time, description)`` pairs for the report's ``fault`` records.
         self.log: list[tuple[float, str]] = []
 
     def advance_to(self, now: float, eps: float = _EPS_TIME) -> bool:

@@ -167,7 +167,7 @@ class FluidResult:
     segments: list[RateSegment] = field(default_factory=list)
     end_time: float = 0.0
     #: Human-readable fault transitions applied during the run (empty when
-    #: no schedule was installed); feeds telemetry's degradations section.
+    #: no schedule was installed); feeds telemetry's ``fault`` records.
     fault_log: list[str] = field(default_factory=list)
 
     def iterations_of(self, job: str) -> list[IterationResult]:

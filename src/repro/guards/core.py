@@ -67,7 +67,7 @@ class InvariantViolation:
         return f"[{self.guard}] t={self.time:.6g} {self.subject}: {self.message}{suffix}"
 
     def as_dict(self) -> dict:
-        """JSON-ready form (one entry of the run-report ``guards`` section)."""
+        """JSON-ready form (the per-violation dicts experiment results carry)."""
         return {
             "guard": self.guard,
             "subject": self.subject,

@@ -13,8 +13,8 @@ Two complementary stall detectors exist:
 
 The third layer — converting a *wall-clock* hang into a
 :class:`repro.harness.runner.FailedPoint` — lives in the experiment
-runner's per-point timeout machinery and is surfaced through the
-telemetry ``guards.watchdog_fires`` section (docs/ROBUSTNESS.md).
+runner's per-point timeout machinery and is surfaced as ``watchdog``
+records in the telemetry (docs/ROBUSTNESS.md).
 
 :func:`install_packet_guards` wires the periodic packet-substrate checks
 (cwnd bounds, link conservation, tracker sanity) onto a simulation as

@@ -48,8 +48,8 @@ from .checkpoint import RunCheckpoint
 from .runner import ExperimentRunner, FailedPoint, PointTimeoutError
 from .sweep import SeedSummary, repeat_with_seeds, sweep
 from .telemetry import (
-    DEGRADATION_KINDS,
     PointRecord,
+    RECORD_KINDS,
     REPORT_SCHEMA_VERSION,
     RUN_REPORT_SCHEMA,
     RunTelemetry,
@@ -95,6 +95,6 @@ __all__ = [
     "PointRecord",
     "RUN_REPORT_SCHEMA",
     "REPORT_SCHEMA_VERSION",
-    "DEGRADATION_KINDS",
+    "RECORD_KINDS",
     "validate_run_report",
 ]

@@ -87,28 +87,25 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     return "".join(_SPARK_CHARS[int(round(s))] for s in scaled)
 
 
-def render_guard_summary(guards: dict) -> str:
-    """Human-readable summary of a run-report's v3 ``guards`` section.
+def render_guard_summary(records: Sequence[dict]) -> str:
+    """Human-readable summary of a run-report's guardrail records.
 
-    Accepts the dict under ``report["guards"]`` (see
-    ``docs/run_report.schema.json``); tolerates missing arrays so partial
-    or hand-built sections still render.  Used by ``python -m repro
-    guards`` (docs/ROBUSTNESS.md).
+    Accepts the report's ``records`` array (see
+    ``docs/run_report.schema.json``) and summarizes its ``violation``,
+    ``degradation`` and ``watchdog`` records; other kinds are ignored.
+    Used by ``python -m repro guards`` (docs/ROBUSTNESS.md).
     """
-    violations = guards.get("violations", [])
-    degradations = guards.get("degradations", [])
-    watchdogs = guards.get("watchdog_fires", [])
+    by_kind: dict[str, list[dict]] = {"violation": [], "degradation": [], "watchdog": []}
+    for record in records:
+        if record["kind"] in by_kind:
+            by_kind[record["kind"]].append(record)
     lines = [
         "guards: "
-        f"{len(violations)} violation(s), "
-        f"{len(degradations)} degradation episode(s), "
-        f"{len(watchdogs)} watchdog fire(s)"
+        f"{len(by_kind['violation'])} violation(s), "
+        f"{len(by_kind['degradation'])} degradation episode(s), "
+        f"{len(by_kind['watchdog'])} watchdog fire(s)"
     ]
-    for label, events in (
-        ("violation", violations),
-        ("degradation", degradations),
-        ("watchdog", watchdogs),
-    ):
+    for label, events in by_kind.items():
         for event in events:
             guard = event.get("guard")
             subject = event.get("subject")
@@ -120,7 +117,7 @@ def render_guard_summary(guards: dict) -> str:
                 prefix += f" {subject}"
             if time is not None:
                 prefix += f" t={time:.6g}"
-            lines.append(f"{prefix}: {event.get('detail', '')}")
+            lines.append(f"{prefix}: {event['detail']}")
     return "\n".join(lines)
 
 

@@ -31,7 +31,7 @@ Features, all opt-in:
   :class:`FailedPoint` result instead of aborting the sweep;
   ``checkpoint=`` journals completed points so an interrupted sweep resumes
   where it left off.  Every timeout, retry and failure lands in the
-  telemetry's ``degradations`` section.
+  telemetry as a ``timeout`` / ``retry`` / ``crash`` / ``error`` record.
 
 The default (no timeout, no retries, ``isolate_failures=False``) preserves
 the historical contract: the first experiment exception propagates to the
@@ -225,8 +225,8 @@ class ExperimentRunner:
         Base backoff delay in seconds.
     isolate_failures:
         When ``True``, a point that exhausts its attempts yields a
-        :class:`FailedPoint` in its result slot (and a ``degradations``
-        entry) instead of raising; a worker crash or timeout only costs the
+        :class:`FailedPoint` in its result slot (and a ``crash``,
+        ``timeout`` or ``error`` record) instead of raising; a worker crash or timeout only costs the
         points that were in flight, each of which is re-run in a fresh
         single-worker pool.  When ``False`` (default), the first terminal
         failure propagates, as it always did.  Crash/timeout isolation
@@ -452,9 +452,9 @@ class ExperimentRunner:
             # (Derived from ``done``, not ``futures``: the future whose
             # result() raised was already popped.)
             leftover = sorted(i for i in attempts if not done[i])
-            self.telemetry.record_degradation(
+            self.telemetry.record(
                 "crash",
-                f"process pool broke with {len(leftover)} point(s) in flight; "
+                detail=f"process pool broke with {len(leftover)} point(s) in flight; "
                 "re-running each in an isolated single-worker pool",
             )
             _retire_shared_pool(pool)
@@ -494,9 +494,9 @@ class ExperimentRunner:
         hung: list[int] = []
         for future, i in list(futures.items()):
             (requeue if future.cancel() else hung).append(i)
-        self.telemetry.record_guard_event(
+        self.telemetry.record(
             "watchdog",
-            f"pool stall watchdog: no completion within {self.timeout}s; "
+            detail=f"pool stall watchdog: no completion within {self.timeout}s; "
             f"{len(hung)} hung point(s), {len(requeue)} requeued",
         )
         if not self.isolate_failures:
@@ -599,15 +599,15 @@ class ExperimentRunner:
             if self.timeout is not None and wall > self.timeout:
                 # In-process execution cannot be preempted; record the
                 # overrun so the report shows the budget was blown.
-                self.telemetry.record_degradation(
+                self.telemetry.record(
                     "timeout",
-                    f"point ran {wall:.2f}s, over the {self.timeout}s budget "
+                    detail=f"point ran {wall:.2f}s, over the {self.timeout}s budget "
                     "(sequential mode cannot preempt; result kept)",
                     params=points[i],
                 )
-                self.telemetry.record_guard_event(
+                self.telemetry.record(
                     "watchdog",
-                    f"wall-clock watchdog: point ran {wall:.2f}s, over the "
+                    detail=f"wall-clock watchdog: point ran {wall:.2f}s, over the "
                     f"{self.timeout}s budget",
                     params=points[i],
                 )
@@ -615,9 +615,9 @@ class ExperimentRunner:
             return
 
     def _record_retry(self, params: dict, attempt: int, error: BaseException) -> None:
-        self.telemetry.record_degradation(
+        self.telemetry.record(
             "retry",
-            f"attempt {attempt} failed ({type(error).__name__}: {error}); retrying",
+            detail=f"attempt {attempt} failed ({type(error).__name__}: {error}); retrying",
             params=params,
             attempt=attempt,
         )
@@ -655,9 +655,9 @@ class ExperimentRunner:
         results[i] = failed
         done[i] = True
         stats[i] = (0.0, 0, False, "failed")
-        self.telemetry.record_degradation(
+        self.telemetry.record(
             kind,
-            f"point failed terminally after {attempts} attempt(s): "
+            detail=f"point failed terminally after {attempts} attempt(s): "
             f"{failed.error_type}: {failed.message}",
             params=points[i],
             attempt=attempts,

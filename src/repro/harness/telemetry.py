@@ -6,31 +6,23 @@ executed point, the wall time, the number of discrete-event callbacks the
 simulators processed (via :func:`repro.simulator.engine.\
 total_events_processed`), whether the point was a cache hit, and how it ran
 (cached / sequential / pool worker / resumed from a checkpoint / failed).
-Since schema v2 it also accumulates a ``degradations`` array — every
-injected fault, retry, timeout and crash the run survived
-(:meth:`RunTelemetry.record_degradation`).  Schema v3 adds the ``guards``
-section: invariant violations, MLTCP degradation episodes and watchdog
-fires collected from the runtime guardrail
-(:meth:`RunTelemetry.record_guard_event`, docs/ROBUSTNESS.md).  Schema v4
-adds the ``recovery`` section: per-fault recovery SLOs from chaos
-campaigns (:meth:`RunTelemetry.record_recovery`).  Schema v5 adds the
-``verification`` section: bounded-model-checking verdicts from
-``repro verify`` (:meth:`RunTelemetry.record_verification`,
-docs/VERIFICATION.md).  Schema v6 adds the ``service`` section: periodic
-snapshots from the long-lived scheduling daemon — admitted/shed/deferred
-counts, queue depth, recovery events and SLO attainment
-(:meth:`RunTelemetry.record_service_snapshot`, docs/SERVICE.md).
-:meth:`RunTelemetry.as_report`
-turns that into the JSON run-report the benchmarks write next to their text
-output in ``bench_reports/`` (``<name>.run.json``); the report format is
-frozen by :data:`RUN_REPORT_SCHEMA` (checked into
-``docs/run_report.schema.json``) and checked by :func:`validate_run_report`.
+Everything else a run wants to explain — retries and injected faults,
+guardrail events, link utilization, recovery SLOs, model-checking verdicts,
+service snapshots — is a typed record (:meth:`RunTelemetry.record`): a
+``kind`` plus a payload whose schema :data:`RECORD_KINDS` defines.
+:meth:`RunTelemetry.as_report` turns that into the JSON run-report the
+benchmarks write next to their text output in ``bench_reports/``
+(``<name>.run.json``); the report format is frozen by
+:data:`RUN_REPORT_SCHEMA`, generated from the same table and checked into
+``docs/run_report.schema.json``, and checked by :func:`validate_run_report`.
 How to read a report is documented in docs/HARNESS.md.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,65 +31,191 @@ from typing import Mapping, Optional
 __all__ = [
     "PointRecord",
     "RunTelemetry",
+    "RECORD_KINDS",
     "RUN_REPORT_SCHEMA",
     "REPORT_SCHEMA_VERSION",
-    "DEGRADATION_KINDS",
-    "GUARD_EVENT_KINDS",
-    "SERVICE_EVENT_KINDS",
-    "VERIFICATION_VERDICTS",
     "validate_run_report",
 ]
 
-#: Version stamped into every run-report; bump on breaking format changes.
-#: v2 added the ``degradations`` section and the ``resumed``/``failed``
-#: point modes; v3 added the ``guards`` section (invariant violations,
-#: MLTCP degradation episodes, watchdog fires); v4 added the ``recovery``
-#: section (per-fault recovery SLOs from chaos campaigns,
-#: docs/ROBUSTNESS.md); v5 added the ``verification`` section (bounded
-#: model checking verdicts from ``repro verify``, docs/VERIFICATION.md);
-#: v6 added the ``service`` section (periodic churn-daemon snapshots,
-#: docs/SERVICE.md).  All are optional additions — earlier reports still
-#: validate.
-REPORT_SCHEMA_VERSION = 6
+#: Version stamped into every run-report; only this version validates.
+#: Adding a record kind to :data:`RECORD_KINDS` does not change it.
+REPORT_SCHEMA_VERSION = 7
 
-#: What a verification entry's ``verdict`` may be: ``unsat`` (the property
-#: was proved over the searched space), ``sat`` (a counterexample was
-#: found), ``unknown`` (the per-query solver budget expired), ``skipped``
-#: (the requested backend is unavailable, e.g. z3 not installed).
-VERIFICATION_VERDICTS = ("unsat", "sat", "unknown", "skipped")
 
-#: What a degradation entry's ``kind`` may be: ``retry`` (a failed attempt
-#: that was retried), ``timeout`` (a point blew its wall-clock budget),
-#: ``crash`` (a pool worker died hard), ``error`` (a point failed
-#: terminally with an exception), ``fault`` (an injected fault from a
-#: :class:`repro.faults.schedule.FaultSchedule` fired).
-DEGRADATION_KINDS = ("retry", "timeout", "crash", "error", "fault")
+def _payload(required: list[str], **properties: dict) -> dict:
+    """A record payload's schema: an object with these fields."""
+    return {"type": "object", "required": required, "properties": properties}
 
-#: What a guard event's ``kind`` may be: ``violation`` (an invariant
-#: monitor recorded an :class:`repro.guards.InvariantViolation`),
-#: ``degradation`` (an MLTCP sender fell back to vanilla CC because its
-#: tracker estimate became unreliable), ``watchdog`` (a stall watchdog
-#: fired — engine stall, event storm, or a harness wall-clock timeout).
-GUARD_EVENT_KINDS = ("violation", "degradation", "watchdog")
 
-#: What a service snapshot event's ``kind`` may be: ``admit`` (a job was
-#: admitted into the live simulation), ``defer`` (parked in the bounded
-#: pending queue), ``shed`` (rejected outright under overload), ``degrade``
-#: (admitted past capacity under the degrade policy — telemetry coarsens),
-#: ``depart`` (a job finished its iterations and left), ``recovery`` (the
-#: supervisor restarted the stepper and replayed the journal), ``fallback``
-#: (churn outpaced the iteration signal and weights clamped to vanilla CC),
-#: ``fault`` (an injected fabric fault transitioned while the daemon ran).
-SERVICE_EVENT_KINDS = (
-    "admit",
-    "defer",
-    "shed",
-    "degrade",
-    "depart",
-    "recovery",
-    "fallback",
-    "fault",
+_STRING = {"type": "string"}
+_OPTIONAL_STRING = {"type": ["string", "null"]}
+_OPTIONAL_OBJECT = {"type": ["object", "null"]}
+_OPTIONAL_NUMBER = {"type": ["number", "null"]}
+_COUNT = {"type": "integer", "minimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_OPTIONAL_NON_NEGATIVE = {"type": ["number", "null"], "minimum": 0}
+_FLAG = {"type": "boolean"}
+
+#: Payload of a resilience event the run survived (or was made to).
+_RESILIENCE = _payload(
+    ["detail"],
+    detail=_STRING,
+    params=_OPTIONAL_OBJECT,
+    attempt={"type": ["integer", "null"], "minimum": 1},
 )
+
+#: Payload of a runtime-guardrail event (docs/ROBUSTNESS.md); ``guard``,
+#: ``subject`` and ``time`` carry an :class:`repro.guards.InvariantViolation`.
+_GUARD = _payload(
+    ["detail"],
+    detail=_STRING,
+    guard=_OPTIONAL_STRING,
+    subject=_OPTIONAL_STRING,
+    time=_OPTIONAL_NUMBER,
+    params=_OPTIONAL_OBJECT,
+)
+
+#: Every record kind and the schema of its payload — the one place a kind
+#: or a field bound is written.  :meth:`RunTelemetry.record` and
+#: :func:`validate_run_report` both check against it.
+#:
+#: * ``retry`` (a failed attempt that was retried), ``timeout`` (a point or
+#:   side effect blew its wall-clock budget), ``crash`` (a pool worker died
+#:   hard, or the service stepper crashed), ``error`` (a point failed
+#:   terminally), ``fault`` (an injected fault fired);
+#: * ``violation`` (an invariant monitor fired), ``degradation`` (an MLTCP
+#:   sender fell back to vanilla CC), ``watchdog`` (a stall or wall-clock
+#:   watchdog fired);
+#: * ``link_utilization`` — one link's mean utilization over one run
+#:   (docs/TOPOLOGIES.md); a packet-level sample may exceed 1 counting
+#:   headers;
+#: * ``recovery`` — one fault's recovery SLOs from a chaos campaign
+#:   (:meth:`repro.metrics.recovery.RecoverySLO.as_record` plus run context);
+#: * ``verification`` — one bounded-model-checking verdict from
+#:   ``repro verify`` (docs/VERIFICATION.md);
+#: * ``service`` — one churn-daemon snapshot (docs/SERVICE.md): cumulative
+#:   counters, the decisions since the previous snapshot, and per-job rows
+#:   (null under coarse telemetry).
+RECORD_KINDS: dict[str, dict] = {
+    **dict.fromkeys(("retry", "timeout", "crash", "error", "fault"), _RESILIENCE),
+    **dict.fromkeys(("violation", "degradation", "watchdog"), _GUARD),
+    "link_utilization": _payload(
+        ["link", "utilization"],
+        link=_STRING,
+        utilization=_NON_NEGATIVE,
+        capacity_gbps=_OPTIONAL_NUMBER,
+        policy=_OPTIONAL_STRING,
+        substrate=_OPTIONAL_STRING,
+        params=_OPTIONAL_OBJECT,
+    ),
+    "recovery": _payload(
+        [
+            "fault",
+            "strike_time",
+            "recovery_time",
+            "time_to_reroute",
+            "time_to_reinterleave",
+            "goodput_lost_bits",
+            "interleavable",
+            "reinterleaved",
+        ],
+        fault=_STRING,
+        strike_time=_NON_NEGATIVE,
+        recovery_time=_NON_NEGATIVE,
+        time_to_reroute=_NON_NEGATIVE,
+        time_to_reinterleave=_OPTIONAL_NON_NEGATIVE,
+        goodput_lost_bits=_NON_NEGATIVE,
+        interleavable=_FLAG,
+        reinterleaved=_FLAG,
+        policy=_OPTIONAL_STRING,
+        substrate=_OPTIONAL_STRING,
+        campaign={"type": ["integer", "null"], "minimum": 0},
+        params=_OPTIONAL_OBJECT,
+    ),
+    "verification": _payload(
+        ["property", "version", "verdict", "backend"],
+        property=_STRING,
+        version={"type": "integer", "minimum": 1},
+        verdict={"enum": ["unsat", "sat", "unknown", "skipped"]},
+        backend=_STRING,
+        states_checked=_COUNT,
+        elapsed_s=_NON_NEGATIVE,
+        params=_OPTIONAL_OBJECT,
+        reason=_OPTIONAL_STRING,
+    ),
+    "service": _payload(
+        [
+            "epoch",
+            "time",
+            "running",
+            "queue_depth",
+            "admitted",
+            "deferred",
+            "shed",
+            "degraded",
+            "departed",
+            "recoveries",
+        ],
+        epoch=_COUNT,
+        time=_NON_NEGATIVE,
+        running=_COUNT,
+        queue_depth=_COUNT,
+        admitted=_COUNT,
+        deferred=_COUNT,
+        shed=_COUNT,
+        degraded=_COUNT,
+        departed=_COUNT,
+        recoveries=_COUNT,
+        slo_attainment={"type": ["number", "null"], "minimum": 0, "maximum": 1},
+        coarse=_FLAG,
+        events={
+            "type": "array",
+            "items": _payload(
+                ["kind", "detail"],
+                kind={
+                    "enum": [
+                        "admit",
+                        "defer",
+                        "shed",
+                        "degrade",
+                        "depart",
+                        "recovery",
+                        "fallback",
+                        "fault",
+                    ]
+                },
+                detail=_STRING,
+                job=_OPTIONAL_STRING,
+                time=_OPTIONAL_NUMBER,
+            ),
+        },
+        jobs={
+            "type": ["array", "null"],
+            "items": _payload(
+                ["name", "iterations"],
+                name=_STRING,
+                iterations=_COUNT,
+                mean_iteration_s=_OPTIONAL_NON_NEGATIVE,
+                slo_ok={"type": ["boolean", "null"]},
+            ),
+        },
+    ),
+}
+
+#: One entry of ``report["records"]``: a known ``kind`` whose payload
+#: schema is picked by ``if``/``then``.
+_RECORD_SCHEMA: dict = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": list(RECORD_KINDS)}},
+    "allOf": [
+        {
+            "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": payload,
+        }
+        for kind, payload in RECORD_KINDS.items()
+    ],
+}
 
 
 @dataclass(frozen=True)
@@ -134,7 +252,8 @@ class PointRecord:
 
 @dataclass
 class RunTelemetry:
-    """Accumulates per-point records and emits the JSON run-report.
+    """Accumulates per-point instrumentation and typed records, and emits
+    the JSON run-report.
 
     Create one per logical experiment (one benchmark file, one CLI
     invocation), pass it to the runner, then call :meth:`as_report` /
@@ -143,14 +262,9 @@ class RunTelemetry:
 
     experiment: str
     workers: Optional[int] = None
-    records: list[PointRecord] = field(default_factory=list)
+    points: list[PointRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    degradations: list[dict] = field(default_factory=list)
-    guard_events: list[dict] = field(default_factory=list)
-    link_utilization: list[dict] = field(default_factory=list)
-    recovery: list[dict] = field(default_factory=list)
-    verification: list[dict] = field(default_factory=list)
-    service: list[dict] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
     _started: float = field(default_factory=time.perf_counter)
 
     def record_point(
@@ -164,7 +278,7 @@ class RunTelemetry:
         """Append one point's instrumentation (called by the runner)."""
         params = dict(params)
         seed = params.pop("seed", None)
-        self.records.append(
+        self.points.append(
             PointRecord(
                 params=params,
                 seed=seed if isinstance(seed, int) else None,
@@ -179,311 +293,58 @@ class RunTelemetry:
         """Record a free-form observation (e.g. a fallback to sequential)."""
         self.notes.append(message)
 
-    def record_degradation(
-        self,
-        kind: str,
-        detail: str,
-        params: Optional[Mapping[str, object]] = None,
-        attempt: Optional[int] = None,
-    ) -> None:
-        """Record one resilience event: a retry, timeout, crash, terminal
-        point failure, or an injected fault firing.  These accumulate into
-        the run-report's ``degradations`` array so a report reader can
-        reconstruct everything that went wrong (or was made to go wrong)
-        without the logs."""
-        if kind not in DEGRADATION_KINDS:
-            raise ValueError(
-                f"unknown degradation kind {kind!r}; expected one of "
-                f"{DEGRADATION_KINDS}"
-            )
-        self.degradations.append(
-            {
-                "kind": kind,
-                "detail": detail,
-                "params": dict(params) if params is not None else None,
-                "attempt": attempt,
-            }
-        )
+    def record(self, kind: str, **payload: object) -> dict:
+        """Append one typed record to the report's ``records`` array.
 
-    def record_guard_event(
-        self,
-        kind: str,
-        detail: str,
-        *,
-        guard: Optional[str] = None,
-        subject: Optional[str] = None,
-        time: Optional[float] = None,
-        params: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Record one runtime-guardrail event (schema v3, docs/ROBUSTNESS.md).
-
-        ``kind`` partitions the event into the report's ``guards`` section:
-        ``"violation"`` → ``guards.violations``, ``"degradation"`` →
-        ``guards.degradations``, ``"watchdog"`` → ``guards.watchdog_fires``.
-        ``guard``/``subject``/``time`` carry the fields of an
-        :class:`repro.guards.InvariantViolation` when the event came from
-        one; harness-level watchdogs leave them ``None``.
+        ``payload`` is checked against ``RECORD_KINDS[kind]`` — the same
+        bounds :func:`validate_run_report` applies — and a ``ValueError``
+        names the record's index, its kind and the offending field.  The
+        record is stored as a copy and returned, so a caller can mirror it
+        (the service daemon appends it to its snapshot sink).
         """
-        if kind not in GUARD_EVENT_KINDS:
-            raise ValueError(
-                f"unknown guard event kind {kind!r}; expected one of "
-                f"{GUARD_EVENT_KINDS}"
-            )
-        self.guard_events.append(
-            {
-                "kind": kind,
-                "detail": detail,
-                "guard": guard,
-                "subject": subject,
-                "time": time,
-                "params": dict(params) if params is not None else None,
-            }
-        )
-
-    def record_link_utilization(
-        self,
-        link: str,
-        utilization: float,
-        *,
-        capacity_gbps: Optional[float] = None,
-        policy: Optional[str] = None,
-        substrate: Optional[str] = None,
-        params: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Record one link's mean utilization over a run (schema v3,
-        optional ``link_utilization`` section).
-
-        ``utilization`` is the fraction of the link's capacity the run
-        used (0.0–1.0ish; transient queueing can push a packet-level
-        measurement slightly above 1 counting headers).  ``policy`` and
-        ``substrate`` say which run the sample came from when one report
-        carries several (e.g. mltcp vs fair on fluid and packet);
-        ``params`` carries the experiment point, like degradations do.
-        """
-        if utilization < 0:
-            raise ValueError(
-                f"utilization must be non-negative, got {utilization!r}"
-            )
-        self.link_utilization.append(
-            {
-                "link": link,
-                "utilization": float(utilization),
-                "capacity_gbps": (
-                    float(capacity_gbps) if capacity_gbps is not None else None
-                ),
-                "policy": policy,
-                "substrate": substrate,
-                "params": dict(params) if params is not None else None,
-            }
-        )
-
-    def record_recovery(
-        self,
-        fault: str,
-        *,
-        strike_time: float,
-        recovery_time: float,
-        time_to_reroute: float,
-        time_to_reinterleave: Optional[float],
-        goodput_lost_bits: float,
-        interleavable: bool,
-        policy: Optional[str] = None,
-        substrate: Optional[str] = None,
-        campaign: Optional[int] = None,
-        params: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Record one fault's recovery SLOs (schema v4, optional
-        ``recovery`` section; docs/ROBUSTNESS.md).
-
-        Mirrors :meth:`repro.metrics.recovery.RecoverySLO.as_record` plus
-        run context: ``policy``/``substrate`` say which run rode out the
-        fault, ``campaign`` which chaos campaign scheduled it.
-        ``time_to_reinterleave`` is ``None`` when the run never re-reached
-        the interleavable condition after repair.
-        """
-        if time_to_reroute < 0:
-            raise ValueError(
-                f"time_to_reroute must be non-negative, got {time_to_reroute!r}"
-            )
-        if goodput_lost_bits < 0:
-            raise ValueError(
-                f"goodput_lost_bits must be non-negative, got {goodput_lost_bits!r}"
-            )
-        self.recovery.append(
-            {
-                "fault": fault,
-                "strike_time": float(strike_time),
-                "recovery_time": float(recovery_time),
-                "time_to_reroute": float(time_to_reroute),
-                "time_to_reinterleave": (
-                    float(time_to_reinterleave)
-                    if time_to_reinterleave is not None
-                    else None
-                ),
-                "goodput_lost_bits": float(goodput_lost_bits),
-                "interleavable": bool(interleavable),
-                "reinterleaved": time_to_reinterleave is not None,
-                "policy": policy,
-                "substrate": substrate,
-                "campaign": campaign,
-                "params": dict(params) if params is not None else None,
-            }
-        )
-
-    def record_verification(
-        self,
-        property: str,
-        *,
-        version: int,
-        verdict: str,
-        backend: str,
-        states_checked: int = 0,
-        elapsed_s: float = 0.0,
-        params: Optional[Mapping[str, object]] = None,
-        reason: Optional[str] = None,
-    ) -> None:
-        """Record one bounded-model-checking verdict (schema v5, optional
-        ``verification`` section; docs/VERIFICATION.md).
-
-        One entry per property query run by ``repro verify``:
-        ``verdict`` is one of :data:`VERIFICATION_VERDICTS`, ``backend``
-        names the solver (``exhaustive`` / ``z3``), ``states_checked``
-        the exhaustive search size (0 for symbolic backends) and
-        ``reason`` carries timeout/skip detail when the verdict is
-        inconclusive.
-        """
-        if verdict not in VERIFICATION_VERDICTS:
-            raise ValueError(
-                f"unknown verification verdict {verdict!r}; expected one of "
-                f"{VERIFICATION_VERDICTS}"
-            )
-        if states_checked < 0:
-            raise ValueError(
-                f"states_checked must be non-negative, got {states_checked!r}"
-            )
-        if elapsed_s < 0:
-            raise ValueError(f"elapsed_s must be non-negative, got {elapsed_s!r}")
-        self.verification.append(
-            {
-                "property": property,
-                "version": int(version),
-                "verdict": verdict,
-                "backend": backend,
-                "states_checked": int(states_checked),
-                "elapsed_s": float(elapsed_s),
-                "params": dict(params) if params is not None else None,
-                "reason": reason,
-            }
-        )
-
-    def record_service_snapshot(
-        self,
-        *,
-        epoch: int,
-        time: float,
-        running: int,
-        queue_depth: int,
-        admitted: int,
-        deferred: int,
-        shed: int,
-        degraded: int,
-        departed: int,
-        recoveries: int,
-        slo_attainment: Optional[float] = None,
-        coarse: bool = False,
-        events: Optional[list[dict]] = None,
-        jobs: Optional[list[dict]] = None,
-    ) -> dict:
-        """Record one periodic churn-daemon snapshot (schema v6, optional
-        ``service`` section; docs/SERVICE.md).
-
-        Counters (``admitted`` … ``recoveries``) are cumulative since the
-        daemon started, so the last snapshot of a run doubles as its final
-        tally.  ``events`` lists every admission/shedding/recovery decision
-        since the previous snapshot (kinds in :data:`SERVICE_EVENT_KINDS`);
-        ``jobs`` carries per-running-job telemetry and is dropped —
-        ``coarse=True`` — when the degrade-to-coarser-telemetry shedding
-        policy is active.  Returns the appended entry so callers can mirror
-        it to a live snapshot sink."""
-        counters = {
-            "epoch": epoch,
-            "running": running,
-            "queue_depth": queue_depth,
-            "admitted": admitted,
-            "deferred": deferred,
-            "shed": shed,
-            "degraded": degraded,
-            "departed": departed,
-            "recoveries": recoveries,
-        }
-        for name, value in counters.items():
-            if value < 0:
-                raise ValueError(
-                    f"service snapshot: {name} must be non-negative, got {value!r}"
-                )
-        if slo_attainment is not None and not 0.0 <= slo_attainment <= 1.0:
-            raise ValueError(
-                f"service snapshot: slo_attainment must be in [0, 1], got "
-                f"{slo_attainment!r}"
-            )
-        for event in events or ():
-            if event.get("kind") not in SERVICE_EVENT_KINDS:
-                raise ValueError(
-                    f"unknown service event kind {event.get('kind')!r}; "
-                    f"expected one of {SERVICE_EVENT_KINDS}"
-                )
-        entry = {
-            "epoch": int(epoch),
-            "time": float(time),
-            "running": int(running),
-            "queue_depth": int(queue_depth),
-            "admitted": int(admitted),
-            "deferred": int(deferred),
-            "shed": int(shed),
-            "degraded": int(degraded),
-            "departed": int(departed),
-            "recoveries": int(recoveries),
-            "slo_attainment": (
-                float(slo_attainment) if slo_attainment is not None else None
-            ),
-            "coarse": bool(coarse),
-            "events": [dict(e) for e in events or ()],
-            "jobs": [dict(j) for j in jobs] if jobs is not None else None,
-        }
-        self.service.append(entry)
+        entry = copy.deepcopy({"kind": kind, **payload})
+        errors: list[str] = []
+        _validate_node(entry, _RECORD_SCHEMA, f"$.records[{len(self.records)}]", errors)
+        if errors:
+            raise ValueError("; ".join(errors))
+        self.records.append(entry)
         return entry
+
+    def _count(self, payload: dict) -> int:
+        """Records whose kind carries this payload schema."""
+        return sum(1 for r in self.records if RECORD_KINDS[r["kind"]] is payload)
 
     @property
     def cache_hits(self) -> int:
         """Points served from the result cache."""
-        return sum(1 for r in self.records if r.cache_hit)
+        return sum(1 for p in self.points if p.cache_hit)
 
     @property
     def cache_misses(self) -> int:
         """Points that had to be computed."""
-        return sum(1 for r in self.records if not r.cache_hit)
+        return sum(1 for p in self.points if not p.cache_hit)
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of points served from cache (0.0 with no points)."""
-        if not self.records:
+        if not self.points:
             return 0.0
-        return self.cache_hits / len(self.records)
+        return self.cache_hits / len(self.points)
 
     @property
     def events_processed(self) -> int:
         """Simulator callbacks executed across all computed points."""
-        return sum(r.events_processed for r in self.records)
+        return sum(p.events_processed for p in self.points)
 
     @property
     def failed_points(self) -> int:
         """Points that failed terminally (mode ``"failed"``)."""
-        return sum(1 for r in self.records if r.mode == "failed")
+        return sum(1 for p in self.points if p.mode == "failed")
 
     @property
     def resumed_points(self) -> int:
         """Points served from a sweep checkpoint (mode ``"resumed"``)."""
-        return sum(1 for r in self.records if r.mode == "resumed")
+        return sum(1 for p in self.points if p.mode == "resumed")
 
     def as_report(self) -> dict:
         """The structured run-report (validated by ``RUN_REPORT_SCHEMA``)."""
@@ -495,34 +356,19 @@ class RunTelemetry:
             "repro_version": __version__,
             "workers": self.workers,
             "totals": {
-                "points": len(self.records),
+                "points": len(self.points),
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "cache_hit_rate": self.cache_hit_rate,
                 "failed_points": self.failed_points,
                 "resumed_points": self.resumed_points,
                 "wall_time_s": time.perf_counter() - self._started,
-                "point_wall_time_s": sum(r.wall_time_s for r in self.records),
+                "point_wall_time_s": sum(p.wall_time_s for p in self.points),
                 "events_processed": self.events_processed,
             },
-            "points": [r.as_dict() for r in self.records],
+            "points": [p.as_dict() for p in self.points],
             "notes": list(self.notes),
-            "degradations": [dict(d) for d in self.degradations],
-            "link_utilization": [dict(u) for u in self.link_utilization],
-            "recovery": [dict(r) for r in self.recovery],
-            "verification": [dict(v) for v in self.verification],
-            "service": [dict(s) for s in self.service],
-            "guards": {
-                "violations": [
-                    dict(e) for e in self.guard_events if e["kind"] == "violation"
-                ],
-                "degradations": [
-                    dict(e) for e in self.guard_events if e["kind"] == "degradation"
-                ],
-                "watchdog_fires": [
-                    dict(e) for e in self.guard_events if e["kind"] == "watchdog"
-                ],
-            },
+            "records": [dict(r) for r in self.records],
         }
 
     def write(self, path: Path | str) -> Path:
@@ -535,6 +381,8 @@ class RunTelemetry:
     def summary_line(self) -> str:
         """One-line human summary for terminal output."""
         totals = self.as_report()["totals"]
+        degradations = self._count(_RESILIENCE)
+        guard_events = self._count(_GUARD)
         return (
             f"[runner] {self.experiment}: {totals['points']} points, "
             f"{totals['cache_hits']} cache hits, "
@@ -546,16 +394,8 @@ class RunTelemetry:
                 if totals["failed_points"]
                 else ""
             )
-            + (
-                f", {len(self.degradations)} degradation(s)"
-                if self.degradations
-                else ""
-            )
-            + (
-                f", {len(self.guard_events)} guard event(s)"
-                if self.guard_events
-                else ""
-            )
+            + (f", {degradations} degradation(s)" if degradations else "")
+            + (f", {guard_events} guard event(s)" if guard_events else "")
         )
 
 
@@ -569,20 +409,6 @@ def _json_default(value: object) -> object:
             pass
     return repr(value)
 
-
-#: One entry of the v3 ``guards`` arrays; shared by all three partitions.
-_GUARD_EVENT_SCHEMA: dict = {
-    "type": "object",
-    "required": ["detail"],
-    "properties": {
-        "kind": {"enum": list(GUARD_EVENT_KINDS)},
-        "detail": {"type": "string"},
-        "guard": {"type": ["string", "null"]},
-        "subject": {"type": ["string", "null"]},
-        "time": {"type": ["number", "null"]},
-        "params": {"type": ["object", "null"]},
-    },
-}
 
 #: The run-report contract (a draft-07 JSON-Schema subset).  The canonical
 #: on-disk copy lives at docs/run_report.schema.json; a unit test keeps the
@@ -599,9 +425,10 @@ RUN_REPORT_SCHEMA: dict = {
         "totals",
         "points",
         "notes",
+        "records",
     ],
     "properties": {
-        "schema_version": {"type": "integer", "enum": [1, 2, 3, 4, 5, 6]},
+        "schema_version": {"type": "integer", "enum": [REPORT_SCHEMA_VERSION]},
         "experiment": {"type": "string"},
         "repro_version": {"type": "string"},
         "workers": {"type": ["integer", "null"], "minimum": 1},
@@ -659,172 +486,7 @@ RUN_REPORT_SCHEMA: dict = {
             },
         },
         "notes": {"type": "array", "items": {"type": "string"}},
-        # Added in schema_version 2, deliberately not in ``required`` so v1
-        # reports keep validating: every resilience event of the run.
-        "degradations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["kind", "detail"],
-                "properties": {
-                    "kind": {"enum": list(DEGRADATION_KINDS)},
-                    "detail": {"type": "string"},
-                    "params": {"type": ["object", "null"]},
-                    "attempt": {"type": ["integer", "null"], "minimum": 1},
-                },
-            },
-        },
-        # Also a v3 optional section: per-link mean utilization from fabric
-        # runs (docs/TOPOLOGIES.md).  One entry per (link, run); ``policy``
-        # and ``substrate`` disambiguate multi-run reports.
-        "link_utilization": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["link", "utilization"],
-                "properties": {
-                    "link": {"type": "string"},
-                    "utilization": {"type": "number", "minimum": 0},
-                    "capacity_gbps": {"type": ["number", "null"]},
-                    "policy": {"type": ["string", "null"]},
-                    "substrate": {"type": ["string", "null"]},
-                    "params": {"type": ["object", "null"]},
-                },
-            },
-        },
-        # Added in schema_version 4, also optional: per-fault recovery SLOs
-        # from chaos campaigns (docs/ROBUSTNESS.md).  ``time_to_reinterleave``
-        # is null when the run never re-reached the interleavable condition.
-        "recovery": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "fault",
-                    "strike_time",
-                    "recovery_time",
-                    "time_to_reroute",
-                    "time_to_reinterleave",
-                    "goodput_lost_bits",
-                    "interleavable",
-                    "reinterleaved",
-                ],
-                "properties": {
-                    "fault": {"type": "string"},
-                    "strike_time": {"type": "number", "minimum": 0},
-                    "recovery_time": {"type": "number", "minimum": 0},
-                    "time_to_reroute": {"type": "number", "minimum": 0},
-                    "time_to_reinterleave": {"type": ["number", "null"], "minimum": 0},
-                    "goodput_lost_bits": {"type": "number", "minimum": 0},
-                    "interleavable": {"type": "boolean"},
-                    "reinterleaved": {"type": "boolean"},
-                    "policy": {"type": ["string", "null"]},
-                    "substrate": {"type": ["string", "null"]},
-                    "campaign": {"type": ["integer", "null"], "minimum": 0},
-                    "params": {"type": ["object", "null"]},
-                },
-            },
-        },
-        # Added in schema_version 5, also optional: bounded-model-checking
-        # verdicts from ``repro verify`` (docs/VERIFICATION.md).  ``reason``
-        # carries timeout/skip detail for inconclusive verdicts.
-        "verification": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["property", "version", "verdict", "backend"],
-                "properties": {
-                    "property": {"type": "string"},
-                    "version": {"type": "integer", "minimum": 1},
-                    "verdict": {"enum": list(VERIFICATION_VERDICTS)},
-                    "backend": {"type": "string"},
-                    "states_checked": {"type": "integer", "minimum": 0},
-                    "elapsed_s": {"type": "number", "minimum": 0},
-                    "params": {"type": ["object", "null"]},
-                    "reason": {"type": ["string", "null"]},
-                },
-            },
-        },
-        # Added in schema_version 6, also optional: periodic churn-daemon
-        # snapshots (docs/SERVICE.md).  Counters are cumulative; ``events``
-        # carries every admission/shedding/recovery decision since the
-        # previous snapshot; ``jobs`` is null under coarse telemetry.
-        "service": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "epoch",
-                    "time",
-                    "running",
-                    "queue_depth",
-                    "admitted",
-                    "deferred",
-                    "shed",
-                    "degraded",
-                    "departed",
-                    "recoveries",
-                ],
-                "properties": {
-                    "epoch": {"type": "integer", "minimum": 0},
-                    "time": {"type": "number", "minimum": 0},
-                    "running": {"type": "integer", "minimum": 0},
-                    "queue_depth": {"type": "integer", "minimum": 0},
-                    "admitted": {"type": "integer", "minimum": 0},
-                    "deferred": {"type": "integer", "minimum": 0},
-                    "shed": {"type": "integer", "minimum": 0},
-                    "degraded": {"type": "integer", "minimum": 0},
-                    "departed": {"type": "integer", "minimum": 0},
-                    "recoveries": {"type": "integer", "minimum": 0},
-                    "slo_attainment": {
-                        "type": ["number", "null"],
-                        "minimum": 0,
-                    },
-                    "coarse": {"type": "boolean"},
-                    "events": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["kind", "detail"],
-                            "properties": {
-                                "kind": {"enum": list(SERVICE_EVENT_KINDS)},
-                                "detail": {"type": "string"},
-                                "job": {"type": ["string", "null"]},
-                                "time": {"type": ["number", "null"]},
-                            },
-                        },
-                    },
-                    "jobs": {
-                        "type": ["array", "null"],
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "iterations"],
-                            "properties": {
-                                "name": {"type": "string"},
-                                "iterations": {"type": "integer", "minimum": 0},
-                                "mean_iteration_s": {
-                                    "type": ["number", "null"],
-                                    "minimum": 0,
-                                },
-                                "slo_ok": {"type": ["boolean", "null"]},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-        # Added in schema_version 3, also not in ``required`` so v1/v2
-        # reports keep validating: runtime-guardrail events, partitioned by
-        # kind (docs/ROBUSTNESS.md).
-        "guards": {
-            "type": "object",
-            "required": ["violations", "degradations", "watchdog_fires"],
-            "properties": {
-                "violations": {"items": _GUARD_EVENT_SCHEMA, "type": "array"},
-                "degradations": {"items": _GUARD_EVENT_SCHEMA, "type": "array"},
-                "watchdog_fires": {"items": _GUARD_EVENT_SCHEMA, "type": "array"},
-            },
-        },
+        "records": {"type": "array", "items": _RECORD_SCHEMA},
     },
 }
 
@@ -834,8 +496,12 @@ def validate_run_report(report: object, schema: Optional[dict] = None) -> list[s
 
     Implements the JSON-Schema subset the run-report contract actually uses
     (``type`` — scalar or union list —, ``required``, ``properties``,
-    ``items``, ``enum``, ``minimum``) so validation needs no third-party
-    dependency.  An empty list means the report conforms.  Used by
+    ``items``, ``enum``, ``const``, ``minimum``, ``maximum`` and
+    ``allOf`` of ``if``/``then``) so validation needs no third-party
+    dependency; every number must also be finite, because JSON has no NaN
+    or infinity.  Every error starts with the JSON path it concerns, and an
+    error inside a record names its kind: ``$.records[3](recovery).
+    strike_time: ...``.  An empty list means the report conforms.  Used by
     ``python -m repro validate-report`` and ``make bench-smoke``.
     """
     if schema is None:
@@ -854,25 +520,37 @@ def _validate_node(value: object, schema: dict, path: str, errors: list[str]) ->
                 f"{path}: expected type {'/'.join(types)}, got {type(value).__name__}"
             )
             return
+    if isinstance(value, float) and not math.isfinite(value):
+        errors.append(f"{path}: {value!r} is not a finite number")
+        return
     if "enum" in schema and value not in schema["enum"]:
         errors.append(f"{path}: {value!r} is not one of {schema['enum']!r}")
+    if "const" in schema and value != schema["const"]:
+        errors.append(f"{path}: {value!r} is not {schema['const']!r}")
     if isinstance(value, dict):
-        for key in schema.get("required", []):
-            if key not in value:
-                errors.append(f"{path}: missing required key {key!r}")
         for key, sub_schema in schema.get("properties", {}).items():
             if key in value:
                 _validate_node(value[key], sub_schema, f"{path}.{key}", errors)
+        for key in schema.get("required", []):
+            if key not in value:
+                errors.append(f"{path}: missing required key {key!r}")
     if isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             _validate_node(item, schema["items"], f"{path}[{i}]", errors)
-    if (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and "minimum" in schema
-        and value < schema["minimum"]
-    ):
-        errors.append(f"{path}: {value!r} is below the minimum {schema['minimum']!r}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            errors.append(f"{path}: {value!r} is below the minimum {schema['minimum']!r}")
+        if "maximum" in schema and value > schema["maximum"]:
+            errors.append(f"{path}: {value!r} is above the maximum {schema['maximum']!r}")
+    for rule in schema.get("allOf", []):
+        # A record's payload schema applies when the ``if`` matches its
+        # ``kind``; errors inside it name that kind.
+        probe: list[str] = []
+        _validate_node(value, rule["if"], path, probe)
+        if not probe:
+            kind = rule["if"].get("properties", {}).get("kind", {}).get("const")
+            tag = f"({kind})" if kind is not None else ""
+            _validate_node(value, rule["then"], f"{path}{tag}", errors)
 
 
 def _matches_type(value: object, type_name: str) -> bool:

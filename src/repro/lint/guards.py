@@ -14,9 +14,8 @@ rerouting): there, catching an exception — however narrow — without
 re-raising or recording the event through a guardrail/telemetry API is a
 silent repair in exactly the code whose job is making failures
 observable.  Handlers must re-raise, or call one of the recording APIs
-(``violation``, ``record_degradation``, ``record_guard_event``,
-``record_recovery``, ``record``, ``report_violations``, ``fail``), or
-carry a justified ``# repro-lint: disable=GRD002``.
+(``violation``, ``record``, ``report_violations``, ``fail``), or carry a
+justified ``# repro-lint: disable=GRD002``.
 """
 
 from __future__ import annotations
@@ -91,14 +90,11 @@ def _check_grd001(ctx: LintContext) -> Iterator[Finding]:
 
 
 #: APIs whose call counts as "the failure was recorded": the guardrail's
-#: reporting entry point, the telemetry recorders, the CLI's ``fail``.
+#: reporting entry point, the telemetry's ``record``, the CLI's ``fail``.
 _RECORDING_CALLS = frozenset(
     {
         "violation",
         "record",
-        "record_degradation",
-        "record_guard_event",
-        "record_recovery",
         "report_violations",
         "fail",
     }
@@ -155,7 +151,7 @@ def _grd002_walk(
                         f"fault-handling code catches {caught} without "
                         "re-raising or recording a guard event; failures in "
                         "fault paths must stay observable — re-raise, call a "
-                        "recording API (violation/record_degradation/...), "
+                        "recording API (violation/record/...), "
                         "or justify with `# repro-lint: disable=GRD002`",
                     )
         for child_body in _stmt_bodies(stmt):

@@ -255,7 +255,7 @@ class RecoverySLO:
         return self.time_to_reinterleave is not None
 
     def as_record(self) -> dict[str, object]:
-        """JSON-ready form for the run report's ``recovery`` section."""
+        """JSON-ready payload of the run report's ``recovery`` record."""
         return {
             "fault": self.fault,
             "strike_time": self.strike_time,

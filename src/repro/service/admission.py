@@ -15,8 +15,8 @@ running population is full (:data:`SHED_POLICIES`):
     past ``max_running`` — and the daemon coarsens its telemetry while
     oversubscribed (snapshots drop per-job rows); beyond that they shed.
 
-Every decision is returned as a string the daemon turns into a schema-v6
-``service`` event, so a report reader can reconstruct exactly what was
+Every decision is returned as a string the daemon turns into an event of
+its next ``service`` record, so a report reader can reconstruct exactly what was
 shed and why.  The queue contents are part of the daemon's journaled
 state — a recovered daemon resumes with the same deferred jobs.
 """

@@ -5,8 +5,8 @@ slice of simulated time) the daemon:
 
 1. polls the pre-drawn arrival stream for jobs that arrived since the
    previous epoch and runs each through the admission controller
-   (admit / defer / degrade / shed — every decision becomes a schema-v6
-   ``service`` event);
+   (admit / defer / degrade / shed — every decision becomes an event of
+   the next ``service`` record);
 2. drains deferred jobs into slots freed by departures;
 3. advances the live fluid engine to the epoch boundary under a
    :class:`repro.guards.StepperWatchdog` — a stall, livelock or injected
@@ -181,11 +181,12 @@ class ChurnDaemon:
         The write-ahead journal.  ``None`` keeps the run un-journaled
         (no crash recovery; the supervisor then re-raises any crash).
     telemetry:
-        Optional :class:`RunTelemetry` collecting the schema-v6
-        ``service`` snapshot stream plus guard/degradation events.
+        Optional :class:`RunTelemetry` collecting the ``service``
+        snapshot records plus resilience and guard records.
     snapshot_path:
         Optional JSONL sink mirroring each snapshot as it is taken (the
-        live query surface; written under retry + backoff).
+        live query surface; written under retry + backoff).  With
+        telemetry, each line is the ``service`` record itself.
     resume:
         Restore the latest committed epoch from ``journal`` and continue.
         Requires a matching config fingerprint.
@@ -329,14 +330,14 @@ class ChurnDaemon:
         """Run one side-effecting operation under timeout + bounded retry.
 
         Returns whether the operation eventually succeeded.  Failures are
-        recorded as ``retry`` degradations; exhausting every attempt
+        recorded as ``retry`` records; exhausting every attempt
         records an ``error`` and returns False — the daemon sheds the side
         effect rather than the simulation (mirrors the experiment runner's
         backoff idiom).  An attempt that *returns* but blows the
         ``op_timeout_s`` budget is still a success: the side effect (a
         journal append, a snapshot line) cannot be un-done, so re-running
         it would duplicate it.  The overrun is recorded as a ``timeout``
-        degradation for observability only.
+        record for observability only.
         """
         config = self.config
         for attempt in range(1, config.op_attempts + 1):
@@ -349,17 +350,17 @@ class ChurnDaemon:
             elapsed = self._clock() - started
             if failure is None:
                 if elapsed > config.op_timeout_s and self.telemetry is not None:
-                    self.telemetry.record_degradation(
+                    self.telemetry.record(
                         "timeout",
-                        f"{op}: attempt {attempt} took {elapsed:.3g} s "
+                        detail=f"{op}: attempt {attempt} took {elapsed:.3g} s "
                         f"(budget {config.op_timeout_s:.3g} s)",
                         attempt=attempt,
                     )
                 return True
             if self.telemetry is not None:
-                self.telemetry.record_degradation(
+                self.telemetry.record(
                     "retry",
-                    f"{op}: attempt {attempt} failed ({failure})",
+                    detail=f"{op}: attempt {attempt} failed ({failure})",
                     attempt=attempt,
                 )
             if attempt < config.op_attempts:
@@ -370,8 +371,8 @@ class ChurnDaemon:
                 if delay > 0:
                     self._sleep(delay)
         if self.telemetry is not None:
-            self.telemetry.record_degradation(
-                "error", f"{op}: gave up after {config.op_attempts} attempts"
+            self.telemetry.record(
+                "error", detail=f"{op}: gave up after {config.op_attempts} attempts"
             )
         return False
 
@@ -499,7 +500,7 @@ class ChurnDaemon:
             self._fabric.record(self.engine.now, detail)
             self._event("fault", detail)
             if self.telemetry is not None:
-                self.telemetry.record_degradation("fault", detail)
+                self.telemetry.record("fault", detail=detail)
             self._last_factor = factor
 
     def _run_epoch(self) -> None:
@@ -532,9 +533,9 @@ class ChurnDaemon:
                 )
                 self._event("fallback", detail)
                 if self.telemetry is not None:
-                    self.telemetry.record_guard_event(
+                    self.telemetry.record(
                         "degradation",
-                        detail,
+                        detail=detail,
                         guard="service-churn",
                         subject="engine",
                         time=float(self.engine.now),
@@ -569,7 +570,7 @@ class ChurnDaemon:
             "jobs": None if coarse else self.engine.job_rows(),
         }
         if self.telemetry is not None:
-            entry = self.telemetry.record_service_snapshot(**entry)
+            entry = self.telemetry.record("service", **entry)
         self.snapshots.append(entry)
         self._events = []
         path = self.snapshot_path
@@ -628,9 +629,9 @@ class ChurnDaemon:
                         "bound no longer holds — stopping"
                     )
                     if self.telemetry is not None:
-                        self.telemetry.record_guard_event(
+                        self.telemetry.record(
                             "violation",
-                            detail,
+                            detail=detail,
                             guard="service-journal",
                             subject="journal",
                             time=float(self.engine.now),
@@ -671,10 +672,10 @@ class ChurnDaemon:
         )
         self._event("recovery", detail)
         if self.telemetry is not None:
-            self.telemetry.record_degradation("crash", str(crash))
-            self.telemetry.record_guard_event(
+            self.telemetry.record("crash", detail=str(crash))
+            self.telemetry.record(
                 "watchdog",
-                detail,
+                detail=detail,
                 guard="service-supervisor",
                 subject="stepper",
                 time=float(self.engine.now),

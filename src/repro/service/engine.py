@@ -345,7 +345,7 @@ class LiveFluidEngine:
     # ------------------------------------------------------------- snapshots
 
     def job_rows(self) -> list[dict]:
-        """Per-running-job telemetry rows (schema v6 ``service[].jobs``)."""
+        """Per-running-job telemetry rows (the ``jobs`` of a ``service`` record)."""
         rows = []
         for i, spec in enumerate(self.specs):
             iterations = int(self.iter_index[i])

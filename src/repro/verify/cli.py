@@ -142,12 +142,13 @@ def run_verify(
 
 
 def _write_report(path: str, verdicts: Sequence[Verdict]) -> None:
-    """Write a run-report whose ``verification`` section lists verdicts."""
+    """Write a run-report with one ``verification`` record per verdict."""
     from ..harness.telemetry import RunTelemetry
 
     telemetry = RunTelemetry("verify")
     for verdict in verdicts:
-        telemetry.record_verification(
+        telemetry.record(
+            "verification",
             property=verdict.property,
             version=verdict.version,
             verdict=verdict.verdict,

@@ -665,14 +665,9 @@ class TestChaosRecoveryAcceptance:
         for result in results:
             for policy in ("mltcp", "fair"):
                 for slo in result.slos[policy]:
-                    telemetry.record_recovery(
-                        slo.fault,
-                        strike_time=slo.strike_time,
-                        recovery_time=slo.recovery_time,
-                        time_to_reroute=slo.time_to_reroute,
-                        time_to_reinterleave=slo.time_to_reinterleave,
-                        goodput_lost_bits=slo.goodput_lost_bits,
-                        interleavable=slo.interleavable,
+                    telemetry.record(
+                        "recovery",
+                        **slo.as_record(),
                         policy=policy,
                         substrate=result.substrate,
                         campaign=result.campaign_index,
@@ -680,7 +675,7 @@ class TestChaosRecoveryAcceptance:
         report = json.loads(json.dumps(telemetry.as_report()))
         assert validate_run_report(report) == []
         assert report["schema_version"] == REPORT_SCHEMA_VERSION
-        entries = report["recovery"]
+        entries = [r for r in report["records"] if r["kind"] == "recovery"]
         assert entries and all(e["fault"] for e in entries)
         mltcp = [e for e in entries if e["policy"] == "mltcp"]
         fair = [e for e in entries if e["policy"] == "fair"]

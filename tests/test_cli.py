@@ -204,7 +204,7 @@ class TestCrossRack:
         capsys.readouterr()
         report = json.loads(report_path.read_text())
         assert validate_run_report(report) == []
-        entries = report["link_utilization"]
+        entries = [r for r in report["records"] if r["kind"] == "link_utilization"]
         assert entries and {e["policy"] for e in entries} == {"mltcp", "fair"}
         assert all(e["utilization"] >= 0 for e in entries)
 

@@ -193,17 +193,22 @@ class TestCrossRackExperiment:
 class TestLinkUtilizationTelemetry:
     def test_report_section_validates(self):
         telemetry = RunTelemetry("test.cross_rack")
-        telemetry.record_link_utilization(
-            "rack0->spine0", 0.83, capacity_gbps=1.0,
+        telemetry.record(
+            "link_utilization",
+            link="rack0->spine0", utilization=0.83, capacity_gbps=1.0,
             policy="mltcp", substrate="fluid", params={"n_racks": 2},
         )
-        telemetry.record_link_utilization("spine0->rack1", 0.0)
+        telemetry.record("link_utilization", link="spine0->rack1", utilization=0.0)
         report = telemetry.as_report()
         assert validate_run_report(report) == []
-        assert report["link_utilization"][0]["link"] == "rack0->spine0"
-        assert report["link_utilization"][1]["capacity_gbps"] is None
+        records = report["records"]
+        assert [r["kind"] for r in records] == ["link_utilization"] * 2
+        assert records[0]["link"] == "rack0->spine0"
+        assert records[1].get("capacity_gbps") is None
 
     def test_negative_utilization_rejected(self):
         telemetry = RunTelemetry("test.cross_rack")
         with pytest.raises(ValueError, match="utilization"):
-            telemetry.record_link_utilization("rack0->spine0", -0.1)
+            telemetry.record(
+                "link_utilization", link="rack0->spine0", utilization=-0.1
+            )

@@ -414,33 +414,31 @@ class TestFaultRecoveryGuarded:
 class TestTelemetryGuardEvents:
     def test_rejects_unknown_kind(self):
         telemetry = RunTelemetry("t")
-        with pytest.raises(ValueError, match="guard event kind"):
-            telemetry.record_guard_event("explosion", "boom")
+        with pytest.raises(ValueError, match="kind: 'explosion' is not one of"):
+            telemetry.record("explosion", detail="boom")
 
     def test_report_partitions_by_kind_and_validates(self):
         telemetry = RunTelemetry("t")
-        telemetry.record_guard_event(
-            "violation", "cwnd runaway", guard="cwnd-bounds",
+        telemetry.record(
+            "violation", detail="cwnd runaway", guard="cwnd-bounds",
             subject="Job1", time=0.25,
         )
-        telemetry.record_guard_event(
-            "degradation", "degraded to vanilla CC", guard="tracker-sanity",
-            subject="Job2", time=0.5, params={"reason": "drift=0.50"},
+        telemetry.record(
+            "degradation", detail="degraded to vanilla CC",
+            guard="tracker-sanity", subject="Job2", time=0.5,
+            params={"reason": "drift=0.50"},
         )
-        telemetry.record_guard_event("watchdog", "point blew its budget")
+        telemetry.record("watchdog", detail="point blew its budget")
         report = telemetry.as_report()
-        guards = report["guards"]
-        assert [e["detail"] for e in guards["violations"]] == ["cwnd runaway"]
-        assert [e["subject"] for e in guards["degradations"]] == ["Job2"]
-        assert [e["detail"] for e in guards["watchdog_fires"]] == [
-            "point blew its budget"
-        ]
+        by_kind = {r["kind"]: r for r in report["records"]}
+        assert list(by_kind) == ["violation", "degradation", "watchdog"]
+        assert by_kind["violation"]["detail"] == "cwnd runaway"
+        assert by_kind["degradation"]["subject"] == "Job2"
+        assert by_kind["watchdog"]["detail"] == "point blew its budget"
         assert validate_run_report(report) == []
         assert "guard event(s)" in telemetry.summary_line()
 
     def test_reports_without_guard_events_omit_nothing_required(self):
         report = RunTelemetry("t").as_report()
-        assert report["guards"] == {
-            "violations": [], "degradations": [], "watchdog_fires": [],
-        }
+        assert report["records"] == []
         assert validate_run_report(report) == []

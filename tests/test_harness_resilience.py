@@ -115,7 +115,7 @@ class TestCrashIsolation:
         report = telemetry.as_report()
         assert validate_run_report(report) == []
         assert report["totals"]["failed_points"] == 1
-        assert any(d["kind"] == "crash" for d in report["degradations"])
+        assert any(r["kind"] == "crash" for r in report["records"])
         modes = [p["mode"] for p in report["points"]]
         assert modes.count("failed") == 1
 
@@ -143,7 +143,7 @@ class TestRetries:
         assert runner.run_points(_flaky, points) == [100, 101, 102]
         assert _attempts(tmp_path, 1) == 3  # two failures + one success
         retry_events = [
-            d for d in telemetry.degradations if d["kind"] == "retry"
+            r for r in telemetry.records if r["kind"] == "retry"
         ]
         assert len(retry_events) == 2
         assert telemetry.failed_points == 0
@@ -188,7 +188,7 @@ class TestTimeouts:
         assert results[0] == 0 and results[2] == 4
         assert isinstance(results[1], FailedPoint)
         assert results[1].kind == "timeout"
-        assert any(d["kind"] == "timeout" for d in telemetry.degradations)
+        assert any(r["kind"] == "timeout" for r in telemetry.records)
 
     def test_hung_point_raises_without_isolation(self):
         runner = ExperimentRunner(name="hang-raise", workers=2, timeout=1.0)
@@ -312,7 +312,7 @@ class TestCliFaults:
         assert "link_down" in out and "mltcp" in out
         report = json.loads(report_path.read_text())
         assert validate_run_report(report) == []
-        assert any(d["kind"] == "fault" for d in report["degradations"])
+        assert any(r["kind"] == "fault" for r in report["records"])
 
     def test_unknown_class_fails_fast(self, capsys):
         from repro.cli import main

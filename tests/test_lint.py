@@ -469,7 +469,7 @@ class TestUnrecordedFaultHandlerRule:
             "    try:\n"
             "        strike()\n"
             "    except ValueError as error:\n"
-            "        telemetry.record_degradation('fault', str(error))\n"
+            "        telemetry.record('fault', detail=str(error))\n"
             "    try:\n"
             "        reroute()\n"
             "    except OSError as error:\n"

@@ -72,7 +72,7 @@ class TestRunner:
         runner = ExperimentRunner(name="par", workers=3)
         parallel = runner.run_points(_noisy_metric, points)
         assert parallel == sequential
-        assert all(r.mode == "worker" for r in runner.telemetry.records)
+        assert all(r.mode == "worker" for r in runner.telemetry.points)
 
     def test_experiment_errors_propagate(self):
         def boom(seed):
@@ -88,7 +88,7 @@ class TestRunner:
         )
         assert results == [0.0, 2.0, 4.0]
         assert any("not picklable" in note for note in runner.telemetry.notes)
-        assert all(r.mode == "sequential" for r in runner.telemetry.records)
+        assert all(r.mode == "sequential" for r in runner.telemetry.points)
 
 
 class TestSharedPool:
@@ -294,6 +294,16 @@ class TestTelemetry:
         )
         assert on_disk == RUN_REPORT_SCHEMA
 
+    def test_committed_run_reports_validate(self):
+        """Every committed benchmark run-report is at the current schema."""
+        paths = sorted((REPO_ROOT / "bench_reports").glob("*.run.json"))
+        assert paths
+        errors = {
+            path.name: validate_run_report(json.loads(path.read_text()))
+            for path in paths
+        }
+        assert errors == {path.name: [] for path in paths}
+
     def test_validator_flags_violations(self):
         telemetry = RunTelemetry("v")
         ExperimentRunner(name="v", telemetry=telemetry).run_points(
@@ -331,4 +341,4 @@ class TestTelemetry:
         telemetry = RunTelemetry("events")
         runner = ExperimentRunner(name="events", telemetry=telemetry)
         assert runner.run_points(tiny_sim, [{"seed": 0}]) == [5]
-        assert telemetry.records[0].events_processed == 5
+        assert telemetry.points[0].events_processed == 5

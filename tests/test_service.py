@@ -389,8 +389,9 @@ class TestDaemonRuns:
             daemon.run()
         report = telemetry.as_report()
         assert any(
-            v["guard"] == "service-journal"
-            for v in report["guards"]["violations"]
+            r["guard"] == "service-journal"
+            for r in report["records"]
+            if r["kind"] == "violation"
         )
 
     def test_unjournaled_crash_propagates(self):
@@ -566,7 +567,7 @@ class TestRetryBackoff:
         assert daemon._with_retry("op", slow) is True
         assert calls["n"] == 1
         assert sleeps == []
-        kinds = [d["kind"] for d in telemetry.degradations]
+        kinds = [r["kind"] for r in telemetry.records]
         assert kinds == ["timeout"]
 
     def test_failing_op_gives_up_after_attempts(self):
@@ -583,7 +584,7 @@ class TestRetryBackoff:
 
         assert daemon._with_retry("op", dead) is False
         assert sleeps == [0.05, 0.1]
-        kinds = [d["kind"] for d in telemetry.degradations]
+        kinds = [r["kind"] for r in telemetry.records]
         assert kinds == ["retry", "retry", "retry", "error"]
 
     def test_failing_op_retries_then_succeeds(self):
@@ -601,7 +602,7 @@ class TestRetryBackoff:
         assert daemon._with_retry("op", flaky) is True
         assert calls["n"] == 2
         assert sleeps == [0.05]
-        assert [d["kind"] for d in telemetry.degradations] == ["retry"]
+        assert [r["kind"] for r in telemetry.records] == ["retry"]
 
     def test_backoff_is_capped(self):
         sleeps = []
@@ -629,7 +630,7 @@ class TestRetryBackoff:
         )
         result = daemon.run()
         assert result["epochs_run"] == 12
-        kinds = {d["kind"] for d in telemetry.degradations}
+        kinds = {r["kind"] for r in telemetry.records}
         assert "retry" in kinds and "error" in kinds
 
 
@@ -646,9 +647,9 @@ class TestServiceTelemetry:
     def test_report_is_schema_valid(self, tmp_path):
         _, telemetry, _ = self._run(tmp_path)
         report = telemetry.as_report()
-        assert report["schema_version"] == REPORT_SCHEMA_VERSION == 6
+        assert report["schema_version"] == REPORT_SCHEMA_VERSION == 7
         assert validate_run_report(report) == []
-        assert report["service"]
+        assert any(r["kind"] == "service" for r in report["records"])
 
     def test_every_decision_is_in_the_snapshot_stream(self, tmp_path):
         """Acceptance criterion: shed/defer/degrade/recovery decisions all
@@ -721,7 +722,7 @@ class TestServeCli:
         )
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["schema_version"] == 6
+        assert payload["schema_version"] == 7
         assert validate_run_report(payload) == []
         assert "serve [mltcp]" in capsys.readouterr().out
 

@@ -414,7 +414,7 @@ class TestVerifyCli:
         capsys.readouterr()
         report = json.loads(report_path.read_text())
         validate_run_report(report)
-        entries = report["verification"]
+        entries = [r for r in report["records"] if r["kind"] == "verification"]
         # Explicitly named properties run (and report) in the given order.
         assert [e["property"] for e in entries] == [
             "starvation-bound", "degradation-safety",
@@ -435,13 +435,15 @@ class TestTelemetryVerificationSection:
         from repro.harness.telemetry import RunTelemetry
 
         telemetry = RunTelemetry("verify")
-        with pytest.raises(ValueError):
-            telemetry.record_verification(
-                "p", version=1, verdict="maybe", backend="exhaustive"
+        with pytest.raises(ValueError, match="verdict"):
+            telemetry.record(
+                "verification",
+                property="p", version=1, verdict="maybe", backend="exhaustive",
             )
-        with pytest.raises(ValueError):
-            telemetry.record_verification(
-                "p", version=1, verdict="unsat", backend="exhaustive",
+        with pytest.raises(ValueError, match="states_checked"):
+            telemetry.record(
+                "verification",
+                property="p", version=1, verdict="unsat", backend="exhaustive",
                 states_checked=-1,
             )
 
@@ -449,11 +451,13 @@ class TestTelemetryVerificationSection:
         from repro.harness.telemetry import RunTelemetry, validate_run_report
 
         telemetry = RunTelemetry("verify")
-        telemetry.record_verification(
-            "starvation-bound", version=1, verdict="unsat",
+        telemetry.record(
+            "verification",
+            property="starvation-bound", version=1, verdict="unsat",
             backend="exhaustive", states_checked=201, elapsed_s=0.01,
             params={"k": 3},
         )
         report = telemetry.as_report()
-        validate_run_report(report)
-        assert report["verification"][0]["states_checked"] == 201
+        assert validate_run_report(report) == []
+        assert report["records"][0]["kind"] == "verification"
+        assert report["records"][0]["states_checked"] == 201
