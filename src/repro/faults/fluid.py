@@ -31,7 +31,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Optional
 
-from .schedule import FABRIC_KINDS, FaultEvent, FaultSchedule
+from .schedule import FABRIC_KINDS, FaultEvent, FaultSchedule, InjectionLog
 
 __all__ = ["FluidFaultState", "ECN_STORM_CAPACITY_FACTOR"]
 
@@ -44,7 +44,7 @@ ECN_STORM_CAPACITY_FACTOR = 0.5
 _FLUID_LINKS = ("bottleneck",)
 
 
-class FluidFaultState:
+class FluidFaultState(InjectionLog):
     """Queryable fault state for :class:`repro.fluid.flowsim.FluidSimulator`.
 
     Built once per run from a :class:`FaultSchedule`; the simulator asks it
@@ -79,9 +79,7 @@ class FluidFaultState:
                 self._restart_events.append(event)
         self._restarts_applied = 0
         self._transitions = list(schedule.transition_times())
-        #: Applied transitions, mirroring the packet injector's log:
-        #: ``(sim_time, description)`` pairs for the report's ``fault`` records.
-        self.log: list[tuple[float, str]] = []
+        super().__init__()
 
     @staticmethod
     def _active(event: FaultEvent, now: float) -> bool:
@@ -131,25 +129,3 @@ class FluidFaultState:
     def last_transition(self) -> float:
         """When the final fault transition happens (0 for an empty schedule)."""
         return self._transitions[-1] if self._transitions else 0.0
-
-    def record(self, time: float, description: str) -> None:
-        """Append one applied transition to the log."""
-        self.log.append((time, description))
-
-    def descriptions(self) -> list[str]:
-        """The log as human-readable lines, in application order."""
-        return [f"t={time:g}s: {text}" for time, text in self.log]
-
-    def context_for(self, time: float) -> Optional[str]:
-        """The most recent applied transition at or before ``time``.
-
-        Mirrors :meth:`repro.faults.packet.InjectionLog.context_for`: maps
-        an :class:`repro.guards.InvariantViolation` detection time back to
-        the fault that plausibly provoked it (docs/ROBUSTNESS.md).
-        """
-        latest: Optional[str] = None
-        for applied_at, text in self.log:
-            if applied_at > time:
-                break
-            latest = f"t={applied_at:g}s: {text}"
-        return latest

@@ -18,7 +18,6 @@ faults act.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ from ..simulator.engine import Simulator
 from ..simulator.link import Link
 from ..simulator.topology import Network
 from .routing import FabricRoutingState
-from .schedule import FABRIC_KINDS, FaultEvent, FaultSchedule
+from .schedule import FABRIC_KINDS, FaultEvent, FaultSchedule, InjectionLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..guards import GuardRail
@@ -38,41 +37,6 @@ __all__ = ["InjectionLog", "install_packet_faults", "DEFAULT_BOTTLENECK"]
 
 #: Link targeted when an event names none: the dumbbell's data direction.
 DEFAULT_BOTTLENECK = "sw_l->sw_r"
-
-
-@dataclass
-class InjectionLog:
-    """What the injector actually did, for telemetry's ``fault`` records.
-
-    One entry per applied transition: ``(sim_time, description)``.  The
-    harness copies these into the run-report so a report reader can see
-    every fault that fired without reloading the schedule.
-    """
-
-    entries: list[tuple[float, str]] = field(default_factory=list)
-
-    def record(self, time: float, description: str) -> None:
-        """Append one applied transition."""
-        self.entries.append((time, description))
-
-    def descriptions(self) -> list[str]:
-        """The log as human-readable lines, in application order."""
-        return [f"t={time:g}s: {text}" for time, text in self.entries]
-
-    def context_for(self, time: float) -> Optional[str]:
-        """The most recent applied transition at or before ``time``.
-
-        Lets a guard-summary reader correlate an
-        :class:`repro.guards.InvariantViolation` (which carries its
-        detection time) with the fault that plausibly provoked it
-        (docs/ROBUSTNESS.md).  ``None`` when no transition had fired yet.
-        """
-        latest: Optional[str] = None
-        for applied_at, text in self.entries:
-            if applied_at > time:
-                break
-            latest = f"t={applied_at:g}s: {text}"
-        return latest
 
 
 def _link_names(network: Network) -> dict[str, Link]:

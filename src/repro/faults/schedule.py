@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["FABRIC_KINDS", "FAULT_KINDS", "FaultEvent", "FaultSchedule"]
+__all__ = ["FABRIC_KINDS", "FAULT_KINDS", "FaultEvent", "FaultSchedule", "InjectionLog"]
 
 #: Every fault class the injectors understand, with a one-line meaning.
 FAULT_KINDS: dict[str, str] = {
@@ -400,3 +400,41 @@ def _topology_names(topology: object) -> tuple[set[str], set[str], set[str]]:
         "fabric must be a FabricSpec or an assembled Network, got "
         f"{type(topology).__name__}"
     )
+
+
+@dataclass(eq=False)
+class InjectionLog:
+    """What an injector actually did, for telemetry's ``fault`` records.
+
+    One entry per applied transition: ``(sim_time, description)``.  The
+    packet injector fills one; the fluid fault states
+    (:class:`~repro.faults.fluid.FluidFaultState`,
+    :class:`~repro.fluid.fabric.FluidFabricFaults`) are one.  The harness
+    copies these into the run-report so a report reader can see every
+    fault that fired without reloading the schedule.
+    """
+
+    entries: list[tuple[float, str]] = field(default_factory=list)
+
+    def record(self, time: float, description: str) -> None:
+        """Append one applied transition."""
+        self.entries.append((time, description))
+
+    def descriptions(self) -> list[str]:
+        """The log as human-readable lines, in application order."""
+        return [f"t={time:g}s: {text}" for time, text in self.entries]
+
+    def context_for(self, time: float) -> Optional[str]:
+        """The most recent applied transition at or before ``time``.
+
+        Lets a guard-summary reader correlate an
+        :class:`repro.guards.InvariantViolation` (which carries its
+        detection time) with the fault that plausibly provoked it
+        (docs/ROBUSTNESS.md).  ``None`` when no transition had fired yet.
+        """
+        latest: Optional[str] = None
+        for applied_at, text in self.entries:
+            if applied_at > time:
+                break
+            latest = f"t={applied_at:g}s: {text}"
+        return latest

@@ -45,6 +45,7 @@ __all__ = [
     "PIAS",
     "water_fill",
     "water_fill_array",
+    "mltcp_weights_array",
     "allocation_excess",
 ]
 
@@ -325,6 +326,25 @@ def water_fill_array(
         rates[idx] = shares
         return np.where(rates > 0.0, rates, 0.0)
     return np.where(rates > 0.0, rates, 0.0)
+
+
+def mltcp_weights_array(
+    function: AggressivenessFunction,
+    sent_bits: np.ndarray,
+    total_bits: np.ndarray,
+) -> np.ndarray:
+    """``F(bytes_ratio)`` per flow: the MLTCP weights of the array engines.
+
+    ``bytes_ratio`` is ``sent_bits / total_bits`` clamped to 1.  The
+    paper's linear F is ``slope * ratio + intercept`` over the whole array,
+    the same floats as :class:`MLTCPWeighted`'s inline path; any other F
+    is called once per flow.
+    """
+    quotient = sent_bits / total_bits
+    ratio = np.where(quotient < 1.0, quotient, 1.0)
+    if type(function) is LinearAggressiveness:
+        return function.slope * ratio + function.intercept
+    return np.array([function(r) for r in ratio.tolist()])
 
 
 class FairShare(AllocationPolicy):

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from ..faults.fluid import ECN_STORM_CAPACITY_FACTOR
 from ..faults.routing import FabricRoutingState
-from ..faults.schedule import FABRIC_KINDS, FaultEvent, FaultSchedule
+from ..faults.schedule import FABRIC_KINDS, FaultEvent, FaultSchedule, InjectionLog
 from ..workloads.placement import FabricSpec, JobPlacement
 from .arrays import _EPS_TIME
 from .network import PlacedJob
@@ -82,7 +82,7 @@ class FluidFabric:
 _CAPACITY_KINDS = ("link_down", "bandwidth", "loss_burst", "ecn_storm")
 
 
-class FluidFabricFaults:
+class FluidFabricFaults(InjectionLog):
     """Fabric-fault replay for :class:`repro.fluid.network.NetworkFluidSimulator`.
 
     The fluid analogue of the packet injector's fabric path: one shared
@@ -101,7 +101,9 @@ class FluidFabricFaults:
 
     Transitions at equal times apply in the packet engine's order (FIFO in
     arming order: per strike-sorted event, strike then reversion), keeping
-    the two substrates' fault state bit-identical at every instant.
+    the two substrates' fault state bit-identical at every instant.  The
+    simulator replays each run on a fresh copy built from ``spec`` and
+    ``schedule``, so the instance a caller passes in is never advanced.
     """
 
     def __init__(self, spec: FabricSpec, schedule: FaultSchedule) -> None:
@@ -136,9 +138,7 @@ class FluidFabricFaults:
         self._capacity_events = [
             e for e in schedule.sorted_events() if e.kind in _CAPACITY_KINDS
         ]
-        #: Applied transitions, mirroring the packet injector's log:
-        #: ``(sim_time, description)`` pairs for the report's ``fault`` records.
-        self.log: list[tuple[float, str]] = []
+        super().__init__()
 
     def advance_to(self, now: float, eps: float = _EPS_TIME) -> bool:
         """Apply every transition due at or before ``now``; True if any."""
@@ -207,22 +207,3 @@ class FluidFabricFaults:
             if time > now + eps:
                 return time
         return None
-
-    # -- log (mirrors repro.faults.packet.InjectionLog) --------------------
-
-    def record(self, time: float, description: str) -> None:
-        """Append one applied transition to the log."""
-        self.log.append((time, description))
-
-    def descriptions(self) -> list[str]:
-        """The log as human-readable lines, in application order."""
-        return [f"t={time:g}s: {text}" for time, text in self.log]
-
-    def context_for(self, time: float) -> Optional[str]:
-        """The most recent applied transition at or before ``time``."""
-        latest: Optional[str] = None
-        for applied_at, text in self.log:
-            if applied_at > time:
-                break
-            latest = f"t={applied_at:g}s: {text}"
-        return latest

@@ -20,6 +20,18 @@ bandwidth degradations, stragglers and job restarts inside the fluid model
 (mapping documented in :mod:`repro.faults.fluid` and docs/FAULTS.md).  A
 restarted job discards its in-flight iteration and re-enters with
 ``sent_bits`` zeroed — the fluid analogue of MLTCP resetting ``bytes_sent``.
+Every ``run()`` replays the schedule from the start.
+
+Both batch simulators (this one and :mod:`repro.fluid.network`) step the one
+per-flow phase state machine defined here — WAITING until the start offset,
+COMM until the phase's bits are delivered, COMPUTE until the sampled gap
+ends, then the next COMM phase or departure — with :func:`_sweep_scalar`
+over :class:`_JobRuntime` objects or :func:`_sweep_arrays` over
+``FlowArrays``.  What differs between them (departure points, a straggler
+compute scale) is passed in as data.  The service's ``LiveFluidEngine``
+keeps its own sweep: its due test and its re-sweep until quiescent give
+different floats.  ``e2e_bench/tracing.py`` wraps ``_next_event_dt``,
+``_next_event_dt_scalar`` and ``_check_allocation`` by name.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +52,7 @@ from .allocation import (
     FlowView,
     MLTCPWeighted,
     allocation_excess,
+    mltcp_weights_array,
     water_fill_array,
 )
 from .arrays import (
@@ -53,6 +66,7 @@ from .arrays import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.fluid import FluidFaultState
     from ..faults.schedule import FaultSchedule
     from ..guards.core import GuardRail
 
@@ -124,7 +138,7 @@ class RateSegment:
 
 @dataclass
 class _JobRuntime:
-    """Per-job state of the scalar (small-population) engine."""
+    """Per-flow state of both simulators' scalar (small-population) engines."""
 
     spec: JobSpec
     phase: Phase = Phase.WAITING
@@ -134,6 +148,8 @@ class _JobRuntime:
     comm_start: float = math.nan
     comm_end: float = math.nan
     phase_deadline: float = 0.0  # start_offset or compute end
+    #: Iterations after which the flow departs (``None``: it never does).
+    departure: Optional[int] = None
     #: Lazily built policy-facing view; progress fields are synced in place
     #: on every ``flow_view()`` call instead of reconstructing (and
     #: re-validating) a fresh FlowView per allocation event.
@@ -156,8 +172,39 @@ class _JobRuntime:
         return view
 
 
+class _IterationLog:
+    """Per-job views of a run's iterations, shared by both fluid results."""
+
+    iterations: list[IterationResult]
+
+    def iterations_of(self, job: str) -> list[IterationResult]:
+        """Completed iterations of one job, in order."""
+        return [it for it in self.iterations if it.job == job]
+
+    def iteration_times(self, job: str) -> np.ndarray:
+        """Durations (s) of the job's completed iterations."""
+        return np.array([it.duration for it in self.iterations_of(job)])
+
+    def _mean_by_round(
+        self, names: Sequence[str], max_rounds: Optional[int] = None
+    ) -> np.ndarray:
+        """Average duration of the i-th iteration across ``names``."""
+        per_job = [self.iteration_times(name) for name in names]
+        rounds = min(len(t) for t in per_job)
+        if max_rounds is not None:
+            rounds = min(rounds, max_rounds)
+        if rounds == 0:
+            return np.array([])
+        # One 2-D reduction instead of a per-round Python comprehension.
+        # Transposing to C-contiguous (rounds, jobs) makes each row mean the
+        # same 1-D pairwise summation numpy used on the old per-round lists,
+        # so the series is bit-identical (docs/PERFORMANCE.md).
+        stacked = np.ascontiguousarray(np.stack([t[:rounds] for t in per_job]).T)
+        return stacked.mean(axis=1)
+
+
 @dataclass
-class FluidResult:
+class FluidResult(_IterationLog):
     """Everything a fluid run produced."""
 
     jobs: tuple[JobSpec, ...]
@@ -169,14 +216,6 @@ class FluidResult:
     #: Human-readable fault transitions applied during the run (empty when
     #: no schedule was installed); feeds telemetry's ``fault`` records.
     fault_log: list[str] = field(default_factory=list)
-
-    def iterations_of(self, job: str) -> list[IterationResult]:
-        """Completed iterations of one job, in order."""
-        return [it for it in self.iterations if it.job == job]
-
-    def iteration_times(self, job: str) -> np.ndarray:
-        """Durations (s) of the job's completed iterations."""
-        return np.array([it.duration for it in self.iterations_of(job)])
 
     def all_iteration_times(self) -> np.ndarray:
         """Durations of every completed iteration of every job."""
@@ -191,18 +230,7 @@ class FluidResult:
 
     def mean_iteration_by_round(self, max_rounds: Optional[int] = None) -> np.ndarray:
         """Average duration of the i-th iteration across jobs (Figure 3 series)."""
-        per_job = [self.iteration_times(job.name) for job in self.jobs]
-        rounds = min(len(t) for t in per_job)
-        if max_rounds is not None:
-            rounds = min(rounds, max_rounds)
-        if rounds == 0:
-            return np.array([])
-        # One 2-D reduction instead of a per-round Python comprehension.
-        # Transposing to C-contiguous (rounds, jobs) makes each row mean the
-        # same 1-D pairwise summation numpy used on the old per-round lists,
-        # so the series is bit-identical (docs/PERFORMANCE.md).
-        stacked = np.ascontiguousarray(np.stack([t[:rounds] for t in per_job]).T)
-        return stacked.mean(axis=1)
+        return self._mean_by_round([job.name for job in self.jobs], max_rounds)
 
     def rate_timeline(
         self, job: str, dt: float = 0.01
@@ -225,6 +253,143 @@ class FluidResult:
     def comm_starts(self, job: str) -> np.ndarray:
         """Start times of the job's communication phases."""
         return np.array([it.comm_start for it in self.iterations_of(job)])
+
+
+def _sweep_scalar(
+    runtimes: list[_JobRuntime],
+    now: float,
+    iterations: list[IterationResult],
+    rng: Optional[np.random.Generator],
+    max_iterations: Optional[int] = None,
+    compute_scale: Optional[Callable[[str, float], float]] = None,
+) -> tuple[list[_JobRuntime], bool]:
+    """Apply due phase transitions in one pass over the runtimes.
+
+    Returns ``(active, finished)``: the flows now in their communication
+    phase and whether every flow has departed or, when ``max_iterations``
+    is given, completed that many iterations.  A completed iteration is
+    appended to ``iterations``; ``compute_scale(job, now)``, when given,
+    stretches a newly sampled compute gap (the single link's stragglers).
+    Flows are visited in index order, the order the RNG draws follow.
+    """
+    active: list[_JobRuntime] = []
+    finished = True
+    for rt in runtimes:  # repro-lint: disable=PRF002
+        phase = rt.phase
+        if phase is Phase.WAITING:
+            if now >= rt.phase_deadline - _EPS_TIME:
+                _start_comm_scalar(rt, now, rng)
+                phase = Phase.COMM
+        elif phase is Phase.COMM and rt.remaining_bits <= _EPS_BITS:
+            rt.comm_end = now
+            compute = rt.spec.sample_compute_time(rng)
+            if compute_scale is not None:
+                compute *= compute_scale(rt.spec.name, now)
+            rt.phase = phase = Phase.COMPUTE
+            rt.phase_deadline = now + compute
+        elif phase is Phase.COMPUTE and now >= rt.phase_deadline - _EPS_TIME:
+            iterations.append(
+                IterationResult(
+                    job=rt.spec.name,
+                    index=rt.iteration_index,
+                    comm_start=rt.comm_start,
+                    comm_end=rt.comm_end,
+                    iteration_end=now,
+                )
+            )
+            rt.iteration_index += 1
+            limit = rt.departure
+            if limit is not None and rt.iteration_index >= limit:
+                rt.phase = phase = Phase.DONE  # training finished: departs
+            else:
+                _start_comm_scalar(rt, now, rng)
+                phase = Phase.COMM
+        if phase is Phase.COMM:
+            active.append(rt)
+        if finished and phase is not Phase.DONE:
+            if max_iterations is None or rt.iteration_index < max_iterations:
+                finished = False
+    return active, finished
+
+
+def _start_comm_scalar(
+    rt: _JobRuntime, now: float, rng: Optional[np.random.Generator]
+) -> None:
+    rt.phase = Phase.COMM
+    rt.remaining_bits = rt.spec.sample_comm_bits(rng)
+    rt.sent_bits = 0.0
+    rt.comm_start = now
+    rt.comm_end = math.nan
+
+
+def _sweep_arrays(
+    fa: FlowArrays,
+    departure: Sequence[Optional[int]],
+    now: float,
+    iterations: list[IterationResult],
+    rng: Optional[np.random.Generator],
+    max_iterations: Optional[int] = None,
+    compute_scale: Optional[Callable[[str, float], float]] = None,
+) -> bool:
+    """Whole-array twin of :func:`_sweep_scalar`; returns ``finished``.
+
+    Due transitions are found with whole-array masks computed from the
+    pre-sweep state (one transition per flow per sweep, exactly like the
+    scalar ``elif`` chain), then dispatched per flow in ascending index
+    order.  ``departure[i]`` is flow ``i``'s iteration limit.
+    """
+    phase = fa.phase
+    deadline = fa.deadline
+    wait_due = (phase == PHASE_WAITING) & (now >= deadline - _EPS_TIME)
+    comm_done = (phase == PHASE_COMM) & (fa.remaining_bits <= _EPS_BITS)
+    compute_due = (phase == PHASE_COMPUTE) & (now >= deadline - _EPS_TIME)
+    due = wait_due | comm_done | compute_due
+    if due.any():
+        comm_start = fa.comm_start
+        comm_end = fa.comm_end
+        iter_index = fa.iteration_index
+        specs = fa.specs
+        names = fa.names
+        for i in np.nonzero(due)[0].tolist():
+            if wait_due[i]:
+                _start_comm(fa, i, now, rng)
+            elif comm_done[i]:
+                comm_end[i] = now
+                compute = specs[i].sample_compute_time(rng)
+                if compute_scale is not None:
+                    compute *= compute_scale(names[i], now)
+                phase[i] = PHASE_COMPUTE
+                deadline[i] = now + compute
+            else:
+                iterations.append(
+                    IterationResult(
+                        job=names[i],
+                        index=int(iter_index[i]),
+                        comm_start=float(comm_start[i]),
+                        comm_end=float(comm_end[i]),
+                        iteration_end=now,
+                    )
+                )
+                iter_index[i] += 1
+                limit = departure[i]
+                if limit is not None and iter_index[i] >= limit:
+                    phase[i] = PHASE_DONE  # training finished: departs
+                else:
+                    _start_comm(fa, i, now, rng)
+    done = phase == PHASE_DONE
+    if max_iterations is None:
+        return bool(done.all())
+    return bool((done | (fa.iteration_index >= max_iterations)).all())
+
+
+def _start_comm(
+    fa: FlowArrays, i: int, now: float, rng: Optional[np.random.Generator]
+) -> None:
+    fa.phase[i] = PHASE_COMM
+    fa.remaining_bits[i] = fa.specs[i].sample_comm_bits(rng)
+    fa.sent_bits[i] = 0.0
+    fa.comm_start[i] = now
+    fa.comm_end[i] = math.nan
 
 
 class FluidSimulator:
@@ -264,12 +429,11 @@ class FluidSimulator:
         #: Lazily built policy-facing views for the FlowView-compat path,
         #: one slot per job, progress synced in place between events.
         self._views: list[Optional[FlowView]] = [None] * len(self.jobs)
-        if faults is not None:
-            from ..faults.fluid import FluidFaultState
-
-            self.faults: Optional[FluidFaultState] = FluidFaultState(faults, names)
-        else:
-            self.faults = None
+        #: Every run replays this schedule from its start on a fresh fault
+        #: state; ``faults`` is the latest one (built here first, which
+        #: rejects a bad schedule), whose log answers ``context_for``.
+        self._fault_schedule = faults
+        self.faults = self._fault_state()
 
     def run(
         self,
@@ -279,10 +443,13 @@ class FluidSimulator:
     ) -> FluidResult:
         """Simulate until ``end_time`` or every job finished ``max_iterations``.
 
-        At least one stopping criterion is required.  Populations below
-        ``_VECTORIZED_MIN_FLOWS`` run on the scalar per-runtime engine,
-        larger ones on the array engine; the two are bit-identical, so the
-        dispatch is invisible in every output.
+        At least one stopping criterion is required.  ``run`` owns the
+        per-run set-up; each engine owns only its step loop.  Populations
+        below ``_VECTORIZED_MIN_FLOWS`` run on the scalar engine, larger
+        ones on the array engine; the two are bit-identical.  Both stay
+        because each wins at its size (docs/PERFORMANCE.md, "Size
+        dispatch"): the paper's figures run 2.5x faster on the scalar one,
+        the 10k-flow scale benchmark needs the array one.
         """
         if end_time is None and max_iterations is None:
             raise ValueError("provide end_time and/or max_iterations")
@@ -290,37 +457,76 @@ class FluidSimulator:
             raise ValueError(f"end_time must be positive, got {end_time!r}")
         if max_iterations is not None and max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {max_iterations!r}")
-        if len(self.jobs) < _VECTORIZED_MIN_FLOWS:
-            return self._run_scalar(end_time, max_iterations, record_segments)
-
-        fa = self._arrays
-        fa.reset()
+        self.faults = faults = self._fault_state()
         result = FluidResult(
             jobs=self.jobs,
             capacity_gbps=self.capacity_gbps,
             policy_name=self.policy.name,
         )
-        now = 0.0
         # Generous guard: a few events per quantum per job.
         horizon = end_time if end_time is not None else self._horizon(max_iterations)
-        if self.faults is not None:
+        if faults is not None:
             # Faults stall progress (a downed link delivers nothing) and add
             # transitions; extend the envelope past the last one.
-            horizon += self.faults.last_transition
+            horizon += faults.last_transition
         max_steps = int(50 * len(self.jobs) * max(1.0, horizon / self.quantum))
+        departure = [job.iteration_limit for job in self.jobs]
+        small = len(self.jobs) < _VECTORIZED_MIN_FLOWS
+        engine = self._run_scalar if small else self._run_arrays
+        now, finished = engine(
+            result, faults, departure, max_steps, end_time, max_iterations,
+            record_segments,
+        )
+        if not finished:
+            if self.guards is not None:
+                self.guards.violation(
+                    "fluid-stall",
+                    self.policy.name,
+                    now,
+                    f"exceeded {max_steps} steps without finishing; "
+                    "zero-rate livelock?",
+                )
+            raise RuntimeError(
+                f"fluid simulation exceeded {max_steps} steps without finishing; "
+                "check for a zero-rate livelock"
+            )
+        result.end_time = now
+        if faults is not None:
+            result.fault_log = faults.descriptions()
+        return result
 
+    def _run_arrays(
+        self,
+        result: FluidResult,
+        faults: Optional["FluidFaultState"],
+        departure: Sequence[Optional[int]],
+        max_steps: int,
+        end_time: Optional[float],
+        max_iterations: Optional[int],
+        record_segments: bool,
+    ) -> tuple[float, bool]:
+        """Array engine's step loop (see ``run``).
+
+        Returns the clock when the loop stopped and whether the run
+        finished within ``max_steps``.
+        """
+        fa = self._arrays
+        fa.reset()
+        now = 0.0
         last_capacity_factor = 1.0
         # Hot-loop hoists (docs/PERFORMANCE.md): bound methods, invariants
         # and the struct-of-arrays columns looked up once instead of per
         # event.
-        faults = self.faults
         full_capacity = self.capacity_bps
         policy = self.policy
         allocate = policy.allocate
         policy_cache_key = policy.cache_key
         guards = self.guards
         policy_name = policy.name
+        iterations = result.iterations
         segments = result.segments
+        rng = self._rng
+        compute_scale = faults.compute_scale if faults is not None else None
         names = fa.names
         phase = fa.phase
         remaining = fa.remaining_bits
@@ -335,17 +541,8 @@ class FluidSimulator:
         # water_fill_array directly — no FlowView dicts on the hot path.
         # Anything else (SRPT, PDQ, PIAS, subclasses, custom policies) goes
         # through the FlowView-compat path with semantics unchanged.
-        fast: Optional[str] = None
-        slope = intercept = 0.0
-        mltcp_function = None
-        if type(policy) is FairShare:
-            fast = "fair"
-        elif type(policy) is MLTCPWeighted:
-            fast = "mltcp"
-            if policy._linear is not None:
-                slope, intercept = policy._linear
-            else:
-                mltcp_function = policy.function
+        fair = type(policy) is FairShare
+        mltcp_function = policy.function if type(policy) is MLTCPWeighted else None
         # Allocation reuse: while the policy's cache token is unchanged the
         # previous rate vector is returned verbatim (see
         # AllocationPolicy.cache_key).  Token-less policies recompute every
@@ -357,12 +554,12 @@ class FluidSimulator:
         last_alloc = np.zeros(0)
         for _step in range(max_steps):
             if faults is not None:
-                self._apply_restarts(now)
-            finished = self._sweep(now, result, max_iterations)
-            if finished:
-                break
-            if end_time is not None and now >= end_time - _EPS_TIME:
-                break
+                self._apply_restarts(faults, now)
+            finished = _sweep_arrays(
+                fa, departure, now, iterations, rng, max_iterations, compute_scale
+            )
+            if finished or (end_time is not None and now >= end_time - _EPS_TIME):
+                return now, True
 
             capacity = full_capacity
             if faults is not None:
@@ -376,27 +573,24 @@ class FluidSimulator:
             alloc: Optional[np.ndarray] = None
             rates_arr.fill(0.0)
             if active_idx.size and capacity > 0:
-                if fast is not None:
+                if fair or mltcp_function is not None:
                     # FairShare's scalar token is (capacity, active ids +
                     # demands); ids and demands are static per index, so
                     # the index set is an equivalent token.  MLTCP's is None.
                     key: Optional[object] = (
-                        (capacity, active_idx.tobytes()) if fast == "fair" else None
+                        (capacity, active_idx.tobytes()) if fair else None
                     )
                     if key is not None and key == last_key:
                         alloc = last_alloc
                     else:
-                        if fast == "fair":
+                        if mltcp_function is None:
                             weights = np.ones(active_idx.size)
                         else:
-                            quotient = sent[active_idx] / total_bits[active_idx]
-                            ratio = np.where(quotient < 1.0, quotient, 1.0)
-                            if mltcp_function is None:
-                                weights = slope * ratio + intercept
-                            else:
-                                weights = np.array(
-                                    [mltcp_function(r) for r in ratio.tolist()]
-                                )
+                            weights = mltcp_weights_array(
+                                mltcp_function,
+                                sent[active_idx],
+                                total_bits[active_idx],
+                            )
                         alloc = water_fill_array(
                             demand_bps[active_idx],
                             weights,
@@ -435,7 +629,7 @@ class FluidSimulator:
                     for fid, rate in rates.items():
                         rates_arr[index[fid]] = rate
             has_rates = alloc is not None or bool(rates)
-            dt = self._next_event_dt(now, end_time)
+            dt = self._next_event_dt(faults, now, end_time)
             if dt <= 0:
                 dt = _EPS_TIME
             if record_segments and has_rates:
@@ -459,59 +653,36 @@ class FluidSimulator:
                 grown = sent + delivered
                 sent[:] = np.where(grown < total_bits, grown, total_bits)
             now += dt
-        else:
-            if guards is not None:
-                guards.violation(
-                    "fluid-stall",
-                    policy_name,
-                    now,
-                    f"exceeded {max_steps} steps without finishing; "
-                    "zero-rate livelock?",
-                )
-            raise RuntimeError(
-                f"fluid simulation exceeded {max_steps} steps without finishing; "
-                "check for a zero-rate livelock"
-            )
-
-        result.end_time = now
-        if self.faults is not None:
-            result.fault_log = self.faults.descriptions()
-        return result
+        return now, False
 
     def _run_scalar(
         self,
+        result: FluidResult,
+        faults: Optional["FluidFaultState"],
+        departure: Sequence[Optional[int]],
+        max_steps: int,
         end_time: Optional[float],
         max_iterations: Optional[int],
         record_segments: bool,
-    ) -> FluidResult:
-        """Scalar engine for small populations (see ``run``)."""
+    ) -> tuple[float, bool]:
+        """Scalar engine's step loop; same contract as ``_run_arrays``."""
         runtimes = [
-            _JobRuntime(spec=job, phase_deadline=job.start_offset) for job in self.jobs
+            _JobRuntime(spec=job, phase_deadline=job.start_offset, departure=limit)
+            for job, limit in zip(self.jobs, departure)
         ]
-        result = FluidResult(
-            jobs=self.jobs,
-            capacity_gbps=self.capacity_gbps,
-            policy_name=self.policy.name,
-        )
         now = 0.0
-        # Generous guard: a few events per quantum per job.
-        horizon = end_time if end_time is not None else self._horizon(max_iterations)
-        if self.faults is not None:
-            # Faults stall progress (a downed link delivers nothing) and add
-            # transitions; extend the envelope past the last one.
-            horizon += self.faults.last_transition
-        max_steps = int(50 * len(self.jobs) * max(1.0, horizon / self.quantum))
-
         last_capacity_factor = 1.0
         # Hot-loop hoists (docs/PERFORMANCE.md): bound methods and invariants
         # looked up once instead of per event.
-        faults = self.faults
         full_capacity = self.capacity_bps
         allocate = self.policy.allocate
         policy_cache_key = self.policy.cache_key
         guards = self.guards
         policy_name = self.policy.name
+        iterations = result.iterations
         segments = result.segments
+        rng = self._rng
+        compute_scale = faults.compute_scale if faults is not None else None
         # Allocation reuse: while the policy's cache token is unchanged the
         # previous rate vector is returned verbatim (see
         # AllocationPolicy.cache_key).  Token-less policies recompute every
@@ -520,12 +691,12 @@ class FluidSimulator:
         last_rates: dict[str, float] = {}
         for _step in range(max_steps):
             if faults is not None:
-                self._apply_restarts_scalar(runtimes, now)
-            active, finished = self._sweep_scalar(runtimes, now, result, max_iterations)
-            if finished:
-                break
-            if end_time is not None and now >= end_time - _EPS_TIME:
-                break
+                self._apply_restarts_scalar(faults, runtimes, now)
+            active, finished = _sweep_scalar(
+                runtimes, now, iterations, rng, max_iterations, compute_scale
+            )
+            if finished or (end_time is not None and now >= end_time - _EPS_TIME):
+                return now, True
 
             capacity = full_capacity
             if faults is not None:
@@ -551,7 +722,7 @@ class FluidSimulator:
                         )
             else:
                 rates = {}
-            dt = self._next_event_dt_scalar(runtimes, rates, now, end_time)
+            dt = self._next_event_dt_scalar(faults, runtimes, rates, now, end_time)
             if dt <= 0:
                 dt = _EPS_TIME
             if record_segments and rates:
@@ -572,26 +743,17 @@ class FluidSimulator:
                 sent = rt.sent_bits + delivered
                 rt.sent_bits = sent if sent < total else total
             now += dt
-        else:
-            if guards is not None:
-                guards.violation(
-                    "fluid-stall",
-                    policy_name,
-                    now,
-                    f"exceeded {max_steps} steps without finishing; "
-                    "zero-rate livelock?",
-                )
-            raise RuntimeError(
-                f"fluid simulation exceeded {max_steps} steps without finishing; "
-                "check for a zero-rate livelock"
-            )
-
-        result.end_time = now
-        if self.faults is not None:
-            result.fault_log = self.faults.descriptions()
-        return result
+        return now, False
 
     # -- internals --------------------------------------------------------
+
+    def _fault_state(self) -> Optional["FluidFaultState"]:
+        """A fresh fault state for one run (``None`` without a schedule)."""
+        if self._fault_schedule is None:
+            return None
+        from ..faults.fluid import FluidFaultState
+
+        return FluidFaultState(self._fault_schedule, self._arrays.names)
 
     @staticmethod
     def _check_allocation(
@@ -627,69 +789,7 @@ class FluidSimulator:
         # Contention can stretch iterations; triple is a generous envelope.
         return 3.0 * longest * max_iterations + max(j.start_offset for j in self.jobs)
 
-    def _sweep(
-        self,
-        now: float,
-        result: FluidResult,
-        max_iterations: Optional[int],
-    ) -> bool:
-        """Apply due phase transitions and report the stopping criterion.
-
-        Due transitions are found with whole-array masks computed from the
-        pre-sweep state (one transition per flow per sweep, exactly like the
-        scalar ``elif`` chain), then dispatched per flow in ascending index
-        order — the order the scalar runtime walk used, which the RNG draw
-        sequence (compute jitter, volume jitter) depends on.  Returns
-        whether every job has met the stopping criterion.
-        """
-        fa = self._arrays
-        phase = fa.phase
-        deadline = fa.deadline
-        wait_due = (phase == PHASE_WAITING) & (now >= deadline - _EPS_TIME)
-        comm_done = (phase == PHASE_COMM) & (fa.remaining_bits <= _EPS_BITS)
-        compute_due = (phase == PHASE_COMPUTE) & (now >= deadline - _EPS_TIME)
-        due = wait_due | comm_done | compute_due
-        if due.any():
-            iterations = result.iterations
-            comm_start = fa.comm_start
-            comm_end = fa.comm_end
-            iter_index = fa.iteration_index
-            specs = fa.specs
-            names = fa.names
-            faults = self.faults
-            rng = self._rng
-            for i in np.nonzero(due)[0].tolist():
-                if wait_due[i]:
-                    self._start_comm(i, now)
-                elif comm_done[i]:
-                    comm_end[i] = now
-                    compute = specs[i].sample_compute_time(rng)
-                    if faults is not None:
-                        compute *= faults.compute_scale(names[i], now)
-                    phase[i] = PHASE_COMPUTE
-                    deadline[i] = now + compute
-                else:
-                    iterations.append(
-                        IterationResult(
-                            job=names[i],
-                            index=int(iter_index[i]),
-                            comm_start=float(comm_start[i]),
-                            comm_end=float(comm_end[i]),
-                            iteration_end=now,
-                        )
-                    )
-                    iter_index[i] += 1
-                    limit = specs[i].iteration_limit
-                    if limit is not None and iter_index[i] >= limit:
-                        phase[i] = PHASE_DONE  # training finished: departs
-                    else:
-                        self._start_comm(i, now)
-        done = phase == PHASE_DONE
-        if max_iterations is None:
-            return bool(done.all())
-        return bool((done | (fa.iteration_index >= max_iterations)).all())
-
-    def _apply_restarts(self, now: float) -> None:
+    def _apply_restarts(self, faults: "FluidFaultState", now: float) -> None:
         """Kill-and-restart every job whose restart strike time has come.
 
         The in-flight iteration is discarded (never recorded), the job's
@@ -698,12 +798,11 @@ class FluidSimulator:
         sender's ``bytes_sent`` reset — and the job waits out
         ``restart_delay`` before starting a fresh communication phase.
         """
-        assert self.faults is not None
         fa = self._arrays
-        for event in self.faults.due_restarts(now):
+        for event in faults.due_restarts(now):
             i = fa.index[event.job]
             if fa.phase[i] == PHASE_DONE:
-                self.faults.record(now, f"job_restart on {event.job}: already done, no-op")
+                faults.record(now, f"job_restart on {event.job}: already done, no-op")
                 continue
             fa.phase[i] = PHASE_WAITING
             fa.deadline[i] = event.time + event.restart_delay
@@ -711,15 +810,7 @@ class FluidSimulator:
             fa.sent_bits[i] = 0.0
             fa.comm_start[i] = math.nan
             fa.comm_end[i] = math.nan
-            self.faults.record(now, event.describe())
-
-    def _start_comm(self, i: int, now: float) -> None:
-        fa = self._arrays
-        fa.phase[i] = PHASE_COMM
-        fa.remaining_bits[i] = fa.specs[i].sample_comm_bits(self._rng)
-        fa.sent_bits[i] = 0.0
-        fa.comm_start[i] = now
-        fa.comm_end[i] = math.nan
+            faults.record(now, event.describe())
 
     def _sync_views(self, active_idx: np.ndarray) -> list[FlowView]:
         """Build/sync policy-facing views of the active flows from the arrays.
@@ -762,7 +853,34 @@ class FluidSimulator:
             for i, rate in zip(active_idx.tolist(), alloc.tolist())
         }
 
-    def _next_event_dt(self, now: float, end_time: Optional[float]) -> float:
+    def _fixed_dt(
+        self,
+        faults: Optional["FluidFaultState"],
+        now: float,
+        end_time: Optional[float],
+    ) -> float:
+        """Time to the next flow-independent event: quantum, end or fault."""
+        best = math.inf
+        if self.quantum > _EPS_TIME:
+            best = self.quantum
+        if end_time is not None:
+            candidate = end_time - now
+            if _EPS_TIME < candidate < best:
+                best = candidate
+        if faults is not None:
+            transition = faults.next_transition_after(now)
+            if transition is not None:
+                candidate = transition - now
+                if _EPS_TIME < candidate < best:
+                    best = candidate
+        return best
+
+    def _next_event_dt(
+        self,
+        faults: Optional["FluidFaultState"],
+        now: float,
+        end_time: Optional[float],
+    ) -> float:
         """Time to the next event: phase deadline, drain, quantum, or fault.
 
         One whole-array pass over the flow candidates replaces the per-flow
@@ -777,19 +895,7 @@ class FluidSimulator:
         flowing = (phase == PHASE_COMM) & (fa.rates > 0.0)
         np.divide(fa.remaining_bits, fa.rates, out=candidates, where=flowing)
         candidates[candidates <= _EPS_TIME] = math.inf
-        best = math.inf
-        if self.quantum > _EPS_TIME:
-            best = self.quantum
-        if end_time is not None:
-            candidate = end_time - now
-            if _EPS_TIME < candidate < best:
-                best = candidate
-        if self.faults is not None:
-            transition = self.faults.next_transition_after(now)
-            if transition is not None:
-                candidate = transition - now
-                if _EPS_TIME < candidate < best:
-                    best = candidate
+        best = self._fixed_dt(faults, now, end_time)
         flow_best = float(candidates.min())
         if flow_best < best:
             best = flow_best
@@ -797,73 +903,19 @@ class FluidSimulator:
 
     # -- scalar (small-population) engine ----------------------------------
     #
-    # The per-runtime twins of the array internals above.  They are the
-    # original scalar implementation, kept verbatim as the fast path for
+    # The per-runtime twins of the array internals above, the fast path for
     # populations under _VECTORIZED_MIN_FLOWS, where numpy's per-op cost
     # exceeds the interpreter's per-flow cost.  Every per-flow loop here is
     # the documented scalar-reference exception to PRF002.
 
-    def _sweep_scalar(
-        self,
-        runtimes: list[_JobRuntime],
-        now: float,
-        result: FluidResult,
-        max_iterations: Optional[int],
-    ) -> tuple[list[_JobRuntime], bool]:
-        """Apply due phase transitions in one pass over the runtimes.
-
-        Returns ``(active, finished)``: the jobs now in their communication
-        phase and whether every job has met the stopping criterion.  The
-        transition order — and therefore the RNG sampling order, which
-        seeds depend on — is ascending runtime index, exactly the order the
-        array engine's dispatch loop replays.
-        """
-        active: list[_JobRuntime] = []
-        finished = True
-        for rt in runtimes:  # repro-lint: disable=PRF002
-            phase = rt.phase
-            if phase is Phase.WAITING:
-                if now >= rt.phase_deadline - _EPS_TIME:
-                    self._start_comm_scalar(rt, now)
-                    phase = Phase.COMM
-            elif phase is Phase.COMM and rt.remaining_bits <= _EPS_BITS:
-                rt.comm_end = now
-                compute = rt.spec.sample_compute_time(self._rng)
-                if self.faults is not None:
-                    compute *= self.faults.compute_scale(rt.spec.name, now)
-                rt.phase = phase = Phase.COMPUTE
-                rt.phase_deadline = now + compute
-            elif phase is Phase.COMPUTE and now >= rt.phase_deadline - _EPS_TIME:
-                result.iterations.append(
-                    IterationResult(
-                        job=rt.spec.name,
-                        index=rt.iteration_index,
-                        comm_start=rt.comm_start,
-                        comm_end=rt.comm_end,
-                        iteration_end=now,
-                    )
-                )
-                rt.iteration_index += 1
-                limit = rt.spec.iteration_limit
-                if limit is not None and rt.iteration_index >= limit:
-                    rt.phase = phase = Phase.DONE  # training finished: departs
-                else:
-                    self._start_comm_scalar(rt, now)
-                    phase = Phase.COMM
-            if phase is Phase.COMM:
-                active.append(rt)
-            if finished and phase is not Phase.DONE:
-                if max_iterations is None or rt.iteration_index < max_iterations:
-                    finished = False
-        return active, finished
-
-    def _apply_restarts_scalar(self, runtimes: list[_JobRuntime], now: float) -> None:
+    def _apply_restarts_scalar(
+        self, faults: "FluidFaultState", runtimes: list[_JobRuntime], now: float
+    ) -> None:
         """Scalar twin of ``_apply_restarts`` over runtime objects."""
-        assert self.faults is not None
-        for event in self.faults.due_restarts(now):
+        for event in faults.due_restarts(now):
             rt = next(r for r in runtimes if r.spec.name == event.job)
             if rt.phase is Phase.DONE:
-                self.faults.record(now, f"job_restart on {event.job}: already done, no-op")
+                faults.record(now, f"job_restart on {event.job}: already done, no-op")
                 continue
             rt.phase = Phase.WAITING
             rt.phase_deadline = event.time + event.restart_delay
@@ -871,17 +923,11 @@ class FluidSimulator:
             rt.sent_bits = 0.0
             rt.comm_start = math.nan
             rt.comm_end = math.nan
-            self.faults.record(now, event.describe())
-
-    def _start_comm_scalar(self, rt: _JobRuntime, now: float) -> None:
-        rt.phase = Phase.COMM
-        rt.remaining_bits = rt.spec.sample_comm_bits(self._rng)
-        rt.sent_bits = 0.0
-        rt.comm_start = now
-        rt.comm_end = math.nan
+            faults.record(now, event.describe())
 
     def _next_event_dt_scalar(
         self,
+        faults: Optional["FluidFaultState"],
         runtimes: list[_JobRuntime],
         rates: dict[str, float],
         now: float,
@@ -889,20 +935,7 @@ class FluidSimulator:
     ) -> float:
         # Running minimum over the positive candidates — same result as the
         # array engine's whole-array pass (a minimum is order-independent).
-        best = math.inf
-        candidate = self.quantum
-        if candidate > _EPS_TIME:
-            best = candidate
-        if end_time is not None:
-            candidate = end_time - now
-            if _EPS_TIME < candidate < best:
-                best = candidate
-        if self.faults is not None:
-            transition = self.faults.next_transition_after(now)
-            if transition is not None:
-                candidate = transition - now
-                if _EPS_TIME < candidate < best:
-                    best = candidate
+        best = self._fixed_dt(faults, now, end_time)
         rates_get = rates.get
         for rt in runtimes:  # repro-lint: disable=PRF002
             phase = rt.phase

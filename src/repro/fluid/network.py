@@ -21,6 +21,13 @@ integer flow and link indices and call one progressive-filling core, which
 keeps the links in a heap by share and, after each round, re-scores only
 the links the newly fixed flows cross (docs/PERFORMANCE.md, "One weighted
 max-min core").
+
+Each job runs the same per-flow cycle as on the single link, stepped by
+the phase state machine of :mod:`repro.fluid.flowsim`, and departs after
+``min(iteration_limit, max_iterations)`` iterations.  This module owns the
+allocator, fabric-fault rerouting and per-link delivery.  The next-event
+passes ``_next_dt`` / ``_next_dt_array`` and ``_check_fabric_guards`` stay
+per engine: ``e2e_bench/tracing.py`` wraps them by name.
 """
 
 from __future__ import annotations
@@ -39,23 +46,30 @@ from ..core.aggressiveness import (
 )
 from ..core.units import bps_from_gbps
 from ..workloads.job import JobSpec
+from .allocation import mltcp_weights_array
 from .arrays import (
-    _EPS_BITS,
     _EPS_TIME,
     PHASE_COMM,
     PHASE_COMPUTE,
-    PHASE_DONE,
     PHASE_WAITING,
     FlowArrays,
     link_index_matrix,
 )
-from .flowsim import _VECTORIZED_MIN_FLOWS, IterationResult
+from .flowsim import (
+    _VECTORIZED_MIN_FLOWS,
+    IterationResult,
+    Phase,
+    _IterationLog,
+    _JobRuntime,
+    _sweep_arrays,
+    _sweep_scalar,
+)
 
 # repro-lint: hot-path-module
 # (Scopes the PRF002 per-flow-loop rule here: flow state advances via
 # whole-array numpy passes; the remaining Python loops are the gated
-# fault/guard sections, per-index transition dispatch and the allocator
-# core, which walks integer flow and link indices.)
+# fault/guard sections and the allocator core, which walks integer flow
+# and link indices.)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..guards.core import GuardRail
@@ -90,7 +104,7 @@ class PlacedJob:
 
 
 @dataclass
-class NetworkFluidResult:
+class NetworkFluidResult(_IterationLog):
     """Iterations per job from one multi-bottleneck run."""
 
     placements: tuple[PlacedJob, ...]
@@ -106,32 +120,11 @@ class NetworkFluidResult:
     #: would charge bits to severed links).  Empty for fault-free runs.
     delivered_bits_by_link: dict[str, float] = field(default_factory=dict)
 
-    def iterations_of(self, job: str) -> list[IterationResult]:
-        """Completed iterations of one job, in order."""
-        return [it for it in self.iterations if it.job == job]
-
-    def iteration_times(self, job: str) -> np.ndarray:
-        """Durations (s) of the job's completed iterations."""
-        return np.array([it.duration for it in self.iterations_of(job)])
-
     def mean_iteration_by_round(self, jobs: Optional[Sequence[str]] = None) -> np.ndarray:
         """Average duration of the i-th iteration across the given jobs."""
-        names = (
-            list(jobs)
-            if jobs is not None
-            else [p.job.name for p in self.placements]
-        )
-        per_job = [self.iteration_times(name) for name in names]
-        rounds = min(len(t) for t in per_job)
-        if rounds == 0:
-            return np.array([])
-        # One 2-D reduction instead of a per-round Python list build; the
-        # transpose is materialized C-contiguous so each row mean is the
-        # same 1-D pairwise reduction ``np.mean`` ran per round before.
-        stacked = np.ascontiguousarray(
-            np.stack([t[:rounds] for t in per_job]).T
-        )
-        return stacked.mean(axis=1)
+        if jobs is None:
+            jobs = [p.job.name for p in self.placements]
+        return self._mean_by_round(jobs)
 
     def link_utilization(self) -> dict[str, float]:
         """Mean utilization of every link over the run.
@@ -163,30 +156,6 @@ class NetworkFluidResult:
             link: bits / (bps_from_gbps(self.capacities_gbps[link]) * self.end_time)
             for link, bits in bits_by_link.items()
         }
-
-
-@dataclass
-class _FlowRuntime:
-    """Per-flow state of the scalar (small-population) engine."""
-
-    placement: PlacedJob
-    phase: str = "waiting"  # waiting | comm | compute | done
-    remaining_bits: float = 0.0
-    sent_bits: float = 0.0
-    iteration_index: int = 0
-    comm_start: float = math.nan
-    comm_end: float = math.nan
-    phase_deadline: float = 0.0
-
-    @property
-    def spec(self) -> JobSpec:
-        """The underlying job specification."""
-        return self.placement.job
-
-    @property
-    def bytes_ratio(self) -> float:
-        """Algorithm 1's bytes_ratio for the current communication phase."""
-        return min(1.0, self.sent_bits / self.spec.comm_bits)
 
 
 def _flow_error(flow: str, weight: float, demand: float) -> ValueError:
@@ -492,17 +461,19 @@ class NetworkFluidSimulator:
         # plus the static link-membership matrix for the nominal paths.
         self._arrays = FlowArrays.from_specs([p.job for p in placements])
         self._links = tuple(self.capacities_gbps)
-        self._capacities_arr = np.array(
-            [bps_from_gbps(self.capacities_gbps[link]) for link in self._links]
-        )
+        self._capacities_bps = {
+            link: bps_from_gbps(gbps) for link, gbps in self.capacities_gbps.items()
+        }
+        self._capacities_arr = np.array(list(self._capacities_bps.values()))
         self._flow_links_idx = link_index_matrix(
             self._links,
             {p.job.name: p.links for p in placements},
             self._arrays.names,
         )
         #: Optional fabric-fault replay (:class:`~repro.fluid.fabric.
-        #: FluidFabricFaults`).  ``None`` keeps the fault-free path
-        #: bit-identical to the pre-fault code.
+        #: FluidFabricFaults`).  Each run replays its schedule from the
+        #: start on a fresh copy, leaving this one untouched; ``None`` keeps
+        #: the fault-free path bit-identical to the pre-fault code.
         self.fabric_faults = fabric_faults
         #: Optional guardrail: when set with faults, route-liveness and
         #: down-link allocation checks run every step.
@@ -511,60 +482,85 @@ class NetworkFluidSimulator:
     def run(self, max_iterations: int) -> NetworkFluidResult:
         """Simulate until every job completed ``max_iterations`` cycles.
 
-        Populations below ``_VECTORIZED_MIN_FLOWS`` run on the scalar
-        per-runtime engine, larger ones on the array engine; the two are
-        bit-identical, so the dispatch is invisible in every output.
+        A job whose ``iteration_limit`` is lower departs after its limit.
+        ``run`` owns the per-run set-up; each engine owns only its step
+        loop.  Populations below ``_VECTORIZED_MIN_FLOWS`` run on the
+        scalar engine, larger ones on the array engine; the two are
+        bit-identical.  Both stay because each wins at its size
+        (docs/PERFORMANCE.md, "Size dispatch"): chaos runs about twice as
+        fast on the scalar one, the 1000-job scale benchmark needs the
+        array one.
         """
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be positive, got {max_iterations!r}")
-        if len(self.placements) < _VECTORIZED_MIN_FLOWS:
-            return self._run_scalar(max_iterations)
+        # A fresh copy of the fault state: every run replays the schedule.
+        ff = self.fabric_faults
+        faults = None if ff is None else type(ff)(ff.spec, ff.schedule)
+        result = NetworkFluidResult(
+            placements=self.placements,
+            capacities_gbps=self.capacities_gbps,
+            policy_name="tcp-fair" if self.fair_share else "mltcp",
+        )
+        longest = max(p.job.ideal_iteration_time for p in self.placements)
+        max_steps = int(
+            100 * len(self.placements) * max(1.0, 5 * longest * max_iterations / self.quantum)
+        )
+        # Each job departs at its own limit or at max_iterations, whichever
+        # comes first, so a finished job stops taking bandwidth and the run
+        # ends once every job has departed.
+        departure = [
+            min(p.job.iteration_limit or max_iterations, max_iterations)
+            for p in self.placements
+        ]
+        bits_by_link: dict[str, float] = {}
+        small = len(self.placements) < _VECTORIZED_MIN_FLOWS
+        engine = self._run_scalar if small else self._run_arrays
+        now, finished = engine(result, faults, departure, max_steps, bits_by_link)
+        if not finished:
+            raise RuntimeError("network fluid simulation exceeded its step budget")
+        result.end_time = now
+        if faults is not None:
+            result.fault_log = faults.descriptions()
+            result.delivered_bits_by_link = bits_by_link
+        return result
+
+    def _run_arrays(
+        self,
+        result: NetworkFluidResult,
+        faults: Optional["FluidFabricFaults"],
+        departure: Sequence[Optional[int]],
+        max_steps: int,
+        bits_by_link: dict[str, float],
+    ) -> tuple[float, bool]:
+        """Array engine's step loop (see ``run``).
+
+        Adds each faulted step's delivered bits to ``bits_by_link``.
+        Returns the clock when the loop stopped and whether every job
+        finished within ``max_steps``.
+        """
         fa = self._arrays
         fa.reset()
         n = len(fa)
         phase = fa.phase
         remaining = fa.remaining_bits
         sent = fa.sent_bits
-        deadline = fa.deadline
-        comm_start = fa.comm_start
-        comm_end = fa.comm_end
-        iter_index = fa.iteration_index
         rates_arr = fa.rates
         total_bits = fa.total_bits
         demand_bps = fa.demand_bps
-        result = NetworkFluidResult(
-            placements=self.placements,
-            capacities_gbps=self.capacities_gbps,
-            policy_name="tcp-fair" if self.fair_share else "mltcp",
-        )
-        capacities_bps = {
-            k: bps_from_gbps(v) for k, v in self.capacities_gbps.items()
-        }
+        iterations = result.iterations
+        rng = self._rng
+        function = None if self.fair_share else self.function
+        capacities_bps = self._capacities_bps
         now = 0.0
-        longest = max(p.job.ideal_iteration_time for p in self.placements)
-        max_steps = int(
-            100 * len(self.placements) * max(1.0, 5 * longest * max_iterations / self.quantum)
-        )
 
-        # Same inline fast path as MLTCPWeighted.allocate: the paper's linear
-        # F evaluated as ``slope * ratio + intercept`` directly is the exact
-        # arithmetic of the AggressivenessFunction call chain (bit-identical),
-        # minus three Python calls per flow per round — here one vectorized
-        # pass over the whole active set per timestep.
-        linear: Optional[tuple[float, float]] = None
-        if not self.fair_share and type(self.function) is LinearAggressiveness:
-            linear = (self.function.slope, self.function.intercept)
-
-        # Fabric-fault state: all of it is gated on ``fabric_faults`` being
+        # Fabric-fault state: all of it is gated on ``faults`` being
         # attached, so a fault-free run takes exactly the pre-fault path.
-        faults = self.fabric_faults
         guards = self.guards
         effective_capacities = capacities_bps
         capacities_arr = self._capacities_arr
         flow_links_idx = self._flow_links_idx
         has_path = np.ones(n, dtype=bool)
         flow_links: dict[str, Optional[tuple[str, ...]]] = {}
-        bits_by_link: dict[str, float] = {}
         routing_generation = -1
         last_factors: dict[str, float] = {}
 
@@ -608,65 +604,19 @@ class NetworkFluidSimulator:
                         effective_capacities = capacities_bps
                         capacities_arr = self._capacities_arr
 
-            # Phase transitions: masks are computed from pre-sweep state, so
-            # like the scalar elif chain each flow takes at most one
-            # transition per step; the dispatch loop visits due flows in
-            # ascending index (= runtimes) order, preserving RNG draw order.
-            wait_due = (phase == PHASE_WAITING) & (now >= deadline - _EPS_TIME)
-            comm_done = (phase == PHASE_COMM) & (remaining <= _EPS_BITS)
-            compute_due = (phase == PHASE_COMPUTE) & (
-                now >= deadline - _EPS_TIME
-            )
-            due = wait_due | comm_done | compute_due
-            if due.any():
-                for raw in np.nonzero(due)[0]:
-                    i = int(raw)
-                    if wait_due[i]:
-                        self._start_comm(fa, i, now)
-                    elif comm_done[i]:
-                        comm_end[i] = now
-                        phase[i] = PHASE_COMPUTE
-                        deadline[i] = now + fa.specs[i].sample_compute_time(
-                            self._rng
-                        )
-                    else:
-                        result.iterations.append(
-                            IterationResult(
-                                job=fa.names[i],
-                                index=int(iter_index[i]),
-                                comm_start=float(comm_start[i]),
-                                comm_end=float(comm_end[i]),
-                                iteration_end=now,
-                            )
-                        )
-                        iter_index[i] += 1
-                        if iter_index[i] >= max_iterations:
-                            phase[i] = PHASE_DONE
-                        else:
-                            self._start_comm(fa, i, now)
-            if bool((iter_index >= max_iterations).all()):
-                break
+            if _sweep_arrays(fa, departure, now, iterations, rng):
+                return now, True
             active = phase == PHASE_COMM
             allocatable = active if faults is None else active & has_path
             a_idx = np.nonzero(allocatable)[0]
             rates_arr.fill(0.0)
             weights: Optional[np.ndarray] = None
             if a_idx.size:
-                if self.fair_share:
+                if function is None:
                     weights = np.ones(a_idx.size)
-                elif linear is not None:
-                    slope, intercept = linear
-                    ratio = sent[a_idx] / total_bits[a_idx]
-                    ratio = np.where(ratio > 1.0, 1.0, ratio)
-                    weights = slope * ratio + intercept
                 else:
-                    bytes_ratio = np.where(
-                        sent[a_idx] < total_bits[a_idx],
-                        sent[a_idx] / total_bits[a_idx],
-                        1.0,
-                    )
-                    weights = np.array(
-                        [self.function(float(r)) for r in bytes_ratio]
+                    weights = mltcp_weights_array(
+                        function, sent[a_idx], total_bits[a_idx]
                     )
                 rates_arr[a_idx] = weighted_max_min_array(
                     weights,
@@ -720,32 +670,25 @@ class NetworkFluidSimulator:
             grown = sent + delivered
             sent[:] = np.where(grown < total_bits, grown, total_bits)
             now += dt
-        else:
-            raise RuntimeError("network fluid simulation exceeded its step budget")
-        result.end_time = now
-        if faults is not None:
-            result.fault_log = faults.descriptions()
-            result.delivered_bits_by_link = bits_by_link
-        return result
+        return now, False
 
-    def _run_scalar(self, max_iterations: int) -> NetworkFluidResult:
-        """Scalar engine for small populations (see ``run``)."""
-        runtimes = [_FlowRuntime(placement=p) for p in self.placements]
-        for rt in runtimes:  # repro-lint: disable=PRF002
-            rt.phase_deadline = rt.spec.start_offset
-        result = NetworkFluidResult(
-            placements=self.placements,
-            capacities_gbps=self.capacities_gbps,
-            policy_name="tcp-fair" if self.fair_share else "mltcp",
-        )
-        capacities_bps = {
-            k: bps_from_gbps(v) for k, v in self.capacities_gbps.items()
-        }
+    def _run_scalar(
+        self,
+        result: NetworkFluidResult,
+        faults: Optional["FluidFabricFaults"],
+        departure: Sequence[Optional[int]],
+        max_steps: int,
+        bits_by_link: dict[str, float],
+    ) -> tuple[float, bool]:
+        """Scalar engine's step loop; same contract as ``_run_arrays``."""
+        runtimes = [
+            _JobRuntime(spec=p.job, phase_deadline=p.job.start_offset, departure=limit)
+            for p, limit in zip(self.placements, departure)
+        ]
+        iterations = result.iterations
+        rng = self._rng
+        capacities_bps = self._capacities_bps
         now = 0.0
-        longest = max(p.job.ideal_iteration_time for p in self.placements)
-        max_steps = int(
-            100 * len(self.placements) * max(1.0, 5 * longest * max_iterations / self.quantum)
-        )
 
         # Same inline fast path as MLTCPWeighted.allocate: the paper's linear
         # F evaluated as ``slope * ratio + intercept`` directly is the exact
@@ -755,24 +698,25 @@ class NetworkFluidSimulator:
         if not self.fair_share and type(self.function) is LinearAggressiveness:
             linear = (self.function.slope, self.function.intercept)
 
-        def flow_weight(rt: _FlowRuntime) -> float:
+        def flow_weight(rt: _JobRuntime) -> float:
             if self.fair_share:
                 return 1.0
+            ratio = rt.sent_bits / rt.spec.comm_bits
+            if ratio > 1.0:
+                ratio = 1.0
             if linear is not None:
                 slope, intercept = linear
-                ratio = rt.sent_bits / rt.spec.comm_bits
-                if ratio > 1.0:
-                    ratio = 1.0
                 return slope * ratio + intercept
-            return self.function(rt.bytes_ratio)
+            return self.function(ratio)
 
-        # Fabric-fault state: all of it is gated on ``fabric_faults`` being
-        # attached, so a fault-free run takes exactly the pre-fault path.
-        faults = self.fabric_faults
+        # Fabric-fault state: the capacity and reroute updates are gated on
+        # ``faults`` being attached, so a fault-free run keeps the nominal
+        # capacities and each placement's own links.
         guards = self.guards
         effective_capacities = capacities_bps
-        flow_links: dict[str, Optional[tuple[str, ...]]] = {}
-        bits_by_link: dict[str, float] = {}
+        flow_links: dict[str, Optional[tuple[str, ...]]] = {
+            p.job.name: p.links for p in self.placements
+        }
         routing_generation = -1
         last_factors: dict[str, float] = {}
 
@@ -798,33 +742,22 @@ class NetworkFluidSimulator:
                         if factors
                         else capacities_bps
                     )
-            self._transitions(runtimes, now, result, max_iterations)
-            if all(rt.iteration_index >= max_iterations for rt in runtimes):
-                break
-            active = [rt for rt in runtimes if rt.phase == "comm"]
-            if faults is None:
-                flow_specs = {
-                    rt.spec.name: (
-                        flow_weight(rt),
-                        rt.spec.demand_bps,
-                        rt.placement.links,
-                    )
-                    for rt in active
-                }
-            else:
-                flow_specs = {}
-                for rt in active:
-                    links = flow_links[rt.spec.name]
-                    if links is None:
-                        # No surviving path (partitioned): the flow stalls
-                        # until a reversion restores connectivity — the
-                        # fluid rendering of a blackhole.
-                        continue
-                    flow_specs[rt.spec.name] = (
-                        flow_weight(rt),
-                        rt.spec.demand_bps,
-                        links,
-                    )
+            active, finished = _sweep_scalar(runtimes, now, iterations, rng)
+            if finished:
+                return now, True
+            flow_specs: dict[str, tuple[float, float, tuple[str, ...]]] = {}
+            for rt in active:
+                links = flow_links[rt.spec.name]
+                if links is None:
+                    # No surviving path (partitioned): the flow stalls
+                    # until a reversion restores connectivity — the
+                    # fluid rendering of a blackhole.
+                    continue
+                flow_specs[rt.spec.name] = (
+                    flow_weight(rt),
+                    rt.spec.demand_bps,
+                    links,
+                )
             rates = (
                 weighted_max_min(flow_specs, effective_capacities)
                 if flow_specs
@@ -852,13 +785,7 @@ class NetworkFluidSimulator:
                 rt.remaining_bits = max(0.0, rt.remaining_bits - delivered)
                 rt.sent_bits = min(rt.spec.comm_bits, rt.sent_bits + delivered)
             now += dt
-        else:
-            raise RuntimeError("network fluid simulation exceeded its step budget")
-        result.end_time = now
-        if faults is not None:
-            result.fault_log = faults.descriptions()
-            result.delivered_bits_by_link = bits_by_link
-        return result
+        return now, False
 
     # -- internals ----------------------------------------------------------
 
@@ -912,14 +839,6 @@ class NetworkFluidSimulator:
                     f"capacity {capacity:.6g} bps",
                 )
 
-    @staticmethod
-    def _start_comm(fa: FlowArrays, i: int, now: float) -> None:
-        fa.phase[i] = PHASE_COMM
-        fa.remaining_bits[i] = fa.total_bits[i]
-        fa.sent_bits[i] = 0.0
-        fa.comm_start[i] = now
-        fa.comm_end[i] = math.nan
-
     def _next_dt_array(
         self, fa: FlowArrays, active: np.ndarray, now: float
     ) -> float:
@@ -935,61 +854,17 @@ class NetworkFluidSimulator:
             best = self.quantum
         return best if best < math.inf else _EPS_TIME
 
-    # -- scalar (small-population) engine ------------------------------------
-    #
-    # Per-runtime twins of the array internals: the original scalar
-    # implementation, kept verbatim as the fast path for populations under
-    # _VECTORIZED_MIN_FLOWS, where numpy's per-op cost exceeds the
-    # interpreter's per-flow cost.  Every per-flow loop here is the
-    # documented scalar-reference exception to PRF002.
-
-    def _transitions(
-        self,
-        runtimes: list[_FlowRuntime],
-        now: float,
-        result: NetworkFluidResult,
-        max_iterations: int,
-    ) -> None:
-        for rt in runtimes:  # repro-lint: disable=PRF002
-            if rt.phase == "waiting" and now >= rt.phase_deadline - _EPS_TIME:
-                self._start_comm_scalar(rt, now)
-            elif rt.phase == "comm" and rt.remaining_bits <= _EPS_BITS:
-                rt.comm_end = now
-                rt.phase = "compute"
-                rt.phase_deadline = now + rt.spec.sample_compute_time(self._rng)
-            elif rt.phase == "compute" and now >= rt.phase_deadline - _EPS_TIME:
-                result.iterations.append(
-                    IterationResult(
-                        job=rt.spec.name,
-                        index=rt.iteration_index,
-                        comm_start=rt.comm_start,
-                        comm_end=rt.comm_end,
-                        iteration_end=now,
-                    )
-                )
-                rt.iteration_index += 1
-                if rt.iteration_index >= max_iterations:
-                    rt.phase = "done"
-                else:
-                    self._start_comm_scalar(rt, now)
-
-    def _start_comm_scalar(self, rt: _FlowRuntime, now: float) -> None:
-        rt.phase = "comm"
-        rt.remaining_bits = float(rt.spec.comm_bits)
-        rt.sent_bits = 0.0
-        rt.comm_start = now
-        rt.comm_end = math.nan
-
     def _next_dt(
-        self, runtimes: list[_FlowRuntime], rates: dict[str, float], now: float
+        self, runtimes: list[_JobRuntime], rates: dict[str, float], now: float
     ) -> float:
+        """Scalar twin of ``_next_dt_array`` over runtime objects."""
         candidates = [self.quantum]
         for rt in runtimes:  # repro-lint: disable=PRF002
-            if rt.phase == "comm":
+            if rt.phase is Phase.COMM:
                 rate = rates.get(rt.spec.name, 0.0)
                 if rate > 0:
                     candidates.append(rt.remaining_bits / rate)
-            elif rt.phase in ("compute", "waiting"):
+            elif rt.phase is not Phase.DONE:
                 candidates.append(rt.phase_deadline - now)
         positive = [c for c in candidates if c > _EPS_TIME]
         return min(positive) if positive else _EPS_TIME

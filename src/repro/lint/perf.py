@@ -20,7 +20,7 @@ cold (error paths, once-per-run setup) is suppressed in place with
 PRF002 guards the vectorized-core contract: inside a module carrying the
 ``# repro-lint: hot-path-module`` marker, flow state lives in
 ``FlowArrays`` struct-of-arrays and must be advanced with whole-array
-numpy passes — a Python ``for`` loop over a ``FlowView``/``*Runtime``
+numpy passes — a Python ``for`` loop over a ``FlowView``/``_JobRuntime``
 sequence there reintroduces the O(flows) interpreter work the PR-9
 vectorization removed.  Flow-typed sequences are found with a small
 per-function dataflow: parameters and variables annotated with a flow
@@ -46,7 +46,7 @@ __all__ = ["RULES"]
 _HOT_MODULE_MARKER = "repro-lint: hot-path-module"
 
 #: Type names whose sequences PRF002 considers per-flow state.
-_FLOW_TYPE_NAMES = ("FlowView", "_FlowRuntime", "_JobRuntime")
+_FLOW_TYPE_NAMES = ("FlowView", "_JobRuntime")
 
 #: Builtins through which flow-typed sequences propagate unchanged.
 _SEQUENCE_WRAPPERS = frozenset({"sorted", "list", "tuple", "reversed"})

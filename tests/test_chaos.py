@@ -26,7 +26,10 @@ from repro.faults import (
     rehashed_seed,
 )
 from repro.faults.schedule import _DESCRIBE_RECIPES
+from repro.fluid import network
+from repro.fluid.fabric import FluidFabric, FluidFabricFaults
 from repro.fluid.flowsim import IterationResult
+from repro.fluid.network import NetworkFluidSimulator
 from repro.metrics.recovery import (
     FaultWindow,
     fault_windows,
@@ -462,6 +465,62 @@ class TestInjectorEquivalence:
             )
             if "spine0" in link:
                 assert not used_fluid
+
+
+class TestFluidFabricReplay:
+    @pytest.mark.parametrize(
+        "min_flows", [network._VECTORIZED_MIN_FLOWS, 1], ids=["default", "array"]
+    )
+    def test_second_run_replays_the_schedule(self, monkeypatch, min_flows):
+        """Every ``run()`` replays the fabric faults from the start on its
+        own copy of the fault state, leaving the caller's untouched.  The
+        jobs are jitter-free because the RNG stream carries on from one run
+        to the next."""
+        monkeypatch.setattr(network, "_VECTORIZED_MIN_FLOWS", min_flows)
+        spec = small_spec()
+        fabric = FluidFabric.from_spec(spec)
+        placements = place_jobs(
+            cross_rack_scenario(spec.n_hosts // 2, jitter_sigma=0.0),
+            spec,
+            policy="spread",
+            seed=2,
+        )
+        schedule = FaultSchedule(
+            events=(
+                spine_down("spine0", time=0.05, duration=0.3),
+                FaultEvent(
+                    "bandwidth", time=0.1, duration=0.15,
+                    link="rack2->spine1", factor=0.5,
+                ),
+            ),
+            seed=2,
+        )
+        faults = FluidFabricFaults(spec, schedule)
+        simulator = NetworkFluidSimulator(
+            fabric.place(placements),
+            fabric.capacities_gbps,
+            quantum=min(0.02, placements[0].job.ideal_iteration_time / 10.0),
+            fabric_faults=faults,
+        )
+
+        def fingerprint(result):
+            return (
+                [
+                    (it.job, it.index, it.comm_start.hex(), it.comm_end.hex(),
+                     it.iteration_end.hex())
+                    for it in result.iterations
+                ],
+                result.end_time.hex(),
+                result.fault_log,
+                {link: bits.hex()
+                 for link, bits in result.delivered_bits_by_link.items()},
+            )
+
+        first = fingerprint(simulator.run(max_iterations=10))
+        second = fingerprint(simulator.run(max_iterations=10))
+        assert second == first
+        assert len(first[2]) == 4
+        assert faults.entries == []
 
 
 class TestRecoveryMetrics:

@@ -18,8 +18,9 @@ from repro.faults import (
     install_packet_faults,
 )
 from repro.faults.fluid import ECN_STORM_CAPACITY_FACTOR
+from repro.fluid import flowsim
 from repro.fluid.allocation import FairShare, MLTCPWeighted
-from repro.fluid.flowsim import run_fluid
+from repro.fluid.flowsim import FluidSimulator, run_fluid
 from repro.harness.experiments import fault_recovery
 from repro.harness.packetlab import mltcp_config_for, run_packet_jobs
 from repro.tcp.dctcp import DctcpCC
@@ -248,6 +249,15 @@ class TestFluidMapping:
             )
 
 
+def _hex_iterations(result):
+    """A run's iterations with every float rendered by ``float.hex``."""
+    return [
+        (it.job, it.index, it.comm_start.hex(), it.comm_end.hex(),
+         it.iteration_end.hex())
+        for it in result.iterations
+    ]
+
+
 class TestFluidReplay:
     def test_identical_schedule_and_seed_replays_bit_identically(self):
         def run():
@@ -265,6 +275,37 @@ class TestFluidReplay:
             first.mean_iteration_by_round(), second.mean_iteration_by_round()
         )
         assert first.fault_log == second.fault_log
+
+    @pytest.mark.parametrize(
+        "min_flows", [flowsim._VECTORIZED_MIN_FLOWS, 1], ids=["default", "array"]
+    )
+    def test_second_run_replays_the_schedule(self, monkeypatch, min_flows):
+        """Every ``run()`` starts from a fresh fault state: the restart and
+        the bandwidth dip fire again, and the log holds only that run's
+        transitions.  The jobs are jitter-free because the RNG stream
+        carries on from one run to the next."""
+        monkeypatch.setattr(flowsim, "_VECTORIZED_MIN_FLOWS", min_flows)
+        schedule = FaultSchedule(
+            events=(
+                FaultEvent(kind="bandwidth", time=3.0, duration=2.0, factor=0.5),
+                FaultEvent(
+                    kind="job_restart", time=7.3, job="Job1", restart_delay=0.4
+                ),
+            )
+        )
+        simulator = FluidSimulator(
+            three_job_scenario(jitter_sigma=0.0),
+            50.0,
+            policy=MLTCPWeighted(),
+            faults=schedule,
+        )
+        first = simulator.run(max_iterations=12)
+        second = simulator.run(max_iterations=12)
+        assert _hex_iterations(second) == _hex_iterations(first)
+        assert second.end_time.hex() == first.end_time.hex()
+        assert second.fault_log == first.fault_log
+        assert len(first.fault_log) == 3
+        assert any("job_restart on Job1" in line for line in first.fault_log)
 
     def test_fault_log_records_strike_and_reversion(self):
         result = run_fluid(

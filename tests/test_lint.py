@@ -304,6 +304,14 @@ class TestHotPathFlowLoopRule:
         )
         assert codes(src) == ["PRF002", "PRF002"]
 
+    def test_prf002_flags_loop_over_job_runtimes(self):
+        src = self._MARKER + (
+            "def sweep(runtimes: list[_JobRuntime], now):\n"
+            "    for rt in runtimes:\n"
+            "        rt.phase_deadline = now\n"
+        )
+        assert codes(src) == ["PRF002"]
+
     def test_prf002_ignores_unmarked_modules(self):
         src = (
             "def allocate(self, flows: 'Sequence[FlowView]', capacity_bps):\n"

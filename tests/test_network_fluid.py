@@ -6,13 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.fluid import network
 from repro.fluid.network import (
     NetworkFluidSimulator,
     PlacedJob,
     run_network_fluid,
     weighted_max_min,
 )
-from repro.workloads.presets import gpt2_heavy_job, gpt2_job, gpt3_job
+from repro.workloads.presets import (
+    gpt2_heavy_job,
+    gpt2_job,
+    gpt3_job,
+    two_job_scenario,
+)
 
 
 def place(job, *links):
@@ -119,6 +125,34 @@ class TestSimulatorBasics:
         job = replace(gpt2_job(), volume_jitter_fraction=0.2)
         with pytest.raises(ValueError, match="J2: volume_jitter_fraction"):
             NetworkFluidSimulator([place(job, "l")], {"l": 50.0})
+
+
+class TestIterationLimit:
+    """``JobSpec.iteration_limit`` is when a job departs, on every engine."""
+
+    @pytest.mark.parametrize(
+        "min_flows", [network._VECTORIZED_MIN_FLOWS, 1], ids=["default", "array"]
+    )
+    def test_job_departs_after_its_limit(self, monkeypatch, min_flows):
+        monkeypatch.setattr(network, "_VECTORIZED_MIN_FLOWS", min_flows)
+        a, b = two_job_scenario()
+        result = run_network_fluid(
+            [place(a.with_iteration_limit(2), "core"), place(b, "core")],
+            {"core": 50.0},
+            max_iterations=5,
+        )
+        assert len(result.iterations_of(a.name)) == 2
+        assert len(result.iterations_of(b.name)) == 5
+        # Once ``a`` has left, ``b`` has the link to itself: its comm phases
+        # drain at its full demand.
+        departed = result.iterations_of(a.name)[-1].iteration_end
+        solo = b.comm_bits / (b.demand_gbps * 1e9)
+        alone = [
+            it.comm_duration
+            for it in result.iterations_of(b.name)
+            if it.comm_start >= departed
+        ]
+        assert alone and alone == pytest.approx([solo] * len(alone), rel=1e-9)
 
 
 class TestMultiBottleneckConvergence:

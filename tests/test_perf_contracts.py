@@ -20,12 +20,26 @@ array fluid engines, which must be invisible in every output.
 """
 
 import json
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.fluid import SRPT, FairShare, MLTCPWeighted, run_fluid
+from repro.faults import FaultEvent, FaultSchedule
+from repro.fluid import (
+    PIAS,
+    SRPT,
+    FairShare,
+    MLTCPWeighted,
+    PlacedJob,
+    run_fluid,
+    run_network_fluid,
+)
+from repro.fluid import flowsim, network
 from repro.fluid.allocation import FlowView
+from repro.guards import GuardRail
 from repro.harness.perfbench import (
     DEFAULT_REGRESSION_THRESHOLD,
     BenchStat,
@@ -448,3 +462,145 @@ class TestEngineDispatch:
         assert len(fault_log) == 6
         assert delivered
         assert {event[0] for event in guard_events} == {"route-liveness"}
+
+
+@st.composite
+def _job_specs(draw, n, volume_jitter):
+    """``n`` jittered periodic jobs with drawn sizes, gaps and limits."""
+    jobs = []
+    for i in range(n):
+        jobs.append(
+            JobSpec(
+                name=f"job{i}",
+                comm_bits=draw(st.floats(2e8, 4e9)),
+                demand_gbps=draw(st.floats(5.0, 60.0)),
+                compute_time=draw(st.sampled_from([0.0, 0.01, 0.05, 0.12])),
+                start_offset=draw(st.floats(0.0, 0.2)),
+                jitter_sigma=draw(st.sampled_from([0.0, 0.001, 0.01])),
+                iteration_limit=draw(st.none() | st.integers(1, 6)),
+                volume_jitter_fraction=(
+                    draw(st.sampled_from([0.0, 0.05])) if volume_jitter else 0.0
+                ),
+            )
+        )
+    return jobs
+
+
+@st.composite
+def _single_link_faults(draw, names, end_time):
+    """0–3 link flaps, bandwidth dips, stragglers and job restarts."""
+    events = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(["link_down", "bandwidth", "straggler", "job_restart"])
+        )
+        time = draw(st.floats(0.0, end_time))
+        duration = draw(st.floats(0.01, 0.5))
+        if kind == "link_down":
+            event = FaultEvent(kind, time=time, duration=duration)
+        elif kind == "bandwidth":
+            event = FaultEvent(
+                kind, time=time, duration=duration,
+                factor=draw(st.floats(0.1, 0.9)),
+            )
+        elif kind == "straggler":
+            event = FaultEvent(
+                kind, time=time, duration=duration,
+                job=draw(st.sampled_from(names)),
+                factor=draw(st.floats(1.5, 4.0)),
+            )
+        else:
+            event = FaultEvent(
+                kind, time=time, job=draw(st.sampled_from(names)),
+                restart_delay=draw(st.floats(0.0, 0.2)),
+            )
+        events.append(event)
+    return FaultSchedule(events=tuple(events))
+
+
+@st.composite
+def _single_link_scenarios(draw):
+    jobs = draw(_job_specs(draw(st.integers(2, 6)), volume_jitter=True))
+    end_time = draw(st.floats(0.3, 1.5))
+    return dict(
+        jobs=jobs,
+        capacity_gbps=draw(st.floats(10.0, 100.0)),
+        policy=draw(st.sampled_from([FairShare, MLTCPWeighted, SRPT, PIAS])),
+        end_time=end_time,
+        faults=draw(_single_link_faults([job.name for job in jobs], end_time)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@st.composite
+def _network_scenarios(draw):
+    links = [f"link{k}" for k in range(draw(st.integers(1, 4)))]
+    jobs = draw(_job_specs(draw(st.integers(2, 6)), volume_jitter=False))
+    placements = [
+        PlacedJob(
+            job=job,
+            links=tuple(draw(st.lists(st.sampled_from(links), min_size=1, unique=True))),
+        )
+        for job in jobs
+    ]
+    return dict(
+        placements=placements,
+        capacities_gbps={link: draw(st.floats(10.0, 100.0)) for link in links},
+        mltcp=draw(st.booleans()),
+        max_iterations=draw(st.integers(1, 5)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _segments_hex(result):
+    return [
+        (seg.start.hex(), seg.end.hex(),
+         {k: v.hex() for k, v in seg.rates_bps.items()})
+        for seg in result.segments
+    ]
+
+
+class TestGeneratedEngineDispatch:
+    """Scalar ≡ array on generated scenarios, for both simulators.
+
+    Each scenario runs at the default threshold and with the array engine
+    forced, and every output must agree bit for bit.  Single-link runs are
+    bounded by ``end_time``: SRPT can starve a job forever (Figure 2(b)'s
+    head-of-line blocking), so a ``max_iterations`` bound could spend the
+    whole step budget.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(_single_link_scenarios())
+    def test_single_link_engines_agree(self, scenario):
+        def run():
+            rail = GuardRail("record")
+            result = run_fluid(
+                scenario["jobs"],
+                scenario["capacity_gbps"],
+                policy=scenario["policy"](),
+                end_time=scenario["end_time"],
+                seed=scenario["seed"],
+                faults=scenario["faults"],
+                guards=rail,
+            )
+            return (
+                _fingerprint(result),
+                _segments_hex(result),
+                result.fault_log,
+                [(v.guard, v.subject, v.time.hex(), v.message)
+                 for v in rail.violations],
+            )
+
+        default = run()
+        with patch.object(flowsim, "_VECTORIZED_MIN_FLOWS", 1):
+            array = run()
+        assert default == array
+
+    @settings(max_examples=100, deadline=None)
+    @given(_network_scenarios())
+    def test_network_engines_agree(self, scenario):
+        default = run_network_fluid(**scenario)
+        with patch.object(network, "_VECTORIZED_MIN_FLOWS", 1):
+            array = run_network_fluid(**scenario)
+        assert _fingerprint(default) == _fingerprint(array)
