@@ -73,14 +73,21 @@ so a killed daemon resumes (``--resume``) to bit-identical state, and
 (:mod:`repro.cliutil`): exit 0 on success, 1 when the checked input has
 violations (lint findings, schema violations), 2 when the command could
 not run (unreadable file, bad arguments); diagnostics go to stderr.
+
+Each subcommand is one row of :data:`SUBCOMMANDS`; numbers are typed
+options, so an out-of-range value exits 2 before any work runs
+(docs/HARNESS.md, "Adding a subcommand").
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -96,12 +103,15 @@ from .harness.experiments import (
     noise_error_bound,
 )
 from .cliutil import EXIT_OK, fail, report_violations
+from .docscheck import run_docs_check
 from .harness.cache import ResultCache
 from .harness.report import render_table, sparkline
 from .harness.runner import ExperimentRunner
 from .harness.telemetry import RUN_REPORT_SCHEMA, RunTelemetry, validate_run_report
+from .lint.cli import run_lint
+from .verify.cli import run_verify
 
-__all__ = ["main", "FIGURES"]
+__all__ = ["main", "FIGURES", "SUBCOMMANDS"]
 
 
 def _fig1(fast: bool) -> str:
@@ -246,35 +256,240 @@ def _render_figure(figure: str, fast: bool) -> str:
     return fn(fast)
 
 
+class UsageError(Exception):
+    """A bad command-line argument; :func:`main` reports it through
+    :func:`repro.cliutil.fail` (exit 2).
+
+    The typed options raise it while argparse parses (argparse catches only
+    its own errors), and the checks several handlers share raise it from
+    inside the handler.
+    """
+
+
+class _Number(argparse.Action):
+    """Store a numeric option's value, checked against the option's type.
+
+    The subclasses are the types: ``parse`` converts the text, ``positive``
+    picks ``> 0`` over ``>= 0``, and every value must be finite.  A value
+    outside the type is a :class:`UsageError` naming the option, raised
+    while argparse parses, so before any work runs.
+    """
+
+    parse: Callable[[str], float]
+    positive: bool
+    noun: str
+
+    def __call__(self, parser, namespace, text, option_string=None) -> None:
+        try:
+            value = self.parse(text)
+            valid = math.isfinite(value) and (value > 0 or not self.positive and value == 0)
+        except (ValueError, OverflowError):  # not a number, or an int past float
+            valid = False
+        if not valid:
+            raise UsageError(
+                f"argument {option_string}: must be {self.noun}, got {text}"
+            )
+        setattr(namespace, self.dest, value)
+
+
+class PositiveInt(_Number):
+    parse, positive, noun = int, True, "a positive integer"
+
+
+class NonNegativeInt(_Number):
+    parse, positive, noun = int, False, "a non-negative integer"
+
+
+class PositiveFloat(_Number):
+    parse, positive, noun = float, True, "a finite positive number"
+
+
+class NonNegativeFloat(_Number):
+    parse, positive, noun = float, False, "a finite non-negative number"
+
+
+def _runner(args, **resilience) -> ExperimentRunner:
+    """The experiment runner behind ``run``, ``faults``, ``cross-rack`` and
+    ``chaos``: ``--workers``, ``--no-cache`` and the run's telemetry."""
+    return ExperimentRunner(
+        name="cli." + args.command.replace("-", "_"),
+        workers=args.workers,
+        cache=None if args.no_cache else ResultCache(),
+        **resilience,
+    )
+
+
+def _write_report(args, telemetry: RunTelemetry) -> None:
+    """Write the JSON run-report when ``--report`` asked for one."""
+    if args.report:
+        path = telemetry.write(args.report)
+        print(f"run-report written to {path}")
+
+
+def _finish(args, telemetry: RunTelemetry) -> int:
+    """The runner commands' epilogue: the report, then the summary line."""
+    _write_report(args, telemetry)
+    print(telemetry.summary_line())
+    return EXIT_OK
+
+
+def _read_json(path: str) -> Any:
+    return json.loads(Path(path).read_text())
+
+
+def _load(what: str, path: str, read: Callable[[str], Any] = _read_json) -> Any:
+    """``read(path)``; input it cannot read or parse is a usage error."""
+    try:
+        return read(path)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        raise UsageError(f"cannot read {what} {path}: {error}") from None
+
+
+def _substrates(args) -> list[str]:
+    """The simulators ``--substrate`` selects."""
+    return ["fluid", "packet"] if args.substrate == "both" else [args.substrate]
+
+
+def _check_known(what: str, names: list[str], known: Iterable[str]) -> None:
+    """Reject any of ``names`` outside ``known``, listing the valid ones."""
+    valid = sorted(known)
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        raise UsageError(f"unknown {what} {unknown}; valid: {valid}")
+
+
+def _check_recovery(args, faults: list[str], policies: list[str]) -> None:
+    """Reject unknown fault classes, and policies that no requested
+    substrate runs (:data:`~repro.harness.experiments.RECOVERY_POLICIES`)."""
+    from .faults.schedule import FAULT_KINDS
+    from .harness.experiments import RECOVERY_POLICIES
+
+    _check_known("fault class(es)", faults, FAULT_KINDS)
+    _check_known(
+        "policy(ies)",
+        policies,
+        {name for s in _substrates(args) for name in RECOVERY_POLICIES[s]},
+    )
+
+
+def _runner_options(parser: argparse.ArgumentParser) -> None:
+    """The options of every runner command: its size, how it executes
+    (:func:`_runner`) and what it writes (:func:`_finish`)."""
+    parser.add_argument(
+        "--fast", action="store_true", help="smaller iteration counts"
+    )
+    parser.add_argument(
+        "--workers", action=PositiveInt, default=None, metavar="N",
+        help="run independent points on an N-process pool "
+        "(default: sequential)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="recompute even when a cached result exists "
+        "(cache dir: $REPRO_CACHE_DIR, default ~/.cache/repro)",
+    )
+    parser.add_argument(
+        "--report",
+        metavar="PATH",
+        default=None,
+        help="also write the JSON run-report (wall time, event counts, "
+        "cache hits and the command's records) to PATH",
+    )
+
+
+def _list_command(args) -> int:
+    """Execute ``repro list`` (also what a bare ``repro`` does)."""
+    for name, (description, _fn) in FIGURES.items():
+        print(f"  {name:9} {description}")
+    return EXIT_OK
+
+
+def _run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("figure", choices=[*FIGURES, "all"])
+    _runner_options(parser)
+
+
 def _run_command(args) -> int:
     """Execute ``repro run`` through the cached/parallel experiment runner."""
     targets = list(FIGURES) if args.figure == "all" else [args.figure]
-    runner = ExperimentRunner(
-        name="cli.run",
-        workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        telemetry=RunTelemetry("cli.run"),
-    )
+    runner = _runner(args)
     outputs = runner.run_points(
         _render_figure, [{"figure": name, "fast": args.fast} for name in targets]
     )
     for text in outputs:
         print(text)
         print()
-    if args.report:
-        path = runner.telemetry.write(args.report)
-        print(f"run-report written to {path}")
-    print(runner.telemetry.summary_line())
-    return 0
+    return _finish(args, runner.telemetry)
+
+
+def _recovery_options(parser: argparse.ArgumentParser) -> None:
+    """Where ``faults`` and ``guards --run`` run the fault-recovery
+    experiment, from which base seed."""
+    parser.add_argument(
+        "--substrate", choices=["fluid", "packet", "both"], default="both",
+        help="which simulator(s) to run faults in (default: both)",
+    )
+    parser.add_argument(
+        "--seed", action=NonNegativeInt, default=5, help="base seed (default 5)"
+    )
 
 
 #: Default journal for ``repro faults`` sweeps (``--checkpoint`` overrides).
 DEFAULT_FAULTS_CHECKPOINT = "faults.checkpoint.jsonl"
 
 
+def _faults_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--classes",
+        default=",".join(
+            ("link_down", "bandwidth", "loss_burst", "ecn_storm",
+             "straggler", "job_restart")
+        ),
+        metavar="A,B,...",
+        help="comma-separated fault classes to sweep (default: all six)",
+    )
+    parser.add_argument(
+        "--policies",
+        default="mltcp,reno,dctcp",
+        metavar="A,B,...",
+        help="comma-separated policies to compare (default: mltcp,reno,dctcp)",
+    )
+    _recovery_options(parser)
+    parser.add_argument(
+        "--schedule",
+        metavar="PATH",
+        default=None,
+        help="replay a custom FaultSchedule JSON file instead of the "
+        "built-in per-class schedules (times are absolute seconds)",
+    )
+    _runner_options(parser)
+    parser.add_argument(
+        "--timeout", action=PositiveFloat, default=None, metavar="S",
+        help="per-point wall-clock budget in seconds (default: none)",
+    )
+    parser.add_argument(
+        "--retries", action=NonNegativeInt, default=1, metavar="N",
+        help="re-run a failed point up to N times with backoff (default 1)",
+    )
+    parser.add_argument(
+        "--checkpoint",
+        metavar="PATH",
+        default=DEFAULT_FAULTS_CHECKPOINT,
+        help="sweep journal for --resume "
+        f"(default: {DEFAULT_FAULTS_CHECKPOINT})",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="skip points already in the checkpoint (re-runs only failed "
+        "or missing points); without this flag the checkpoint is reset",
+    )
+
+
 def _faults_command(args) -> int:
     """Execute ``repro faults``: the recovery matrix with resilience on."""
-    from .faults.schedule import FAULT_KINDS, FaultSchedule
+    from .faults.schedule import FaultSchedule
     from .harness.checkpoint import RunCheckpoint
     from .harness.experiments import fault_recovery
     from .harness.runner import FailedPoint
@@ -288,13 +503,9 @@ def _faults_command(args) -> int:
             return fail(f"cannot use fault schedule {args.schedule}: {error}")
 
     faults = ["custom"] if schedule_json else args.classes.split(",")
-    unknown = [f for f in faults if f != "custom" and f not in FAULT_KINDS]
-    if unknown:
-        return fail(
-            f"unknown fault class(es) {unknown}; valid: {sorted(FAULT_KINDS)}"
-        )
     policies = args.policies.split(",")
-    substrates = ["fluid", "packet"] if args.substrate == "both" else [args.substrate]
+    _check_recovery(args, [f for f in faults if f != "custom"], policies)
+    substrates = _substrates(args)
 
     points = [
         {
@@ -316,11 +527,8 @@ def _faults_command(args) -> int:
     if not args.resume and len(checkpoint):
         checkpoint.clear()  # fresh sweep unless --resume asked to keep it
 
-    runner = ExperimentRunner(
-        name="cli.faults",
-        workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        telemetry=RunTelemetry("cli.faults"),
+    runner = _runner(
+        args,
         timeout=args.timeout,
         retries=args.retries,
         isolate_failures=True,
@@ -360,13 +568,44 @@ def _faults_command(args) -> int:
     if failed:
         print(
             f"\n{failed} point(s) failed; details in the run-report's "
-            f"degradations section. Re-run with --resume to retry only those."
+            f"crash, error, timeout and retry records. Re-run with --resume "
+            f"to retry only those."
         )
-    if args.report:
-        path = runner.telemetry.write(args.report)
-        print(f"run-report written to {path}")
-    print(runner.telemetry.summary_line())
-    return 0
+    return _finish(args, runner.telemetry)
+
+
+def _guards_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "report_file", nargs="?", default=None, metavar="REPORT",
+        help="run-report (.run.json) whose guard records to summarize",
+    )
+    parser.add_argument(
+        "--run", action="store_true",
+        help="run fault_recovery with a guardrail attached instead of "
+        "reading a report",
+    )
+    parser.add_argument(
+        "--policy", choices=["record", "raise"], default="record",
+        help="guard policy for --run: record violations, or raise at the "
+        "first one (default: record)",
+    )
+    parser.add_argument(
+        "--cc", default="mltcp", metavar="POLICY",
+        help="congestion-control policy under test (default: mltcp)",
+    )
+    parser.add_argument(
+        "--fault", default="job_restart", metavar="CLASS",
+        help="fault class to inject during --run (default: job_restart)",
+    )
+    _recovery_options(parser)
+    parser.add_argument(
+        "--iterations", action=PositiveInt, default=None, metavar="N",
+        help="training iterations per run (default: 40 fluid / 30 packet)",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", default=None,
+        help="also write the JSON run-report (guard records) to PATH",
+    )
 
 
 def _guards_command(args) -> int:
@@ -377,19 +616,13 @@ def _guards_command(args) -> int:
     2 when the input cannot be read or does not validate against the
     run-report schema.
     """
-    import json
-
     from .harness.report import render_guard_summary
-    from .harness.telemetry import validate_run_report
 
     if args.run:
         return _guards_run_command(args)
     if args.report_file is None:
         return fail("give a run-report to summarize, or --run to produce one")
-    try:
-        report = json.loads(Path(args.report_file).read_text())
-    except (OSError, ValueError) as error:
-        return fail(f"cannot read report {args.report_file}: {error}")
+    report = _load("report", args.report_file)
     errors = validate_run_report(report)
     if errors:
         return fail(
@@ -416,18 +649,12 @@ def _guards_run_command(args) -> int:
     everything else is a genuine invariant ``violation`` and fails the
     command.
     """
-    from .faults.schedule import FAULT_KINDS
     from .guards import GuardRail, GuardViolationError
     from .harness.experiments import fault_recovery
     from .harness.report import render_guard_summary
 
-    if args.fault not in FAULT_KINDS:
-        return fail(
-            f"unknown fault class {args.fault!r}; valid: {sorted(FAULT_KINDS)}"
-        )
-    substrates = (
-        ["fluid", "packet"] if args.substrate == "both" else [args.substrate]
-    )
+    _check_recovery(args, [args.fault], [args.cc])
+    substrates = _substrates(args)
     telemetry = RunTelemetry("cli.guards")
     rows = []
     hard_failures: list[str] = []
@@ -478,9 +705,7 @@ def _guards_run_command(args) -> int:
         )
     )
     print(render_guard_summary(telemetry.records))
-    if args.report:
-        path = telemetry.write(args.report)
-        print(f"run-report written to {path}")
+    _write_report(args, telemetry)
     problems = hard_failures + [
         r["detail"] for r in telemetry.records if r["kind"] == "violation"
     ]
@@ -491,32 +716,34 @@ def _guards_run_command(args) -> int:
     return EXIT_OK
 
 
-def _validate_report_command(report_path: str, schema_path: Optional[str]) -> int:
+def _validate_report_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("report", help="path to a .run.json run-report")
+    parser.add_argument(
+        "--schema",
+        default=None,
+        help="path to a JSON schema file (default: the built-in schema, "
+        "mirrored at docs/run_report.schema.json)",
+    )
+
+
+def _validate_report_command(args) -> int:
     """Validate a JSON run-report.
 
     Exit codes follow :mod:`repro.cliutil`: 0 when the report conforms,
     1 on schema violations, 2 when the report/schema cannot be read.
     """
-    import json
-
-    try:
-        report = json.loads(Path(report_path).read_text())
-    except (OSError, ValueError) as error:
-        return fail(f"cannot read report {report_path}: {error}")
+    report = _load("report", args.report)
     schema = RUN_REPORT_SCHEMA
-    if schema_path is not None:
-        try:
-            schema = json.loads(Path(schema_path).read_text())
-        except (OSError, ValueError) as error:
-            return fail(f"cannot read schema {schema_path}: {error}")
+    if args.schema is not None:
+        schema = _load("schema", args.schema)
     errors = validate_run_report(report, schema)
     if errors:
         return report_violations(
-            f"{report_path}: {len(errors)} schema violation(s)", errors
+            f"{args.report}: {len(errors)} schema violation(s)", errors
         )
     totals = report.get("totals", {})
     print(
-        f"{report_path}: valid run-report "
+        f"{args.report}: valid run-report "
         f"({totals.get('points', '?')} points, "
         f"{totals.get('cache_hits', '?')} cache hits)"
     )
@@ -530,6 +757,48 @@ def _validate_report_command(report_path: str, schema_path: Optional[str]) -> in
 DEFAULT_BENCH_BASELINE = "bench_reports/perf_seed.json"
 
 
+def _bench_compare_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "current",
+        help="benchmark report to check: raw --benchmark-json output or a "
+        "compact baseline file",
+    )
+    parser.add_argument(
+        "--baseline",
+        default=DEFAULT_BENCH_BASELINE,
+        metavar="PATH",
+        help=f"baseline to compare against (default: {DEFAULT_BENCH_BASELINE}, "
+        "the pre-optimization seed numbers)",
+    )
+    parser.add_argument(
+        "--threshold",
+        action=NonNegativeFloat,
+        default=0.15,
+        metavar="FRACTION",
+        help="allowed slowdown before the gate fails (default 0.15 = 15%%)",
+    )
+    parser.add_argument(
+        "--select",
+        default=None,
+        metavar="GLOB",
+        help="gate only the baseline benchmarks matching this glob (e.g. "
+        "'test_scale_*' for `make bench-scale-smoke`); unmatched baseline "
+        "entries are neither compared nor reported missing",
+    )
+    parser.add_argument(
+        "--save",
+        metavar="PATH",
+        default=None,
+        help="also write the current stats as a compact baseline to PATH "
+        "(how bench_reports/perf_baseline.json is refreshed)",
+    )
+    parser.add_argument(
+        "--note",
+        default=None,
+        help="free-form provenance note embedded in the --save output",
+    )
+
+
 def _bench_compare_command(args) -> int:
     """Execute ``repro bench-compare``: perf gate against a baseline file.
 
@@ -539,16 +808,8 @@ def _bench_compare_command(args) -> int:
     """
     from .harness.perfbench import compare, load_report, write_baseline
 
-    try:
-        current = load_report(args.current)
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        return fail(f"cannot read benchmark report {args.current}: {error}")
-    try:
-        baseline = load_report(args.baseline)
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        return fail(f"cannot read baseline {args.baseline}: {error}")
-    if args.threshold < 0:
-        return fail(f"--threshold must be non-negative, got {args.threshold!r}")
+    current = _load("benchmark report", args.current, load_report)
+    baseline = _load("baseline", args.baseline, load_report)
 
     if args.select:
         import fnmatch
@@ -601,13 +862,20 @@ def _bench_compare_command(args) -> int:
     return EXIT_OK
 
 
-def _compat_command(scenario_path: str, capacity_gbps: float) -> int:
+def _compat_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("scenario", help="path to a scenario saved with "
+                        "repro.workloads.save_scenario")
+    parser.add_argument("--capacity", action=PositiveFloat, default=50.0,
+                        help="bottleneck capacity in Gbps (default 50)")
+
+
+def _compat_command(args) -> int:
     """Check a saved scenario (JSON) against the §4 compatibility precondition."""
     from .schedulers.compatibility import best_compatibility
     from .workloads.traceio import load_scenario
 
-    jobs = [j.with_jitter(0.0) for j in load_scenario(scenario_path)]
-    score, schedule = best_compatibility(jobs, capacity_gbps)
+    jobs = [j.with_jitter(0.0) for j in _load("scenario", args.scenario, load_scenario)]
+    score, schedule = best_compatibility(jobs, args.capacity)
     print(
         render_table(
             ["job", "ideal iteration (s)", "optimized offset (s)"],
@@ -615,7 +883,7 @@ def _compat_command(scenario_path: str, capacity_gbps: float) -> int:
                 [j.name, j.ideal_iteration_time, schedule.offset_of(j.name)]
                 for j in jobs
             ],
-            title=f"{scenario_path} on a {capacity_gbps:g} Gbps bottleneck",
+            title=f"{args.scenario} on a {args.capacity:g} Gbps bottleneck",
         )
     )
     if score >= 1.0 - 1e-9:
@@ -629,7 +897,72 @@ def _compat_command(scenario_path: str, capacity_gbps: float) -> int:
             "least-contended configuration instead"
         )
     print(f"\nbest compatibility score: {score:.4f} ({verdict})")
-    return 0
+    return EXIT_OK
+
+
+def _fabric_options(parser: argparse.ArgumentParser) -> None:
+    """The fat tree ``cross-rack`` and ``chaos`` run on, and the
+    simulator(s) they run it in (docs/TOPOLOGIES.md)."""
+    parser.add_argument(
+        "--racks", action=PositiveInt, default=4, metavar="N",
+        help="number of racks (default 4)",
+    )
+    parser.add_argument(
+        "--hosts-per-rack", action=PositiveInt, default=4, metavar="N",
+        help="hosts per rack (default 4)",
+    )
+    parser.add_argument(
+        "--spines", action=PositiveInt, default=2, metavar="N",
+        help="number of spine switches (default 2)",
+    )
+    parser.add_argument(
+        "--oversub", action=PositiveFloat, default=2.0, metavar="RATIO",
+        help="oversubscription ratio: host bandwidth into a rack over its "
+        "uplink bandwidth (default 2.0)",
+    )
+    parser.add_argument(
+        "--placement", default="spread", metavar="POLICY",
+        help="job placement policy: packed, spread or random "
+        "(default: spread)",
+    )
+    parser.add_argument(
+        "--ecmp-seed", type=int, default=2,
+        help="seed of the deterministic ECMP spine choice (default 2)",
+    )
+    parser.add_argument(
+        "--substrate", choices=["fluid", "packet", "both"], default="fluid",
+        help="which simulator(s) to run (default: fluid; packet is slower)",
+    )
+
+
+def _fabric(args) -> dict:
+    """The fabric's runner-point fields, after checking ``--placement``."""
+    from .workloads.placement import PLACEMENT_POLICIES
+
+    if args.placement not in PLACEMENT_POLICIES:
+        raise UsageError(
+            f"unknown placement policy {args.placement!r}; "
+            f"valid: {list(PLACEMENT_POLICIES)}"
+        )
+    return {
+        "n_racks": args.racks,
+        "hosts_per_rack": args.hosts_per_rack,
+        "n_spines": args.spines,
+        "oversubscription": args.oversub,
+        "placement": args.placement,
+    }
+
+
+def _cross_rack_options(parser: argparse.ArgumentParser) -> None:
+    _fabric_options(parser)
+    parser.add_argument(
+        "--iterations", action=PositiveInt, default=None, metavar="N",
+        help="training iterations per job (default: 40, or 20 with --fast)",
+    )
+    parser.add_argument(
+        "--seed", action=NonNegativeInt, default=2, help="base seed (default 2)"
+    )
+    _runner_options(parser)
 
 
 def _cross_rack_command(args) -> int:
@@ -642,39 +975,22 @@ def _cross_rack_command(args) -> int:
     run-report as ``link_utilization`` records (docs/TOPOLOGIES.md).
     """
     from .harness.experiments import cross_rack_interleaving
-    from .workloads.placement import PLACEMENT_POLICIES
 
-    if args.placement not in PLACEMENT_POLICIES:
-        return fail(
-            f"unknown placement policy {args.placement!r}; "
-            f"valid: {list(PLACEMENT_POLICIES)}"
-        )
-    substrates = (
-        ["fluid", "packet"] if args.substrate == "both" else [args.substrate]
-    )
     iterations = args.iterations
     if iterations is None:
         iterations = 20 if args.fast else 40
+    fabric = _fabric(args)
     points = [
         {
             "substrate": substrate,
-            "n_racks": args.racks,
-            "hosts_per_rack": args.hosts_per_rack,
-            "n_spines": args.spines,
-            "oversubscription": args.oversub,
-            "placement": args.placement,
+            **fabric,
             "iterations": iterations,
             "seed": args.seed,
             "ecmp_seed": args.ecmp_seed,
         }
-        for substrate in substrates
+        for substrate in _substrates(args)
     ]
-    runner = ExperimentRunner(
-        name="cli.cross_rack",
-        workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        telemetry=RunTelemetry("cli.cross_rack"),
-    )
+    runner = _runner(args)
     try:
         results = runner.run_points(cross_rack_interleaving, points)
     except ValueError as error:
@@ -731,11 +1047,28 @@ def _cross_rack_command(args) -> int:
                     substrate=result.substrate,
                     params=point,
                 )
-    if args.report:
-        path = runner.telemetry.write(args.report)
-        print(f"run-report written to {path}")
-    print(runner.telemetry.summary_line())
-    return EXIT_OK
+    return _finish(args, runner.telemetry)
+
+
+def _chaos_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--campaigns", action=PositiveInt, default=3, metavar="N",
+        help="independently seeded campaigns to run (default 3)",
+    )
+    _fabric_options(parser)
+    parser.add_argument(
+        "--iterations", action=PositiveInt, default=None, metavar="N",
+        help="training iterations per job (default: 48, or 32 with --fast)",
+    )
+    parser.add_argument(
+        "--seed", action=NonNegativeInt, default=2,
+        help="base seed; campaigns derive theirs from it (default 2)",
+    )
+    parser.add_argument(
+        "--guard-policy", choices=["record", "raise", "off"], default="record",
+        help="guardrail policy for the faulted runs (default: record)",
+    )
+    _runner_options(parser)
 
 
 def _chaos_command(args) -> int:
@@ -751,41 +1084,24 @@ def _chaos_command(args) -> int:
     ``recovery`` records.
     """
     from .harness.experiments import chaos_recovery
-    from .workloads.placement import PLACEMENT_POLICIES
 
-    if args.placement not in PLACEMENT_POLICIES:
-        return fail(
-            f"unknown placement policy {args.placement!r}; "
-            f"valid: {list(PLACEMENT_POLICIES)}"
-        )
-    substrates = (
-        ["fluid", "packet"] if args.substrate == "both" else [args.substrate]
-    )
     iterations = args.iterations
     if iterations is None:
         iterations = 32 if args.fast else 48
+    fabric = _fabric(args)
     points = [
         {
             "substrate": substrate,
             "campaigns": args.campaigns,
-            "n_racks": args.racks,
-            "hosts_per_rack": args.hosts_per_rack,
-            "n_spines": args.spines,
-            "oversubscription": args.oversub,
-            "placement": args.placement,
+            **fabric,
             "iterations": iterations,
             "seed": args.seed,
             "ecmp_seed": args.ecmp_seed,
             "guard_policy": args.guard_policy,
         }
-        for substrate in substrates
+        for substrate in _substrates(args)
     ]
-    runner = ExperimentRunner(
-        name="cli.chaos",
-        workers=args.workers,
-        cache=None if args.no_cache else ResultCache(),
-        telemetry=RunTelemetry("cli.chaos"),
-    )
+    runner = _runner(args)
     try:
         all_results = runner.run_points(chaos_recovery, points)
     except ValueError as error:
@@ -876,11 +1192,124 @@ def _chaos_command(args) -> int:
             f", fair {reinterleaved['fair']}/{n_faults} fault(s)"
         )
         print()
-    if args.report:
-        path = runner.telemetry.write(args.report)
-        print(f"run-report written to {path}")
-    print(runner.telemetry.summary_line())
-    return EXIT_OK
+    return _finish(args, runner.telemetry)
+
+
+def _format_tti(time_to_reinterleave: Optional[float]) -> str:
+    """Render a time-to-reinterleave: milliseconds, or "never"."""
+    if time_to_reinterleave is None:
+        return "never"
+    return f"{1000 * time_to_reinterleave:.1f} ms"
+
+
+def _serve_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--epochs", action=PositiveInt, default=30, metavar="N",
+        help="service epochs to run (default 30)",
+    )
+    parser.add_argument(
+        "--epoch-s", action=PositiveFloat, default=1.0, metavar="SECONDS",
+        help="simulated seconds per epoch (default 1.0)",
+    )
+    parser.add_argument(
+        "--horizon", action=PositiveFloat, default=None, metavar="SECONDS",
+        help="arrival-process horizon (default: epochs * epoch-s)",
+    )
+    parser.add_argument(
+        "--rate", action=PositiveFloat, default=0.6, metavar="PER_S",
+        help="mean Poisson arrival rate in jobs/s (default 0.6)",
+    )
+    parser.add_argument(
+        "--mean-iterations", action=PositiveFloat, default=12.0, metavar="N",
+        help="mean geometric job lifetime in iterations (default 12)",
+    )
+    parser.add_argument(
+        "--diurnal-amplitude", action=NonNegativeFloat, default=0.0,
+        metavar="A",
+        help="diurnal rate modulation amplitude in [0, 1) (default 0)",
+    )
+    parser.add_argument(
+        "--diurnal-period", action=PositiveFloat, default=60.0,
+        metavar="SECONDS",
+        help="diurnal modulation period (default 60)",
+    )
+    parser.add_argument(
+        "--flash", action="append", metavar="TIME:SIZE",
+        help="inject a flash crowd of SIZE fine-tune jobs at TIME "
+        "(repeatable)",
+    )
+    parser.add_argument(
+        "--template", choices=["gpt2-fast", "gpt2", "mix"],
+        default="gpt2-fast",
+        help="job template(s) arrivals are drawn from (default: gpt2-fast)",
+    )
+    parser.add_argument(
+        "--capacity", action=PositiveFloat, default=50.0, metavar="GBPS",
+        help="bottleneck capacity in Gbps (default 50)",
+    )
+    parser.add_argument(
+        "--cc", choices=["mltcp", "fair"], default="mltcp",
+        help="congestion-control policy for the live engine "
+        "(default: mltcp)",
+    )
+    parser.add_argument(
+        "--seed", action=NonNegativeInt, default=0,
+        help="base seed; the arrival stream derives seed+1 (default 0)",
+    )
+    parser.add_argument(
+        "--max-running", action=PositiveInt, default=8, metavar="N",
+        help="admission-control concurrency limit (default 8)",
+    )
+    parser.add_argument(
+        "--queue-limit", action=PositiveInt, default=16, metavar="N",
+        help="bounded pending-queue depth (default 16)",
+    )
+    parser.add_argument(
+        "--shed-policy", choices=["reject", "defer", "degrade"],
+        default="defer",
+        help="load-shedding policy past the limits (default: defer)",
+    )
+    parser.add_argument(
+        "--snapshot-every", action=PositiveInt, default=5, metavar="N",
+        help="emit a service snapshot record every N epochs (default 5)",
+    )
+    parser.add_argument(
+        "--churn-limit", action=PositiveInt, default=4, metavar="N",
+        help="per-epoch churn above which the engine clamps to vanilla "
+        "CC for a few epochs (default 4)",
+    )
+    parser.add_argument(
+        "--journal", metavar="PATH", default=None,
+        help="write-ahead journal path; enables crash recovery and "
+        "--resume",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="resume from the journal at --journal instead of starting "
+        "fresh",
+    )
+    parser.add_argument(
+        "--crash-at-epoch", action=PositiveInt, default=None, metavar="N",
+        help="inject one stepper crash mid-epoch N (recovery drill)",
+    )
+    parser.add_argument(
+        "--faults", metavar="PATH", default=None,
+        help="JSON fault schedule applied to the bottleneck "
+        "(repro faults export format)",
+    )
+    parser.add_argument(
+        "--snapshots", metavar="PATH", default=None,
+        help="also append each service snapshot to PATH as JSON lines",
+    )
+    parser.add_argument(
+        "--report", metavar="PATH", default=None,
+        help="also write the JSON run-report (includes the service "
+        "snapshot records) to PATH",
+    )
+    parser.add_argument(
+        "--query", metavar="PATH", default=None,
+        help="summarize an existing journal at PATH and exit (no run)",
+    )
 
 
 def _serve_command(args) -> int:
@@ -891,8 +1320,6 @@ def _serve_command(args) -> int:
     supervised stepper and (optionally) a write-ahead journal.  With
     ``--query`` it summarizes an existing journal instead of running.
     """
-    import json as _json
-
     from .faults.schedule import FaultSchedule
     from .service import ChurnDaemon, ServiceConfig, ServiceCrash, ServiceJournal
     from .service.daemon import query_journal
@@ -904,7 +1331,7 @@ def _serve_command(args) -> int:
             summary = query_journal(args.query)
         except (OSError, KeyError) as error:
             return fail(f"cannot query journal {args.query}: {error}")
-        print(_json.dumps(summary, indent=2))
+        print(json.dumps(summary, indent=2))
         return EXIT_OK
 
     horizon = args.horizon
@@ -1003,623 +1430,169 @@ def _serve_command(args) -> int:
         f"{result['snapshots']} snapshot(s); "
         f"per-job fingerprint {daemon.per_job_fingerprint()[:16]}"
     )
-    if args.report:
-        path = telemetry.write(args.report)
-        print(f"run-report written to {path}")
+    _write_report(args, telemetry)
     return EXIT_OK
 
 
-def _format_tti(time_to_reinterleave: Optional[float]) -> str:
-    """Render a time-to-reinterleave: milliseconds, or "never"."""
-    if time_to_reinterleave is None:
-        return "never"
-    return f"{1000 * time_to_reinterleave:.1f} ms"
+def _docs_check_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "paths", nargs="*", default=["docs"],
+        help="markdown files or directories to check (default: docs)",
+    )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for ``--workers``: a clean error instead of a traceback."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate figures from the MLTCP paper (HotNets '24).",
-    )
-    subparsers = parser.add_subparsers(dest="command")
-    subparsers.add_parser("list", help="list available figures")
-    run = subparsers.add_parser("run", help="run one figure (or 'all')")
-    run.add_argument("figure", choices=[*FIGURES, "all"])
-    run.add_argument(
-        "--fast", action="store_true", help="smaller iteration counts"
-    )
-    run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="render independent figures on an N-process pool "
-        "(default: sequential)",
-    )
-    run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute even when a cached result exists "
-        "(cache dir: $REPRO_CACHE_DIR, default ~/.cache/repro)",
-    )
-    run.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="also write the JSON run-report (wall time, event counts, "
-        "cache hits) to PATH",
-    )
-    compat = subparsers.add_parser(
-        "compat",
-        help="check a saved scenario (JSON) for the §4 compatibility "
-        "precondition",
-    )
-    compat.add_argument("scenario", help="path to a scenario saved with "
-                        "repro.workloads.save_scenario")
-    compat.add_argument("--capacity", type=float, default=50.0,
-                        help="bottleneck capacity in Gbps (default 50)")
-    faults = subparsers.add_parser(
-        "faults",
-        help="fault-recovery matrix: inject faults, measure reconvergence "
-        "(crash-isolated, checkpointed; see docs/FAULTS.md)",
-    )
-    faults.add_argument(
-        "--classes",
-        default=",".join(
-            ("link_down", "bandwidth", "loss_burst", "ecn_storm",
-             "straggler", "job_restart")
-        ),
-        metavar="A,B,...",
-        help="comma-separated fault classes to sweep (default: all six)",
-    )
-    faults.add_argument(
-        "--policies",
-        default="mltcp,reno,dctcp",
-        metavar="A,B,...",
-        help="comma-separated policies to compare (default: mltcp,reno,dctcp)",
-    )
-    faults.add_argument(
-        "--substrate",
-        choices=["fluid", "packet", "both"],
-        default="both",
-        help="which simulator(s) to replay faults in (default: both)",
-    )
-    faults.add_argument(
-        "--schedule",
-        metavar="PATH",
-        default=None,
-        help="replay a custom FaultSchedule JSON file instead of the "
-        "built-in per-class schedules (times are absolute seconds)",
-    )
-    faults.add_argument(
-        "--fast", action="store_true", help="smaller iteration counts"
-    )
-    faults.add_argument(
-        "--seed", type=int, default=5, help="base seed (default 5)"
-    )
-    faults.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="run points on an N-process pool (default: sequential)",
-    )
-    faults.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-point wall-clock budget in seconds (default: none)",
-    )
-    faults.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="re-run a failed point up to N times with backoff (default 1)",
-    )
-    faults.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=DEFAULT_FAULTS_CHECKPOINT,
-        help="sweep journal for --resume "
-        f"(default: {DEFAULT_FAULTS_CHECKPOINT})",
-    )
-    faults.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already in the checkpoint (re-runs only failed "
-        "or missing points); without this flag the checkpoint is reset",
-    )
-    faults.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute even when a cached result exists",
-    )
-    faults.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes a record for "
-        "every fault, retry, timeout and crash)",
-    )
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the AST-based determinism/unit-safety analyzer "
-        "(rule catalog: docs/LINTING.md)",
-    )
-    lint.add_argument(
+def _lint_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to lint (default: src)",
     )
-    lint.add_argument(
+    parser.add_argument(
         "--select", metavar="A,B,...", default=None,
         help="run only these rule codes (comma-separated)",
     )
-    lint.add_argument(
+    parser.add_argument(
         "--ignore", metavar="A,B,...", default=None,
         help="skip these rule codes (comma-separated)",
     )
-    lint.add_argument(
+    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
-    lint.add_argument(
+    parser.add_argument(
         "--json", action="store_true", dest="json_output",
         help="emit findings as a JSON array on stdout "
         "(path/line/col/code/message); same exit codes",
     )
-    verify = subparsers.add_parser(
-        "verify",
-        help="bounded model checking of Algorithm 1: prove or refute the "
-        "named properties and audit committed certificates "
-        "(docs/VERIFICATION.md)",
-    )
-    verify.add_argument(
+
+
+def _verify_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
         "properties", nargs="*", metavar="PROPERTY",
         help="property names to check (default: the whole catalog; "
         "see --list)",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--backend", default="auto", choices=("auto", "exhaustive", "z3"),
         help="solver backend: 'exhaustive' (hermetic grid search), 'z3' "
         "(requires the [verify] extra), or 'auto' (z3 when available and "
         "applicable, else exhaustive)",
     )
-    verify.add_argument(
-        "--timeout", type=float, default=30.0, metavar="SECONDS",
+    parser.add_argument(
+        "--timeout", action=PositiveFloat, default=30.0, metavar="SECONDS",
         help="per-query solver budget; an expired budget yields verdict "
         "'unknown' (default 30)",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--fast", action="store_true",
         help="use each property's reduced smoke-test grid (make "
         "verify-smoke)",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--check", action="store_true",
         help="additionally require a fresh committed artifact for every "
         "selected property",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--write", action="store_true",
         help="(re)write certificate/counterexample artifacts for verdicts "
         "that match expectations",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--write-dir", metavar="DIR", default=None,
         help="read/write artifacts in DIR instead of the committed "
         "src/repro/verify/certificates/",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--report", metavar="PATH", default=None,
         help="also write a JSON run-report with a verification record per "
         "property",
     )
-    verify.add_argument(
+    parser.add_argument(
         "--list", action="store_true", dest="list_properties",
         help="print the property catalog and exit",
     )
-    bench_compare = subparsers.add_parser(
-        "bench-compare",
-        help="compare a pytest-benchmark report against a committed perf "
-        "baseline; fails on regressions (docs/PERFORMANCE.md)",
-    )
-    bench_compare.add_argument(
-        "current",
-        help="benchmark report to check: raw --benchmark-json output or a "
-        "compact baseline file",
-    )
-    bench_compare.add_argument(
-        "--baseline",
-        default=DEFAULT_BENCH_BASELINE,
-        metavar="PATH",
-        help=f"baseline to compare against (default: {DEFAULT_BENCH_BASELINE}, "
-        "the pre-optimization seed numbers)",
-    )
-    bench_compare.add_argument(
-        "--threshold",
-        type=float,
-        default=0.15,
-        metavar="FRACTION",
-        help="allowed slowdown before the gate fails (default 0.15 = 15%%)",
-    )
-    bench_compare.add_argument(
-        "--select",
-        default=None,
-        metavar="GLOB",
-        help="gate only the baseline benchmarks matching this glob (e.g. "
-        "'test_scale_*' for `make bench-scale-smoke`); unmatched baseline "
-        "entries are neither compared nor reported missing",
-    )
-    bench_compare.add_argument(
-        "--save",
-        metavar="PATH",
-        default=None,
-        help="also write the current stats as a compact baseline to PATH "
-        "(how bench_reports/perf_baseline.json is refreshed)",
-    )
-    bench_compare.add_argument(
-        "--note",
-        default=None,
-        help="free-form provenance note embedded in the --save output",
-    )
-    guards = subparsers.add_parser(
-        "guards",
-        help="summarize a run-report's guard records, or --run a guarded "
-        "fault-recovery experiment (docs/ROBUSTNESS.md)",
-    )
-    guards.add_argument(
-        "report_file", nargs="?", default=None, metavar="REPORT",
-        help="run-report (.run.json) whose guard records to summarize",
-    )
-    guards.add_argument(
-        "--run", action="store_true",
-        help="run fault_recovery with a guardrail attached instead of "
-        "reading a report",
-    )
-    guards.add_argument(
-        "--policy", choices=["record", "raise"], default="record",
-        help="guard policy for --run: record violations, or raise at the "
-        "first one (default: record)",
-    )
-    guards.add_argument(
-        "--cc", default="mltcp", metavar="POLICY",
-        help="congestion-control policy under test (default: mltcp)",
-    )
-    guards.add_argument(
-        "--fault", default="job_restart", metavar="CLASS",
-        help="fault class to inject during --run (default: job_restart)",
-    )
-    guards.add_argument(
-        "--substrate", choices=["fluid", "packet", "both"], default="both",
-        help="which simulator(s) to guard (default: both)",
-    )
-    guards.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="training iterations per run (default: 40 fluid / 30 packet)",
-    )
-    guards.add_argument(
-        "--seed", type=int, default=5, help="base seed (default 5)"
-    )
-    guards.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (guard records) to PATH",
-    )
-    cross_rack = subparsers.add_parser(
-        "cross-rack",
-        help="MLTCP vs vanilla CC on a multi-rack oversubscribed fat tree, "
-        "with per-link contention telemetry (docs/TOPOLOGIES.md)",
-    )
-    cross_rack.add_argument(
-        "--racks", type=_positive_int, default=4, metavar="N",
-        help="number of racks (default 4)",
-    )
-    cross_rack.add_argument(
-        "--hosts-per-rack", type=_positive_int, default=4, metavar="N",
-        help="hosts per rack (default 4)",
-    )
-    cross_rack.add_argument(
-        "--spines", type=_positive_int, default=2, metavar="N",
-        help="number of spine switches (default 2)",
-    )
-    cross_rack.add_argument(
-        "--oversub", type=float, default=2.0, metavar="RATIO",
-        help="oversubscription ratio: host bandwidth into a rack over its "
-        "uplink bandwidth (default 2.0)",
-    )
-    cross_rack.add_argument(
-        "--placement", default="spread", metavar="POLICY",
-        help="job placement policy: packed, spread or random "
-        "(default: spread)",
-    )
-    cross_rack.add_argument(
-        "--substrate", choices=["fluid", "packet", "both"], default="fluid",
-        help="which simulator(s) to run (default: fluid; packet is slower)",
-    )
-    cross_rack.add_argument(
-        "--iterations", type=_positive_int, default=None, metavar="N",
-        help="training iterations per job (default: 40, or 20 with --fast)",
-    )
-    cross_rack.add_argument(
-        "--fast", action="store_true", help="smaller iteration counts"
-    )
-    cross_rack.add_argument(
-        "--seed", type=int, default=2, help="base seed (default 2)"
-    )
-    cross_rack.add_argument(
-        "--ecmp-seed", type=int, default=2,
-        help="seed of the deterministic ECMP spine choice (default 2)",
-    )
-    cross_rack.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="run substrates on an N-process pool (default: sequential)",
-    )
-    cross_rack.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute even when a cached result exists",
-    )
-    cross_rack.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes the "
-        "link_utilization records) to PATH",
-    )
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="seeded chaos campaigns on the fabric: failure-aware ECMP "
-        "rerouting + recovery SLOs (docs/FAULTS.md)",
-    )
-    chaos.add_argument(
-        "--campaigns", type=_positive_int, default=3, metavar="N",
-        help="independently seeded campaigns to run (default 3)",
-    )
-    chaos.add_argument(
-        "--racks", type=_positive_int, default=4, metavar="N",
-        help="number of racks (default 4)",
-    )
-    chaos.add_argument(
-        "--hosts-per-rack", type=_positive_int, default=4, metavar="N",
-        help="hosts per rack (default 4)",
-    )
-    chaos.add_argument(
-        "--spines", type=_positive_int, default=2, metavar="N",
-        help="number of spine switches (default 2)",
-    )
-    chaos.add_argument(
-        "--oversub", type=float, default=2.0, metavar="RATIO",
-        help="oversubscription ratio (default 2.0)",
-    )
-    chaos.add_argument(
-        "--placement", default="spread", metavar="POLICY",
-        help="job placement policy: packed, spread or random "
-        "(default: spread)",
-    )
-    chaos.add_argument(
-        "--substrate", choices=["fluid", "packet", "both"], default="fluid",
-        help="which simulator(s) to run (default: fluid; packet is slower)",
-    )
-    chaos.add_argument(
-        "--iterations", type=_positive_int, default=None, metavar="N",
-        help="training iterations per job (default: 48, or 32 with --fast)",
-    )
-    chaos.add_argument(
-        "--fast", action="store_true", help="smaller iteration counts"
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=2,
-        help="base seed; campaigns derive theirs from it (default 2)",
-    )
-    chaos.add_argument(
-        "--ecmp-seed", type=int, default=2,
-        help="seed of the deterministic ECMP spine choice (default 2)",
-    )
-    chaos.add_argument(
-        "--guard-policy", choices=["record", "raise", "off"], default="record",
-        help="guardrail policy for the faulted runs (default: record)",
-    )
-    chaos.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="run substrates on an N-process pool (default: sequential)",
-    )
-    chaos.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute even when a cached result exists",
-    )
-    chaos.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes the recovery "
-        "records) to PATH",
-    )
-    serve = subparsers.add_parser(
-        "serve",
-        help="long-lived churn daemon: open-loop arrivals, admission "
-        "control, watchdog-supervised stepping, journaled recovery "
-        "(docs/SERVICE.md)",
-    )
-    serve.add_argument(
-        "--epochs", type=_positive_int, default=30, metavar="N",
-        help="service epochs to run (default 30)",
-    )
-    serve.add_argument(
-        "--epoch-s", type=float, default=1.0, metavar="SECONDS",
-        help="simulated seconds per epoch (default 1.0)",
-    )
-    serve.add_argument(
-        "--horizon", type=float, default=None, metavar="SECONDS",
-        help="arrival-process horizon (default: epochs * epoch-s)",
-    )
-    serve.add_argument(
-        "--rate", type=float, default=0.6, metavar="PER_S",
-        help="mean Poisson arrival rate in jobs/s (default 0.6)",
-    )
-    serve.add_argument(
-        "--mean-iterations", type=float, default=12.0, metavar="N",
-        help="mean geometric job lifetime in iterations (default 12)",
-    )
-    serve.add_argument(
-        "--diurnal-amplitude", type=float, default=0.0, metavar="A",
-        help="diurnal rate modulation amplitude in [0, 1) (default 0)",
-    )
-    serve.add_argument(
-        "--diurnal-period", type=float, default=60.0, metavar="SECONDS",
-        help="diurnal modulation period (default 60)",
-    )
-    serve.add_argument(
-        "--flash", action="append", metavar="TIME:SIZE",
-        help="inject a flash crowd of SIZE fine-tune jobs at TIME "
-        "(repeatable)",
-    )
-    serve.add_argument(
-        "--template", choices=["gpt2-fast", "gpt2", "mix"],
-        default="gpt2-fast",
-        help="job template(s) arrivals are drawn from (default: gpt2-fast)",
-    )
-    serve.add_argument(
-        "--capacity", type=float, default=50.0, metavar="GBPS",
-        help="bottleneck capacity in Gbps (default 50)",
-    )
-    serve.add_argument(
-        "--cc", choices=["mltcp", "fair"], default="mltcp",
-        help="congestion-control policy for the live engine "
-        "(default: mltcp)",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed; the arrival stream derives seed+1 (default 0)",
-    )
-    serve.add_argument(
-        "--max-running", type=_positive_int, default=8, metavar="N",
-        help="admission-control concurrency limit (default 8)",
-    )
-    serve.add_argument(
-        "--queue-limit", type=_positive_int, default=16, metavar="N",
-        help="bounded pending-queue depth (default 16)",
-    )
-    serve.add_argument(
-        "--shed-policy", choices=["reject", "defer", "degrade"],
-        default="defer",
-        help="load-shedding policy past the limits (default: defer)",
-    )
-    serve.add_argument(
-        "--snapshot-every", type=_positive_int, default=5, metavar="N",
-        help="emit a service snapshot record every N epochs (default 5)",
-    )
-    serve.add_argument(
-        "--churn-limit", type=_positive_int, default=4, metavar="N",
-        help="per-epoch churn above which the engine clamps to vanilla "
-        "CC for a few epochs (default 4)",
-    )
-    serve.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="write-ahead journal path; enables crash recovery and "
-        "--resume",
-    )
-    serve.add_argument(
-        "--resume", action="store_true",
-        help="resume from the journal at --journal instead of starting "
-        "fresh",
-    )
-    serve.add_argument(
-        "--crash-at-epoch", type=_positive_int, default=None, metavar="N",
-        help="inject one stepper crash mid-epoch N (recovery drill)",
-    )
-    serve.add_argument(
-        "--faults", metavar="PATH", default=None,
-        help="JSON fault schedule applied to the bottleneck "
-        "(repro faults export format)",
-    )
-    serve.add_argument(
-        "--snapshots", metavar="PATH", default=None,
-        help="also append each service snapshot to PATH as JSON lines",
-    )
-    serve.add_argument(
-        "--report", metavar="PATH", default=None,
-        help="also write the JSON run-report (includes the service "
-        "snapshot records) to PATH",
-    )
-    serve.add_argument(
-        "--query", metavar="PATH", default=None,
-        help="summarize an existing journal at PATH and exit (no run)",
-    )
-    docs_check = subparsers.add_parser(
-        "docs-check",
-        help="execute the python code fences in markdown docs so examples "
-        "can't rot (the gate behind `make docs-check`)",
-    )
-    docs_check.add_argument(
-        "paths", nargs="*", default=["docs"],
-        help="markdown files or directories to check (default: docs)",
-    )
-    validate = subparsers.add_parser(
-        "validate-report",
-        help="check a JSON run-report against the run-report schema",
-    )
-    validate.add_argument("report", help="path to a .run.json run-report")
-    validate.add_argument(
-        "--schema",
-        default=None,
-        help="path to a JSON schema file (default: the built-in schema, "
-        "mirrored at docs/run_report.schema.json)",
-    )
-    args = parser.parse_args(argv)
 
-    if args.command == "list" or args.command is None:
-        for name, (description, _fn) in FIGURES.items():
-            print(f"  {name:9} {description}")
-        return 0
 
-    if args.command == "compat":
-        return _compat_command(args.scenario, args.capacity)
+@dataclass(frozen=True)
+class Subcommand:
+    """One ``repro`` subcommand: its name, the function that declares its
+    options, the handler :func:`main` calls with the parsed namespace
+    (returning a :mod:`repro.cliutil` exit code), and its help line."""
 
-    if args.command == "lint":
-        from .lint import run_lint
+    name: str
+    options: Callable[[argparse.ArgumentParser], None]
+    handler: Callable[[argparse.Namespace], int]
+    help: str
 
-        return run_lint(
-            args.paths, select=args.select, ignore=args.ignore,
-            list_rules=args.list_rules, json_output=args.json_output,
-        )
 
-    if args.command == "verify":
-        from .verify.cli import run_verify
+#: Every subcommand, in ``repro --help`` order.  Adding one is adding a row
+#: here (docs/HARNESS.md, "Adding a subcommand"); README.md's CLI table
+#: lists the same names (tests/test_cli.py checks it).
+SUBCOMMANDS: tuple[Subcommand, ...] = (
+    Subcommand("list", lambda parser: None, _list_command,
+               "list available figures"),
+    Subcommand("run", _run_options, _run_command, "run one figure (or 'all')"),
+    Subcommand("compat", _compat_options, _compat_command,
+               "check a saved scenario (JSON) for the §4 compatibility "
+               "precondition"),
+    Subcommand("faults", _faults_options, _faults_command,
+               "fault-recovery matrix: inject faults, measure reconvergence "
+               "(crash-isolated, checkpointed; see docs/FAULTS.md)"),
+    Subcommand("lint", _lint_options, run_lint,
+               "run the AST-based determinism/unit-safety analyzer "
+               "(rule catalog: docs/LINTING.md)"),
+    Subcommand("verify", _verify_options, run_verify,
+               "bounded model checking of Algorithm 1: prove or refute the "
+               "named properties and audit committed certificates "
+               "(docs/VERIFICATION.md)"),
+    Subcommand("bench-compare", _bench_compare_options, _bench_compare_command,
+               "compare a pytest-benchmark report against a committed perf "
+               "baseline; fails on regressions (docs/PERFORMANCE.md)"),
+    Subcommand("guards", _guards_options, _guards_command,
+               "summarize a run-report's guard records, or --run a guarded "
+               "fault-recovery experiment (docs/ROBUSTNESS.md)"),
+    Subcommand("cross-rack", _cross_rack_options, _cross_rack_command,
+               "MLTCP vs vanilla CC on a multi-rack oversubscribed fat tree, "
+               "with per-link contention telemetry (docs/TOPOLOGIES.md)"),
+    Subcommand("chaos", _chaos_options, _chaos_command,
+               "seeded chaos campaigns on the fabric: failure-aware ECMP "
+               "rerouting + recovery SLOs (docs/FAULTS.md)"),
+    Subcommand("serve", _serve_options, _serve_command,
+               "long-lived churn daemon: open-loop arrivals, admission "
+               "control, watchdog-supervised stepping, journaled recovery "
+               "(docs/SERVICE.md)"),
+    Subcommand("docs-check", _docs_check_options,
+               lambda args: run_docs_check(args.paths),
+               "execute the python code fences in markdown docs so examples "
+               "can't rot (the gate behind `make docs-check`)"),
+    Subcommand("validate-report", _validate_report_options,
+               _validate_report_command,
+               "check a JSON run-report against the run-report schema"),
+)
 
-        return run_verify(
-            args.properties,
-            backend=args.backend,
-            timeout=args.timeout,
-            fast=args.fast,
-            check=args.check,
-            write=args.write,
-            write_dir=args.write_dir,
-            report=args.report,
-            list_properties=args.list_properties,
-        )
 
-    if args.command == "bench-compare":
-        return _bench_compare_command(args)
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, one subparser per :data:`SUBCOMMANDS` row."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate figures from the MLTCP paper (HotNets '24).",
+    )
+    parser.set_defaults(handler=_list_command)  # a bare `repro` lists
+    subparsers = parser.add_subparsers(dest="command")
+    for command in SUBCOMMANDS:
+        subparser = subparsers.add_parser(command.name, help=command.help)
+        command.options(subparser)
+        subparser.set_defaults(handler=command.handler)
+    return parser
 
-    if args.command == "validate-report":
-        return _validate_report_command(args.report, args.schema)
 
-    if args.command == "cross-rack":
-        return _cross_rack_command(args)
-
-    if args.command == "chaos":
-        return _chaos_command(args)
-
-    if args.command == "serve":
-        return _serve_command(args)
-
-    if args.command == "docs-check":
-        from .docscheck import run_docs_check
-
-        return run_docs_check(args.paths)
-
-    if args.command == "faults":
-        return _faults_command(args)
-
-    if args.command == "guards":
-        return _guards_command(args)
-
-    return _run_command(args)
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
+    except UsageError as error:
+        return fail(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

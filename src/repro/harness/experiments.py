@@ -61,6 +61,7 @@ __all__ = [
     "fairness_loss_response",
     "fairness_competition_share",
     "FaultRecoveryResult",
+    "RECOVERY_POLICIES",
     "fault_recovery",
     "CrossRackResult",
     "cross_rack_interleaving",
@@ -497,6 +498,15 @@ def _mathis_mbps(loss_prob: float, link_delay: float) -> float:
 # Robustness: recovery after injected faults (docs/FAULTS.md)
 # ---------------------------------------------------------------------------
 
+#: The congestion-control policies :func:`fault_recovery` runs, per
+#: substrate.  The fluid model has no packets, so loss-based (reno) and
+#: ECN-driven (dctcp) TCP both run as fair share, their fluid limit.
+RECOVERY_POLICIES: dict[str, tuple[str, ...]] = {
+    "fluid": ("dctcp", "fair", "mltcp", "reno"),
+    "packet": ("dctcp", "fair", "mltcp", "mltcp-dctcp", "reno"),
+}
+
+
 @dataclass
 class FaultRecoveryResult:
     """How a policy rode out one fault class, in both substrates' terms.
@@ -653,20 +663,15 @@ def _fault_recovery_fluid(
 ) -> FaultRecoveryResult:
     from ..faults.schedule import FaultSchedule
 
-    policies = {
-        "mltcp": MLTCPWeighted,
-        "reno": FairShare,  # fair share is the fluid limit of loss-based TCP
-        "fair": FairShare,
-        "dctcp": FairShare,  # ... and of DCTCP's ECN-driven fairness
-    }
-    if policy not in policies:
+    if policy not in RECOVERY_POLICIES["fluid"]:
         raise ValueError(
             f"unknown policy {policy!r} for the fluid substrate; "
-            f"valid: {sorted(policies)}"
+            f"valid: {list(RECOVERY_POLICIES['fluid'])}"
         )
+    allocation = MLTCPWeighted if policy == "mltcp" else FairShare
     jobs = three_job_scenario()
     clean = run_fluid(
-        jobs, capacity_gbps, policy=policies[policy](),
+        jobs, capacity_gbps, policy=allocation(),
         max_iterations=iterations, seed=seed, guards=guards,
     )
     baseline = clean.mean_iteration_by_round()
@@ -676,7 +681,7 @@ def _fault_recovery_fluid(
     else:
         schedule = _fault_schedule_for(fault, unit, jobs[0].name, seed)
     faulted = run_fluid(
-        jobs, capacity_gbps, policy=policies[policy](),
+        jobs, capacity_gbps, policy=allocation(),
         max_iterations=iterations, seed=seed, faults=schedule, guards=guards,
     )
     return _recovery_from_series(
@@ -707,20 +712,20 @@ def _fault_recovery_packet(
         jitter_sigma=0.0005,
     )
     jobs = [job_template.with_name("Job1"), job_template.with_name("Job2")]
+    if policy not in RECOVERY_POLICIES["packet"]:
+        raise ValueError(
+            f"unknown policy {policy!r} for the packet substrate; "
+            f"valid: {list(RECOVERY_POLICIES['packet'])}"
+        )
 
     def factory(job: JobSpec):
         if policy == "mltcp":
             return MLTCPReno(mltcp_config_for(job))
         if policy == "mltcp-dctcp":
             return MLTCPDctcp(mltcp_config_for(job))
-        if policy in ("reno", "fair"):
-            return RenoCC()
         if policy == "dctcp":
             return DctcpCC()
-        raise ValueError(
-            f"unknown policy {policy!r} for the packet substrate; valid: "
-            "['dctcp', 'fair', 'mltcp', 'mltcp-dctcp', 'reno']"
-        )
+        return RenoCC()  # reno, fair
 
     clean = run_packet_jobs(
         jobs, factory, max_iterations=iterations, seed=seed, guards=guards

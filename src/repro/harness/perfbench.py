@@ -176,7 +176,7 @@ def compare(
     Benchmarks only present in ``current`` are ignored — adding a benchmark
     must not fail the gate against an older baseline.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # also rejects NaN, which would pass every row
         raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     rows = []
     missing = []

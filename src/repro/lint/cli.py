@@ -9,6 +9,7 @@ editor integrations and CI annotators.
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -83,36 +84,31 @@ def findings_as_json(findings: Sequence[Finding]) -> str:
     )
 
 
-def run_lint(
-    paths: Sequence[str],
-    select: Optional[str] = None,
-    ignore: Optional[str] = None,
-    list_rules: bool = False,
-    json_output: bool = False,
-) -> int:
-    """Execute the ``repro lint`` subcommand; returns a process exit code."""
+def run_lint(args: argparse.Namespace) -> int:
+    """Execute the ``repro lint`` subcommand on its parsed namespace
+    (``paths``, ``select``, ``ignore``, ``list_rules``, ``json_output``);
+    returns a process exit code."""
     from . import ALL_RULES
 
-    if list_rules:
+    if args.list_rules:
         for rule in ALL_RULES:
             print(f"{rule.code}  {rule.name:28} {rule.summary}")
         return EXIT_OK
 
     try:
-        rules = _select_rules(select, ignore)
+        rules = _select_rules(args.select, args.ignore)
     except KeyError as error:
         return fail(f"unknown lint rule code: {error.args[0]!r}")
 
-    targets = list(paths) if paths else ["src"]
     try:
-        findings = lint_paths(targets, rules)
+        findings = lint_paths(args.paths, rules)
     except OSError as error:
-        return fail(f"cannot read {getattr(error, 'filename', None) or targets}: {error}")
+        return fail(f"cannot read {getattr(error, 'filename', None) or args.paths}: {error}")
     except SyntaxError as error:
         return fail(f"cannot parse {error.filename}:{error.lineno}: {error.msg}")
 
-    checked = len(_expand(targets))
-    if json_output:
+    checked = len(_expand(args.paths))
+    if args.json_output:
         # Machine consumers parse stdout; stderr stays silent and the
         # exit code alone signals clean vs. findings.
         print(findings_as_json(findings))

@@ -81,8 +81,10 @@ class CentralizedScheduler:
     ) -> None:
         if not jobs:
             raise ValueError("need at least one job")
-        if capacity_gbps <= 0:
-            raise ValueError(f"capacity_gbps must be positive, got {capacity_gbps!r}")
+        if not (math.isfinite(capacity_gbps) and capacity_gbps > 0):
+            raise ValueError(
+                f"capacity_gbps must be finite and positive, got {capacity_gbps!r}"
+            )
         if time_resolution <= 0:
             raise ValueError(f"time_resolution must be positive, got {time_resolution!r}")
         self.jobs = tuple(jobs)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,10 +111,11 @@ class ServiceConfig:
                 f"{SHED_POLICIES}"
             )
         for name in ("epoch_s", "capacity_gbps", "quantum", "slo_factor"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
                 raise ValueError(
-                    f"service config: {name} must be positive, got "
-                    f"{getattr(self, name)!r}"
+                    f"service config: {name} must be finite and positive, "
+                    f"got {value!r}"
                 )
         for name in (
             "epochs", "max_running", "snapshot_every", "op_attempts",

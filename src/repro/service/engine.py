@@ -23,6 +23,7 @@ over the *active* subset, so shares do not depend on departed jobs.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,9 +87,9 @@ class LiveFluidEngine:
         capacity_factor: Optional[Callable[[float], float]] = None,
         next_transition: Optional[Callable[[float], Optional[float]]] = None,
     ) -> None:
-        if capacity_gbps <= 0:
+        if not (math.isfinite(capacity_gbps) and capacity_gbps > 0):
             raise ValueError(
-                f"capacity_gbps must be positive, got {capacity_gbps!r}"
+                f"capacity_gbps must be finite and positive, got {capacity_gbps!r}"
             )
         if cc not in ENGINE_POLICIES:
             raise ValueError(

@@ -11,6 +11,7 @@ without the optional ``[verify]`` extra stays green.
 
 from __future__ import annotations
 
+import argparse
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -55,39 +56,27 @@ def _render(verdict: Verdict, expected: str) -> str:
     return line
 
 
-def run_verify(
-    properties: Sequence[str] = (),
-    backend: str = "auto",
-    timeout: float = 30.0,
-    fast: bool = False,
-    check: bool = False,
-    write: bool = False,
-    write_dir: Optional[str] = None,
-    report: Optional[str] = None,
-    list_properties: bool = False,
-) -> int:
-    """Execute the ``repro verify`` subcommand; returns an exit code."""
-    if list_properties:
+def run_verify(args: argparse.Namespace) -> int:
+    """Execute the ``repro verify`` subcommand on its parsed namespace
+    (options as ``repro verify --help`` lists them); returns an exit code."""
+    if args.list_properties:
         for name in sorted(PROPERTIES):
             prop = PROPERTIES[name]
             print(f"{prop.name:38} v{prop.version}  expects {prop.expected:5}  {prop.summary}")
         return EXIT_OK
 
     try:
-        selected = _selected(properties)
+        selected = _selected(args.properties)
     except KeyError as error:
         return fail(str(error.args[0]))
-    if backend not in ("auto", "exhaustive", "z3"):
-        return fail(
-            f"unknown backend {backend!r}; expected 'auto', 'exhaustive' or 'z3'"
-        )
-    if timeout <= 0:
-        return fail(f"--timeout must be positive, got {timeout!r}")
 
+    write_dir = Path(args.write_dir) if args.write_dir else None
     problems: list[str] = []
     verdicts: list[Verdict] = []
     for prop in selected:
-        verdict = solve(prop, backend=backend, fast=fast, timeout_s=timeout)
+        verdict = solve(
+            prop, backend=args.backend, fast=args.fast, timeout_s=args.timeout
+        )
         verdicts.append(verdict)
         print(_render(verdict, prop.expected))
         if verdict.verdict == "skipped":
@@ -99,19 +88,15 @@ def run_verify(
                 + (f" ({verdict.reason})" if verdict.reason else "")
             )
             continue
-        if write:
-            path = write_artifact(
-                build_artifact(verdict),
-                Path(write_dir) if write_dir else None,
-            )
+        if args.write:
+            path = write_artifact(build_artifact(verdict), write_dir)
             print(f"    wrote {path}")
 
     # Committed-artifact audit: staleness always, existence under --check.
-    directory = Path(write_dir) if write_dir else None
     for prop in selected:
-        path = _artifact_path(prop, directory)
+        path = _artifact_path(prop, write_dir)
         if not path.exists():
-            if check and not write:
+            if args.check and not args.write:
                 problems.append(
                     f"{prop.name}: no committed artifact at {path} "
                     f"(regenerate with `python -m repro verify --write`)"
@@ -124,9 +109,9 @@ def run_verify(
             continue
         problems.extend(staleness_errors(artifact))
 
-    if report is not None:
-        _write_report(report, verdicts)
-        print(f"verification report written to {report}")
+    if args.report is not None:
+        _write_report(args.report, verdicts)
+        print(f"verification report written to {args.report}")
 
     if problems:
         return report_violations(

@@ -12,6 +12,7 @@ simulators both consume it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -70,6 +71,8 @@ class JobSpec:
     volume_jitter_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         # Finiteness first: every ordered check below is silently False for
         # NaN (``nan < 0`` is False), so a NaN offset used to slip straight
         # into the simulators and poison event times.  Reject eagerly, with
@@ -79,7 +82,11 @@ class JobSpec:
             "jitter_sigma", "volume_jitter_fraction",
         ):
             value = getattr(self, field_name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except TypeError:  # not a number at all
+                finite = False
+            if not finite:
                 raise ValueError(
                     f"{self.name}: {field_name} must be finite, got {value!r}"
                 )
@@ -101,9 +108,12 @@ class JobSpec:
             raise ValueError(
                 f"{self.name}: jitter_sigma must be non-negative, got {self.jitter_sigma!r}"
             )
-        if self.iteration_limit is not None and self.iteration_limit < 1:
+        if self.iteration_limit is not None and not (
+            isinstance(self.iteration_limit, numbers.Integral)
+            and self.iteration_limit >= 1
+        ):
             raise ValueError(
-                f"{self.name}: iteration_limit must be positive, got "
+                f"{self.name}: iteration_limit must be a positive integer, got "
                 f"{self.iteration_limit!r}"
             )
         if not 0.0 <= self.volume_jitter_fraction < 1.0:

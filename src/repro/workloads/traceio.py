@@ -116,8 +116,17 @@ def save_scenario(path: str | Path, jobs: Sequence[JobSpec]) -> None:
 
 
 def load_scenario(path: str | Path) -> list[JobSpec]:
-    """Read a job mix written by :func:`save_scenario`."""
+    """Read a job mix written by :func:`save_scenario`.
+
+    A malformed file raises ``ValueError`` naming the bad entry and field.
+    """
     payload = json.loads(Path(path).read_text())
-    if "jobs" not in payload or not isinstance(payload["jobs"], list):
-        raise ValueError(f"{path}: not a scenario file")
-    return [JobSpec(**entry) for entry in payload["jobs"]]
+    if not isinstance(payload, dict) or not isinstance(payload.get("jobs"), list):
+        raise ValueError("not a scenario file")
+    jobs = []
+    for index, entry in enumerate(payload["jobs"]):
+        try:
+            jobs.append(JobSpec(**entry))
+        except (TypeError, ValueError) as error:  # missing, unknown or bad field
+            raise ValueError(f"jobs[{index}]: {error}") from None
+    return jobs

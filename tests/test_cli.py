@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, main
@@ -230,3 +235,249 @@ class TestDocsCheck:
         bad.write_text("```python\nraise ValueError('rotted example')\n```\n")
         assert main(["docs-check", str(bad)]) == 1
         assert "rotted example" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract: stdout, stderr and exit code of every subcommand
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+CONTRACT = Path(__file__).resolve().parent / "fixtures" / "cli_contract.json"
+_REPORT = "{repo}/bench_reports/fault_recovery.run.json"
+_BASELINE = "{repo}/bench_reports/perf_baseline.json"
+_FABRIC = ["--fast", "--racks", "2", "--hosts-per-rack", "2", "--no-cache"]
+_ONE_FAULT = ["faults", "--fast", "--classes", "link_down", "--no-cache"]
+
+#: In-process ``main(argv)`` calls pinned by CONTRACT: every subcommand at
+#: a cheap size, one usage error per subcommand, then the inputs that fail
+#: at the boundary (a missing or malformed scenario, an unknown policy, an
+#: out-of-range number).
+CONTRACT_CASES = [
+    ["list"],
+    ["run", "fig5", "--fast"],
+    ["compat", "four.json"],
+    ["cross-rack", *_FABRIC],
+    ["chaos", "--campaigns", "1", *_FABRIC],
+    ["serve", "--epochs", "3"],
+    [*_ONE_FAULT, "--policies", "mltcp", "--substrate", "fluid"],
+    ["guards", "--run", "--substrate", "fluid", "--iterations", "10"],
+    ["guards", _REPORT],
+    ["validate-report", _REPORT],
+    ["bench-compare", _BASELINE, "--baseline", _BASELINE],
+    ["lint", "--list-rules"],
+    ["verify", "--list"],
+    ["docs-check", "one.md"],
+    ["list", "--bogus"],
+    ["run", "fig99"],
+    ["compat"],
+    ["faults", "--classes", "gremlin", "--substrate", "fluid"],
+    ["lint", "--select", "NOPE"],
+    ["verify", "no-such-property"],
+    ["bench-compare", "missing.json"],
+    ["guards"],
+    ["cross-rack", "--placement", "diagonal"],
+    ["chaos", "--placement", "diagonal"],
+    ["serve", "--flash", "nonsense"],
+    ["docs-check", "missing.md"],
+    ["validate-report", "missing.json"],
+    ["compat", "missing.json"],
+    ["compat", "bad.json"],
+    [*_ONE_FAULT, "--policies", "bogus", "--substrate", "fluid"],
+    ["faults", "--fast", "--schedule", "ghost.json", "--substrate", "fluid",
+     "--policies", "mltcp", "--no-cache"],
+    ["guards", "--run", "--cc", "bogus", "--substrate", "fluid"],
+    ["bench-compare", _BASELINE, "--baseline", _BASELINE, "--threshold", "nan"],
+    ["run", "fig5", "--workers", "0"],
+]
+
+_WALL_SECONDS = re.compile(r"(?m)^(\[runner\] .*)\b\d+\.\d\d s\b")
+
+
+def contract_call(argv: list[str]) -> dict:
+    """Run ``main(argv)`` in-process: its exit code, stdout and stderr.
+
+    A ``SystemExit`` (argparse) counts as its exit code; any other
+    exception is recorded by its type name.  Wall-clock seconds and the
+    repository path are masked so the record is machine-independent.
+    """
+    argv = [arg.format(repo=REPO) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code: object = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        except Exception as error:  # recorded by type, as a traceback would end
+            code = type(error).__name__
+
+    def mask(text: str) -> str:
+        return _WALL_SECONDS.sub(r"\1<wall> s", text.replace(str(REPO), "<repo>"))
+
+    return {
+        "argv": [arg.replace(str(REPO), "<repo>") for arg in argv],
+        "exit": code,
+        "stdout": mask(out.getvalue()),
+        "stderr": mask(err.getvalue()),
+    }
+
+
+def write_contract_inputs(directory: Path) -> None:
+    """The files CONTRACT_CASES name."""
+    import json
+
+    from repro.workloads import four_job_scenario, save_scenario
+
+    save_scenario(directory / "four.json", four_job_scenario())
+    (directory / "bad.json").write_text(json.dumps({"jobs": [{"name": 1}]}))
+    (directory / "one.md").write_text("```python\nassert 1 + 1 == 2\n```\n")
+    # A valid schedule whose straggler names no job: its point fails.
+    (directory / "ghost.json").write_text(json.dumps({"seed": 5, "events": [
+        {"kind": "straggler", "time": 1.0, "duration": 1.0, "job": "ghost",
+         "factor": 2.0},
+    ]}))
+
+
+@pytest.fixture
+def contract_inputs(tmp_path, monkeypatch):
+    """A fresh working directory holding the contract's input files."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    write_contract_inputs(tmp_path)
+
+
+def record_contract() -> None:
+    """Re-record CONTRACT from the tree on ``PYTHONPATH``, each call in a
+    fresh directory and result cache: ``PYTHONPATH=src python
+    tests/test_cli.py``."""
+    import json
+    import os
+    import tempfile
+
+    home = os.getcwd()
+    records = []
+    try:
+        for case in CONTRACT_CASES:
+            with tempfile.TemporaryDirectory() as tmp:
+                os.chdir(tmp)
+                os.environ.update(
+                    COLUMNS="80", REPRO_CACHE_DIR=os.path.join(tmp, "cache")
+                )
+                write_contract_inputs(Path(tmp))
+                records.append(contract_call(case))
+                os.chdir(home)
+    finally:
+        os.chdir(home)
+    CONTRACT.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n")
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "index", range(len(CONTRACT_CASES)),
+        ids=[" ".join(case) for case in CONTRACT_CASES],
+    )
+    def test_matches_golden(self, index, contract_inputs):
+        import json
+
+        golden = json.loads(CONTRACT.read_text())
+        assert len(golden) == len(CONTRACT_CASES)
+        assert contract_call(CONTRACT_CASES[index]) == golden[index]
+
+
+class TestTypedOptions:
+    """A number outside its option's type fails before any work runs: exit
+    2 through repro.cliutil, naming the option."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["guards", "--run", "--iterations", "0"],
+            ["guards", "--run", "--iterations", "-3"],
+            ["faults", "--retries", "-1"],
+            ["faults", "--timeout", "0"],
+            [*_ONE_FAULT, "--policies", "mltcp", "--substrate", "fluid",
+             "--timeout", "nan"],
+            ["compat", "four.json", "--capacity", "0"],
+            ["compat", "four.json", "--capacity", "-5"],
+            ["verify", "--list", "--timeout", "nan"],
+            ["bench-compare", _BASELINE, "--baseline", _BASELINE,
+             "--threshold", "nan"],
+            ["serve", "--epochs", "3", "--capacity", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_is_a_usage_error(self, argv, contract_inputs):
+        option = argv[-2]
+        assert contract_call(argv) == {
+            "argv": [arg.format(repo="<repo>") for arg in argv],
+            "exit": 2,
+            "stdout": "",
+            "stderr": f"repro: error: argument {option}: must be "
+            f"{_NOUNS[option]}, got {argv[-1]}\n",
+        }
+
+
+_NOUNS = {
+    "--iterations": "a positive integer",
+    "--retries": "a non-negative integer",
+    "--timeout": "a finite positive number",
+    "--capacity": "a finite positive number",
+    "--threshold": "a finite non-negative number",
+}
+
+
+class TestBadNamesAndFiles:
+    """Unknown names and unreadable inputs fail at the boundary (exit 2)."""
+
+    def test_compat_missing_scenario(self, contract_inputs, capsys):
+        assert main(["compat", "missing.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: cannot read scenario missing.json")
+
+    def test_compat_bad_entry_names_entry_and_field(self, contract_inputs, capsys):
+        assert main(["compat", "bad.json"]) == 2
+        err = capsys.readouterr().err
+        assert "jobs[0]" in err and "comm_bits" in err
+
+    def test_faults_unknown_policy(self, contract_inputs, capsys):
+        assert main(["faults", "--policies", "mltcp,bogus", "--substrate", "fluid"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: unknown policy(ies) ['bogus']; "
+            "valid: ['dctcp', 'fair', 'mltcp', 'reno']\n"
+        )
+
+    def test_faults_policy_no_requested_substrate_runs(self, contract_inputs, capsys):
+        # mltcp-dctcp exists only in the packet substrate.
+        argv = ["faults", "--policies", "mltcp-dctcp", "--substrate", "fluid"]
+        assert main(argv) == 2
+        assert "['mltcp-dctcp']" in capsys.readouterr().err
+
+    def test_guards_unknown_cc(self, contract_inputs, capsys):
+        assert main(["guards", "--run", "--cc", "bogus"]) == 2
+        assert "unknown policy(ies) ['bogus']" in capsys.readouterr().err
+
+    def test_policy_sets_match_the_experiment(self):
+        from repro.harness.experiments import RECOVERY_POLICIES, fault_recovery
+
+        for substrate, policies in RECOVERY_POLICIES.items():
+            with pytest.raises(ValueError, match=re.escape(str(list(policies)))):
+                fault_recovery(policy="bogus", substrate=substrate)
+
+
+class TestSubcommandTable:
+    def test_table_readme_and_help_name_the_same_subcommands(self, capsys):
+        """A subcommand cannot land without its README row (and vice versa)."""
+        from repro.cli import SUBCOMMANDS
+
+        table = [command.name for command in SUBCOMMANDS]
+        readme = (REPO / "README.md").read_text()
+        documented = re.findall(r"^\| `repro ([a-z-]+)` \|", readme, re.M)
+        assert documented == table
+
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == table
+
+
+if __name__ == "__main__":
+    record_contract()

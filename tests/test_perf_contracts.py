@@ -158,6 +158,12 @@ class TestPerfbench:
         with pytest.raises(ValueError):
             compare({}, {}, threshold=-0.1)
 
+    def test_nan_threshold_rejected(self):
+        # NaN fails `threshold < 0` and every row's regression test, so it
+        # used to turn the gate off.
+        with pytest.raises(ValueError, match="threshold"):
+            compare({}, {}, threshold=float("nan"))
+
     def test_default_threshold_matches_the_issue_gate(self):
         assert DEFAULT_REGRESSION_THRESHOLD == pytest.approx(0.15)
 

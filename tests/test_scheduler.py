@@ -130,3 +130,10 @@ class TestSchedule:
             CentralizedScheduler(
                 [make_job("A", 1.0, 1.0, 1.0)], 50.0, time_resolution=0.0
             )
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_rejects_non_finite_capacity(self, capacity):
+        # NaN passes `capacity <= 0`, and with it the exhaustive offset
+        # search never finds a zero-contention schedule to stop at.
+        with pytest.raises(ValueError, match="capacity_gbps"):
+            CentralizedScheduler([make_job("A", 1.0, 1.0, 1.0)], capacity)

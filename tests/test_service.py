@@ -269,6 +269,20 @@ class TestJournal:
             ServiceJournal(tmp_path / "svc.journal", retain=0)
 
 
+class TestCapacityValidation:
+    """NaN passes `capacity <= 0`; the serve path must still reject it."""
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_config_rejects_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity_gbps"):
+            _config(capacity_gbps=capacity)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_engine_rejects_capacity(self, capacity):
+        with pytest.raises(ValueError, match="capacity_gbps"):
+            LiveFluidEngine(capacity, "mltcp")
+
+
 class TestDaemonRuns:
     def test_uninterrupted_run(self, tmp_path):
         daemon = ChurnDaemon(_config())
