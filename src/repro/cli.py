@@ -92,6 +92,8 @@ from typing import Any, Callable, Iterable, Optional
 import numpy as np
 
 from .harness.experiments import (
+    RECOVERY_FAULTS,
+    RECOVERY_POLICIES,
     fairness_competition_share,
     fairness_loss_response,
     fig1_traffic_patterns,
@@ -359,12 +361,10 @@ def _check_known(what: str, names: list[str], known: Iterable[str]) -> None:
 
 
 def _check_recovery(args, faults: list[str], policies: list[str]) -> None:
-    """Reject unknown fault classes, and policies that no requested
-    substrate runs (:data:`~repro.harness.experiments.RECOVERY_POLICIES`)."""
-    from .faults.schedule import FAULT_KINDS
-    from .harness.experiments import RECOVERY_POLICIES
-
-    _check_known("fault class(es)", faults, FAULT_KINDS)
+    """Reject fault classes that the recovery experiment cannot build, and
+    policies that no requested substrate runs
+    (:data:`~repro.harness.experiments.RECOVERY_FAULTS`, ``RECOVERY_POLICIES``)."""
+    _check_known("fault class(es)", faults, RECOVERY_FAULTS)
     _check_known(
         "policy(ies)",
         policies,
@@ -442,10 +442,7 @@ DEFAULT_FAULTS_CHECKPOINT = "faults.checkpoint.jsonl"
 def _faults_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--classes",
-        default=",".join(
-            ("link_down", "bandwidth", "loss_burst", "ecn_storm",
-             "straggler", "job_restart")
-        ),
+        default=",".join(RECOVERY_FAULTS),
         metavar="A,B,...",
         help="comma-separated fault classes to sweep (default: all six)",
     )

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.tolerances import close, is_zero
 from ..core.units import bps_from_gbps, gbps_from_bps
-from ..workloads.job import JobSpec
+from ..workloads.job import IterationResult, JobSpec, _IterationLog
 from .allocation import (
     AllocationPolicy,
     FairShare,
@@ -107,27 +107,6 @@ class Phase(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IterationResult:
-    """One completed training iteration of one job."""
-
-    job: str
-    index: int
-    comm_start: float
-    comm_end: float
-    iteration_end: float
-
-    @property
-    def comm_duration(self) -> float:
-        """Wall-clock length of the communication phase."""
-        return self.comm_end - self.comm_start
-
-    @property
-    def duration(self) -> float:
-        """Iteration time: start of this comm phase to start of the next."""
-        return self.iteration_end - self.comm_start
-
-
-@dataclass(frozen=True)
 class RateSegment:
     """Constant bottleneck allocation over ``[start, end)``."""
 
@@ -172,37 +151,6 @@ class _JobRuntime:
         return view
 
 
-class _IterationLog:
-    """Per-job views of a run's iterations, shared by both fluid results."""
-
-    iterations: list[IterationResult]
-
-    def iterations_of(self, job: str) -> list[IterationResult]:
-        """Completed iterations of one job, in order."""
-        return [it for it in self.iterations if it.job == job]
-
-    def iteration_times(self, job: str) -> np.ndarray:
-        """Durations (s) of the job's completed iterations."""
-        return np.array([it.duration for it in self.iterations_of(job)])
-
-    def _mean_by_round(
-        self, names: Sequence[str], max_rounds: Optional[int] = None
-    ) -> np.ndarray:
-        """Average duration of the i-th iteration across ``names``."""
-        per_job = [self.iteration_times(name) for name in names]
-        rounds = min(len(t) for t in per_job)
-        if max_rounds is not None:
-            rounds = min(rounds, max_rounds)
-        if rounds == 0:
-            return np.array([])
-        # One 2-D reduction instead of a per-round Python comprehension.
-        # Transposing to C-contiguous (rounds, jobs) makes each row mean the
-        # same 1-D pairwise summation numpy used on the old per-round lists,
-        # so the series is bit-identical (docs/PERFORMANCE.md).
-        stacked = np.ascontiguousarray(np.stack([t[:rounds] for t in per_job]).T)
-        return stacked.mean(axis=1)
-
-
 @dataclass
 class FluidResult(_IterationLog):
     """Everything a fluid run produced."""
@@ -227,10 +175,6 @@ class FluidResult(_IterationLog):
         if len(times) == 0:
             raise ValueError(f"no completed iterations for job {job!r} after skip={skip}")
         return float(times.mean())
-
-    def mean_iteration_by_round(self, max_rounds: Optional[int] = None) -> np.ndarray:
-        """Average duration of the i-th iteration across jobs (Figure 3 series)."""
-        return self._mean_by_round([job.name for job in self.jobs], max_rounds)
 
     def rate_timeline(
         self, job: str, dt: float = 0.01

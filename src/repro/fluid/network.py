@@ -45,7 +45,7 @@ from ..core.aggressiveness import (
     default_aggressiveness,
 )
 from ..core.units import bps_from_gbps
-from ..workloads.job import JobSpec
+from ..workloads.job import IterationResult, JobSpec, _IterationLog
 from .allocation import mltcp_weights_array
 from .arrays import (
     _EPS_TIME,
@@ -57,9 +57,7 @@ from .arrays import (
 )
 from .flowsim import (
     _VECTORIZED_MIN_FLOWS,
-    IterationResult,
     Phase,
-    _IterationLog,
     _JobRuntime,
     _sweep_arrays,
     _sweep_scalar,
@@ -119,12 +117,11 @@ class NetworkFluidResult(_IterationLog):
     #: traffic off a flow's nominal path, so the static accounting below
     #: would charge bits to severed links).  Empty for fault-free runs.
     delivered_bits_by_link: dict[str, float] = field(default_factory=dict)
+    #: The placed jobs, in placement order.
+    jobs: tuple[JobSpec, ...] = field(init=False, repr=False)
 
-    def mean_iteration_by_round(self, jobs: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Average duration of the i-th iteration across the given jobs."""
-        if jobs is None:
-            jobs = [p.job.name for p in self.placements]
-        return self._mean_by_round(jobs)
+    def __post_init__(self) -> None:
+        self.jobs = tuple(p.job for p in self.placements)
 
     def link_utilization(self) -> dict[str, float]:
         """Mean utilization of every link over the run.

@@ -17,6 +17,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.schedule import FaultSchedule
+    from ..fluid.network import NetworkFluidResult
     from ..guards.core import GuardRail
 
 from ..core.aggressiveness import (
@@ -27,12 +28,13 @@ from ..core.aggressiveness import (
 from ..core.analysis import convergence_error_std, gradient_descent, loss_curve, signed_shift
 from ..faults.chaos import ChaosBudget, ChaosCampaign
 from ..fluid.allocation import FairShare, MLTCPWeighted, SRPT
-from ..fluid.flowsim import FluidResult, IterationResult, run_fluid
+from ..fluid.flowsim import FluidResult, run_fluid
 from ..metrics.convergence import detect_convergence
 from ..metrics.recovery import RecoverySLO, recovery_slos
 from ..metrics.stats import empirical_cdf, percentile, tail_speedup
 from ..schedulers.centralized import CentralizedScheduler, Schedule
-from ..tcp.mltcp import MLTCPReno
+from ..tcp.dctcp import DctcpCC
+from ..tcp.mltcp import MLTCPDctcp, MLTCPReno
 from ..tcp.reno import RenoCC
 from ..metrics.contention import LinkContention, link_contention_report
 from ..workloads.job import JobSpec
@@ -45,7 +47,13 @@ from ..workloads.presets import (
     three_job_scenario,
 )
 from ..workloads.traffic import DOUBLE_HUMP, SQUARE, demand_trace
-from .packetlab import mltcp_config_for, run_packet_jobs, run_packet_placements
+from .packetlab import (
+    CcFactory,
+    PacketLabResult,
+    mltcp_config_for,
+    run_packet_jobs,
+    run_packet_placements,
+)
 
 __all__ = [
     "fig1_traffic_patterns",
@@ -61,6 +69,7 @@ __all__ = [
     "fairness_loss_response",
     "fairness_competition_share",
     "FaultRecoveryResult",
+    "RECOVERY_FAULTS",
     "RECOVERY_POLICIES",
     "fault_recovery",
     "CrossRackResult",
@@ -301,13 +310,8 @@ def fig6_packet_two_jobs(
         jitter_sigma=jitter_sigma,
     )
     jobs = [job_template.with_name("Job1"), job_template.with_name("Job2")]
-
-    def factory(job: JobSpec):
-        if mltcp:
-            return MLTCPReno(mltcp_config_for(job))
-        return RenoCC()
-
-    lab = run_packet_jobs(jobs, factory, max_iterations=iterations, seed=seed)
+    cc = _PACKET_CC["mltcp" if mltcp else "reno"]
+    lab = run_packet_jobs(jobs, cc, max_iterations=iterations, seed=seed)
     per_job = {job.name: lab.iteration_times(job.name) for job in jobs}
     rounds = lab.mean_iteration_by_round()
     # Ideal at packet level includes header overhead on the wire.
@@ -498,12 +502,34 @@ def _mathis_mbps(loss_prob: float, link_delay: float) -> float:
 # Robustness: recovery after injected faults (docs/FAULTS.md)
 # ---------------------------------------------------------------------------
 
+#: Packet-level congestion control per policy name, one fresh instance per
+#: job; "fair" is vanilla Reno, the packet form of fair share.
+_PACKET_CC: dict[str, CcFactory] = {
+    "dctcp": lambda job: DctcpCC(),
+    "fair": lambda job: RenoCC(),
+    "mltcp": lambda job: MLTCPReno(mltcp_config_for(job)),
+    "mltcp-dctcp": lambda job: MLTCPDctcp(mltcp_config_for(job)),
+    "reno": lambda job: RenoCC(),
+}
+
 #: The congestion-control policies :func:`fault_recovery` runs, per
 #: substrate.  The fluid model has no packets, so loss-based (reno) and
 #: ECN-driven (dctcp) TCP both run as fair share, their fluid limit.
 RECOVERY_POLICIES: dict[str, tuple[str, ...]] = {
     "fluid": ("dctcp", "fair", "mltcp", "reno"),
-    "packet": ("dctcp", "fair", "mltcp", "mltcp-dctcp", "reno"),
+    "packet": tuple(_PACKET_CC),
+}
+
+#: The fault classes :func:`fault_recovery` builds a schedule for, each as
+#: its one event's parameters.  The event strikes after 25 healthy
+#: iterations; ``duration`` and ``restart_delay`` count healthy iterations.
+RECOVERY_FAULTS: dict[str, dict[str, float]] = {
+    "link_down": {"duration": 5.0},
+    "bandwidth": {"duration": 5.0, "factor": 0.5},
+    "loss_burst": {"duration": 5.0, "loss": 0.05},
+    "ecn_storm": {"duration": 5.0},
+    "straggler": {"duration": 5.0, "factor": 2.0},
+    "job_restart": {"restart_delay": 2.0},
 }
 
 
@@ -538,31 +564,29 @@ class FaultRecoveryResult:
     degradation_episodes: list[dict] = field(repr=False, default_factory=list)
 
 
+def _check_substrate(substrate: str) -> None:
+    if substrate not in ("fluid", "packet"):
+        raise ValueError(
+            f"unknown substrate {substrate!r}; valid: ['fluid', 'packet']"
+        )
+
+
 def _fault_schedule_for(
     fault: str, unit: float, job: str, seed: int
 ) -> "FaultSchedule":
-    """A one-event schedule of class ``fault``, sized in units of one
-    healthy iteration (strike after 25 iterations, last for 5)."""
+    """The one-event schedule of class ``fault`` (:data:`RECOVERY_FAULTS`),
+    with times in units of one healthy iteration; job faults hit ``job``."""
     from ..faults.schedule import FaultEvent, FaultSchedule
 
-    t0, dur = 25.0 * unit, 5.0 * unit
-    if fault == "link_down":
-        event = FaultEvent("link_down", time=t0, duration=dur)
-    elif fault == "bandwidth":
-        event = FaultEvent("bandwidth", time=t0, duration=dur, factor=0.5)
-    elif fault == "loss_burst":
-        event = FaultEvent("loss_burst", time=t0, duration=dur, loss=0.05)
-    elif fault == "ecn_storm":
-        event = FaultEvent("ecn_storm", time=t0, duration=dur)
-    elif fault == "straggler":
-        event = FaultEvent("straggler", time=t0, duration=dur, job=job, factor=2.0)
-    elif fault == "job_restart":
-        event = FaultEvent("job_restart", time=t0, job=job, restart_delay=2.0 * unit)
-    else:
-        raise ValueError(
-            f"unknown fault class {fault!r}; valid: ['bandwidth', 'ecn_storm', "
-            "'job_restart', 'link_down', 'loss_burst', 'straggler']"
-        )
+    params = dict(RECOVERY_FAULTS[fault])
+    event = FaultEvent(
+        fault,
+        time=25.0 * unit,
+        duration=params.pop("duration", 0.0) * unit,
+        restart_delay=params.pop("restart_delay", 0.0) * unit,
+        job=job if fault in ("straggler", "job_restart") else None,
+        **params,
+    )
     return FaultSchedule(events=(event,), seed=seed)
 
 
@@ -600,18 +624,56 @@ def fault_recovery(
     docs/ROBUSTNESS.md); violations accumulate on the rail and MLTCP
     degradation episodes from the faulted run are surfaced on the result.
     """
+    from ..faults.schedule import FaultSchedule
+
+    _check_substrate(substrate)
+    if policy not in RECOVERY_POLICIES[substrate]:
+        raise ValueError(
+            f"unknown policy {policy!r} for the {substrate} substrate; "
+            f"valid: {list(RECOVERY_POLICIES[substrate])}"
+        )
+    if schedule_json is None and fault not in RECOVERY_FAULTS:
+        raise ValueError(
+            f"unknown fault class {fault!r}; valid: {sorted(RECOVERY_FAULTS)}"
+        )
     if substrate == "fluid":
-        return _fault_recovery_fluid(
-            fault, policy, iterations, seed, tolerance, capacity_gbps,
-            schedule_json, guards,
+        jobs = three_job_scenario()
+        allocation = MLTCPWeighted if policy == "mltcp" else FairShare
+
+        def run(faults: Optional["FaultSchedule"]) -> FluidResult | PacketLabResult:
+            return run_fluid(
+                jobs, capacity_gbps, policy=allocation(),
+                max_iterations=iterations, seed=seed, faults=faults, guards=guards,
+            )
+    else:
+        job_template = JobSpec(
+            name="Job",
+            comm_bits=8e6,
+            demand_gbps=1.0,
+            compute_time=0.010,
+            jitter_sigma=0.0005,
         )
-    if substrate == "packet":
-        return _fault_recovery_packet(
-            fault, policy, iterations, seed, tolerance, schedule_json, guards
-        )
-    raise ValueError(
-        f"unknown substrate {substrate!r}; valid: ['fluid', 'packet']"
+        jobs = [job_template.with_name("Job1"), job_template.with_name("Job2")]
+
+        def run(faults: Optional["FaultSchedule"]) -> FluidResult | PacketLabResult:
+            return run_packet_jobs(
+                jobs, _PACKET_CC[policy], max_iterations=iterations, seed=seed,
+                faults=faults, guards=guards,
+            )
+
+    baseline = run(None).mean_iteration_by_round()
+    unit = float(baseline[len(baseline) // 2:].mean())
+    if schedule_json is not None:
+        schedule = FaultSchedule.from_json(schedule_json)
+    else:
+        schedule = _fault_schedule_for(fault, unit, jobs[0].name, seed)
+    faulted = run(schedule)
+    result = _recovery_from_series(
+        policy, fault, substrate,
+        faulted.mean_iteration_by_round(), baseline, tolerance, faulted.fault_log,
     )
+    result.degradation_episodes = list(faulted.degradation_episodes)
+    return result
 
 
 def _recovery_from_series(
@@ -649,109 +711,6 @@ def _recovery_from_series(
         series=series,
         baseline_series=baseline,
     )
-
-
-def _fault_recovery_fluid(
-    fault: str,
-    policy: str,
-    iterations: int,
-    seed: int,
-    tolerance: float,
-    capacity_gbps: float,
-    schedule_json: Optional[str] = None,
-    guards: Optional["GuardRail"] = None,
-) -> FaultRecoveryResult:
-    from ..faults.schedule import FaultSchedule
-
-    if policy not in RECOVERY_POLICIES["fluid"]:
-        raise ValueError(
-            f"unknown policy {policy!r} for the fluid substrate; "
-            f"valid: {list(RECOVERY_POLICIES['fluid'])}"
-        )
-    allocation = MLTCPWeighted if policy == "mltcp" else FairShare
-    jobs = three_job_scenario()
-    clean = run_fluid(
-        jobs, capacity_gbps, policy=allocation(),
-        max_iterations=iterations, seed=seed, guards=guards,
-    )
-    baseline = clean.mean_iteration_by_round()
-    unit = float(baseline[len(baseline) // 2:].mean())
-    if schedule_json is not None:
-        schedule = FaultSchedule.from_json(schedule_json)
-    else:
-        schedule = _fault_schedule_for(fault, unit, jobs[0].name, seed)
-    faulted = run_fluid(
-        jobs, capacity_gbps, policy=allocation(),
-        max_iterations=iterations, seed=seed, faults=schedule, guards=guards,
-    )
-    return _recovery_from_series(
-        policy, fault, "fluid",
-        faulted.mean_iteration_by_round(), baseline, tolerance,
-        faulted.fault_log,
-    )
-
-
-def _fault_recovery_packet(
-    fault: str,
-    policy: str,
-    iterations: int,
-    seed: int,
-    tolerance: float,
-    schedule_json: Optional[str] = None,
-    guards: Optional["GuardRail"] = None,
-) -> FaultRecoveryResult:
-    from ..faults.schedule import FaultSchedule
-    from ..tcp.dctcp import DctcpCC
-    from ..tcp.mltcp import MLTCPDctcp
-
-    job_template = JobSpec(
-        name="Job",
-        comm_bits=8e6,
-        demand_gbps=1.0,
-        compute_time=0.010,
-        jitter_sigma=0.0005,
-    )
-    jobs = [job_template.with_name("Job1"), job_template.with_name("Job2")]
-    if policy not in RECOVERY_POLICIES["packet"]:
-        raise ValueError(
-            f"unknown policy {policy!r} for the packet substrate; "
-            f"valid: {list(RECOVERY_POLICIES['packet'])}"
-        )
-
-    def factory(job: JobSpec):
-        if policy == "mltcp":
-            return MLTCPReno(mltcp_config_for(job))
-        if policy == "mltcp-dctcp":
-            return MLTCPDctcp(mltcp_config_for(job))
-        if policy == "dctcp":
-            return DctcpCC()
-        return RenoCC()  # reno, fair
-
-    clean = run_packet_jobs(
-        jobs, factory, max_iterations=iterations, seed=seed, guards=guards
-    )
-    baseline = clean.mean_iteration_by_round()
-    unit = float(baseline[len(baseline) // 2:].mean())
-    if schedule_json is not None:
-        schedule = FaultSchedule.from_json(schedule_json)
-    else:
-        schedule = _fault_schedule_for(fault, unit, jobs[0].name, seed)
-    faulted = run_packet_jobs(
-        jobs, factory, max_iterations=iterations, seed=seed, faults=schedule,
-        guards=guards,
-    )
-    fault_log: list[str] = [event.describe() for event in schedule.sorted_events()]
-    episodes: list[dict] = []
-    for name in sorted(faulted.senders):
-        mltcp = getattr(faulted.senders[name].cc, "mltcp", None)
-        if mltcp is not None:
-            episodes.extend(mltcp.degradation_episodes)
-    result = _recovery_from_series(
-        policy, fault, "packet",
-        faulted.mean_iteration_by_round(), baseline, tolerance, fault_log,
-    )
-    result.degradation_episodes = episodes
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -838,78 +797,61 @@ def cross_rack_interleaving(
     contention = link_contention_report(placements, spec)
     template = jobs[0]
 
-    if substrate == "fluid":
-        runs = _cross_rack_fluid(placements, spec, iterations, seed)
-    elif substrate == "packet":
-        runs = _cross_rack_packet(placements, spec, iterations, seed)
-    else:
-        raise ValueError(
-            f"unknown substrate {substrate!r}; valid: ['fluid', 'packet']"
-        )
-    (mltcp_series, mltcp_util), (fair_series, fair_util) = runs
+    _check_substrate(substrate)
+    series: dict[str, np.ndarray] = {}
+    utilization: dict[str, dict[str, float]] = {}
+    for policy in ("mltcp", "fair"):
+        result = _fabric_run(substrate, placements, spec, policy, iterations, seed)
+        series[policy] = result.mean_iteration_by_round()
+        utilization[policy] = result.link_utilization()
     return CrossRackResult(
         substrate=substrate,
         spec=spec,
         placement_policy=placement,
         placements=placements,
         ideal_iteration_time=template.ideal_iteration_time,
-        mltcp_series=mltcp_series,
-        fair_series=fair_series,
-        link_utilization={"mltcp": mltcp_util, "fair": fair_util},
+        mltcp_series=series["mltcp"],
+        fair_series=series["fair"],
+        link_utilization=utilization,
         contention=contention,
     )
 
 
-def _cross_rack_fluid(
+def _fabric_run(
+    substrate: str,
     placements: tuple[JobPlacement, ...],
     spec: FabricSpec,
+    policy: str,
     iterations: int,
     seed: int,
-) -> list[tuple[np.ndarray, dict[str, float]]]:
-    from ..fluid.fabric import FluidFabric
+    schedule: Optional["FaultSchedule"] = None,
+    guards: Optional["GuardRail"] = None,
+) -> "NetworkFluidResult | PacketLabResult":
+    """One run of the placed jobs under ``policy`` (``"mltcp"`` or
+    ``"fair"``) on ``spec``'s fabric, in either substrate."""
+    if substrate == "packet":
+        return run_packet_placements(
+            placements, spec, _PACKET_CC[policy], max_iterations=iterations,
+            seed=seed, faults=schedule, guards=guards,
+        )
+    from ..fluid.fabric import FluidFabric, FluidFabricFaults
     from ..fluid.network import run_network_fluid
 
     fabric = FluidFabric.from_spec(spec)
-    placed = fabric.place(placements)
     # The default fluid quantum (20 ms) is sized for paper-scale (second-
     # long) iterations; these jobs iterate every ~18 ms, so track the
     # sliding at ~1/10 iteration resolution instead.
     quantum = min(0.02, placements[0].job.ideal_iteration_time / 10.0)
-    out: list[tuple[np.ndarray, dict[str, float]]] = []
-    for mltcp in (True, False):
-        result = run_network_fluid(
-            placed,
-            fabric.capacities_gbps,
-            mltcp=mltcp,
-            max_iterations=iterations,
-            seed=seed,
-            quantum=quantum,
-        )
-        out.append((result.mean_iteration_by_round(), result.link_utilization()))
-    return out
-
-
-def _cross_rack_packet(
-    placements: tuple[JobPlacement, ...],
-    spec: FabricSpec,
-    iterations: int,
-    seed: int,
-) -> list[tuple[np.ndarray, dict[str, float]]]:
-    from ..tcp.reno import RenoCC
-
-    factories: list[object] = [
-        lambda job: MLTCPReno(mltcp_config_for(job)),
-        lambda job: RenoCC(),
-    ]
-    out: list[tuple[np.ndarray, dict[str, float]]] = []
-    for factory in factories:
-        lab = run_packet_placements(
-            placements, spec, factory, max_iterations=iterations, seed=seed
-        )
-        out.append(
-            (lab.mean_iteration_by_round(), lab.network.link_utilization())
-        )
-    return out
+    return run_network_fluid(
+        fabric.place(placements),
+        fabric.capacities_gbps,
+        mltcp=(policy == "mltcp"),
+        max_iterations=iterations,
+        seed=seed,
+        quantum=quantum,
+        fabric_faults=None if schedule is None else FluidFabricFaults(spec, schedule),
+        guards=guards,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -980,102 +922,6 @@ def _fault_context(schedule: "FaultSchedule", time: float) -> Optional[str]:
     return latest
 
 
-def _mean_round_series(
-    iterations: Sequence["IterationResult"], jobs: Sequence[str]
-) -> np.ndarray:
-    per_job = {
-        name: sorted(
-            (it for it in iterations if it.job == name), key=lambda it: it.index
-        )
-        for name in jobs
-    }
-    rounds = min((len(its) for its in per_job.values()), default=0)
-    return np.array(
-        [
-            float(np.mean([per_job[name][i].duration for name in jobs]))
-            for i in range(rounds)
-        ]
-    )
-
-
-def _chaos_fluid_run(
-    placements: tuple[JobPlacement, ...],
-    spec: FabricSpec,
-    policy: str,
-    iterations: int,
-    seed: int,
-    schedule: Optional["FaultSchedule"],
-    guards: Optional["GuardRail"],
-) -> tuple[list["IterationResult"], list[str], list[dict]]:
-    from ..fluid.fabric import FluidFabric, FluidFabricFaults
-    from ..fluid.network import run_network_fluid
-
-    fabric = FluidFabric.from_spec(spec)
-    placed = fabric.place(placements)
-    quantum = min(0.02, placements[0].job.ideal_iteration_time / 10.0)
-    faults = FluidFabricFaults(spec, schedule) if schedule is not None else None
-    result = run_network_fluid(
-        placed,
-        fabric.capacities_gbps,
-        mltcp=(policy == "mltcp"),
-        max_iterations=iterations,
-        seed=seed,
-        quantum=quantum,
-        fabric_faults=faults,
-        guards=guards,
-    )
-    return list(result.iterations), list(result.fault_log), []
-
-
-def _chaos_packet_run(
-    placements: tuple[JobPlacement, ...],
-    spec: FabricSpec,
-    policy: str,
-    iterations: int,
-    seed: int,
-    schedule: Optional["FaultSchedule"],
-    guards: Optional["GuardRail"],
-) -> tuple[list["IterationResult"], list[str], list[dict]]:
-    from ..tcp.reno import RenoCC
-
-    def factory(job: JobSpec):
-        if policy == "mltcp":
-            return MLTCPReno(mltcp_config_for(job))
-        return RenoCC()
-
-    lab = run_packet_placements(
-        placements,
-        spec,
-        factory,
-        max_iterations=iterations,
-        seed=seed,
-        faults=schedule,
-        guards=guards,
-    )
-    iters = [
-        IterationResult(
-            job=name,
-            index=it.index,
-            comm_start=it.comm_start,
-            comm_end=it.comm_end,
-            iteration_end=it.iteration_end,
-        )
-        for name in sorted(lab.apps)
-        for it in lab.apps[name].iterations
-    ]
-    fault_log = (
-        []
-        if schedule is None
-        else [event.describe() for event in schedule.sorted_events()]
-    )
-    episodes: list[dict] = []
-    for name in sorted(lab.senders):
-        mltcp = getattr(lab.senders[name].cc, "mltcp", None)
-        if mltcp is not None:
-            episodes.extend(mltcp.degradation_episodes)
-    return iters, fault_log, episodes
-
-
 def chaos_recovery(
     substrate: str = "fluid",
     campaigns: int = 1,
@@ -1127,14 +973,7 @@ def chaos_recovery(
     """
     from ..guards.core import GuardRail
 
-    if substrate == "fluid":
-        runner = _chaos_fluid_run
-    elif substrate == "packet":
-        runner = _chaos_packet_run
-    else:
-        raise ValueError(
-            f"unknown substrate {substrate!r}; valid: ['fluid', 'packet']"
-        )
+    _check_substrate(substrate)
     if campaigns < 1:
         raise ValueError(f"campaigns must be positive, got {campaigns!r}")
     spec = FabricSpec(
@@ -1148,7 +987,6 @@ def chaos_recovery(
         n_jobs = spec.n_hosts // 2
     jobs = cross_rack_scenario(n_jobs, jitter_sigma=jitter_sigma)
     placements = place_jobs(jobs, spec, policy=placement, seed=seed)
-    job_names = [p.job.name for p in placements]
     ideal = jobs[0].ideal_iteration_time
     interleavable = all(
         entry.interleavable for entry in link_contention_report(placements, spec)
@@ -1167,14 +1005,14 @@ def chaos_recovery(
     )
 
     controls = {
-        policy: runner(placements, spec, policy, iterations, seed, None, None)[0]
+        policy: _fabric_run(substrate, placements, spec, policy, iterations, seed)
         for policy in ("mltcp", "fair")
     }
     if reinterleave_reference is None:
         if substrate == "fluid":
             reinterleave_reference = ideal
         else:
-            control_series = _mean_round_series(controls["mltcp"], job_names)
+            control_series = controls["mltcp"].mean_iteration_by_round()
             tail = max(window, 5)
             reinterleave_reference = float(control_series[-tail:].mean())
 
@@ -1188,15 +1026,15 @@ def chaos_recovery(
         episodes: list[dict] = []
         for policy in ("mltcp", "fair"):
             rail = GuardRail(guard_policy) if guard_policy else None
-            iters, log, eps = runner(
-                placements, spec, policy, iterations, seed, schedule, rail
+            run = _fabric_run(
+                substrate, placements, spec, policy, iterations, seed, schedule, rail
             )
             slos[policy] = recovery_slos(
                 spec,
                 schedule,
                 placements,
-                iters,
-                controls[policy],
+                run.iterations,
+                controls[policy].iterations,
                 ideal_iteration_time=reinterleave_reference,
                 interleavable=interleavable,
                 tolerance=tolerance,
@@ -1206,8 +1044,8 @@ def chaos_recovery(
                 {**v.as_dict(), "fault_context": _fault_context(schedule, v.time)}
                 for v in (rail.violations if rail is not None else [])
             ]
-            fault_log[policy] = log
-            series[policy] = _mean_round_series(iters, job_names)
+            fault_log[policy] = run.fault_log
+            series[policy] = run.mean_iteration_by_round()
             if policy == "mltcp":
                 episodes = [
                     {
@@ -1216,7 +1054,7 @@ def chaos_recovery(
                             schedule, float(episode.get("start", 0.0))
                         ),
                     }
-                    for episode in eps
+                    for episode in run.degradation_episodes
                 ]
         results.append(
             ChaosResult(

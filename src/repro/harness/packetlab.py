@@ -3,7 +3,10 @@
 Builds the paper's testbed shape around :mod:`repro.simulator` and
 :mod:`repro.tcp`: one sender/receiver host pair per job across the
 bottleneck, one TCP flow per job driven by a
-:class:`~repro.simulator.app.TrainingApp`.
+:class:`~repro.simulator.app.TrainingApp`.  A run returns a
+:class:`PacketLabResult`, read the same way as the fluid simulators'
+results: one :class:`~repro.workloads.job.IterationResult` per completed
+iteration, per-round means and the applied fault log.
 
 Scaled units: the paper's 50 Gbps / GB-scale iterations are mapped to
 ~1 Gbps links and MB-scale iterations so a Python discrete-event loop can
@@ -29,7 +32,7 @@ from ..simulator.engine import Simulator
 from ..simulator.queues import DropTailQueue
 from ..simulator.topology import Network, build_dumbbell, build_fat_tree
 from ..tcp.base import CongestionControl, TcpReceiver, TcpSender
-from ..workloads.job import JobSpec
+from ..workloads.job import IterationResult, JobSpec, _IterationLog
 from ..workloads.placement import FabricSpec, JobPlacement
 
 __all__ = [
@@ -65,8 +68,14 @@ def mltcp_config_for(
 
 
 @dataclass
-class PacketLabResult:
-    """Apps, senders and network of one packet-level run."""
+class PacketLabResult(_IterationLog):
+    """One packet-level run: its iteration log, and the apps, senders and
+    network that produced it.
+
+    Read it like a fluid result — ``iterations_of``, ``iteration_times``,
+    ``mean_iteration_by_round``, ``fault_log`` — plus the MLTCP
+    ``degradation_episodes`` of its senders and per-job ``throughput``.
+    """
 
     sim: Simulator
     network: Network
@@ -74,26 +83,21 @@ class PacketLabResult:
     apps: dict[str, TrainingApp]
     senders: dict[str, TcpSender]
     receivers: dict[str, TcpReceiver] = field(default_factory=dict)
-
-    def iteration_times(self, job: str) -> np.ndarray:
-        """Durations (s) of the job's completed iterations."""
-        return self.apps[job].iteration_times()
-
-    def mean_iteration_by_round(self) -> np.ndarray:
-        """Average duration of the i-th iteration across jobs."""
-        per_job = [app.iteration_times() for app in self.apps.values()]
-        rounds = min(len(t) for t in per_job)
-        if rounds == 0:
-            return np.array([])
-        return np.array(
-            [float(np.mean([t[i] for t in per_job])) for i in range(rounds)]
-        )
+    iterations: list[IterationResult] = field(default_factory=list)
+    #: Fault transitions the injector applied — strikes and reverts, with
+    #: their times; empty without a schedule.
+    fault_log: list[str] = field(default_factory=list)
+    degradation_episodes: list[dict] = field(default_factory=list)
 
     def all_iteration_times(self, skip: int = 0) -> np.ndarray:
         """Pooled iteration durations of every job (skipping warm-up)."""
         return np.concatenate(
-            [app.iteration_times()[skip:] for app in self.apps.values()]
+            [self.iteration_times(job.name)[skip:] for job in self.jobs]
         )
+
+    def link_utilization(self) -> dict[str, float]:
+        """Mean utilization of every link over the run."""
+        return self.network.link_utilization()
 
     def throughput(self, job: str, dt: float = 0.005) -> tuple[np.ndarray, np.ndarray]:
         """Per-job goodput (Gbps) over time, from the sender's ACK log."""
@@ -140,54 +144,11 @@ def run_packet_jobs(
         link_delay=link_delay,
         bottleneck_queue=DropTailQueue(queue_packets),
     )
-    rng = np.random.default_rng(seed)
-    apps: dict[str, TrainingApp] = {}
-    senders: dict[str, TcpSender] = {}
-    receivers: dict[str, TcpReceiver] = {}
-    for i, job in enumerate(jobs):
-        sender_host, receiver_host = network.hosts[f"s{i}"], network.hosts[f"r{i}"]
-        cc = cc_factory(job)
-        sender = TcpSender(sim, sender_host, job.name, receiver_host.name, cc)
-        receiver = TcpReceiver(sim, receiver_host, job.name, sender_host.name)
-        sender.peer_rx = receiver
-        app = TrainingApp(sim, sender, job, max_iterations=max_iterations, rng=rng)
-        app.start()
-        apps[job.name] = app
-        senders[job.name] = sender
-        receivers[job.name] = receiver
-
-    if faults is not None:
-        from ..faults.packet import install_packet_faults
-
-        install_packet_faults(sim, network, faults, apps=apps)
-
-    if guards is not None:
-        from ..guards.watchdog import bdp_cwnd_cap, install_packet_guards
-        from ..tcp.base import DEFAULT_MSS_BYTES
-
-        for sender in senders.values():
-            mltcp = getattr(sender.cc, "mltcp", None)
-            if mltcp is not None:
-                mltcp.attach_guardrail(guards)
-        # Dumbbell RTT: three hops each way (edge, bottleneck, edge) plus
-        # the worst-case bottleneck queueing delay — at these delays the
-        # queue, not propagation, dominates the RTT a full buffer produces.
-        queue_delay = queue_packets * 1500 * 8.0 / bottleneck_bps
-        rtt = 6.0 * link_delay + queue_delay + 1e-4
-        cap = bdp_cwnd_cap(bottleneck_bps, rtt, DEFAULT_MSS_BYTES, queue_packets)
-        install_packet_guards(sim, network, senders, guards, max_cwnd=cap)
-
-    if until is None:
-        longest = max(job.ideal_iteration_time for job in jobs)
-        until = 4.0 * longest * max_iterations
-    sim.run(until=until)
-    return PacketLabResult(
-        sim=sim,
-        network=network,
-        jobs=tuple(jobs),
-        apps=apps,
-        senders=senders,
-        receivers=receivers,
+    # Dumbbell RTT: three hops each way (edge, bottleneck, edge).
+    return _run_flows(
+        sim, network, [(job, f"s{i}", f"r{i}") for i, job in enumerate(jobs)],
+        cc_factory, max_iterations, until, seed, faults, guards,
+        bottleneck=(bottleneck_bps, queue_packets, 6.0 * link_delay),
     )
 
 
@@ -212,7 +173,7 @@ def run_packet_placements(
     destination host, so flows traverse the rack uplinks and spine
     downlinks the spec's deterministic ECMP rule assigns them — multiple
     bottlenecks with distinct competitor sets.  Per-link utilization is
-    available afterwards via ``result.network.link_utilization()``.
+    available afterwards via ``result.link_utilization()``.
 
     ``faults`` replays a :class:`~repro.faults.schedule.FaultSchedule` on
     the fabric, including fabric kinds (``spine_down`` etc.): the injector
@@ -242,13 +203,44 @@ def run_packet_placements(
         uplink_queue_capacity=uplink_queue_capacity,
         edge_queue_capacity=edge_queue_capacity,
     )
+    # Cross-rack RTT: four hops each way (edge, uplink, downlink, edge); the
+    # oversubscribed uplink is the congestion point.
+    return _run_flows(
+        sim, network, [(p.job, p.src, p.dst) for p in placements],
+        cc_factory, max_iterations, until, seed, faults, guards,
+        bottleneck=(bps_from_gbps(spec.uplink_gbps), uplink_queue_capacity,
+                    8.0 * link_delay),
+        fabric=spec,
+    )
+
+
+def _run_flows(
+    sim: Simulator,
+    network: Network,
+    flows: Sequence[tuple[JobSpec, str, str]],
+    cc_factory: CcFactory,
+    max_iterations: int,
+    until: Optional[float],
+    seed: int,
+    faults: Optional["FaultSchedule"],
+    guards: Optional["GuardRail"],
+    bottleneck: tuple[float, int, float],
+    fabric: Optional[FabricSpec] = None,
+) -> PacketLabResult:
+    """Drive one TCP flow per ``(job, src host, dst host)`` over ``network``.
+
+    The assembly both entry points share: apps and transports, then the
+    fault schedule, then the guardrail, then the run until ``until``
+    (default: four ideal iterations of the slowest job per iteration).
+    ``bottleneck`` is ``(rate_bps, queue_packets, propagation_rtt)`` of the
+    link whose full buffer bounds the RTT, for the guardrail's BDP cap.
+    """
     rng = np.random.default_rng(seed)
     apps: dict[str, TrainingApp] = {}
     senders: dict[str, TcpSender] = {}
     receivers: dict[str, TcpReceiver] = {}
-    for placement in placements:
-        job = placement.job
-        src_host, dst_host = network.hosts[placement.src], network.hosts[placement.dst]
+    for job, src, dst in flows:
+        src_host, dst_host = network.hosts[src], network.hosts[dst]
         cc = cc_factory(job)
         sender = TcpSender(sim, src_host, job.name, dst_host.name, cc)
         receiver = TcpReceiver(sim, dst_host, job.name, src_host.name)
@@ -259,13 +251,13 @@ def run_packet_placements(
         senders[job.name] = sender
         receivers[job.name] = receiver
 
+    injected = None
     if faults is not None:
         from ..faults.packet import install_packet_faults
 
-        install_packet_faults(
-            sim, network, faults, apps=apps, fabric=spec, guards=guards
+        injected = install_packet_faults(
+            sim, network, faults, apps=apps, fabric=fabric, guards=guards
         )
-
     if guards is not None:
         from ..guards.watchdog import bdp_cwnd_cap, install_packet_guards
         from ..tcp.base import DEFAULT_MSS_BYTES
@@ -274,29 +266,33 @@ def run_packet_placements(
             mltcp = getattr(sender.cc, "mltcp", None)
             if mltcp is not None:
                 mltcp.attach_guardrail(guards)
-        # Cross-rack RTT: four hops each way (edge, uplink, downlink, edge)
-        # plus the worst-case uplink queueing delay — the oversubscribed
-        # uplink is the congestion point, so its full buffer bounds the
-        # queueing a window can see.
-        uplink_bps = bps_from_gbps(spec.uplink_gbps)
-        queue_delay = uplink_queue_capacity * 1500 * 8.0 / uplink_bps
-        rtt = 8.0 * link_delay + queue_delay + 1e-4
-        cap = bdp_cwnd_cap(
-            uplink_bps, rtt, DEFAULT_MSS_BYTES, uplink_queue_capacity
-        )
+        # At these delays the bottleneck's full buffer, not propagation,
+        # dominates the RTT a window can see.
+        rate_bps, queue_packets, propagation = bottleneck
+        rtt = propagation + queue_packets * 1500 * 8.0 / rate_bps + 1e-4
+        cap = bdp_cwnd_cap(rate_bps, rtt, DEFAULT_MSS_BYTES, queue_packets)
         install_packet_guards(sim, network, senders, guards, max_cwnd=cap)
 
     if until is None:
-        longest = max(p.job.ideal_iteration_time for p in placements)
+        longest = max(job.ideal_iteration_time for job, _, _ in flows)
         until = 4.0 * longest * max_iterations
     sim.run(until=until)
+    trackers = [getattr(senders[name].cc, "mltcp", None) for name in sorted(senders)]
     return PacketLabResult(
         sim=sim,
         network=network,
-        jobs=tuple(p.job for p in placements),
+        jobs=tuple(job for job, _, _ in flows),
         apps=apps,
         senders=senders,
         receivers=receivers,
+        iterations=[it for app in apps.values() for it in app.iterations],
+        fault_log=injected.descriptions() if injected is not None else [],
+        degradation_episodes=[
+            episode
+            for mltcp in trackers
+            if mltcp is not None
+            for episode in mltcp.degradation_episodes
+        ],
     )
 
 

@@ -14,7 +14,6 @@ from .convergence import (
 )
 from .recovery import (
     FaultWindow,
-    IterationLike,
     RecoverySLO,
     fault_windows,
     goodput_deficit_bits,
@@ -47,7 +46,6 @@ __all__ = [
     "link_contention_report",
     "rack_link_loads",
     "FaultWindow",
-    "IterationLike",
     "RecoverySLO",
     "fault_windows",
     "goodput_deficit_bits",

@@ -35,17 +35,17 @@ placement cannot" from "cannot because the policy does not slide".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Protocol, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..faults.routing import FabricRoutingState
 from ..faults.schedule import FaultEvent, FaultSchedule
+from ..workloads.job import IterationResult, mean_by_round
 from ..workloads.placement import FabricSpec, JobPlacement
 
 __all__ = [
     "FaultWindow",
-    "IterationLike",
     "RecoverySLO",
     "fault_windows",
     "goodput_deficit_bits",
@@ -53,28 +53,6 @@ __all__ = [
     "reinterleave_time",
     "reroute_outage",
 ]
-
-
-class IterationLike(Protocol):
-    """One completed iteration, as both substrates record it.
-
-    The fluid side's :class:`repro.fluid.flowsim.IterationResult` satisfies
-    this directly; the packet side's per-app ``AppIteration`` carries no
-    job name, so harness code wraps it (see
-    ``repro.harness.experiments.chaos_recovery``).
-    """
-
-    @property
-    def job(self) -> str: ...
-
-    @property
-    def index(self) -> int: ...
-
-    @property
-    def comm_start(self) -> float: ...
-
-    @property
-    def iteration_end(self) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -136,7 +114,7 @@ def reroute_outage(
 
 
 def reinterleave_time(
-    iterations: Sequence[IterationLike],
+    iterations: Sequence[IterationResult],
     jobs: Sequence[str],
     *,
     recovery_time: float,
@@ -153,53 +131,29 @@ def reinterleave_time(
     whose mean cost is within ``(1 + tolerance) x ideal_iteration_time``
     — the operational form of the paper's §4 interleavable condition.
     Returns the delay from ``recovery_time`` to that round's completion,
-    or ``None`` if no such confirmed round exists.
+    or ``None`` if no such confirmed round exists.  ``iterations`` holds
+    each job's iterations in completion order, as every run result does.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1, got {window!r}")
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance!r}")
-    per_job = {
-        name: sorted(
-            (it for it in iterations if it.job == name),
-            key=lambda it: it.index,
-        )
-        for name in jobs
-    }
-    rounds = min((len(its) for its in per_job.values()), default=0)
-    if rounds == 0:
-        return None
-    mean_cost = np.array(
-        [
-            float(
-                np.mean(
-                    [
-                        per_job[name][i].iteration_end
-                        - per_job[name][i].comm_start
-                        for name in jobs
-                    ]
-                )
-            )
-            for i in range(rounds)
-        ]
-    )
-    done_at = np.array(
-        [
-            max(per_job[name][i].iteration_end for name in jobs)
-            for i in range(rounds)
-        ]
-    )
+    per_job = [[it for it in iterations if it.job == name] for name in jobs]
+    mean_cost = mean_by_round([np.array([it.duration for it in its]) for its in per_job])
+    done_at = [
+        max(its[r].iteration_end for its in per_job) for r in range(len(mean_cost))
+    ]
     bound = (1.0 + tolerance) * ideal_iteration_time
     ok = mean_cost <= bound
-    for r in range(rounds - window + 1):
+    for r in range(len(mean_cost) - window + 1):
         if done_at[r] >= recovery_time and bool(ok[r : r + window].all()):
             return float(max(0.0, done_at[r] - recovery_time))
     return None
 
 
 def goodput_deficit_bits(
-    faulted: Sequence[IterationLike],
-    control: Sequence[IterationLike],
+    faulted: Sequence[IterationResult],
+    control: Sequence[IterationResult],
     window: FaultWindow,
     comm_bits: Mapping[str, float],
     *,
@@ -215,7 +169,7 @@ def goodput_deficit_bits(
     """
     lo, hi = window.start, window.end + margin
 
-    def count(run: Sequence[IterationLike]) -> dict[str, int]:
+    def count(run: Sequence[IterationResult]) -> dict[str, int]:
         done: dict[str, int] = {name: 0 for name in comm_bits}
         for it in run:
             if lo <= it.iteration_end <= hi and it.job in done:
@@ -272,8 +226,8 @@ def recovery_slos(
     spec: FabricSpec,
     schedule: FaultSchedule,
     placements: Sequence[JobPlacement],
-    iterations: Sequence[IterationLike],
-    control: Sequence[IterationLike],
+    iterations: Sequence[IterationResult],
+    control: Sequence[IterationResult],
     *,
     ideal_iteration_time: float,
     interleavable: bool,

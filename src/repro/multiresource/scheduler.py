@@ -21,6 +21,7 @@ import numpy as np
 
 from ..core.aggressiveness import AggressivenessFunction, default_aggressiveness
 from ..fluid.allocation import water_fill
+from ..workloads.job import mean_by_round
 from .task import MultiResourceTask
 
 __all__ = [
@@ -120,13 +121,7 @@ class MultiResourceResult:
 
     def mean_iteration_by_round(self) -> np.ndarray:
         """Average duration of the i-th cycle across tasks."""
-        per_task = [self.iteration_times(t.name) for t in self.tasks]
-        rounds = min(len(x) for x in per_task)
-        if rounds == 0:
-            return np.array([])
-        return np.array(
-            [float(np.mean([x[i] for x in per_task])) for i in range(rounds)]
-        )
+        return mean_by_round([self.iteration_times(t.name) for t in self.tasks])
 
 
 class MultiResourceSimulator:

@@ -1,7 +1,6 @@
 """Packet-level discrete-event network simulator."""
 
 from .app import (
-    AppIteration,
     MultiFlowTrainingApp,
     RequestApp,
     SenderLike,
@@ -35,6 +34,5 @@ __all__ = [
     "TrainingApp",
     "MultiFlowTrainingApp",
     "RequestApp",
-    "AppIteration",
     "SenderLike",
 ]

@@ -10,22 +10,22 @@ when the previous iteration completes — is therefore structural.
 Works with both window-based senders (:class:`~repro.tcp.base.TcpSender`)
 and rate-based ones (:class:`~repro.tcp.dcqcn.RateSender`); anything with
 ``send_bytes`` and an ``on_all_acked`` callback slot fits
-:class:`SenderLike`.
+:class:`SenderLike`.  Completed iterations are recorded as
+:class:`~repro.workloads.job.IterationResult`, the record the fluid
+simulators keep too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from ..workloads.job import JobSpec
+from ..workloads.job import IterationResult, JobSpec
 from .engine import Simulator
 
 __all__ = [
     "SenderLike",
-    "AppIteration",
     "TrainingApp",
     "MultiFlowTrainingApp",
     "RequestApp",
@@ -40,26 +40,6 @@ class SenderLike(Protocol):
     def send_bytes(self, nbytes: int) -> int:
         """Queue ``nbytes`` for delivery; returns segments enqueued."""
         ...
-
-
-@dataclass(frozen=True)
-class AppIteration:
-    """One completed iteration as observed by the application."""
-
-    index: int
-    comm_start: float
-    comm_end: float
-    iteration_end: float
-
-    @property
-    def comm_duration(self) -> float:
-        """Wall-clock length of the communication phase."""
-        return self.comm_end - self.comm_start
-
-    @property
-    def duration(self) -> float:
-        """Iteration time: comm start to the start of the next comm phase."""
-        return self.iteration_end - self.comm_start
 
 
 class TrainingApp:
@@ -80,7 +60,7 @@ class TrainingApp:
         self.job = job
         self.max_iterations = max_iterations
         self._rng = rng
-        self.iterations: list[AppIteration] = []
+        self.iterations: list[IterationResult] = []
         self._index = 0
         self._comm_start: Optional[float] = None
         self._started = False
@@ -119,7 +99,7 @@ class TrainingApp:
             raise RuntimeError(f"{self.job.name}: cannot restart an app that never started")
         self._epoch += 1
         self.restarts += 1
-        self.sender.abort_transfer()
+        self._abort_comm()
         self._comm_start = None
         self._schedule_epoch(delay, self._begin_comm)
 
@@ -152,6 +132,9 @@ class TrainingApp:
         self._comm_start = self.sim.now
         self.sender.send_bytes(self.job.comm_bytes)
 
+    def _abort_comm(self) -> None:
+        self.sender.abort_transfer()
+
     def _on_comm_complete(self) -> None:
         comm_end = self.sim.now
         compute = self.compute_scale * self.job.sample_compute_time(self._rng)
@@ -160,7 +143,8 @@ class TrainingApp:
     def _finish_iteration(self, comm_end: float) -> None:
         assert self._comm_start is not None
         self.iterations.append(
-            AppIteration(
+            IterationResult(
+                job=self.job.name,
                 index=self._index,
                 comm_start=self._comm_start,
                 comm_end=comm_end,
@@ -173,14 +157,16 @@ class TrainingApp:
         self._begin_comm()
 
 
-class MultiFlowTrainingApp:
+class MultiFlowTrainingApp(TrainingApp):
     """A training job whose collective is striped over several flows.
 
     Real NCCL jobs open multiple TCP sockets per peer; the paper's kernel
     module keeps Algorithm 1 state *per flow*, each normalizing by its own
     per-flow share of TOTAL_BYTES.  This app splits every iteration's volume
     evenly over its senders and begins the computation phase only when every
-    stripe has been acknowledged — the collective's barrier semantics.
+    stripe has been acknowledged — the collective's barrier semantics.  The
+    iteration bookkeeping is :class:`TrainingApp`'s; ``sender`` is the
+    first stripe's.
     """
 
     def __init__(
@@ -193,43 +179,16 @@ class MultiFlowTrainingApp:
     ) -> None:
         if not senders:
             raise ValueError(f"{job.name}: need at least one sender")
-        if max_iterations is not None and max_iterations < 1:
-            raise ValueError(f"max_iterations must be positive, got {max_iterations!r}")
-        self.sim = sim
+        super().__init__(sim, senders[0], job, max_iterations, rng)
         self.senders = list(senders)
-        self.job = job
-        self.max_iterations = max_iterations
-        self._rng = rng
-        self.iterations: list[AppIteration] = []
-        self._index = 0
-        self._comm_start: Optional[float] = None
         self._pending = 0
-        self._started = False
-        #: Straggler hook, as on :class:`TrainingApp`.
-        self.compute_scale = 1.0
-        for i, sender in enumerate(self.senders):
-            sender.on_all_acked = lambda i=i: self._on_stripe_complete()
+        for sender in self.senders:
+            sender.on_all_acked = self._on_stripe_complete
 
     @property
     def stripe_bytes(self) -> int:
         """Bytes each flow carries per iteration (last stripe rounds up)."""
         return -(-self.job.comm_bytes // len(self.senders))
-
-    @property
-    def completed(self) -> int:
-        """Iterations fully completed (comm + compute)."""
-        return len(self.iterations)
-
-    def iteration_times(self) -> np.ndarray:
-        """Durations of completed iterations, in order."""
-        return np.array([it.duration for it in self.iterations])
-
-    def start(self) -> None:
-        """Schedule the first iteration at the job's start offset."""
-        if self._started:
-            raise RuntimeError(f"{self.job.name}: app already started")
-        self._started = True
-        self.sim.schedule(self.job.start_offset, self._begin_comm)
 
     # -- internals ----------------------------------------------------------
 
@@ -239,28 +198,14 @@ class MultiFlowTrainingApp:
         for sender in self.senders:
             sender.send_bytes(self.stripe_bytes)
 
+    def _abort_comm(self) -> None:
+        for sender in self.senders:
+            sender.abort_transfer()
+
     def _on_stripe_complete(self) -> None:
         self._pending -= 1
-        if self._pending > 0:
-            return
-        comm_end = self.sim.now
-        compute = self.compute_scale * self.job.sample_compute_time(self._rng)
-        self.sim.schedule(compute, lambda: self._finish_iteration(comm_end))
-
-    def _finish_iteration(self, comm_end: float) -> None:
-        assert self._comm_start is not None
-        self.iterations.append(
-            AppIteration(
-                index=self._index,
-                comm_start=self._comm_start,
-                comm_end=comm_end,
-                iteration_end=self.sim.now,
-            )
-        )
-        self._index += 1
-        if self.max_iterations is not None and self._index >= self.max_iterations:
-            return
-        self._begin_comm()
+        if self._pending == 0:
+            self._on_comm_complete()
 
 
 class RequestApp:

@@ -6,7 +6,8 @@ iteration, ``total_bytes`` at up to ``demand_gbps``) followed by a
 *computation* phase (``compute_time`` seconds of forward/backward work), with
 the next iteration's flows starting only when the previous iteration
 finishes.  :class:`JobSpec` captures that abstraction; the fluid and packet
-simulators both consume it.
+simulators both consume it, and both record what it produced as
+:class:`IterationResult` entries queried through one :class:`_IterationLog`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["JobSpec", "GBPS", "gbit"]
+__all__ = ["JobSpec", "GBPS", "gbit", "IterationResult", "mean_by_round"]
 
 #: Bits per second in one Gbps (decimal, as link rates are quoted).
 GBPS = 1e9
@@ -202,6 +203,82 @@ class JobSpec:
         noisy = rng.normal(1.0, self.volume_jitter_fraction) * self.comm_bits
         # At least one MTU's worth of traffic per iteration.
         return max(12000.0, noisy)
+
+
+@dataclass(frozen=True)
+class IterationResult:
+    """One completed training iteration of one job, on either substrate."""
+
+    job: str
+    index: int
+    comm_start: float
+    comm_end: float
+    iteration_end: float
+
+    @property
+    def comm_duration(self) -> float:
+        """Wall-clock length of the communication phase."""
+        return self.comm_end - self.comm_start
+
+    @property
+    def duration(self) -> float:
+        """Iteration time: start of this comm phase to start of the next."""
+        return self.iteration_end - self.comm_start
+
+
+def mean_by_round(
+    per_job: Sequence[np.ndarray], max_rounds: Optional[int] = None
+) -> np.ndarray:
+    """Mean of the i-th value across ``per_job``, for every round all reached.
+
+    With iteration durations per job this is the per-round mean iteration
+    time that Figures 3, 4 and 6 plot.
+    """
+    rounds = min((len(t) for t in per_job), default=0)
+    if max_rounds is not None:
+        rounds = min(rounds, max_rounds)
+    if rounds == 0:
+        return np.array([])
+    # One 2-D reduction instead of a per-round Python comprehension.
+    # Transposing to C-contiguous (rounds, jobs) makes each row mean the
+    # same 1-D pairwise summation numpy applies to one round's list, so the
+    # series is bit-identical to a per-round ``np.mean``.
+    stacked = np.ascontiguousarray(np.stack([t[:rounds] for t in per_job]).T)
+    return stacked.mean(axis=1)
+
+
+class _IterationLog:
+    """Per-job views of a run's iterations, shared by every run result.
+
+    A result provides ``jobs`` (in the order the run was given them) and
+    ``iterations``; the fluid results and the packet lab result all do.
+    """
+
+    jobs: tuple[JobSpec, ...]
+    iterations: list[IterationResult]
+    #: Fault transitions actually applied, as ``"t=<s>s: <what>"`` lines.
+    fault_log: list[str]
+    #: MLTCP tracker-sanity fallbacks (``{"flow", "reason", "start",
+    #: "end"}``); only the packet substrate has a per-flow tracker.
+    degradation_episodes: Sequence[dict] = ()
+
+    def iterations_of(self, job: str) -> list[IterationResult]:
+        """Completed iterations of one job, in order."""
+        return [it for it in self.iterations if it.job == job]
+
+    def iteration_times(self, job: str) -> np.ndarray:
+        """Durations (s) of the job's completed iterations."""
+        return np.array([it.duration for it in self.iterations_of(job)])
+
+    def mean_iteration_by_round(
+        self,
+        jobs: Optional[Sequence[str]] = None,
+        max_rounds: Optional[int] = None,
+    ) -> np.ndarray:
+        """Average duration of the i-th iteration across ``jobs`` (default:
+        every job of the run) — the Figure 3 series."""
+        names = [job.name for job in self.jobs] if jobs is None else jobs
+        return mean_by_round([self.iteration_times(n) for n in names], max_rounds)
 
 
 def total_mean_load_gbps(jobs: list[JobSpec]) -> float:

@@ -14,14 +14,11 @@ import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .job import JobSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a circular import)
-    from ..fluid.flowsim import FluidResult, IterationResult
+from .job import IterationResult, JobSpec, _IterationLog
 
 __all__ = [
     "save_demand_trace",
@@ -65,8 +62,8 @@ def load_demand_trace(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(times), np.array(demand)
 
 
-def save_iterations(path: str | Path, result: "FluidResult") -> None:
-    """Write a fluid run's iteration records as CSV."""
+def save_iterations(path: str | Path, result: _IterationLog) -> None:
+    """Write a run's iteration records (fluid or packet) as CSV."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -84,10 +81,8 @@ def save_iterations(path: str | Path, result: "FluidResult") -> None:
             )
 
 
-def load_iterations(path: str | Path) -> list["IterationResult"]:
+def load_iterations(path: str | Path) -> list[IterationResult]:
     """Read iteration records written by :func:`save_iterations`."""
-    from ..fluid.flowsim import IterationResult
-
     records = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -118,11 +113,14 @@ def save_scenario(path: str | Path, jobs: Sequence[JobSpec]) -> None:
 def load_scenario(path: str | Path) -> list[JobSpec]:
     """Read a job mix written by :func:`save_scenario`.
 
-    A malformed file raises ``ValueError`` naming the bad entry and field.
+    A malformed file raises ``ValueError`` naming the bad entry and field;
+    an empty ``jobs`` list names ``jobs``.
     """
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or not isinstance(payload.get("jobs"), list):
         raise ValueError("not a scenario file")
+    if not payload["jobs"]:
+        raise ValueError("jobs: a scenario needs at least one job")
     jobs = []
     for index, entry in enumerate(payload["jobs"]):
         try:

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.simulator.app import AppIteration, TrainingApp
+from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
 from repro.simulator.topology import build_dumbbell
 from repro.tcp.base import TcpReceiver, TcpSender
 from repro.tcp.reno import RenoCC
-from repro.workloads.job import JobSpec
+from repro.workloads.job import IterationResult, JobSpec
 
 OVERHEAD = 1500 / 1460
 
@@ -32,7 +32,7 @@ def small_job(**overrides):
 
 class TestAppIteration:
     def test_durations(self):
-        it = AppIteration(index=0, comm_start=1.0, comm_end=1.4, iteration_end=2.0)
+        it = IterationResult(job="J", index=0, comm_start=1.0, comm_end=1.4, iteration_end=2.0)
         assert it.comm_duration == pytest.approx(0.4)
         assert it.duration == pytest.approx(1.0)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import FIGURES, main
+from repro.faults.schedule import FABRIC_KINDS
 
 
 @pytest.fixture(autouse=True)
@@ -438,6 +439,33 @@ class TestBadNamesAndFiles:
         err = capsys.readouterr().err
         assert "jobs[0]" in err and "comm_bits" in err
 
+    def test_compat_empty_scenario_names_jobs(self, contract_inputs, capsys):
+        Path("empty.json").write_text('{"jobs": []}')
+        assert main(["compat", "empty.json"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: cannot read scenario empty.json: "
+            "jobs: a scenario needs at least one job\n"
+        )
+
+    @pytest.mark.parametrize("kind", sorted(FABRIC_KINDS))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "--fast", "--classes", "{kind}", "--no-cache",
+             "--policies", "mltcp", "--substrate", "fluid"],
+            ["guards", "--run", "--fault", "{kind}", "--substrate", "fluid",
+             "--iterations", "10"],
+        ],
+        ids=["faults", "guards"],
+    )
+    def test_fault_class_recovery_cannot_build(self, argv, kind, contract_inputs, capsys):
+        """Fabric-only classes need a fabric; the single-link recovery
+        experiment rejects them before running a point."""
+        assert main([arg.format(kind=kind) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"repro: error: unknown fault class(es) ['{kind}']; valid: "
+        )
+
     def test_faults_unknown_policy(self, contract_inputs, capsys):
         assert main(["faults", "--policies", "mltcp,bogus", "--substrate", "fluid"]) == 2
         assert capsys.readouterr().err == (
@@ -461,6 +489,12 @@ class TestBadNamesAndFiles:
         for substrate, policies in RECOVERY_POLICIES.items():
             with pytest.raises(ValueError, match=re.escape(str(list(policies)))):
                 fault_recovery(policy="bogus", substrate=substrate)
+
+    def test_fault_classes_match_the_experiment(self):
+        from repro.harness.experiments import RECOVERY_FAULTS, fault_recovery
+
+        with pytest.raises(ValueError, match=re.escape(str(sorted(RECOVERY_FAULTS)))):
+            fault_recovery(fault="spine_down")
 
 
 class TestSubcommandTable:

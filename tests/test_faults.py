@@ -555,6 +555,29 @@ class TestPacketInjector:
         )
 
 
+class TestAppliedFaultLog:
+    """Both substrates log the fault transitions they applied, not the
+    ones the schedule listed."""
+
+    @pytest.mark.parametrize("substrate", ["fluid", "packet"])
+    def test_fault_after_the_run_is_not_logged(self, substrate):
+        result = fault_recovery(
+            "link_down", "mltcp", substrate, iterations=20,
+            schedule_json=_flap(time=100.0, duration=1.0).to_json(),
+        )
+        assert result.fault_log == []
+
+    def test_packet_strike_and_revert_are_logged_with_times(self):
+        result = run_packet_jobs(
+            _packet_jobs(), lambda job: MLTCPReno(mltcp_config_for(job)),
+            max_iterations=10, faults=_flap(time=0.03, duration=0.01),
+        )
+        assert result.fault_log == [
+            "t=0.03s: link_down on bottleneck at t=0.03s for 0.01s",
+            "t=0.04s: link_down on sw_l->sw_r reverted",
+        ]
+
+
 @pytest.mark.slow
 class TestRecoveryPacket:
     @pytest.mark.parametrize("fault", ["link_down", "job_restart"])

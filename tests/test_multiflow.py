@@ -66,6 +66,25 @@ class TestSingleJobStriping:
         ideal = 8e6 / 1e9 * OVERHEAD + 0.010
         assert apps[0].iteration_times().mean() == pytest.approx(ideal, rel=0.1)
 
+    def test_restart_aborts_every_stripe(self):
+        """The restart MultiFlowTrainingApp inherits from TrainingApp
+        abandons all stripes, then the job runs its iterations to the end."""
+        sim = Simulator()
+        net = build_dumbbell(sim, 1, bottleneck_bps=1e9)
+        senders = []
+        for k in range(2):
+            sender = TcpSender(sim, net.hosts["s0"], f"J.{k}", "r0", RenoCC())
+            sender.peer_rx = TcpReceiver(sim, net.hosts["r0"], f"J.{k}", "s0")
+            senders.append(sender)
+        job = JobSpec("J", comm_bits=8e6, demand_gbps=1.0, compute_time=0.01)
+        app = MultiFlowTrainingApp(sim, senders, job, max_iterations=3)
+        app.start()
+        sim.schedule(0.004, app.restart)  # mid-way through the first collective
+        sim.run(until=1.0)
+        assert [s.transfers_aborted for s in senders] == [1, 1]
+        assert app.restarts == 1 and app.completed == 3
+        assert app.iterations[0].comm_start >= 0.004
+
     def test_rejects_empty_senders(self):
         sim = Simulator()
         job = JobSpec("J", comm_bits=1e6, demand_gbps=1.0, compute_time=0.01)
