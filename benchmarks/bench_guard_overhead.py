@@ -3,10 +3,10 @@
 Not a paper figure — a pytest-benchmark suite quantifying the runtime
 guardrail subsystem (docs/ROBUSTNESS.md).  The *disabled* cost is covered
 by `bench_simulator_performance.py` staying inside the bench-compare gate
-(no rail attached means the unmonitored hot paths run, so the existing
-benchmarks measure exactly the guards-off tree); the benchmarks here
-measure the *armed* cost: the engine's monitored event loop, the packet
-heartbeat sweep, and the fluid allocation checks.
+(with no rail attached no check runs, so the existing benchmarks
+measure exactly the guards-off tree); the benchmarks here measure the
+*armed* cost: the engine's per-event checks, the packet heartbeat
+sweep, and the fluid allocation checks.
 """
 
 from repro.fluid.allocation import MLTCPWeighted
@@ -20,8 +20,8 @@ from repro.workloads.presets import four_job_scenario
 
 
 def test_event_engine_monitored_throughput(benchmark):
-    """The 10k-event chain of `test_event_engine_throughput`, but through
-    the monitored slow path (`Simulator(monitor=rail)`)."""
+    """The 10k-event chain of `test_event_engine_throughput`, but with the
+    engine's monitor checks armed (`Simulator(monitor=rail)`)."""
 
     def run_10k_events():
         rail = GuardRail("record")

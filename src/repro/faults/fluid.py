@@ -33,15 +33,39 @@ from typing import Iterable, Optional
 
 from .schedule import FABRIC_KINDS, FaultEvent, FaultSchedule, InjectionLog
 
-__all__ = ["FluidFaultState", "ECN_STORM_CAPACITY_FACTOR"]
+__all__ = [
+    "FluidFaultState",
+    "ECN_STORM_CAPACITY_FACTOR",
+    "CAPACITY_KINDS",
+    "capacity_scale",
+]
 
 #: Fluid stand-in for a marking storm: with every packet of a window CE
 #: marked, a DCTCP sender's alpha saturates at 1 and the window halves each
 #: RTT — steady state, half the healthy throughput.
 ECN_STORM_CAPACITY_FACTOR = 0.5
 
+#: Fault kinds that scale a link's fluid capacity while active.
+CAPACITY_KINDS = ("link_down", "bandwidth", "loss_burst", "ecn_storm")
+
 #: The only link name the single-bottleneck fluid model knows.
 _FLUID_LINKS = ("bottleneck",)
+
+
+def capacity_scale(event: FaultEvent) -> float:
+    """The factor one active :data:`CAPACITY_KINDS` fault multiplies its
+    link's capacity by (the table above); every factor is non-negative, so
+    concurrent faults compose by multiplication and a ``link_down`` pins
+    the product at 0."""
+    if event.kind == "link_down":
+        return 0.0
+    if event.kind == "bandwidth":
+        return event.factor
+    if event.kind == "loss_burst":
+        return 1.0 - event.loss
+    if event.kind == "ecn_storm":
+        return ECN_STORM_CAPACITY_FACTOR
+    raise ValueError(f"fault kind {event.kind!r} does not scale capacity")
 
 
 class FluidFaultState(InjectionLog):
@@ -71,7 +95,7 @@ class FluidFaultState(InjectionLog):
         self._straggler_events: list[FaultEvent] = []
         self._restart_events: list[FaultEvent] = []
         for event in schedule.sorted_events():
-            if event.kind in ("link_down", "bandwidth", "loss_burst", "ecn_storm"):
+            if event.kind in CAPACITY_KINDS:
                 self._capacity_events.append(event)
             elif event.kind == "straggler":
                 self._straggler_events.append(event)
@@ -89,16 +113,8 @@ class FluidFaultState(InjectionLog):
         """Product of every active capacity-affecting fault's factor."""
         factor = 1.0
         for event in self._capacity_events:
-            if not self._active(event, now):
-                continue
-            if event.kind == "link_down":
-                factor = 0.0
-            elif event.kind == "bandwidth":
-                factor *= event.factor
-            elif event.kind == "loss_burst":
-                factor *= 1.0 - event.loss
-            elif event.kind == "ecn_storm":
-                factor *= ECN_STORM_CAPACITY_FACTOR
+            if self._active(event, now):
+                factor *= capacity_scale(event)
         return factor
 
     def compute_scale(self, job: str, now: float) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..faults.fluid import ECN_STORM_CAPACITY_FACTOR
+from ..faults.fluid import CAPACITY_KINDS, capacity_scale
 from ..faults.routing import FabricRoutingState
 from ..faults.schedule import FABRIC_KINDS, FaultEvent, FaultSchedule, InjectionLog
 from ..workloads.placement import FabricSpec, JobPlacement
@@ -78,10 +78,6 @@ class FluidFabric:
         return place_on_fabric(self.spec, placements)
 
 
-#: Classic link kinds that scale a single directed link's fluid capacity.
-_CAPACITY_KINDS = ("link_down", "bandwidth", "loss_burst", "ecn_storm")
-
-
 class FluidFabricFaults(InjectionLog):
     """Fabric-fault replay for :class:`repro.fluid.network.NetworkFluidSimulator`.
 
@@ -116,7 +112,7 @@ class FluidFabricFaults(InjectionLog):
                     "the packet substrate or the single-bottleneck fluid "
                     "model"
                 )
-            if event.kind in _CAPACITY_KINDS and event.link is None:
+            if event.kind in CAPACITY_KINDS and event.link is None:
                 raise ValueError(
                     f"fault {event.describe()} must name its link: a fabric "
                     "has no default bottleneck"
@@ -136,7 +132,7 @@ class FluidFabricFaults(InjectionLog):
         self._transitions = entries
         self._applied = 0
         self._capacity_events = [
-            e for e in schedule.sorted_events() if e.kind in _CAPACITY_KINDS
+            e for e in schedule.sorted_events() if e.kind in CAPACITY_KINDS
         ]
         super().__init__()
 
@@ -164,7 +160,8 @@ class FluidFabricFaults(InjectionLog):
 
         Links severed by the routing state (spine/uplink/partition faults)
         carry factor 0; active classic capacity kinds compose onto their
-        directed link multiplicatively, matching
+        directed link multiplicatively through the same
+        :func:`repro.faults.fluid.capacity_scale` as
         :meth:`repro.faults.fluid.FluidFaultState.capacity_factor`.
         """
         factors: dict[str, float] = {}
@@ -175,16 +172,7 @@ class FluidFabricFaults(InjectionLog):
                 continue
             link = event.link
             assert link is not None
-            if event.kind == "link_down":
-                factors[link] = 0.0
-                continue
-            if event.kind == "bandwidth":
-                scale = event.factor
-            elif event.kind == "loss_burst":
-                scale = 1.0 - event.loss
-            else:  # ecn_storm
-                scale = ECN_STORM_CAPACITY_FACTOR
-            factors[link] = factors.get(link, 1.0) * scale
+            factors[link] = factors.get(link, 1.0) * capacity_scale(event)
         return factors
 
     def links_for(self, placement: PlacedJob) -> Optional[tuple[str, ...]]:

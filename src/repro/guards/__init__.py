@@ -8,8 +8,9 @@ catalogue and the degradation state machine):
    capacity, engine time monotonicity and Algorithm 1 tracker sanity,
    all reporting into one :class:`GuardRail` whose policy is ``record``
    (experiments), ``raise`` (tests, ``make guards-smoke``) or
-   ``degrade`` (where a fallback exists).  Off by default: simulations
-   without a rail attached pay nothing.
+   ``degrade`` (where a fallback exists).  Off by default: without a rail
+   attached no check runs, and the event engine pays one ``is not None``
+   test per event.
 2. **Graceful MLTCP degradation** — not in this package but driven by
    it: when the iteration tracker flags its estimate unreliable,
    :class:`repro.tcp.mltcp.MltcpState` clamps ``F(bytes_ratio)`` to 1

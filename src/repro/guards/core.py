@@ -24,8 +24,9 @@ invariant is broken, and the rail's *policy* decides what happens:
 
 Everything here is dependency-free (no simulator imports), so any layer —
 engine, fluid, TCP, harness — can hold a rail without import cycles.
-Monitors are **off by default**: no rail attached means the hot paths pay
-nothing (see ``benchmarks/bench_guard_overhead.py`` and docs/ROBUSTNESS.md).
+Monitors are **off by default**: with no rail attached the event engine
+pays one ``is not None`` test per event and no check runs (see
+``benchmarks/bench_guard_overhead.py`` and docs/ROBUSTNESS.md).
 """
 
 from __future__ import annotations

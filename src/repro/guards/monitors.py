@@ -5,7 +5,7 @@ Each function checks one physical invariant and reports breaches to a
 degrade) is the rail's policy, not the monitor's business.  Monitors are
 pure observers — they never mutate the object they inspect — and they are
 only ever called when a rail is attached, so simulations without guards
-pay nothing.
+run none of them.
 
 The guard catalogue (names, layers, failure meanings) is documented in
 docs/ROBUSTNESS.md.  Call sites:

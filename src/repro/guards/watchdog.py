@@ -2,8 +2,8 @@
 
 Two complementary stall detectors exist:
 
-* The engine's own monitored event loop (``Simulator(monitor=rail)``)
-  checks *per event* that dispatch times never run backwards and that the
+* The engine's own monitor checks (``Simulator(monitor=rail)``) test
+  *per event* that dispatch times never run backwards and that the
   clock keeps advancing (``stall_event_limit`` events at one timestamp is
   a zero-delay livelock).  Exact, but pays a branch per event.
 * :class:`EngineWatchdog` here samples *per heartbeat*: between beats it

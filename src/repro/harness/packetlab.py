@@ -128,10 +128,11 @@ def run_packet_jobs(
     default fault target is the dumbbell's ``sw_l->sw_r`` bottleneck.
 
     ``guards`` installs the runtime guardrail (docs/ROBUSTNESS.md): the
-    engine's monitored event loop, periodic cwnd/link-conservation/tracker
-    heartbeats against a BDP-derived cwnd cap, and degradation reporting
-    from every MLTCP sender.  ``None`` (the default) changes nothing —
-    the unmonitored hot path runs.
+    engine's per-event monotonicity and stall checks, periodic
+    cwnd/link-conservation/tracker heartbeats against a BDP-derived cwnd
+    cap, and degradation reporting from every MLTCP sender.  ``None`` (the
+    default) installs none of them; the detached monitor costs the engine
+    one ``is not None`` test per event.
     """
     if not jobs:
         raise ValueError("need at least one job")

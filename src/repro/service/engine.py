@@ -245,8 +245,8 @@ class LiveFluidEngine:
                     compute = self.specs[i].sample_compute_time(self.rng)
                     self.phase[i] = PHASE_COMPUTE
                     self.deadline[i] = self.clock + compute
-                    if compute > _EPS_TIME:
-                        fired = True
+                    if compute <= _EPS_TIME:
+                        fired = True  # due now: sweep again to end it
                 elif phase == PHASE_COMPUTE and self.deadline[i] <= self.clock + _EPS_TIME:
                     self.iter_time_sum[i] += self.clock - self.comm_start[i]
                     self.iter_index[i] += 1

@@ -11,7 +11,7 @@ from .link import Link
 from .node import Host, Node, Switch
 from .packet import ACK_SIZE_BYTES, DATA_HEADER_BYTES, Packet
 from .queues import DropTailQueue, EcnQueue, PriorityQueue, QueueDiscipline
-from .topology import Network, build_dumbbell, build_from_graph, build_leaf_spine
+from .topology import Network, build_dumbbell, build_fat_tree, build_from_graph
 
 __all__ = [
     "Simulator",
@@ -29,7 +29,7 @@ __all__ = [
     "Switch",
     "Network",
     "build_dumbbell",
-    "build_leaf_spine",
+    "build_fat_tree",
     "build_from_graph",
     "TrainingApp",
     "MultiFlowTrainingApp",

@@ -17,13 +17,14 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
   token: pass it to :meth:`Simulator.cancel`.  Cancellation is O(1) — it
   nulls the callback slot and bumps a counter, so
   :meth:`Simulator.pending_events` never scans the queue.
-* The hot ``run()`` loop binds ``heappop``/the queue to locals and has a
-  branch-free fast path when no horizon, event budget, or monitor is
-  active.
+* ``run()`` is one loop for every caller: the horizon and the event
+  budget are one plain comparison each per event, and a detached monitor
+  costs one ``is not None`` test per event.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, List, Optional, Protocol
@@ -100,7 +101,8 @@ class Simulator:
         backwards (``engine-monotonic``) and the clock keeps advancing
         (``engine-stall``: ``stall_event_limit`` consecutive events at one
         timestamp is a zero-delay livelock).  When ``None`` (the default)
-        the branch-free hot path runs and nothing is paid.
+        the checks are skipped at the cost of one ``is not None`` test per
+        event.
     :param stall_event_limit: events allowed at a single timestamp before
         the monitor's ``engine-stall`` guard fires (once per run).
     """
@@ -183,41 +185,19 @@ class Simulator:
     ) -> None:
         """Process events in time order.
 
-        Stops when the queue empties, the clock passes ``until``, or
-        ``max_events`` callbacks have run (a runaway guard for tests).
+        Stops when the queue empties, the next event lies past ``until``
+        (it stays queued, so a later ``run()`` resumes, and the clock stops
+        exactly at ``until``), or ``max_events`` callbacks have run (a
+        runaway guard for tests).
         """
         global _TOTAL_EVENTS_PROCESSED
         queue = self._queue
-        processed = 0
-        try:
-            if until is None and max_events is None and self._monitor is None:
-                # Hot path: no horizon, no budget, no monitor.
-                pop = heappop
-                while queue:
-                    entry = pop(queue)
-                    cb = entry[2]
-                    if cb is None:
-                        self._cancelled -= 1
-                        continue
-                    entry[2] = _FIRED
-                    self.now = entry[0]
-                    cb()
-                    processed += 1
-            else:
-                processed = self._run_general(until, max_events)
-            if until is not None and self.now < until:
-                self.now = until
-        finally:
-            self._events_processed += processed
-            _TOTAL_EVENTS_PROCESSED += processed
-
-    def _run_general(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """Slow-path loop: horizons, event budgets, monitored invariant
-        checks."""
-        queue = self._queue
-        processed = 0
+        pop = heappop
+        horizon = math.inf if until is None else until
+        # ``processed`` counts up from 0, so -1 is never reached: no budget.
+        # A small int keeps the per-event comparison on CPython's fast
+        # int-to-int path, which neither ``math.inf`` nor ``sys.maxsize`` is.
+        budget = -1 if max_events is None else max(max_events, 0)
         monitor = self._monitor
         stall_limit = self._stall_event_limit
         # Stall tracking: consecutive dispatches that fail to advance the
@@ -226,49 +206,53 @@ class Simulator:
         # must not depend on it (repro-lint FLT001).
         last_time = self.now
         stall_count = 0
-        while queue:
-            if max_events is not None and processed >= max_events:
-                break
-            entry = queue[0]
-            time = entry[0]
-            if until is not None and time > until:
-                # Leave the entry queued so a later run() resumes, and
-                # stop the clock exactly at the horizon.
-                self.now = until
-                break
-            heappop(queue)
-            cb = entry[2]
-            if cb is None:
-                self._cancelled -= 1
-                continue
-            if monitor is not None:
-                if time < self.now:
-                    monitor.violation(
-                        "engine-monotonic",
-                        "engine",
-                        self.now,
-                        f"event scheduled at {time!r} dispatched after the "
-                        f"clock reached {self.now!r}",
-                    )
-                if time > last_time:
-                    last_time = time
-                    stall_count = 0
-                else:
-                    stall_count += 1
-                    if stall_count == stall_limit:
+        processed = 0
+        try:
+            while queue and processed != budget:
+                entry = queue[0]
+                time = entry[0]
+                if time > horizon:
+                    # Leave the entry queued so a later run() resumes, and
+                    # stop the clock exactly at the horizon.
+                    self.now = horizon
+                    break
+                pop(queue)
+                cb = entry[2]
+                if cb is None:
+                    self._cancelled -= 1
+                    continue
+                if monitor is not None:
+                    if time < self.now:
                         monitor.violation(
-                            "engine-stall",
+                            "engine-monotonic",
                             "engine",
-                            time,
-                            f"{stall_count} consecutive events without the "
-                            f"clock advancing past {last_time!r}; "
-                            "zero-delay livelock?",
+                            self.now,
+                            f"event scheduled at {time!r} dispatched after the "
+                            f"clock reached {self.now!r}",
                         )
-            entry[2] = _FIRED
-            self.now = time
-            cb()
-            processed += 1
-        return processed
+                    if time > last_time:
+                        last_time = time
+                        stall_count = 0
+                    else:
+                        stall_count += 1
+                        if stall_count == stall_limit:
+                            monitor.violation(
+                                "engine-stall",
+                                "engine",
+                                time,
+                                f"{stall_count} consecutive events without the "
+                                f"clock advancing past {last_time!r}; "
+                                "zero-delay livelock?",
+                            )
+                entry[2] = _FIRED
+                self.now = time
+                cb()
+                processed += 1
+            if until is not None and self.now < until:
+                self.now = until
+        finally:
+            self._events_processed += processed
+            _TOTAL_EVENTS_PROCESSED += processed
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the queue is empty.

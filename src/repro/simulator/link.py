@@ -42,7 +42,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .engine import EventEntry, Simulator
-from .packet import DEFAULT_POOL, Packet
+from .packet import Packet
 from .queues import DropTailQueue, QueueDiscipline
 
 __all__ = ["Link"]
@@ -115,22 +115,18 @@ class Link:
             # A severed link carries nothing; arrivals are lost, not queued,
             # so the transports see loss and recover once the link is back.
             self.fault_drops += 1
-            DEFAULT_POOL.release(packet)
             return
         if self.random_loss > 0.0 and self._loss_rng.random() < self.random_loss:
             self.random_drops += 1
-            DEFAULT_POOL.release(packet)
             return
         if self.fault_loss > 0.0 and self._require_fault_rng().random() < self.fault_loss:
             self.fault_drops += 1
-            DEFAULT_POOL.release(packet)
             return
         if self._fifo:
             if self._plan:
                 self._settle()
             if not self.queue.push(packet):
-                DEFAULT_POOL.release(packet)  # tail drop, counted by the queue
-                return
+                return  # tail drop, counted by the queue
             self._plan_packet(packet)
             if self._burst_entry is None:
                 self._burst_entry = self.sim.schedule_at(
@@ -246,21 +242,6 @@ class Link:
             else:
                 break
         return total
-
-    @property
-    def utilization_bits(self) -> int:
-        """Total bits serialized onto the wire so far."""
-        return self.bits_sent
-
-    @property
-    def offered_packets(self) -> int:
-        """Packets offered to this link: accepted plus every drop class."""
-        return (
-            self.queue.enqueued
-            + self.queue.drops
-            + self.random_drops
-            + self.fault_drops
-        )
 
     def conservation_delta(self) -> int:
         """Accepted packets minus (dequeued + still buffered); zero when sane.

@@ -53,17 +53,6 @@ class Host(Node):
             raise ValueError(f"{self.name}: flow {flow_id} already registered")
         self._flows[flow_id] = sink
 
-    def flow_sink(self, flow_id: str) -> PacketSink:
-        """The registered sink of ``flow_id`` (used by fault injectors to
-        find a flow's transport endpoint, e.g. for a restart resync)."""
-        try:
-            return self._flows[flow_id]
-        except KeyError:
-            raise KeyError(
-                f"{self.name}: no flow {flow_id!r} registered; flows: "
-                f"{sorted(self._flows)}"
-            ) from None
-
     def set_route(self, dst: str, neighbour: str) -> None:
         """Packets for host ``dst`` leave via the link to ``neighbour``."""
         if neighbour not in self.links:

@@ -9,13 +9,7 @@ Performance notes (docs/PERFORMANCE.md): :class:`Packet` is a ``__slots__``
 class, not a dataclass — packet construction sits directly on the
 per-segment hot path, and slots cut both allocation cost and attribute
 access latency.  ``size_bytes``/``size_bits`` are precomputed at
-construction instead of being recomputed properties.  :class:`PacketPool`
-is a free-list recycler for the transport layer: senders/receivers acquire
-packets from :data:`DEFAULT_POOL` and the consumption points (transport
-``receive``, link drop branches) release them.  Only pool-acquired packets
-are ever recycled — directly constructed packets (tests, ad-hoc traffic)
-pass through ``release`` untouched, so holding a reference to one is
-always safe.
+construction instead of being recomputed properties.
 """
 
 from __future__ import annotations
@@ -27,8 +21,6 @@ from ..core.units import bits_from_bytes
 
 __all__ = [
     "Packet",
-    "PacketPool",
-    "DEFAULT_POOL",
     "DATA_HEADER_BYTES",
     "ACK_SIZE_BYTES",
 ]
@@ -60,7 +52,6 @@ class Packet:
         "uid",
         "size_bytes",
         "size_bits",
-        "_pooled",
     )
 
     def __init__(
@@ -115,7 +106,6 @@ class Packet:
         #: Wire size including headers (bytes / bits).
         self.size_bytes = ACK_SIZE_BYTES if is_ack else payload_bytes + DATA_HEADER_BYTES
         self.size_bits = bits_from_bytes(self.size_bytes)
-        self._pooled = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"
@@ -123,102 +113,3 @@ class Packet:
             f"<{kind} {self.flow_id} {self.src}->{self.dst} seq={self.seq} "
             f"{self.payload_bytes}B>"
         )
-
-
-class PacketPool:
-    """Free-list recycler for transport-generated packets.
-
-    ``acquire`` re-initializes a recycled :class:`Packet` in place (or
-    constructs a fresh one when the free list is empty) and tags it as
-    pool-owned; ``release`` returns it to the free list.  Field validation
-    is skipped on the recycle path — the transport layer constructs
-    packets that are valid by construction, and acquire/release sit on the
-    per-segment hot path.
-
-    Safety rules:
-
-    * ``release`` is a no-op for packets that did not come from ``acquire``
-      (so test-constructed packets are never recycled under a held
-      reference) and for double releases (the pooled flag clears on the
-      first).
-    * A released packet's fields stay readable until the pool hands it out
-      again; callers must simply not *retain* packets past the consumption
-      point that released them.
-    """
-
-    __slots__ = ("_free", "max_free")
-
-    def __init__(self, max_free: int = 4096) -> None:
-        if max_free < 0:
-            raise ValueError(f"max_free must be non-negative, got {max_free!r}")
-        self._free: list[Packet] = []
-        self.max_free = max_free
-
-    def __len__(self) -> int:
-        """Packets currently parked on the free list."""
-        return len(self._free)
-
-    def acquire(
-        self,
-        flow_id: str,
-        src: str,
-        dst: str,
-        is_ack: bool,
-        seq: int,
-        payload_bytes: int,
-        sent_time: Optional[float] = None,
-        retransmitted: bool = False,
-        ecn_capable: bool = False,
-        ecn_echo: bool = False,
-        priority: float = 0.0,
-    ) -> Packet:
-        """A ready-to-send packet, recycled when possible."""
-        free = self._free
-        if not free:
-            packet = Packet(
-                flow_id,
-                src,
-                dst,
-                is_ack,
-                seq,
-                payload_bytes,
-                sent_time=sent_time,
-                retransmitted=retransmitted,
-                ecn_capable=ecn_capable,
-                ecn_echo=ecn_echo,
-                priority=priority,
-            )
-            packet._pooled = True
-            return packet
-        packet = free.pop()
-        packet.flow_id = flow_id
-        packet.src = src
-        packet.dst = dst
-        packet.is_ack = is_ack
-        packet.seq = seq
-        packet.payload_bytes = payload_bytes
-        packet.sent_time = sent_time
-        packet.retransmitted = retransmitted
-        packet.ecn_capable = ecn_capable
-        packet.ecn_ce = False
-        packet.ecn_echo = ecn_echo
-        packet.priority = priority
-        packet.uid = next(_packet_ids)
-        size = ACK_SIZE_BYTES if is_ack else payload_bytes + DATA_HEADER_BYTES
-        packet.size_bytes = size
-        packet.size_bits = bits_from_bytes(size)
-        packet._pooled = True
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return a pool-acquired packet to the free list (no-op otherwise)."""
-        if packet._pooled:
-            packet._pooled = False
-            if len(self._free) < self.max_free:
-                self._free.append(packet)
-
-
-#: Process-wide pool shared by the transport layer.  The simulator is
-#: single-threaded per process (the experiment runner parallelizes with
-#: *processes*), so a module-level free list is safe.
-DEFAULT_POOL = PacketPool()

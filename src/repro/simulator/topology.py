@@ -1,4 +1,4 @@
-"""Topology builders: the paper's dumbbell, plus a general graph builder.
+"""Topology builders: the paper's dumbbell, a fat tree and a general graph.
 
 The paper's testbed is "eight A100 GPU servers connected in a dumbbell
 topology with a single bottleneck link" — each job places its two workers on
@@ -6,9 +6,10 @@ opposite sides of the bottleneck.  :func:`build_dumbbell` reproduces that
 shape: N senders on the left, N receivers on the right, two switches, and a
 single bottleneck link whose rate and queue the experiments control.
 
-:func:`build_from_graph` accepts any networkx graph with per-edge rate/delay
-attributes and installs shortest-path routes, for topologies beyond the
-paper's.
+:func:`build_fat_tree` realizes a :class:`FabricSpec` two-tier fabric, the
+one multi-rack topology both simulators share.  :func:`build_from_graph`
+accepts any networkx graph with per-edge rate/delay attributes and installs
+shortest-path routes, for topologies beyond the paper's.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Protocol
 import networkx as nx
 import numpy as np
 
-from ..workloads.placement import FabricSpec, ecmp_index
+from ..workloads.placement import FabricSpec
 from .engine import Simulator
 from .link import Link
 from .node import Host, Node, Switch
@@ -29,7 +30,6 @@ __all__ = [
     "Network",
     "RoutingProvider",
     "build_dumbbell",
-    "build_leaf_spine",
     "build_fat_tree",
     "build_from_graph",
 ]
@@ -240,99 +240,6 @@ def build_dumbbell(
             )
         network.install_route(sender, receiver, [sender, "sw_l", "sw_r", receiver])
         network.install_route(receiver, sender, [receiver, "sw_r", "sw_l", sender])
-    return network
-
-
-def build_leaf_spine(
-    sim: Simulator,
-    n_leaves: int,
-    hosts_per_leaf: int,
-    leaf_uplink_bps: float,
-    edge_bps: Optional[float] = None,
-    link_delay: float = 5e-6,
-    uplink_queue_capacity: int = 100,
-    edge_queue_capacity: int = 256,
-    n_spines: int = 1,
-    ecmp_seed: int = 0,
-) -> Network:
-    """A two-tier leaf-spine fabric with one or more spine switches.
-
-    Hosts are named ``h{leaf}_{index}``; each leaf switch ``leaf{i}``
-    connects its hosts at ``edge_bps`` (default 4x the uplink) and reaches
-    every other leaf through a spine over a ``leaf_uplink_bps`` uplink —
-    so each leaf's uplinks are independent bottlenecks.  Used by the
-    multi-bottleneck experiments: MLTCP must interleave the jobs on *each*
-    congested uplink independently, with no coordination across them.
-
-    With ``n_spines == 1`` (the default) the single spine keeps its
-    historical name ``"spine"``; with more, spines are named ``spine0``,
-    ``spine1``, ... and each leaf picks the spine for a destination via
-    the deterministic seeded ECMP rule
-    (:func:`repro.workloads.placement.ecmp_index`): routing tables are
-    destination-keyed, so the choice is per ``(leaf, dst)``, identical
-    across reruns and substrates for the same ``ecmp_seed``.
-    """
-    if n_leaves < 2:
-        raise ValueError(f"n_leaves must be at least 2, got {n_leaves!r}")
-    if hosts_per_leaf < 1:
-        raise ValueError(f"hosts_per_leaf must be positive, got {hosts_per_leaf!r}")
-    if leaf_uplink_bps <= 0:
-        raise ValueError(f"leaf_uplink_bps must be positive, got {leaf_uplink_bps!r}")
-    if n_spines < 1:
-        raise ValueError(f"n_spines must be positive, got {n_spines!r}")
-    if edge_bps is None:
-        edge_bps = 4.0 * leaf_uplink_bps
-
-    spine_names = (
-        ["spine"] if n_spines == 1 else [f"spine{k}" for k in range(n_spines)]
-    )
-    network = Network(sim=sim)
-    for spine_name in spine_names:
-        network.add_switch(spine_name)
-    for leaf in range(n_leaves):
-        leaf_name = f"leaf{leaf}"
-        network.add_switch(leaf_name)
-        for spine_name in spine_names:
-            network.add_link(
-                leaf_name,
-                spine_name,
-                leaf_uplink_bps,
-                link_delay,
-                queue=DropTailQueue(uplink_queue_capacity),
-            )
-            network.add_link(
-                spine_name,
-                leaf_name,
-                leaf_uplink_bps,
-                link_delay,
-                queue=DropTailQueue(uplink_queue_capacity),
-            )
-        for index in range(hosts_per_leaf):
-            host_name = f"h{leaf}_{index}"
-            network.add_host(host_name)
-            network.add_link(
-                host_name, leaf_name, edge_bps, link_delay,
-                queue=DropTailQueue(edge_queue_capacity),
-            )
-            network.add_link(
-                leaf_name, host_name, edge_bps, link_delay,
-                queue=DropTailQueue(edge_queue_capacity),
-            )
-
-    # Static routes: intra-leaf direct, inter-leaf via an ECMP-chosen spine.
-    host_names = list(network.hosts)
-    for src in host_names:
-        src_leaf = f"leaf{src[1:].split('_')[0]}"
-        for dst in host_names:
-            if dst == src:
-                continue
-            dst_leaf = f"leaf{dst[1:].split('_')[0]}"
-            if src_leaf == dst_leaf:
-                path = [src, src_leaf, dst]
-            else:
-                spine = spine_names[ecmp_index(ecmp_seed, src_leaf, dst, n_spines)]
-                path = [src, src_leaf, spine, dst_leaf, dst]
-            network.install_route(src, dst, path)
     return network
 
 

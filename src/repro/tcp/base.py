@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from ..simulator.engine import EventEntry, Simulator
 from ..simulator.node import Host
-from ..simulator.packet import DEFAULT_POOL, Packet
+from ..simulator.packet import Packet
 
 __all__ = ["CongestionControl", "TcpSender", "TcpReceiver", "DEFAULT_MSS_BYTES"]
 
@@ -126,7 +126,6 @@ class TcpReceiver:
         self.delack_timeout = delack_timeout
         self.recv_next = 0
         self._out_of_order: set[int] = set()
-        self.segments_received = 0
         self.acks_sent = 0
         self._unacked_segments = 0
         self._delack_timer: Optional[EventEntry] = None
@@ -139,7 +138,6 @@ class TcpReceiver:
         """Handle an arriving data segment; emit or schedule an ACK."""
         if packet.is_ack:
             raise RuntimeError(f"receiver for {self.flow_id} got an ACK: {packet!r}")
-        self.segments_received += 1
         in_order = packet.seq == self.recv_next
         if in_order:
             self.recv_next += 1
@@ -154,9 +152,6 @@ class TcpReceiver:
         self._pending_echo = self._pending_echo or packet.ecn_ce
         self._pending_ts = packet.sent_time
         self._pending_retransmitted = packet.retransmitted
-        # The segment is fully consumed; recycle it (no-op for packets
-        # that were not pool-acquired).
-        DEFAULT_POOL.release(packet)
 
         if not in_order or self.delayed_ack == 1:
             # Out-of-order (or delack disabled): ACK immediately so the
@@ -186,7 +181,7 @@ class TcpReceiver:
         # The ACK echoes the newest data packet's original send time and
         # retransmission flag (RFC 1323 timestamps), so the sender can take
         # accurate RTT samples even across recovery episodes.
-        ack = DEFAULT_POOL.acquire(
+        ack = Packet(
             flow_id=self.flow_id,
             src=self.host.name,
             dst=self.peer,
@@ -272,8 +267,6 @@ class TcpSender:
         self.rto = 4 * min_rto
         self._rto_backoff = 1.0
         self._rto_timer: Optional[EventEntry] = None
-        self._send_times: dict[int, float] = {}
-        self._retransmitted: set[int] = set()
 
         #: Peer receiver, wired by the experiment assembly (packetlab) so an
         #: aborted transfer can resync the cumulative-ACK point — the
@@ -336,8 +329,6 @@ class TcpSender:
         self.in_recovery = False
         self.dup_acks = 0
         self._rto_backoff = 1.0
-        self._send_times.clear()
-        self._retransmitted.clear()
         # Everything up to snd_nxt is either delivered or abandoned; the
         # next transfer continues the sequence space from here.
         self.snd_una = self.snd_nxt
@@ -378,7 +369,6 @@ class TcpSender:
             self._on_new_ack(ack, packet)
         elif ack == self.snd_una and self.flight_size() > 0:
             self._on_dup_ack()
-        DEFAULT_POOL.release(packet)
         self._try_send()
 
     # -- internals ----------------------------------------------------------
@@ -386,9 +376,6 @@ class TcpSender:
     def _on_new_ack(self, ack: int, packet: Packet) -> None:
         newly_acked = ack - self.snd_una
         self._sample_rtt(packet)
-        for seq in range(self.snd_una, ack):
-            self._send_times.pop(seq, None)
-            self._retransmitted.discard(seq)
         self.snd_una = ack
         if ack > self.snd_nxt:
             # After an RTO rewinds snd_nxt (go-back-N), segments still in
@@ -441,7 +428,7 @@ class TcpSender:
             self._restart_rto_timer()
 
     def _transmit(self, seq: int, retransmission: bool) -> None:
-        packet = DEFAULT_POOL.acquire(
+        packet = Packet(
             flow_id=self.flow_id,
             src=self.host.name,
             dst=self.peer,
@@ -455,9 +442,6 @@ class TcpSender:
         )
         if retransmission:
             self.retransmissions += 1
-            self._retransmitted.add(seq)
-        else:
-            self._send_times[seq] = self.sim.now
         self.segments_sent += 1
         self.host.send(packet)
 

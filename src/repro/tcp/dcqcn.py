@@ -25,7 +25,7 @@ from ..core.config import MLTCPConfig
 from ..core.iteration import IterationTracker
 from ..simulator.engine import EventEntry, Simulator
 from ..simulator.node import Host
-from ..simulator.packet import DEFAULT_POOL, Packet
+from ..simulator.packet import Packet
 from .base import DEFAULT_MSS_BYTES
 
 __all__ = ["DcqcnController", "MltcpDcqcnController", "RateSender"]
@@ -212,7 +212,6 @@ class RateSender:
         if packet.ecn_echo and self.sim.now - self._last_cnp_time >= self.cnp_interval:
             self._last_cnp_time = self.sim.now
             self.controller.on_congestion()
-        DEFAULT_POOL.release(packet)
         if self.all_acked() and self.target > 0:
             self._stop_timers()
             if self.on_all_acked is not None:
@@ -229,7 +228,7 @@ class RateSender:
         if self.snd_nxt >= self.target:
             self._emitting = False
             return
-        packet = DEFAULT_POOL.acquire(
+        packet = Packet(
             flow_id=self.flow_id,
             src=self.host.name,
             dst=self.peer,

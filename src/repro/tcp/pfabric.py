@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from ..simulator.engine import EventEntry, Simulator
 from ..simulator.node import Host
-from ..simulator.packet import DEFAULT_POOL, Packet
+from ..simulator.packet import Packet
 from .base import DEFAULT_MSS_BYTES
 
 __all__ = ["PFabricSender"]
@@ -101,7 +101,6 @@ class PFabricSender:
             self.snd_nxt = max(self.snd_nxt, self.snd_una)
             self.acked_bytes_log.append((self.sim.now, newly * self.mss_bytes))
             self._restart_timer()
-        DEFAULT_POOL.release(packet)
         if self.all_acked() and self.target > 0:
             self._cancel_timer()
             if self.on_all_acked is not None:
@@ -120,7 +119,7 @@ class PFabricSender:
 
     def _transmit(self, seq: int) -> None:
         remaining = (self.target - self.snd_una) * self.mss_bytes
-        packet = DEFAULT_POOL.acquire(
+        packet = Packet(
             flow_id=self.flow_id,
             src=self.host.name,
             dst=self.peer,

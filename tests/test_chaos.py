@@ -13,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     FABRIC_KINDS,
@@ -27,7 +29,7 @@ from repro.faults import (
 )
 from repro.faults.schedule import _DESCRIBE_RECIPES
 from repro.fluid import network
-from repro.fluid.fabric import FluidFabric, FluidFabricFaults
+from repro.fluid.fabric import FluidFabric, FluidFabricFaults, place_on_fabric
 from repro.fluid.flowsim import IterationResult
 from repro.fluid.network import NetworkFluidSimulator
 from repro.metrics.recovery import (
@@ -38,8 +40,11 @@ from repro.metrics.recovery import (
     reroute_outage,
     recovery_slos,
 )
+from repro.simulator.engine import Simulator
+from repro.simulator.topology import build_fat_tree
 from repro.workloads import cross_rack_scenario
-from repro.workloads.placement import FabricSpec, place_jobs
+from repro.workloads.job import JobSpec
+from repro.workloads.placement import FabricSpec, JobPlacement, place_jobs
 
 
 def small_spec(**overrides) -> FabricSpec:
@@ -465,6 +470,69 @@ class TestInjectorEquivalence:
             )
             if "spine0" in link:
                 assert not used_fluid
+
+
+#: The instant at which every generated fault is active.
+_ACTIVE_AT = 1.0
+
+
+@st.composite
+def faulted_fabrics(draw):
+    """A small fabric plus fabric faults that all overlap ``_ACTIVE_AT``."""
+    spec = FabricSpec(
+        n_racks=draw(st.integers(2, 5)),
+        hosts_per_rack=draw(st.integers(1, 3)),
+        n_spines=draw(st.integers(1, 4)),
+        ecmp_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    racks = st.integers(0, spec.n_racks - 1).map(spec.rack_name)
+    spines = st.integers(0, spec.n_spines - 1).map(spec.spine_name)
+    strike = st.sampled_from((0.25, 0.5, 0.75))
+    event = st.one_of(
+        st.builds(lambda s, t: FaultEvent("spine_down", t, 1.0, spine=s),
+                  spines, strike),
+        st.builds(lambda r, s, t: FaultEvent("uplink_down", t, 1.0,
+                                             link=f"{r}->{s}"),
+                  racks, spines, strike),
+        st.builds(lambda r, t: FaultEvent("rack_partition", t, 1.0, rack=r),
+                  racks, strike),
+        st.builds(lambda t: FaultEvent("ecmp_rehash", t, 1.0), strike),
+    )
+    return spec, tuple(draw(st.lists(event, max_size=4)))
+
+
+class TestGeneratedRouteAgreement:
+    """Packet routes equal fluid routes on generated fabrics under any mix
+    of simultaneously active fabric faults."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(faulted_fabrics())
+    def test_packet_and_fluid_routes_agree(self, case):
+        spec, events = case
+        state = FabricRoutingState(spec)
+        for event in events:
+            state.apply(event)
+        net = build_fat_tree(Simulator(), spec)
+        net.apply_routing(state)
+        fluid = FluidFabricFaults(spec, FaultSchedule(events=events))
+        fluid.advance_to(_ACTIVE_AT)
+
+        job = JobSpec(name="J", comm_bits=1e6, demand_gbps=1.0,
+                      compute_time=0.01)
+        pairs = [(src, dst) for src in spec.host_names()
+                 for dst in spec.host_names() if src != dst]
+        placed = place_on_fabric(
+            spec, [JobPlacement(job=job, src=src, dst=dst) for src, dst in pairs]
+        )
+        for (src, dst), flow in zip(pairs, placed):
+            path = state.path_nodes(src, dst)
+            links = fluid.links_for(flow)
+            if path is None:
+                assert links is None, (src, dst)
+                continue
+            route = net.routes[(src, dst)]
+            assert route == path, (src, dst)
+            assert links == tuple(f"{a}->{b}" for a, b in zip(route, route[1:]))
 
 
 class TestFluidFabricReplay:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.guards import GuardRail
 from repro.simulator.engine import Simulator
 
 
@@ -114,6 +115,69 @@ class TestRunHorizon:
         sim.schedule(0.001, forever)
         sim.run(max_events=100)
         assert sim.events_processed == 100
+
+
+#: Expected outcome of ``_scripted_run`` per bound: dispatch order as
+#: (name, clock) pairs, the final clock, events processed, and the live
+#: events left queued with the time of the first.
+SCRIPTED_OUTCOMES = {
+    "unbounded": (
+        {},
+        [("a", 0.1), ("b", 0.2), ("b0", 0.2), ("c", 0.3), ("d", 0.5)],
+        0.5, 5, 0, None,
+    ),
+    "until": (
+        {"until": 0.25},
+        [("a", 0.1), ("b", 0.2), ("b0", 0.2)],
+        0.25, 3, 2, 0.3,
+    ),
+    "max_events": (
+        {"max_events": 3},
+        [("a", 0.1), ("b", 0.2), ("b0", 0.2)],
+        0.2, 3, 2, 0.3,
+    ),
+    "zero_budget": ({"max_events": 0}, [], 0.0, 0, 4, 0.1),
+}
+
+
+class TestOneDispatchLoop:
+    """One scripted schedule — a cancellation, a tie and a zero-delay
+    chain — gives the same dispatch, clock and remainder whether or not a
+    monitor is attached, under every way ``run()`` can stop."""
+
+    @staticmethod
+    def _scripted_run(sim):
+        order = []
+
+        def fire(name):
+            order.append((name, sim.now))
+
+        def fire_and_chain():
+            fire("b")
+            sim.schedule(0.0, lambda: fire("b0"))
+
+        sim.schedule(0.1, lambda: fire("a"))
+        doomed = sim.schedule(0.2, lambda: fire("cancelled"))
+        sim.schedule(0.2, fire_and_chain)
+        sim.schedule(0.3, lambda: fire("c"))
+        sim.schedule(0.5, lambda: fire("d"))
+        sim.cancel(doomed)
+        return order
+
+    @pytest.mark.parametrize("bound", sorted(SCRIPTED_OUTCOMES))
+    @pytest.mark.parametrize("monitored", [False, True], ids=["bare", "monitored"])
+    def test_schedule_agrees_across_monitor(self, monitored, bound):
+        kwargs, order, now, processed, pending, next_time = SCRIPTED_OUTCOMES[bound]
+        rail = GuardRail("record")
+        sim = Simulator(monitor=rail if monitored else None)
+        fired = self._scripted_run(sim)
+        sim.run(**kwargs)
+        assert fired == order
+        assert sim.now == now
+        assert sim.events_processed == processed
+        assert sim.pending_events() == pending
+        assert sim.peek_time() == next_time
+        assert len(rail) == 0
 
 
 class TestIntrospection:

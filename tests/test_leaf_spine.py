@@ -1,4 +1,9 @@
-"""Tests for the leaf-spine fabric and multi-bottleneck MLTCP convergence."""
+"""Tests for the two-tier fat-tree fabric and multi-bottleneck MLTCP convergence.
+
+Every multi-rack packet topology is a :func:`build_fat_tree` over a
+:class:`FabricSpec`; the spec's own validation and its destination-keyed
+ECMP rule are checked in ``tests/test_placement.py``.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from repro.core.config import MLTCPConfig
 from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
-from repro.simulator.topology import build_fat_tree, build_leaf_spine
+from repro.simulator.topology import build_fat_tree
 from repro.tcp.base import TcpReceiver, TcpSender
 from repro.tcp.mltcp import MLTCPReno
 from repro.workloads.job import JobSpec
@@ -26,15 +31,15 @@ class _Recorder:
 
 class TestFabricStructure:
     def test_node_inventory(self):
-        net = build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=2,
-                               leaf_uplink_bps=1e9)
-        assert set(net.switches) == {"spine", "leaf0", "leaf1"}
+        net = build_fat_tree(Simulator(), FabricSpec(n_racks=2, hosts_per_rack=2,
+                                                     n_spines=1))
+        assert set(net.switches) == {"spine0", "rack0", "rack1"}
         assert set(net.hosts) == {"h0_0", "h0_1", "h1_0", "h1_1"}
 
     def test_inter_leaf_delivery(self):
         sim = Simulator()
-        net = build_leaf_spine(sim, n_leaves=2, hosts_per_leaf=1,
-                               leaf_uplink_bps=1e9)
+        net = build_fat_tree(sim, FabricSpec(n_racks=2, hosts_per_rack=1,
+                                             n_spines=1))
         sink = _Recorder()
         net.hosts["h1_0"].register_flow("f", sink)
         net.hosts["h0_0"].send(
@@ -43,12 +48,12 @@ class TestFabricStructure:
         )
         sim.run()
         assert len(sink.packets) == 1
-        assert net.switches["spine"].packets_forwarded == 1
+        assert net.switches["spine0"].packets_forwarded == 1
 
     def test_intra_leaf_avoids_spine(self):
         sim = Simulator()
-        net = build_leaf_spine(sim, n_leaves=2, hosts_per_leaf=2,
-                               leaf_uplink_bps=1e9)
+        net = build_fat_tree(sim, FabricSpec(n_racks=2, hosts_per_rack=2,
+                                             n_spines=1))
         sink = _Recorder()
         net.hosts["h0_1"].register_flow("f", sink)
         net.hosts["h0_0"].send(
@@ -57,48 +62,42 @@ class TestFabricStructure:
         )
         sim.run()
         assert len(sink.packets) == 1
-        assert net.switches["spine"].packets_forwarded == 0
+        assert net.switches["spine0"].packets_forwarded == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="n_leaves"):
-            build_leaf_spine(Simulator(), n_leaves=1, hosts_per_leaf=1,
-                             leaf_uplink_bps=1e9)
-        with pytest.raises(ValueError, match="hosts_per_leaf"):
-            build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=0,
-                             leaf_uplink_bps=1e9)
-        with pytest.raises(ValueError, match="n_spines"):
-            build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=1,
-                             leaf_uplink_bps=1e9, n_spines=0)
+        """The builder's own link and queue parameters are checked; the
+        fabric's shape is checked by FabricSpec itself."""
+        spec = FabricSpec(n_racks=2, hosts_per_rack=1, n_spines=1)
+        with pytest.raises(ValueError, match="delay"):
+            build_fat_tree(Simulator(), spec, link_delay=-1e-6)
+        with pytest.raises(ValueError, match="capacity_packets"):
+            build_fat_tree(Simulator(), spec, uplink_queue_capacity=0)
+        with pytest.raises(ValueError, match="capacity_packets"):
+            build_fat_tree(Simulator(), spec, edge_queue_capacity=0)
 
 
 class TestMultiSpine:
-    def test_single_spine_keeps_historical_name(self):
-        net = build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=1,
-                               leaf_uplink_bps=1e9, n_spines=1)
-        assert "spine" in net.switches and "spine0" not in net.switches
-
     def test_node_and_uplink_inventory(self):
-        net = build_leaf_spine(Simulator(), n_leaves=3, hosts_per_leaf=2,
-                               leaf_uplink_bps=1e9, n_spines=2)
-        assert {"spine0", "spine1", "leaf0", "leaf1", "leaf2"} <= set(net.switches)
+        net = build_fat_tree(Simulator(), FabricSpec(n_racks=3, hosts_per_rack=2,
+                                                     n_spines=2))
+        assert {"spine0", "spine1", "rack0", "rack1", "rack2"} <= set(net.switches)
         uplinks = [key for key in net.links
-                   if key[0].startswith("leaf") and key[1].startswith("spine")]
-        assert len(uplinks) == 3 * 2   # every leaf to every spine
+                   if key[0].startswith("rack") and key[1].startswith("spine")]
+        assert len(uplinks) == 3 * 2   # every rack to every spine
 
     def test_ecmp_routes_are_seed_deterministic(self):
         def routes(ecmp_seed):
-            net = build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=4,
-                                   leaf_uplink_bps=1e9, n_spines=2,
-                                   ecmp_seed=ecmp_seed)
-            return net.routes
+            spec = FabricSpec(n_racks=2, hosts_per_rack=4, n_spines=2,
+                              ecmp_seed=ecmp_seed)
+            return build_fat_tree(Simulator(), spec).routes
 
         assert routes(0) == routes(0)
         seeds_differ = any(routes(0) != routes(seed) for seed in range(1, 8))
         assert seeds_differ
 
     def test_ecmp_uses_every_spine(self):
-        net = build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=8,
-                               leaf_uplink_bps=1e9, n_spines=2)
+        net = build_fat_tree(Simulator(), FabricSpec(n_racks=2, hosts_per_rack=8,
+                                                     n_spines=2))
         spines_used = {
             path[2]
             for (src, _dst), path in net.routes.items()
@@ -107,17 +106,17 @@ class TestMultiSpine:
         assert spines_used == {"spine0", "spine1"}
 
     def test_same_destination_same_spine(self):
-        """Destination-keyed tables: all of leaf0's flows to one host share
+        """Destination-keyed tables: all of rack0's flows to one host share
         a spine, whatever their source host."""
-        net = build_leaf_spine(Simulator(), n_leaves=2, hosts_per_leaf=4,
-                               leaf_uplink_bps=1e9, n_spines=2)
+        net = build_fat_tree(Simulator(), FabricSpec(n_racks=2, hosts_per_rack=4,
+                                                     n_spines=2))
         via = {net.routes[(f"h0_{i}", "h1_0")][2] for i in range(4)}
         assert len(via) == 1
 
     def test_multi_spine_delivery(self):
         sim = Simulator()
-        net = build_leaf_spine(sim, n_leaves=2, hosts_per_leaf=2,
-                               leaf_uplink_bps=1e9, n_spines=2)
+        net = build_fat_tree(sim, FabricSpec(n_racks=2, hosts_per_rack=2,
+                                             n_spines=2))
         sink = _Recorder()
         net.hosts["h1_1"].register_flow("f", sink)
         net.hosts["h0_0"].send(
@@ -189,12 +188,14 @@ class TestFatTree:
 
 class TestDualBottleneckConvergence:
     def test_independent_uplinks_interleave_independently(self):
-        """Two pairs of jobs congest two different leaf uplinks; MLTCP
+        """Two pairs of jobs congest two different rack uplinks; MLTCP
         interleaves each pair with zero cross-bottleneck coordination —
         the distributed-scalability pitch made concrete."""
         sim = Simulator()
-        net = build_leaf_spine(sim, n_leaves=4, hosts_per_leaf=2,
-                               leaf_uplink_bps=1e9)
+        # 1 Gbps uplinks (2 hosts x 4 Gbps / 8:1) under 4 Gbps host links.
+        net = build_fat_tree(sim, FabricSpec(n_racks=4, hosts_per_rack=2,
+                                             n_spines=1, host_gbps=4.0,
+                                             oversubscription=8.0))
         rng = np.random.default_rng(6)
         template = JobSpec(
             name="Job", comm_bits=8e6, demand_gbps=1.0, compute_time=0.010,
@@ -202,9 +203,9 @@ class TestDualBottleneckConvergence:
         )
         placements = [
             ("A1", "h0_0", "h1_0"),
-            ("A2", "h0_1", "h1_1"),   # share the leaf0 -> spine uplink
+            ("A2", "h0_1", "h1_1"),   # share the rack0 -> spine0 uplink
             ("B1", "h2_0", "h3_0"),
-            ("B2", "h2_1", "h3_1"),   # share the leaf2 -> spine uplink
+            ("B2", "h2_1", "h3_1"),   # share the rack2 -> spine0 uplink
         ]
         apps = {}
         for name, src, dst in placements:

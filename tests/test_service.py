@@ -29,7 +29,7 @@ from repro.service import (
     ServiceJournal,
     query_journal,
 )
-from repro.workloads import ArrivalModel, ArrivalStream, FlashCrowd
+from repro.workloads import ArrivalModel, ArrivalStream, FlashCrowd, JobSpec
 from repro.workloads.presets import gpt2_fast_job
 
 
@@ -550,6 +550,22 @@ class TestOverloadShedding:
         ratio = min(1.0, engine.sent[0] / spec.comm_bits)
         expected = engine._slope * ratio + engine._intercept
         assert engine._weights(active)[0] == expected
+
+
+class TestLiveEngineSweep:
+    def test_zero_compute_phase_cascades_within_one_sweep(self):
+        """A zero-length compute phase ends at the instant its
+        communication does, without idling a quantum: each iteration is
+        its 0.4 s communication phase alone."""
+        engine = LiveFluidEngine(50.0, "fair", quantum=0.05)
+        engine.admit(
+            JobSpec("J", comm_bits=10e9, demand_gbps=25.0, compute_time=0.0,
+                    iteration_limit=5)
+        )
+        engine.step(10.0)
+        (record,) = engine.completed
+        assert record["iterations"] == 5
+        assert record["mean_iteration_s"] == pytest.approx(0.4, rel=1e-12)
 
 
 class TestRetryBackoff:
