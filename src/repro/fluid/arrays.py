@@ -20,11 +20,14 @@ order of job names.  The scalar allocators accumulate floats over
 replay that exact order with integer argsorts, and lets
 ``weighted_max_min_array`` list each link's flows in it, instead of
 sorting strings per call (see docs/PERFORMANCE.md, "Vectorized core &
-scale benchmarks", for the bit-identity contract).
+scale benchmarks", for the bit-identity contract).  Every array loop
+calls the two per-step passes here: :func:`next_event_dt` and
+:func:`deliver`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -34,7 +37,8 @@ from repro.core.units import bps_from_gbps
 from repro.workloads.job import JobSpec
 
 __all__ = ["PHASE_WAITING", "PHASE_COMM", "PHASE_COMPUTE", "PHASE_DONE",
-           "FlowArrays", "link_index_matrix"]
+           "FlowArrays", "deliver", "link_index_matrix", "name_rank",
+           "next_event_dt"]
 
 #: Phase codes for the int8 phase array (mirror flowsim.Phase semantics).
 PHASE_WAITING = np.int8(0)
@@ -81,9 +85,6 @@ class FlowArrays:
     @classmethod
     def from_specs(cls, specs: Sequence[JobSpec]) -> "FlowArrays":
         names = tuple(spec.name for spec in specs)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        rank = np.empty(len(names), dtype=np.int64)
-        rank[order] = np.arange(len(names))
         return cls(
             names=names,
             specs=tuple(specs),
@@ -95,7 +96,7 @@ class FlowArrays:
             start_offset=np.array(
                 [float(spec.start_offset) for spec in specs]
             ),
-            rank=rank,
+            rank=name_rank(names),
         )
 
     def __len__(self) -> int:
@@ -111,6 +112,54 @@ class FlowArrays:
         self.comm_end = np.full(n, np.nan)
         self.iteration_index = np.zeros(n, dtype=np.int64)
         self.rates = np.zeros(n)
+
+
+def name_rank(names: Sequence[str]) -> np.ndarray:
+    """Each name's position in the sorted order of ``names`` (unique)."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(names))
+    return rank
+
+
+def next_event_dt(fa: FlowArrays, now: float, bound: float) -> float:
+    """Time to the next event: the earliest flow candidate or ``bound``.
+
+    Candidates are deadline - now for a WAITING or COMPUTE flow and
+    remaining/rate for a flowing COMM one; any within ``_EPS_TIME`` is
+    dropped.  ``bound`` is the caller's flow-independent limit; with
+    nothing finite the step is ``_EPS_TIME``.
+    """
+    phase = fa.phase
+    candidates = np.full(len(fa), math.inf)
+    timed = (phase != PHASE_DONE) & (phase != PHASE_COMM)
+    np.subtract(fa.deadline, now, out=candidates, where=timed)
+    flowing = (phase == PHASE_COMM) & (fa.rates > 0.0)
+    np.divide(fa.remaining_bits, fa.rates, out=candidates, where=flowing)
+    candidates[candidates <= _EPS_TIME] = math.inf
+    best = bound
+    flow_best = float(candidates.min())
+    if flow_best < best:
+        best = flow_best
+    return best if not math.isinf(best) else _EPS_TIME
+
+
+def deliver(
+    rates: np.ndarray, dt: float, remaining: np.ndarray, sent: np.ndarray, total: np.ndarray
+) -> np.ndarray:
+    """Deliver ``rates * dt`` bits per flow; returns the delivered bits.
+
+    Floors ``remaining`` at 0 and caps ``sent`` at the nominal ``total``,
+    in place, with sign-exact ``np.where`` renderings of the scalar
+    clamps.  A flow at rate 0.0 keeps its state bit for bit (``x - 0.0``
+    and ``x + 0.0`` are identities on the non-negative counters).
+    """
+    delivered = rates * dt
+    shrunk = remaining - delivered
+    remaining[:] = np.where(shrunk > 0.0, shrunk, 0.0)
+    grown = sent + delivered
+    sent[:] = np.where(grown < total, grown, total)
+    return delivered
 
 
 def link_index_matrix(

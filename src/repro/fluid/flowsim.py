@@ -28,10 +28,14 @@ COMM until the phase's bits are delivered, COMPUTE until the sampled gap
 ends, then the next COMM phase or departure — with :func:`_sweep_scalar`
 over :class:`_JobRuntime` objects or :func:`_sweep_arrays` over
 ``FlowArrays``.  What differs between them (departure points, a straggler
-compute scale) is passed in as data.  The service's ``LiveFluidEngine``
-keeps its own sweep: its due test and its re-sweep until quiescent give
-different floats.  ``e2e_bench/tracing.py`` wraps ``_next_event_dt``,
-``_next_event_dt_scalar`` and ``_check_allocation`` by name.
+compute scale) is passed in as data.  So is each step's next-event bound:
+every loop calls one next-event pass and one delivery clamp per
+representation (:func:`_next_event_scalar` / :func:`_deliver_scalar` here,
+``arrays.next_event_dt`` / ``arrays.deliver``).  ``e2e_bench/tracing.py``
+counts steps by the per-step hooks ``_next_event_dt`` and
+``_next_event_dt_scalar`` and wraps ``_check_allocation``, by name.  The
+array engine allocates only for ``FairShare`` and ``MLTCPWeighted``; every
+other policy runs on the scalar engine at any size.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ from .arrays import (
     PHASE_DONE,
     PHASE_WAITING,
     FlowArrays,
+    deliver,
+    next_event_dt,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,6 +101,10 @@ __all__ = [
 #: benchmarks") — and both engines are bit-identical, so the dispatch
 #: changes wall-clock only, never a result.
 _VECTORIZED_MIN_FLOWS = 32
+
+#: The policies whose weights the array engine computes as whole arrays
+#: (unit, ``F(bytes_ratio)``); any other, a subclass too, runs scalar.
+_ARRAY_POLICIES = (FairShare, MLTCPWeighted)
 
 
 class Phase(enum.Enum):
@@ -266,6 +276,36 @@ def _start_comm_scalar(
     rt.comm_end = math.nan
 
 
+def _next_event_scalar(
+    runtimes: list[_JobRuntime], rates: dict[str, float], now: float, best: float
+) -> float:
+    """Scalar twin of :func:`repro.fluid.arrays.next_event_dt`: a running
+    minimum from the bound ``best``, so both return the same float."""
+    rates_get = rates.get
+    for rt in runtimes:  # repro-lint: disable=PRF002
+        phase = rt.phase
+        if phase is Phase.COMM:
+            rate = rates_get(rt.spec.name, 0.0)
+            if rate > 0:
+                candidate = rt.remaining_bits / rate
+                if _EPS_TIME < candidate < best:
+                    best = candidate
+        elif phase is not Phase.DONE:
+            candidate = rt.phase_deadline - now
+            if _EPS_TIME < candidate < best:
+                best = candidate
+    return best if not math.isinf(best) else _EPS_TIME
+
+
+def _deliver_scalar(rt: _JobRuntime, delivered: float) -> None:
+    """Scalar twin of :func:`repro.fluid.arrays.deliver` for one flow."""
+    remaining = rt.remaining_bits - delivered
+    rt.remaining_bits = remaining if remaining > 0.0 else 0.0
+    total = rt.spec.comm_bits
+    sent = rt.sent_bits + delivered
+    rt.sent_bits = sent if sent < total else total
+
+
 def _sweep_arrays(
     fa: FlowArrays,
     departure: Sequence[Optional[int]],
@@ -354,10 +394,11 @@ class FluidSimulator:
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"job names must be unique, got {names}")
-        if capacity_gbps <= 0:
-            raise ValueError(f"capacity_gbps must be positive, got {capacity_gbps!r}")
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
+        for field_name, value in (("capacity_gbps", capacity_gbps), ("quantum", quantum)):
+            if not 0.0 < value < math.inf:  # NaN fails this test too
+                raise ValueError(
+                    f"{field_name} must be finite and positive, got {value!r}"
+                )
         self.jobs = tuple(jobs)
         self.capacity_bps = bps_from_gbps(capacity_gbps)
         self.capacity_gbps = capacity_gbps
@@ -370,9 +411,6 @@ class FluidSimulator:
         self._rng = np.random.default_rng(seed) if seed is not None else None
         #: Struct-of-arrays flow state (see repro.fluid.arrays); reset per run.
         self._arrays = FlowArrays.from_specs(self.jobs)
-        #: Lazily built policy-facing views for the FlowView-compat path,
-        #: one slot per job, progress synced in place between events.
-        self._views: list[Optional[FlowView]] = [None] * len(self.jobs)
         #: Every run replays this schedule from its start on a fresh fault
         #: state; ``faults`` is the latest one (built here first, which
         #: rejects a bad schedule), whose log answers ``context_for``.
@@ -389,11 +427,12 @@ class FluidSimulator:
 
         At least one stopping criterion is required.  ``run`` owns the
         per-run set-up; each engine owns only its step loop.  Populations
-        below ``_VECTORIZED_MIN_FLOWS`` run on the scalar engine, larger
-        ones on the array engine; the two are bit-identical.  Both stay
-        because each wins at its size (docs/PERFORMANCE.md, "Size
-        dispatch"): the paper's figures run 2.5x faster on the scalar one,
-        the 10k-flow scale benchmark needs the array one.
+        of ``_VECTORIZED_MIN_FLOWS`` or more under one of
+        ``_ARRAY_POLICIES`` run on the array engine, everything else on
+        the scalar engine; the two are bit-identical.  Both stay because
+        each wins at its size (docs/PERFORMANCE.md, "Size dispatch"): the
+        paper's figures run 2.5x faster on the scalar one, the 10k-flow
+        scale benchmark needs the array one.
         """
         if end_time is None and max_iterations is None:
             raise ValueError("provide end_time and/or max_iterations")
@@ -415,8 +454,11 @@ class FluidSimulator:
             horizon += faults.last_transition
         max_steps = int(50 * len(self.jobs) * max(1.0, horizon / self.quantum))
         departure = [job.iteration_limit for job in self.jobs]
-        small = len(self.jobs) < _VECTORIZED_MIN_FLOWS
-        engine = self._run_scalar if small else self._run_arrays
+        vectorized = (
+            len(self.jobs) >= _VECTORIZED_MIN_FLOWS
+            and type(self.policy) in _ARRAY_POLICIES
+        )
+        engine = self._run_arrays if vectorized else self._run_scalar
         now, finished = engine(
             result, faults, departure, max_steps, end_time, max_iterations,
             record_segments,
@@ -458,13 +500,10 @@ class FluidSimulator:
         fa.reset()
         now = 0.0
         last_capacity_factor = 1.0
-        # Hot-loop hoists (docs/PERFORMANCE.md): bound methods, invariants
-        # and the struct-of-arrays columns looked up once instead of per
-        # event.
+        # Hot-loop hoists (docs/PERFORMANCE.md): invariants and the
+        # struct-of-arrays columns looked up once instead of per event.
         full_capacity = self.capacity_bps
         policy = self.policy
-        allocate = policy.allocate
-        policy_cache_key = policy.cache_key
         guards = self.guards
         policy_name = policy.name
         iterations = result.iterations
@@ -479,22 +518,15 @@ class FluidSimulator:
         demand_bps = fa.demand_bps
         total_bits = fa.total_bits
         rank = fa.rank
-        # Array fast path: for the exact policy classes whose weights are a
-        # closed-form vector over flow progress (FairShare's unit weights,
-        # MLTCPWeighted's F(bytes_ratio)), demands/weights feed
-        # water_fill_array directly — no FlowView dicts on the hot path.
-        # Anything else (SRPT, PDQ, PIAS, subclasses, custom policies) goes
-        # through the FlowView-compat path with semantics unchanged.
+        # ``run`` sends only _ARRAY_POLICIES here: FairShare's unit weights
+        # or MLTCPWeighted's F(bytes_ratio) feed water_fill_array directly.
         fair = type(policy) is FairShare
         mltcp_function = policy.function if type(policy) is MLTCPWeighted else None
-        # Allocation reuse: while the policy's cache token is unchanged the
-        # previous rate vector is returned verbatim (see
-        # AllocationPolicy.cache_key).  Token-less policies recompute every
-        # event, exactly as before.  The fast path mirrors the scalar
-        # policies' tokens bit-for-bit: same capacity + same active index
-        # set if and only if the scalar tuple key would have compared equal.
+        # Allocation reuse mirrors the scalar policies' cache tokens
+        # bit-for-bit (AllocationPolicy.cache_key): FairShare's token is
+        # (capacity, active ids + demands); ids and demands are static per
+        # index, so the index set is an equivalent token.  MLTCP's is None.
         last_key: Optional[object] = None
-        last_rates: dict[str, float] = {}
         last_alloc = np.zeros(0)
         for _step in range(max_steps):
             if faults is not None:
@@ -513,89 +545,38 @@ class FluidSimulator:
                     last_capacity_factor = factor
                 capacity *= factor
             active_idx = np.nonzero(phase == PHASE_COMM)[0]
-            rates: dict[str, float] = {}
             alloc: Optional[np.ndarray] = None
             rates_arr.fill(0.0)
             if active_idx.size and capacity > 0:
-                if fair or mltcp_function is not None:
-                    # FairShare's scalar token is (capacity, active ids +
-                    # demands); ids and demands are static per index, so
-                    # the index set is an equivalent token.  MLTCP's is None.
-                    key: Optional[object] = (
-                        (capacity, active_idx.tobytes()) if fair else None
-                    )
-                    if key is not None and key == last_key:
-                        alloc = last_alloc
-                    else:
-                        if mltcp_function is None:
-                            weights = np.ones(active_idx.size)
-                        else:
-                            weights = mltcp_weights_array(
-                                mltcp_function,
-                                sent[active_idx],
-                                total_bits[active_idx],
-                            )
-                        alloc = water_fill_array(
-                            demand_bps[active_idx],
-                            weights,
-                            capacity,
-                            rank=rank[active_idx],
-                        )
-                        last_key = key
-                        last_alloc = alloc
-                        if guards is not None and alloc.size:
-                            # Fresh allocations only: a cache-reused vector
-                            # was already checked when it was computed.
-                            self._check_allocation(
-                                guards,
-                                self._rates_map(names, active_idx, alloc),
-                                capacity,
-                                now,
-                                policy_name,
-                            )
-                    rates_arr[active_idx] = alloc
+                key = (capacity, active_idx.tobytes()) if fair else None
+                if key is not None and key == last_key:
+                    alloc = last_alloc
                 else:
-                    views = self._sync_views(active_idx)
-                    key = policy_cache_key(views, capacity)
-                    if key is not None and key == last_key:
-                        rates = last_rates
+                    if mltcp_function is None:
+                        weights = np.ones(active_idx.size)
                     else:
-                        rates = allocate(views, capacity)
-                        last_key = key
-                        last_rates = rates
-                        if guards is not None and rates:
-                            # Fresh allocations only: a cache-reused vector
-                            # was already checked when it was computed.
-                            self._check_allocation(
-                                guards, rates, capacity, now, policy_name
-                            )
-                    index = fa.index
-                    for fid, rate in rates.items():
-                        rates_arr[index[fid]] = rate
-            has_rates = alloc is not None or bool(rates)
+                        weights = mltcp_weights_array(
+                            mltcp_function, sent[active_idx], total_bits[active_idx]
+                        )
+                    alloc = water_fill_array(
+                        demand_bps[active_idx], weights, capacity, rank=rank[active_idx]
+                    )
+                    last_key = key
+                    last_alloc = alloc
+                    if guards is not None and alloc.size:
+                        # Fresh allocations only: a cache-reused vector was
+                        # already checked when it was computed.
+                        rates_map = self._rates_map(names, active_idx, alloc)
+                        self._check_allocation(guards, rates_map, capacity, now, policy_name)
+                rates_arr[active_idx] = alloc
             dt = self._next_event_dt(faults, now, end_time)
             if dt <= 0:
                 dt = _EPS_TIME
-            if record_segments and has_rates:
-                seg_rates = (
-                    self._rates_map(names, active_idx, alloc)
-                    if alloc is not None
-                    else dict(rates)
-                )
-                segments.append(
-                    RateSegment(start=now, end=now + dt, rates_bps=seg_rates)
-                )
-            if has_rates:
-                # Whole-array twin of the old per-flow delivery loop.
-                # Inactive flows carry a literal-zero rate, so their
-                # subtract/clamp is the exact identity the scalar loop
-                # skipped; the comparisons reproduce the scalar clamps
-                # sign-exactly (docs/PERFORMANCE.md, bit-identity contract).
-                delivered = rates_arr * dt
-                shrunk = remaining - delivered
-                remaining[:] = np.where(shrunk > 0.0, shrunk, 0.0)
-                grown = sent + delivered
-                sent[:] = np.where(grown < total_bits, grown, total_bits)
+            if alloc is not None:
+                if record_segments:
+                    seg_rates = self._rates_map(names, active_idx, alloc)
+                    segments.append(RateSegment(start=now, end=now + dt, rates_bps=seg_rates))
+                deliver(rates_arr, dt, remaining, sent, total_bits)
             now += dt
         return now, False
 
@@ -680,12 +661,7 @@ class FluidSimulator:
                 # delivers nothing, so skipping the writes is bit-identical.
                 if rate == 0.0:  # repro-lint: disable=FLT001
                     continue
-                delivered = rate * dt
-                remaining = rt.remaining_bits - delivered
-                rt.remaining_bits = remaining if remaining > 0.0 else 0.0
-                total = rt.spec.comm_bits
-                sent = rt.sent_bits + delivered
-                rt.sent_bits = sent if sent < total else total
+                _deliver_scalar(rt, rate * dt)
             now += dt
         return now, False
 
@@ -756,37 +732,6 @@ class FluidSimulator:
             fa.comm_end[i] = math.nan
             faults.record(now, event.describe())
 
-    def _sync_views(self, active_idx: np.ndarray) -> list[FlowView]:
-        """Build/sync policy-facing views of the active flows from the arrays.
-
-        Compat path only (policies without an array fast path); one view per
-        job is built lazily and its two progress fields synced in place, the
-        same contract ``_JobRuntime.flow_view`` provided.
-        """
-        fa = self._arrays
-        views_all = self._views
-        specs = fa.specs
-        remaining = fa.remaining_bits
-        sent = fa.sent_bits
-        views: list[FlowView] = []
-        append = views.append
-        for i in active_idx.tolist():
-            view = views_all[i]
-            if view is None:
-                spec = specs[i]
-                views_all[i] = view = FlowView(
-                    flow_id=spec.name,
-                    demand_bps=spec.demand_bps,
-                    remaining_bits=float(remaining[i]),
-                    sent_bits=float(sent[i]),
-                    total_bits=spec.comm_bits,
-                )
-            else:
-                view.remaining_bits = float(remaining[i])
-                view.sent_bits = float(sent[i])
-            append(view)
-        return views
-
     @staticmethod
     def _rates_map(
         names: Sequence[str], active_idx: np.ndarray, alloc: np.ndarray
@@ -825,25 +770,8 @@ class FluidSimulator:
         now: float,
         end_time: Optional[float],
     ) -> float:
-        """Time to the next event: phase deadline, drain, quantum, or fault.
-
-        One whole-array pass over the flow candidates replaces the per-flow
-        running-minimum walk; a minimum is order-independent, so the result
-        is unchanged.
-        """
-        fa = self._arrays
-        phase = fa.phase
-        candidates = np.full(len(fa.names), math.inf)
-        timed = (phase != PHASE_DONE) & (phase != PHASE_COMM)
-        np.subtract(fa.deadline, now, out=candidates, where=timed)
-        flowing = (phase == PHASE_COMM) & (fa.rates > 0.0)
-        np.divide(fa.remaining_bits, fa.rates, out=candidates, where=flowing)
-        candidates[candidates <= _EPS_TIME] = math.inf
-        best = self._fixed_dt(faults, now, end_time)
-        flow_best = float(candidates.min())
-        if flow_best < best:
-            best = flow_best
-        return best if not math.isinf(best) else _EPS_TIME
+        """The array engine's per-step next-event hook (see ``_fixed_dt``)."""
+        return next_event_dt(self._arrays, now, self._fixed_dt(faults, now, end_time))
 
     # -- scalar (small-population) engine ----------------------------------
     #
@@ -877,23 +805,10 @@ class FluidSimulator:
         now: float,
         end_time: Optional[float],
     ) -> float:
-        # Running minimum over the positive candidates — same result as the
-        # array engine's whole-array pass (a minimum is order-independent).
-        best = self._fixed_dt(faults, now, end_time)
-        rates_get = rates.get
-        for rt in runtimes:  # repro-lint: disable=PRF002
-            phase = rt.phase
-            if phase is Phase.COMM:
-                rate = rates_get(rt.spec.name, 0.0)
-                if rate > 0:
-                    candidate = rt.remaining_bits / rate
-                    if _EPS_TIME < candidate < best:
-                        best = candidate
-            elif phase is not Phase.DONE:
-                candidate = rt.phase_deadline - now
-                if _EPS_TIME < candidate < best:
-                    best = candidate
-        return best if not math.isinf(best) else _EPS_TIME
+        """The scalar engine's per-step next-event hook (see ``_fixed_dt``)."""
+        return _next_event_scalar(
+            runtimes, rates, now, self._fixed_dt(faults, now, end_time)
+        )
 
 
 def run_fluid(

@@ -24,10 +24,12 @@ max-min core").
 
 Each job runs the same per-flow cycle as on the single link, stepped by
 the phase state machine of :mod:`repro.fluid.flowsim`, and departs after
-``min(iteration_limit, max_iterations)`` iterations.  This module owns the
-allocator, fabric-fault rerouting and per-link delivery.  The next-event
-passes ``_next_dt`` / ``_next_dt_array`` and ``_check_fabric_guards`` stay
-per engine: ``e2e_bench/tracing.py`` wraps them by name.
+``min(iteration_limit, max_iterations)`` iterations, with the single
+link's next-event passes (bounded by the quantum, then clamped at a fault
+transition) and delivery clamps.  This module owns the allocator,
+fabric-fault rerouting and per-link delivered-bit accounting.  The hooks
+``_next_dt`` / ``_next_dt_array`` and ``_check_fabric_guards`` keep their
+names: ``e2e_bench/tracing.py`` wraps them.
 """
 
 from __future__ import annotations
@@ -50,15 +52,16 @@ from .allocation import mltcp_weights_array
 from .arrays import (
     _EPS_TIME,
     PHASE_COMM,
-    PHASE_COMPUTE,
-    PHASE_WAITING,
     FlowArrays,
+    deliver,
     link_index_matrix,
+    next_event_dt,
 )
 from .flowsim import (
     _VECTORIZED_MIN_FLOWS,
-    Phase,
+    _deliver_scalar,
     _JobRuntime,
+    _next_event_scalar,
     _sweep_arrays,
     _sweep_scalar,
 )
@@ -444,8 +447,8 @@ class NetworkFluidSimulator:
                     f"link {link!r}: capacity must be finite and positive, "
                     f"got {capacity!r} Gbps"
                 )
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
+        if not 0.0 < quantum < math.inf:  # NaN fails this test too
+            raise ValueError(f"quantum must be finite and positive, got {quantum!r}")
         self.placements = tuple(placements)
         self.capacities_gbps = dict(capacities_gbps)
         self.fair_share = fair_share
@@ -638,12 +641,12 @@ class NetworkFluidSimulator:
                     guards, flow_specs, rates_map, effective_capacities,
                     last_factors, now,
                 )
-            dt = self._next_dt_array(fa, active, now)
+            dt = self._next_dt_array(now)
             if faults is not None:
                 upcoming = faults.next_transition_after(now)
                 if upcoming is not None and upcoming - now > _EPS_TIME:
                     dt = min(dt, upcoming - now)
-            delivered = rates_arr * dt
+            delivered = deliver(rates_arr, dt, remaining, sent, total_bits)
             if faults is not None:
                 # Measured per-link accounting stays a Python loop: the
                 # scalar sums each link's dict slot in active-flow order
@@ -658,14 +661,6 @@ class NetworkFluidSimulator:
                             bits_by_link[link] = (
                                 bits_by_link.get(link, 0.0) + bits
                             )
-            # Whole-array delivered update.  The scalar only touches active
-            # flows, but inactive flows have rate 0, and ``x - 0.0`` /
-            # ``x + 0.0`` are exact identities on non-negative state, as are
-            # the sign-exact ``np.where`` renderings of max/min clamps.
-            shrunk = remaining - delivered
-            remaining[:] = np.where(shrunk > 0.0, shrunk, 0.0)
-            grown = sent + delivered
-            sent[:] = np.where(grown < total_bits, grown, total_bits)
             now += dt
         return now, False
 
@@ -779,8 +774,7 @@ class NetworkFluidSimulator:
                         bits_by_link[link] = (
                             bits_by_link.get(link, 0.0) + delivered
                         )
-                rt.remaining_bits = max(0.0, rt.remaining_bits - delivered)
-                rt.sent_bits = min(rt.spec.comm_bits, rt.sent_bits + delivered)
+                _deliver_scalar(rt, delivered)
             now += dt
         return now, False
 
@@ -836,35 +830,19 @@ class NetworkFluidSimulator:
                     f"capacity {capacity:.6g} bps",
                 )
 
-    def _next_dt_array(
-        self, fa: FlowArrays, active: np.ndarray, now: float
-    ) -> float:
-        """Vectorized next-event horizon; a minimum is order-independent."""
-        candidates = np.full(len(fa), math.inf)
-        timed = (fa.phase == PHASE_WAITING) | (fa.phase == PHASE_COMPUTE)
-        candidates[timed] = fa.deadline[timed] - now
-        flowing = active & (fa.rates > 0.0)
-        candidates[flowing] = fa.remaining_bits[flowing] / fa.rates[flowing]
-        candidates[candidates <= _EPS_TIME] = math.inf
-        best = float(candidates.min()) if len(fa) else math.inf
-        if _EPS_TIME < self.quantum < best:
-            best = self.quantum
-        return best if best < math.inf else _EPS_TIME
+    def _quantum_bound(self) -> float:
+        """The flow-independent bound on one step: the quantum."""
+        return self.quantum if self.quantum > _EPS_TIME else math.inf
+
+    def _next_dt_array(self, now: float) -> float:
+        """The array engine's per-step next-event hook."""
+        return next_event_dt(self._arrays, now, self._quantum_bound())
 
     def _next_dt(
         self, runtimes: list[_JobRuntime], rates: dict[str, float], now: float
     ) -> float:
-        """Scalar twin of ``_next_dt_array`` over runtime objects."""
-        candidates = [self.quantum]
-        for rt in runtimes:  # repro-lint: disable=PRF002
-            if rt.phase is Phase.COMM:
-                rate = rates.get(rt.spec.name, 0.0)
-                if rate > 0:
-                    candidates.append(rt.remaining_bits / rate)
-            elif rt.phase is not Phase.DONE:
-                candidates.append(rt.phase_deadline - now)
-        positive = [c for c in candidates if c > _EPS_TIME]
-        return min(positive) if positive else _EPS_TIME
+        """The scalar engine's per-step next-event hook."""
+        return _next_event_scalar(runtimes, rates, now, self._quantum_bound())
 
 
 def run_network_fluid(

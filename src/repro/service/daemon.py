@@ -34,6 +34,7 @@ never depend on them.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import math
@@ -304,25 +305,21 @@ class ChurnDaemon:
             seed=config.seed,
             quantum=config.quantum,
             slo_factor=config.slo_factor,
-            capacity_factor=(
-                self._fabric.capacity_factor if self._fabric is not None else None
-            ),
-            next_transition=(
-                self._fabric.next_transition_after
-                if self._fabric is not None
-                else None
-            ),
+            faults=self._fabric,
         )
 
     # ------------------------------------------------------------- event log
 
-    def _event(self, kind: str, detail: str, job: Optional[str] = None) -> None:
+    def _event(
+        self, kind: str, detail: str, job: Optional[str] = None, at: Optional[float] = None
+    ) -> None:
+        """Buffer one snapshot event, stamped ``at`` (default: now)."""
         self._events.append(
             {
                 "kind": kind,
                 "detail": detail,
                 "job": job,
-                "time": float(self.engine.now),
+                "time": float(self.engine.now if at is None else at),
             }
         )
 
@@ -490,29 +487,42 @@ class ChurnDaemon:
             )
         return departures
 
-    def _poll_capacity_edges(self) -> None:
-        if self._fabric is None:
+    def _poll_capacity_edges(self, start: float) -> None:
+        """Log every capacity-factor change from ``start`` to now.
+
+        Walks the fault state's transitions, checking ``start`` itself too
+        (a fault at t=0), so each change is logged at its own time — in its
+        event, the fault log and one telemetry ``fault`` record — however
+        short it was.
+        """
+        fabric = self._fabric
+        if fabric is None:
             return
-        factor = self._fabric.capacity_factor(self.engine.now)
-        if factor != self._last_factor:
-            detail = (
-                f"bottleneck capacity factor {self._last_factor:g} -> "
-                f"{factor:g}"
-            )
-            self._fabric.record(self.engine.now, detail)
-            self._event("fault", detail)
-            if self.telemetry is not None:
-                self.telemetry.record("fault", detail=detail)
-            self._last_factor = factor
+        now = self.engine.now
+        edge: Optional[float] = start
+        while edge is not None and edge <= now:
+            factor = fabric.capacity_factor(edge)
+            if factor != self._last_factor:
+                detail = (
+                    f"bottleneck capacity factor {self._last_factor:g} -> "
+                    f"{factor:g}"
+                )
+                fabric.record(edge, detail)
+                self._event("fault", detail, at=edge)
+                if self.telemetry is not None:
+                    self.telemetry.record("fault", detail=detail)
+                self._last_factor = factor
+            edge = fabric.next_transition_after(edge, eps=0.0)
 
     def _run_epoch(self) -> None:
         config = self.config
+        start = self.epoch * config.epoch_s
         target = (self.epoch + 1) * config.epoch_s
-        admissions = self._poll_arrivals(self.epoch * config.epoch_s)
+        admissions = self._poll_arrivals(start)
         if self._fallback_left > 0 and not self.engine.fallback_engaged:
             self.engine.fallback_engaged = True
         departures = self._step_supervised(target)
-        self._poll_capacity_edges()
+        self._poll_capacity_edges(start)
         for record in departures:
             self.counters["departed"] += 1
             self._event(
@@ -716,8 +726,14 @@ def query_journal(path: Path | str) -> dict:
     """Summarize a service journal without running anything.
 
     The ``repro serve --query`` surface: run identity, committed epochs,
-    and the counters of the latest committed state.
+    and the counters of the latest committed state.  Raises
+    ``FileNotFoundError`` when ``path`` does not exist, so a mistyped path
+    does not read as an empty run.
     """
+    if not Path(path).exists():
+        raise FileNotFoundError(
+            errno.ENOENT, "no such service journal", str(path)
+        )
     journal = ServiceJournal(path)
     meta = journal.meta()
     epochs = journal.epochs()

@@ -5,8 +5,9 @@ set over a closed horizon.  The service daemon needs the same fluid
 dynamics — two-phase periodic jobs sharing one bottleneck under
 water-filling — but over an *open* population: jobs are admitted while the
 clock runs, and depart when their iteration budget is spent.  This module
-is that engine: the PR 9 struct-of-arrays state and the bit-exact
-:func:`repro.fluid.allocation.water_fill_array` kernel, wrapped in
+is that engine: struct-of-arrays state stepped with the batch engines'
+array helpers (``mltcp_weights_array``, ``water_fill_array``, the
+sorted-name rank and the delivery clamp ``deliver``), wrapped in
 ``admit`` / ``step`` / ``state`` instead of a one-shot ``run``.
 
 Determinism contract (docs/SERVICE.md): every float the engine computes is
@@ -16,20 +17,25 @@ the clock and the completion log — as one picklable dict, and
 ``load_state`` restores it exactly.  That is what lets the daemon's
 write-ahead journal replay a killed run to bit-identical telemetry.
 
-Transitions sweep flows in ascending admission index, matching the batch
-engine's RNG draw order; the water-fill rank is recomputed per allocation
-over the *active* subset, so shares do not depend on departed jobs.
+The engine keeps its own sweep and next-event step: a deadline is due at
+``deadline <= clock + eps`` and the sweep repeats until quiescent, which
+gives different floats from the batch state machine.  Each sweep pass
+fires due flows in ascending admission index, the batch engine's RNG draw
+order.  The water-fill rank over the running jobs is recomputed on
+admission, departure and restore; restricted to the active flows it
+orders them as their own sorted names would.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from ..core.aggressiveness import default_aggressiveness
 from ..core.units import bps_from_gbps
-from ..fluid.allocation import MLTCPWeighted, water_fill_array
+from ..fluid.allocation import mltcp_weights_array, water_fill_array
 from ..fluid.arrays import (
     _EPS_BITS,
     _EPS_TIME,
@@ -37,8 +43,13 @@ from ..fluid.arrays import (
     PHASE_COMPUTE,
     PHASE_DONE,
     PHASE_WAITING,
+    deliver,
+    name_rank,
 )
 from ..workloads.job import JobSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults.fluid import FluidFaultState
 
 __all__ = ["LiveFluidEngine", "ENGINE_POLICIES"]
 
@@ -46,6 +57,25 @@ __all__ = ["LiveFluidEngine", "ENGINE_POLICIES"]
 #: vectorized water-fill: ``fair`` with unit weights (N synchronized Reno
 #: flows), ``mltcp`` with the paper's linear ``F(bytes_ratio)`` weights.
 ENGINE_POLICIES = ("fair", "mltcp")
+
+#: The per-flow columns, in ``state()`` order: attribute name, dtype, and
+#: the value an admitted job starts with, given its spec and the time
+#: ``start`` its first iteration may begin.
+_COLUMNS: tuple[tuple[str, type, Callable[[JobSpec, float], object]], ...] = (
+    ("phase", np.int8, lambda spec, start: PHASE_WAITING),
+    ("demand_bps", np.float64, lambda spec, start: spec.demand_bps),
+    ("remaining", np.float64, lambda spec, start: 0.0),
+    ("sent", np.float64, lambda spec, start: 0.0),
+    # bytes_ratio's denominator is the nominal TOTAL_BYTES (Algorithm 1),
+    # not the per-iteration volume ``_start_comm`` samples.
+    ("cur_total", np.float64, lambda spec, start: spec.comm_bits),
+    ("deadline", np.float64, lambda spec, start: start),
+    ("comm_start", np.float64, lambda spec, start: math.nan),
+    ("iter_index", np.int64, lambda spec, start: 0),
+    ("iter_limit", np.int64, lambda spec, start: spec.iteration_limit),
+    ("iter_time_sum", np.float64, lambda spec, start: 0.0),
+    ("arrival", np.float64, lambda spec, start: start),
+)
 
 
 class LiveFluidEngine:
@@ -66,15 +96,25 @@ class LiveFluidEngine:
     slo_factor:
         A departed job met its SLO when its mean iteration time stayed
         within ``slo_factor`` times its isolation iteration time.
-    capacity_factor:
-        Optional pure function of simulated time returning the current
-        fabric health factor (:meth:`repro.faults.fluid.FluidFaultState.\
-        capacity_factor`).  Must be reconstructible from config — it is
-        *not* journaled.
-    next_transition:
-        Optional pure function of time returning the next fault-state
-        change, so integration never steps across a capacity edge.
+    faults:
+        Optional :class:`repro.faults.fluid.FluidFaultState`: its capacity
+        factor scales the bottleneck each step, and integration never
+        steps across one of its transitions.  It is a pure function of
+        simulated time, rebuilt from config — it is *not* journaled.
     """
+
+    # The per-flow columns of :data:`_COLUMNS`, one entry per running job.
+    phase: np.ndarray
+    demand_bps: np.ndarray
+    remaining: np.ndarray
+    sent: np.ndarray
+    cur_total: np.ndarray
+    deadline: np.ndarray
+    comm_start: np.ndarray
+    iter_index: np.ndarray
+    iter_limit: np.ndarray
+    iter_time_sum: np.ndarray
+    arrival: np.ndarray
 
     def __init__(
         self,
@@ -84,30 +124,23 @@ class LiveFluidEngine:
         seed: int = 0,
         quantum: float = 0.05,
         slo_factor: float = 1.5,
-        capacity_factor: Optional[Callable[[float], float]] = None,
-        next_transition: Optional[Callable[[float], Optional[float]]] = None,
+        faults: Optional["FluidFaultState"] = None,
     ) -> None:
-        if not (math.isfinite(capacity_gbps) and capacity_gbps > 0):
-            raise ValueError(
-                f"capacity_gbps must be finite and positive, got {capacity_gbps!r}"
-            )
+        checks = {"capacity_gbps": capacity_gbps, "quantum": quantum, "slo_factor": slo_factor}
+        for name, value in checks.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if cc not in ENGINE_POLICIES:
             raise ValueError(
                 f"unknown cc {cc!r}; expected one of {ENGINE_POLICIES}"
             )
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {quantum!r}")
-        if slo_factor <= 0:
-            raise ValueError(f"slo_factor must be positive, got {slo_factor!r}")
         self.capacity_bps = bps_from_gbps(capacity_gbps)
         self.cc = cc
         self.quantum = quantum
         self.slo_factor = slo_factor
-        self._capacity_factor = capacity_factor
-        self._next_transition = next_transition
-        # The paper's deployed linear F (Eq. 2): slope/intercept lifted from
-        # the same policy object the batch engine uses, so weights match.
-        self._slope, self._intercept = MLTCPWeighted()._linear
+        self._faults = faults
+        # The paper's deployed F (Eq. 2), the batch engines' default too.
+        self._function = default_aggressiveness()
         #: Clamp to vanilla CC (unit weights) while True — the fluid
         #: analogue of MLTCP's tracker fallback when churn outpaces the
         #: iteration signal (docs/ROBUSTNESS.md).
@@ -118,20 +151,9 @@ class LiveFluidEngine:
         self.names: list[str] = []
         self.specs: list[JobSpec] = []
         self.completed: list[dict] = []
-        self._empty()
-
-    def _empty(self) -> None:
-        self.phase = np.zeros(0, dtype=np.int8)
-        self.demand_bps = np.zeros(0)
-        self.remaining = np.zeros(0)
-        self.sent = np.zeros(0)
-        self.cur_total = np.zeros(0)
-        self.deadline = np.zeros(0)
-        self.comm_start = np.zeros(0)
-        self.iter_index = np.zeros(0, dtype=np.int64)
-        self.iter_limit = np.zeros(0, dtype=np.int64)
-        self.iter_time_sum = np.zeros(0)
-        self.arrival = np.zeros(0)
+        for name, dtype, _ in _COLUMNS:
+            setattr(self, name, np.zeros(0, dtype=dtype))
+        self._rank = name_rank(self.names)
 
     # ------------------------------------------------------------------ churn
 
@@ -160,26 +182,24 @@ class LiveFluidEngine:
         start = max(self.clock, spec.start_offset)
         self.names.append(spec.name)
         self.specs.append(spec)
-        self.phase = np.append(self.phase, PHASE_WAITING)
-        self.demand_bps = np.append(self.demand_bps, spec.demand_bps)
-        self.remaining = np.append(self.remaining, 0.0)
-        self.sent = np.append(self.sent, 0.0)
-        # bytes_ratio's denominator is the nominal TOTAL_BYTES (Algorithm 1),
-        # not the per-iteration volume ``_start_comm`` samples.
-        self.cur_total = np.append(self.cur_total, spec.comm_bits)
-        self.deadline = np.append(self.deadline, start)
-        self.comm_start = np.append(self.comm_start, np.nan)
-        self.iter_index = np.append(self.iter_index, 0)
-        self.iter_limit = np.append(self.iter_limit, spec.iteration_limit)
-        self.iter_time_sum = np.append(self.iter_time_sum, 0.0)
-        self.arrival = np.append(self.arrival, start)
+        for name, dtype, initial in _COLUMNS:
+            value = np.array([initial(spec, start)], dtype=dtype)
+            setattr(self, name, np.append(getattr(self, name), value))
+        self._rank = name_rank(self.names)
+
+    def _progress(self, i: int) -> tuple[int, Optional[float], Optional[bool]]:
+        """Running job ``i``'s iterations, mean iteration time and SLO
+        verdict (``None`` for both before its first iteration)."""
+        iterations = int(self.iter_index[i])
+        if not iterations:
+            return 0, None, None
+        mean_iter = float(self.iter_time_sum[i]) / iterations
+        ideal = self.specs[i].ideal_iteration_time
+        return iterations, mean_iter, mean_iter <= self.slo_factor * ideal
 
     def _depart(self, index: int) -> dict:
         spec = self.specs[index]
-        iterations = int(self.iter_index[index])
-        mean_iter = (
-            float(self.iter_time_sum[index]) / iterations if iterations else None
-        )
+        iterations, mean_iter, slo_ok = self._progress(index)
         record = {
             "name": spec.name,
             "arrival_s": float(self.arrival[index]),
@@ -187,11 +207,7 @@ class LiveFluidEngine:
             "iterations": iterations,
             "mean_iteration_s": mean_iter,
             "ideal_iteration_s": spec.ideal_iteration_time,
-            "slo_ok": (
-                mean_iter <= self.slo_factor * spec.ideal_iteration_time
-                if mean_iter is not None
-                else None
-            ),
+            "slo_ok": slo_ok,
         }
         self.completed.append(record)
         return record
@@ -205,21 +221,16 @@ class LiveFluidEngine:
         keep = np.flatnonzero(self.phase != PHASE_DONE)
         self.names = [self.names[int(i)] for i in keep]
         self.specs = [self.specs[int(i)] for i in keep]
-        for field in (
-            "phase", "demand_bps", "remaining", "sent", "cur_total",
-            "deadline", "comm_start", "iter_index", "iter_limit",
-            "iter_time_sum", "arrival",
-        ):
-            setattr(self, field, getattr(self, field)[keep])
+        for name, _, _ in _COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
+        self._rank = name_rank(self.names)
         return records
 
     # ---------------------------------------------------------------- stepping
 
     def _start_comm(self, i: int) -> None:
-        spec = self.specs[i]
-        volume = spec.sample_comm_bits(self.rng)
+        self.remaining[i] = self.specs[i].sample_comm_bits(self.rng)
         self.phase[i] = PHASE_COMM
-        self.remaining[i] = volume
         self.sent[i] = 0.0
         self.comm_start[i] = self.clock
         self.deadline[i] = np.nan
@@ -228,42 +239,47 @@ class LiveFluidEngine:
         """Fire every due transition at ``now`` in ascending index order.
 
         Returns whether any job departed (the caller compacts *after* the
-        sweep so indices stay stable inside it).  Loops until quiescent so
+        sweep so indices stay stable inside it).  Each pass takes its due
+        masks first: a flow's due test reads only its own state, so firing
+        the due flows in index order fires what a flow-by-flow pass would,
+        with the same RNG draws.  Passes repeat until quiescent so
         zero-length compute phases cascade within one call, exactly like
         the batch engine's same-timestamp event chains.
         """
         departed = False
         fired = True
         while fired:
-            fired = False
-            for i in range(len(self.names)):
-                phase = self.phase[i]
-                if phase == PHASE_WAITING and self.deadline[i] <= self.clock + _EPS_TIME:
+            clock = self.clock
+            phase = self.phase
+            deadline = self.deadline
+            due_by = clock + _EPS_TIME
+            wait_due = (phase == PHASE_WAITING) & (deadline <= due_by)
+            comm_done = (phase == PHASE_COMM) & (self.remaining <= _EPS_BITS)
+            compute_due = (phase == PHASE_COMPUTE) & (deadline <= due_by)
+            fired = bool(wait_due.any() or compute_due.any())
+            for i in np.flatnonzero(wait_due | comm_done | compute_due).tolist():
+                if wait_due[i]:
                     self._start_comm(i)
-                    fired = True
-                elif phase == PHASE_COMM and self.remaining[i] <= _EPS_BITS:
+                elif comm_done[i]:
                     compute = self.specs[i].sample_compute_time(self.rng)
-                    self.phase[i] = PHASE_COMPUTE
-                    self.deadline[i] = self.clock + compute
+                    phase[i] = PHASE_COMPUTE
+                    deadline[i] = clock + compute
                     if compute <= _EPS_TIME:
                         fired = True  # due now: sweep again to end it
-                elif phase == PHASE_COMPUTE and self.deadline[i] <= self.clock + _EPS_TIME:
-                    self.iter_time_sum[i] += self.clock - self.comm_start[i]
+                else:
+                    self.iter_time_sum[i] += clock - self.comm_start[i]
                     self.iter_index[i] += 1
                     if self.iter_index[i] >= self.iter_limit[i]:
-                        self.phase[i] = PHASE_DONE
+                        phase[i] = PHASE_DONE
                         departed = True
                     else:
                         self._start_comm(i)
-                    fired = True
         return departed
 
     def _weights(self, active: np.ndarray) -> np.ndarray:
         if self.fallback_engaged or self.cc == "fair":
             return np.ones(active.size)
-        ratio = self.sent[active] / self.cur_total[active]
-        ratio = np.where(ratio > 1.0, 1.0, ratio)
-        return self._slope * ratio + self._intercept
+        return mltcp_weights_array(self._function, self.sent[active], self.cur_total[active])
 
     def step(self, until: float, max_steps: Optional[int] = None) -> list[dict]:
         """Advance the fluid state to ``until``; returns departure records.
@@ -279,6 +295,7 @@ class LiveFluidEngine:
         if max_steps is None:
             horizon = max(1.0, (until - self.clock) / self.quantum)
             max_steps = int(50 * max(1, len(self.names)) * horizon)
+        faults = self._faults
         departures: list[dict] = []
         steps = 0
         while self.clock < until - _EPS_TIME:
@@ -291,23 +308,15 @@ class LiveFluidEngine:
                 )
             if self._sweep():
                 departures.extend(self._compact())
-            factor = (
-                self._capacity_factor(self.clock)
-                if self._capacity_factor is not None
-                else 1.0
-            )
+            factor = faults.capacity_factor(self.clock) if faults is not None else 1.0
             active = np.flatnonzero(self.phase == PHASE_COMM)
-            rates = np.zeros(active.size)
+            # Whole-array rates: idle flows stay at 0.0, which ``deliver``
+            # leaves bit-identical.
+            rates = np.zeros(len(self.names))
             if active.size and factor > 0.0:
-                names = [self.names[int(i)] for i in active]
-                order = sorted(range(len(names)), key=names.__getitem__)
-                rank = np.empty(len(names), dtype=np.int64)
-                rank[order] = np.arange(len(names))
-                rates = water_fill_array(
-                    self.demand_bps[active],
-                    self._weights(active),
-                    self.capacity_bps * factor,
-                    rank=rank,
+                rates[active] = water_fill_array(
+                    self.demand_bps[active], self._weights(active),
+                    self.capacity_bps * factor, rank=self._rank[active],
                 )
             dt = min(self.quantum, until - self.clock)
             pending = np.flatnonzero(
@@ -320,24 +329,19 @@ class LiveFluidEngine:
             if active.size:
                 moving = rates > _EPS_BITS
                 if np.any(moving):
-                    drain = self.remaining[active][moving] / rates[moving]
+                    drain = self.remaining[moving] / rates[moving]
                     dt = min(dt, float(np.min(drain)))
             elif pending.size == 0:
                 # Idle fabric: nothing to integrate, jump to the target.
                 self.clock = until
                 break
-            if self._next_transition is not None:
-                edge = self._next_transition(self.clock)
+            if faults is not None:
+                edge = faults.next_transition_after(self.clock)
                 if edge is not None and edge < until:
                     dt = min(dt, edge - self.clock)
             dt = max(dt, _EPS_TIME)
             if active.size:
-                delivered = rates * dt
-                shrunk = self.remaining[active] - delivered
-                self.remaining[active] = np.where(shrunk > 0.0, shrunk, 0.0)
-                grown = self.sent[active] + delivered
-                total = self.cur_total[active]
-                self.sent[active] = np.where(grown < total, grown, total)
+                deliver(rates, dt, self.remaining, self.sent, self.cur_total)
             self.clock += dt
         if self._sweep():
             departures.extend(self._compact())
@@ -349,20 +353,13 @@ class LiveFluidEngine:
         """Per-running-job telemetry rows (the ``jobs`` of a ``service`` record)."""
         rows = []
         for i, spec in enumerate(self.specs):
-            iterations = int(self.iter_index[i])
-            mean_iter = (
-                float(self.iter_time_sum[i]) / iterations if iterations else None
-            )
+            iterations, mean_iter, slo_ok = self._progress(i)
             rows.append(
                 {
                     "name": spec.name,
                     "iterations": iterations,
                     "mean_iteration_s": mean_iter,
-                    "slo_ok": (
-                        mean_iter <= self.slo_factor * spec.ideal_iteration_time
-                        if mean_iter is not None
-                        else None
-                    ),
+                    "slo_ok": slo_ok,
                 }
             )
         return rows
@@ -375,11 +372,6 @@ class LiveFluidEngine:
         return sum(1 for r in judged if r["slo_ok"]) / len(judged)
 
     # ------------------------------------------------------------ persistence
-
-    _STATE_FIELDS = (
-        "phase", "demand_bps", "remaining", "sent", "cur_total", "deadline",
-        "comm_start", "iter_index", "iter_limit", "iter_time_sum", "arrival",
-    )
 
     def state(self) -> dict:
         """Picklable snapshot of the complete dynamic state."""
@@ -394,8 +386,8 @@ class LiveFluidEngine:
             "completed": [dict(r) for r in self.completed],
             "fallback_engaged": self.fallback_engaged,
         }
-        for field in self._STATE_FIELDS:
-            payload[field] = getattr(self, field).copy()
+        for name, _, _ in _COLUMNS:
+            payload[name] = getattr(self, name).copy()
         return payload
 
     def load_state(self, payload: dict) -> None:
@@ -407,5 +399,6 @@ class LiveFluidEngine:
         self.specs = list(payload["specs"])
         self.completed = [dict(r) for r in payload["completed"]]
         self.fallback_engaged = payload["fallback_engaged"]
-        for field in self._STATE_FIELDS:
-            setattr(self, field, payload[field].copy())
+        for name, _, _ in _COLUMNS:
+            setattr(self, name, payload[name].copy())
+        self._rank = name_rank(self.names)

@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.faults import FaultEvent, FaultSchedule
 from repro.fluid import (
+    PDQ,
     PIAS,
     SRPT,
     FairShare,
+    FluidSimulator,
     MLTCPWeighted,
     PlacedJob,
     run_fluid,
@@ -352,14 +354,19 @@ def _fingerprint(result):
     )
 
 
+class _FairShareSubclass(FairShare):
+    """A subclass keeps FairShare's weights but may override anything."""
+
+
 class TestEngineDispatch:
     """The scalar and array engines behind the size dispatch are twins.
 
     ``FluidSimulator``/``NetworkFluidSimulator`` route populations under
     ``_VECTORIZED_MIN_FLOWS`` to the original scalar engine (numpy's
-    per-op cost dominates small runs) and everything else to the array
-    engine.  Forcing the threshold down must not change a single bit of
-    any output — iterations, segments, end time.
+    per-op cost dominates small runs) and larger ones to the array
+    engine, which on the single link takes only ``FairShare`` and
+    ``MLTCPWeighted``.  Forcing the threshold down must not change a
+    single bit of any output — iterations, segments, end time.
     """
 
     @pytest.mark.parametrize("policy_factory", [FairShare, MLTCPWeighted, SRPT])
@@ -382,6 +389,42 @@ class TestEngineDispatch:
              {k: v.hex() for k, v in seg.rates_bps.items()})
             for seg in array.segments
         ]
+
+    @pytest.mark.parametrize(
+        "policy, flows, engine",
+        [
+            (FairShare, flowsim._VECTORIZED_MIN_FLOWS, "_run_arrays"),
+            (MLTCPWeighted, flowsim._VECTORIZED_MIN_FLOWS, "_run_arrays"),
+            (SRPT, flowsim._VECTORIZED_MIN_FLOWS, "_run_scalar"),
+            (PDQ, flowsim._VECTORIZED_MIN_FLOWS, "_run_scalar"),
+            (PIAS, flowsim._VECTORIZED_MIN_FLOWS, "_run_scalar"),
+            (_FairShareSubclass, flowsim._VECTORIZED_MIN_FLOWS, "_run_scalar"),
+            (FairShare, flowsim._VECTORIZED_MIN_FLOWS - 1, "_run_scalar"),
+            (MLTCPWeighted, flowsim._VECTORIZED_MIN_FLOWS - 1, "_run_scalar"),
+        ],
+        ids=[
+            "fair-large", "mltcp-large", "srpt-large", "pdq-large",
+            "pias-large", "fair-subclass-large", "fair-small", "mltcp-small",
+        ],
+    )
+    def test_single_link_dispatch_rule(self, monkeypatch, policy, flows, engine):
+        """The array engine takes only large FairShare/MLTCPWeighted runs;
+        any other policy, a subclass included, runs on the scalar one."""
+        taken = []
+        for name in ("_run_arrays", "_run_scalar"):
+            original = getattr(FluidSimulator, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                taken.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(FluidSimulator, name, spy)
+        jobs = [
+            JobSpec(name=f"j{i:02d}", comm_bits=1e8, demand_gbps=10.0, compute_time=0.01)
+            for i in range(flows)
+        ]
+        run_fluid(jobs, 50.0, policy=policy(), end_time=0.05)
+        assert taken == [engine]
 
     @pytest.mark.parametrize("mltcp", [True, False])
     def test_network_engines_bit_identical(self, monkeypatch, mltcp):

@@ -8,12 +8,27 @@ and the schema-v6 ``service`` snapshot stream.
 """
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fluid.arrays import PHASE_COMM
+from repro.core.aggressiveness import default_aggressiveness
+from repro.faults import FaultEvent, FaultSchedule
+from repro.fluid import FluidSimulator, NetworkFluidSimulator, PlacedJob
+from repro.fluid.arrays import (
+    _EPS_BITS,
+    _EPS_TIME,
+    PHASE_COMM,
+    PHASE_COMPUTE,
+    PHASE_DONE,
+    PHASE_WAITING,
+)
 from repro.guards import GuardRail, StepperWatchdog
 from repro.harness.telemetry import (
     REPORT_SCHEMA_VERSION,
@@ -269,8 +284,12 @@ class TestJournal:
             ServiceJournal(tmp_path / "svc.journal", retain=0)
 
 
+_PLAIN_JOB = JobSpec("J", comm_bits=1e9, demand_gbps=25.0, compute_time=0.1)
+
+
 class TestCapacityValidation:
-    """NaN passes `capacity <= 0`; the serve path must still reject it."""
+    """NaN passes `x <= 0`; the serve path and the fluid engines must
+    still reject NaN and infinity, naming the field."""
 
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
     def test_config_rejects_capacity(self, capacity):
@@ -281,6 +300,30 @@ class TestCapacityValidation:
     def test_engine_rejects_capacity(self, capacity):
         with pytest.raises(ValueError, match="capacity_gbps"):
             LiveFluidEngine(capacity, "mltcp")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("capacity_gbps", lambda v: FluidSimulator([_PLAIN_JOB], v)),
+            ("quantum", lambda v: FluidSimulator([_PLAIN_JOB], 50.0, quantum=v)),
+            (
+                "quantum",
+                lambda v: NetworkFluidSimulator(
+                    [PlacedJob(_PLAIN_JOB, ("link",))], {"link": 50.0}, quantum=v
+                ),
+            ),
+            ("quantum", lambda v: LiveFluidEngine(50.0, quantum=v)),
+            ("slo_factor", lambda v: LiveFluidEngine(50.0, slo_factor=v)),
+        ],
+        ids=[
+            "flowsim-capacity", "flowsim-quantum", "network-quantum",
+            "live-quantum", "live-slo_factor",
+        ],
+    )
+    def test_fluid_engines_reject_non_finite(self, field, build, value):
+        with pytest.raises(ValueError, match=field):
+            build(value)
 
 
 class TestDaemonRuns:
@@ -447,6 +490,49 @@ class TestDaemonRuns:
         with pytest.raises(ValueError, match="journal"):
             ChurnDaemon(_config(), resume=True)
 
+    def test_fault_edges_logged_at_their_own_time(self):
+        """A capacity fault shorter than an epoch still shows, and every
+        edge carries its own time, not the epoch end it was seen at."""
+        faults = FaultSchedule(
+            events=(
+                FaultEvent("bandwidth", time=3.2, duration=0.4, factor=0.5),
+                FaultEvent("link_down", time=6.5, duration=2.0),
+            )
+        )
+        telemetry = RunTelemetry("test.service")
+        daemon = ChurnDaemon(
+            _config(snapshot_every=1, faults=faults), telemetry=telemetry
+        )
+        daemon.run()
+        details = [
+            "bottleneck capacity factor 1 -> 0.5",
+            "bottleneck capacity factor 0.5 -> 1",
+            "bottleneck capacity factor 1 -> 0",
+            "bottleneck capacity factor 0 -> 1",
+        ]
+        times = [3.2, 3.2 + 0.4, 6.5, 6.5 + 2.0]
+        events = [
+            (e["time"], e["detail"])
+            for s in daemon.snapshots
+            for e in s["events"]
+            if e["kind"] == "fault"
+        ]
+        assert events == list(zip(times, details))
+        assert daemon._fabric.entries == list(zip(times, details))
+        records = telemetry.as_report()["records"]
+        assert [r["detail"] for r in records if r["kind"] == "fault"] == details
+
+    def test_fault_edge_at_time_zero_is_logged(self):
+        faults = FaultSchedule(
+            events=(FaultEvent("bandwidth", time=0.0, duration=0.5, factor=0.5),)
+        )
+        daemon = ChurnDaemon(_config(snapshot_every=1, faults=faults))
+        daemon.run()
+        assert daemon._fabric.entries == [
+            (0.0, "bottleneck capacity factor 1 -> 0.5"),
+            (0.5, "bottleneck capacity factor 0.5 -> 1"),
+        ]
+
     def test_query_journal(self, tmp_path):
         journal_path = tmp_path / "svc.journal"
         daemon = ChurnDaemon(_config(), journal=ServiceJournal(journal_path))
@@ -457,6 +543,80 @@ class TestDaemonRuns:
         assert summary["latest_epoch"] == 11
         assert summary["counters"] == result["counters"]
         assert summary["corrupt_lines"] == 0
+
+
+@st.composite
+def _capacity_faults(draw, horizon):
+    """0-2 capacity faults, some shorter than an epoch."""
+    events = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(
+            st.sampled_from(["bandwidth", "link_down", "loss_burst", "ecn_storm"])
+        )
+        params = dict(
+            time=draw(st.floats(0.0, horizon)),
+            duration=draw(st.sampled_from([0.2, 0.5, 1.5, 3.0])),
+        )
+        if kind == "bandwidth":
+            params["factor"] = draw(st.floats(0.1, 0.9))
+        elif kind == "loss_burst":
+            params["loss"] = draw(st.floats(0.05, 0.5))
+        events.append(FaultEvent(kind, **params))
+    return FaultSchedule(events=tuple(events)) if events else None
+
+
+@st.composite
+def _serve_configs(draw):
+    epochs = draw(st.integers(6, 10))
+    flash = draw(
+        st.none()
+        | st.builds(
+            FlashCrowd, st.floats(0.0, epochs - 1.0), st.integers(2, 12)
+        )
+    )
+    return _config(
+        arrival=_model(
+            rate_per_s=draw(st.floats(0.5, 3.0)),
+            horizon_s=float(epochs),
+            flash_crowds=(flash,) if flash is not None else (),
+        ),
+        cc=draw(st.sampled_from(["mltcp", "fair"])),
+        shed_policy=draw(st.sampled_from(["reject", "defer", "degrade"])),
+        # Contended capacities and low churn limits, so weights and the
+        # churn fallback shape the floats a resume must reproduce.
+        capacity_gbps=draw(st.sampled_from([25.0, 50.0])),
+        churn_limit=draw(st.integers(0, 4)),
+        max_running=draw(st.integers(2, 8)),
+        queue_limit=draw(st.integers(0, 6)),
+        epochs=epochs,
+        faults=draw(_capacity_faults(float(epochs))),
+        max_recoveries=0,
+    )
+
+
+class TestGeneratedResume:
+    """Journal replay ≡ uninterrupted run, on generated serve configs."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=_serve_configs(), kill=st.floats(0.0, 1.0))
+    def test_kill_and_resume_matches_uninterrupted(self, config, kill):
+        baseline = ChurnDaemon(config)
+        baseline.run()
+        kill_epoch = min(int(kill * config.epochs), config.epochs - 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "svc.journal"
+            killed = ChurnDaemon(
+                config, journal=ServiceJournal(path), crash_at_epoch=kill_epoch
+            )
+            with pytest.raises(ServiceCrash):
+                killed.run()
+            resumed = ChurnDaemon(config, journal=ServiceJournal(path), resume=True)
+            resumed.run()
+        assert resumed.per_job_fingerprint() == baseline.per_job_fingerprint()
+        counters = dict(resumed.counters)
+        expected = dict(baseline.counters)
+        counters.pop("recoveries"), expected.pop("recoveries")
+        assert counters == expected
 
 
 class TestOverloadShedding:
@@ -548,11 +708,98 @@ class TestOverloadShedding:
         volume = engine.remaining[0] + engine.sent[0]
         assert abs(volume - spec.comm_bits) > 0.01 * spec.comm_bits
         ratio = min(1.0, engine.sent[0] / spec.comm_bits)
-        expected = engine._slope * ratio + engine._intercept
+        F = default_aggressiveness()
+        expected = F.slope * ratio + F.intercept
         assert engine._weights(active)[0] == expected
 
 
+def _oracle_sweep(self):
+    """The flow-by-flow ``LiveFluidEngine._sweep`` the mask sweep replaced,
+    kept verbatim as its oracle."""
+    departed = False
+    fired = True
+    while fired:
+        fired = False
+        for i in range(len(self.names)):
+            phase = self.phase[i]
+            if phase == PHASE_WAITING and self.deadline[i] <= self.clock + _EPS_TIME:
+                self._start_comm(i)
+                fired = True
+            elif phase == PHASE_COMM and self.remaining[i] <= _EPS_BITS:
+                compute = self.specs[i].sample_compute_time(self.rng)
+                self.phase[i] = PHASE_COMPUTE
+                self.deadline[i] = self.clock + compute
+                if compute <= _EPS_TIME:
+                    fired = True  # due now: sweep again to end it
+            elif phase == PHASE_COMPUTE and self.deadline[i] <= self.clock + _EPS_TIME:
+                self.iter_time_sum[i] += self.clock - self.comm_start[i]
+                self.iter_index[i] += 1
+                if self.iter_index[i] >= self.iter_limit[i]:
+                    self.phase[i] = PHASE_DONE
+                    departed = True
+                else:
+                    self._start_comm(i)
+                fired = True
+    return departed
+
+
+@st.composite
+def _admissions(draw):
+    """1-8 jobs, each admitted at one of a few step boundaries."""
+    jobs = []
+    for i in range(draw(st.integers(1, 8))):
+        spec = JobSpec(
+            name=f"job{draw(st.integers(0, 99)):02d}-{i}",
+            comm_bits=draw(st.floats(1e8, 4e9)),
+            demand_gbps=draw(st.floats(5.0, 60.0)),
+            compute_time=draw(st.sampled_from([0.0, 0.01, 0.05, 0.3])),
+            start_offset=draw(st.sampled_from([0.0, 0.07, 0.4])),
+            jitter_sigma=draw(st.sampled_from([0.0, 0.002, 0.02])),
+            volume_jitter_fraction=draw(st.sampled_from([0.0, 0.1])),
+            iteration_limit=draw(st.integers(1, 4)),
+        )
+        jobs.append((draw(st.sampled_from([0.0, 0.3, 0.75, 1.2])), spec))
+    return sorted(jobs, key=lambda job: job[0])
+
+
+def _float_hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
 class TestLiveEngineSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        admissions=_admissions(),
+        cc=st.sampled_from(["fair", "mltcp"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mask_sweep_matches_flow_by_flow_oracle(self, admissions, cc, seed):
+        """Same completions, clock and state arrays, bit for bit."""
+
+        def run():
+            engine = LiveFluidEngine(30.0, cc, seed=seed, quantum=0.05)
+            for at, spec in admissions:
+                engine.step(at)
+                engine.admit(spec)
+            engine.step(4.0)
+            return (
+                engine.clock.hex(),
+                [
+                    {k: _float_hex(v) for k, v in record.items()}
+                    for record in engine.completed
+                ],
+                {
+                    key: (value.dtype.str, value.tobytes())
+                    for key, value in engine.state().items()
+                    if isinstance(value, np.ndarray)
+                },
+            )
+
+        mask = run()
+        with patch.object(LiveFluidEngine, "_sweep", _oracle_sweep):
+            oracle = run()
+        assert mask == oracle
+
     def test_zero_compute_phase_cascades_within_one_sweep(self):
         """A zero-length compute phase ends at the instant its
         communication does, without idling a quantum: each iteration is
@@ -773,6 +1020,15 @@ class TestServeCli:
         assert main(["serve", "--query", str(journal)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["committed_epochs"] == 6
+
+    def test_query_missing_journal_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "does-not-exist.journal"
+        assert main(["serve", "--query", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot query journal {missing}" in err
+        assert not missing.exists()
 
     def test_serve_bad_flash_spec_fails(self, capsys):
         from repro.cli import main
