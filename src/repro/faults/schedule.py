@@ -19,7 +19,9 @@ to workload scenarios; the file format is documented in docs/FAULTS.md.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -143,6 +145,11 @@ _DESCRIBE_RECIPES: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
 }
 
 
+#: Every numeric field of :class:`FaultEvent`, each required to be a finite
+#: number.
+_NUMERIC_FIELDS = ("time", "duration", "factor", "loss", "restart_delay")
+
+
 def _check(condition: bool, index: int, event: FaultEvent, message: str) -> None:
     if not condition:
         raise ValueError(f"fault event #{index} ({event.kind!r}): {message}")
@@ -202,6 +209,10 @@ class FaultSchedule:
                 event.kind in FAULT_KINDS, i, event,
                 f"unknown kind; valid kinds are {sorted(FAULT_KINDS)}",
             )
+            for name in _NUMERIC_FIELDS:
+                value = getattr(event, name)
+                _check(isinstance(value, Real) and math.isfinite(value), i, event,
+                       f"{name} must be finite, got {value!r}")
             _check(event.time >= 0, i, event,
                    f"time must be non-negative, got {event.time!r}")
             _check(event.duration >= 0, i, event,

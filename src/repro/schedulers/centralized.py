@@ -10,6 +10,17 @@ The search is exact on a coarse offset grid for small job counts and refines
 with multi-restart coordinate descent otherwise — for the paper's scenarios
 (2–8 jobs) it reliably finds the zero-contention optima whose existence is
 the paper's compatibility assumption (§4).
+
+Both searches score every candidate offset of one job as one block, which
+is Cassini's view of contention as a function of one job's rotation on the
+hyper-period circle: the job's rolled profiles form a C-contiguous
+(candidates x bins) array, the other jobs' profiles are added to it in job
+order, and one row-wise excess sum gives every candidate's contention.  The
+float operations are the ones :meth:`CentralizedScheduler.contention` does
+for a single offset assignment, in the same order, so each row equals that
+call bit for bit and the scan over rows keeps the one-candidate-at-a-time
+tie-breaking.  Blocks are built :data:`_CHUNK_ELEMENTS` at a time, which
+bounds their memory.
 """
 
 from __future__ import annotations
@@ -18,13 +29,23 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..workloads.job import JobSpec
 
 __all__ = ["Schedule", "CentralizedScheduler", "unified_period"]
+
+#: Elements per scored block: 65,536 float64s (512 KiB) keep a block's
+#: temporaries out of the process's peak memory.
+_CHUNK_ELEMENTS = 65_536
+
+#: A job's candidate offsets and, for each, the row of the job's window
+#: table (:attr:`CentralizedScheduler._windows`) holding its rolled profile.
+_Grid = tuple[list[float], np.ndarray]
 
 
 def unified_period(periods: Sequence[float], max_denominator: int = 1000) -> float:
@@ -85,8 +106,16 @@ class CentralizedScheduler:
             raise ValueError(
                 f"capacity_gbps must be finite and positive, got {capacity_gbps!r}"
             )
-        if time_resolution <= 0:
-            raise ValueError(f"time_resolution must be positive, got {time_resolution!r}")
+        if not (math.isfinite(time_resolution) and time_resolution > 0):
+            raise ValueError(
+                f"time_resolution must be finite and positive, got {time_resolution!r}"
+            )
+        if offset_step is not None and not (
+            math.isfinite(offset_step) and offset_step > 0
+        ):
+            raise ValueError(
+                f"offset_step must be finite and positive, got {offset_step!r}"
+            )
         self.jobs = tuple(jobs)
         self.capacity_gbps = capacity_gbps
         self.hyper_period = unified_period([j.ideal_iteration_time for j in jobs])
@@ -95,18 +124,27 @@ class CentralizedScheduler:
         if offset_step is None:
             offset_step = max(self.time_resolution, self.hyper_period / 720.0)
         self.offset_step = offset_step
-        self._profiles = {job.name: self._demand_profile(job) for job in self.jobs}
+        # Row r of a job's table is its offset-0 profile rolled by -r bins: a
+        # view into the profile written twice, so no roll copies anything.
+        self._windows = {
+            job.name: sliding_window_view(
+                np.tile(self._demand_profile(job), 2), self._bins
+            )
+            for job in self.jobs
+        }
 
     # -- public API ---------------------------------------------------------
 
     def contention(self, offsets: dict[str, float]) -> float:
         """Integral (Gbps * s) of demand above capacity over the hyper-period."""
-        total = np.zeros(self._bins)
-        for job in self.jobs:
-            shift_bins = int(round(offsets.get(job.name, 0.0) / self.time_resolution))
-            total += np.roll(self._profiles[job.name], shift_bins)
-        excess = np.maximum(0.0, total - self.capacity_gbps)
-        return float(excess.sum() * self.time_resolution)
+        return float(self._excess(self.total_demand(offsets)))
+
+    def total_demand(self, offsets: dict[str, float]) -> np.ndarray:
+        """Summed demand (Gbps) per hyper-period bin, each job at its offset.
+
+        A job missing from ``offsets`` sits at offset 0.
+        """
+        return self._accumulate(np.zeros(self._bins), offsets, self.jobs)
 
     def optimize(
         self,
@@ -158,13 +196,11 @@ class CentralizedScheduler:
         experiments verify this prediction against the fluid simulator.)
         """
         result: dict[str, float] = {}
-        total = np.zeros(self._bins)
-        shifted = {}
-        for job in self.jobs:
-            shift_bins = int(round(schedule.offset_of(job.name) / self.time_resolution))
-            profile = np.roll(self._profiles[job.name], shift_bins)
-            shifted[job.name] = profile
-            total += profile
+        shifted = {
+            job.name: self._rolled(job, schedule.offset_of(job.name))
+            for job in self.jobs
+        }
+        total = self.total_demand(schedule.offsets)
         over = total > self.capacity_gbps + 1e-12
         scale = np.ones(self._bins)
         scale[over] = self.capacity_gbps / total[over]
@@ -200,27 +236,77 @@ class CentralizedScheduler:
         count = max(1, int(round(period / self.offset_step)))
         return np.arange(count) * self.offset_step
 
+    def _row(self, offset: float) -> int:
+        """Window-table row holding a profile rolled to ``offset``."""
+        return -int(round(offset / self.time_resolution)) % self._bins
+
+    def _rolled(self, job: JobSpec, offset: float) -> np.ndarray:
+        """``np.roll`` of the job's offset-0 profile to ``offset`` (a view)."""
+        return self._windows[job.name][self._row(offset)]
+
+    def _accumulate(
+        self, total: np.ndarray, offsets: dict[str, float], jobs: Sequence[JobSpec]
+    ) -> np.ndarray:
+        """Add each job's rolled profile into ``total``, one job at a time in
+        ``jobs`` order (the float order every score depends on)."""
+        for job in jobs:
+            total += self._rolled(job, offsets.get(job.name, 0.0))
+        return total
+
+    def _excess(self, total: np.ndarray) -> np.ndarray:
+        """Over-capacity integral (Gbps * s) along the last axis of ``total``,
+        which it overwrites."""
+        total -= self.capacity_gbps
+        np.maximum(0.0, total, out=total)
+        return total.sum(axis=-1) * self.time_resolution
+
+    def _grid(self, candidates: list[float]) -> _Grid:
+        return candidates, np.array([self._row(c) for c in candidates], dtype=np.intp)
+
+    @cached_property
+    def _grids(self) -> list[_Grid]:
+        """Each job's search grid, built on the first search."""
+        return [self._grid(self._offset_candidates(job).tolist()) for job in self.jobs]
+
+    def _scores(
+        self, offsets: dict[str, float], index: int, grid: _Grid
+    ) -> Iterator[tuple[float, float]]:
+        """``(offset, contention)`` for each candidate offset in ``grid`` of
+        job ``index``, in grid order, with every other job at ``offsets``.
+
+        Each row of a block is that job's rolled profile; the jobs before it
+        are summed first from zeros and the jobs after it are added one at a
+        time, as :meth:`contention` adds them, so each value equals
+        ``contention`` of the same assignment bit for bit.
+        """
+        jobs = self.jobs
+        candidates, rows = grid
+        windows = self._windows[jobs[index].name]
+        before = self._accumulate(np.zeros(self._bins), offsets, jobs[:index])
+        step = max(1, _CHUNK_ELEMENTS // self._bins)
+        for lo in range(0, len(candidates), step):
+            block = windows[rows[lo:lo + step]]
+            block += before
+            self._accumulate(block, offsets, jobs[index + 1:])
+            yield from zip(candidates[lo:lo + step], self._excess(block).tolist())
+
     def _exhaustive(self) -> Schedule:
         names = [job.name for job in self.jobs]
-        candidate_lists = [np.array([0.0])] + [
-            self._offset_candidates(job) for job in self.jobs[1:]
-        ]
+        last = len(names) - 1
+        # The first job is pinned at offset 0; the last is the innermost
+        # axis of the product, scored a block at a time.
+        grids = [self._grid([0.0]), *self._grids[1:]]
         best_offsets = {name: 0.0 for name in names}
         best_value = self.contention(best_offsets)
-        for combo in itertools.product(*candidate_lists):
-            offsets = dict(zip(names, (float(c) for c in combo)))
-            value = self.contention(offsets)
-            if value < best_value - 1e-12:
-                best_value = value
-                best_offsets = offsets
-                if best_value <= 1e-9:
-                    break
-        return Schedule(
-            offsets=best_offsets,
-            contention=best_value,
-            hyper_period=self.hyper_period,
-            capacity_gbps=self.capacity_gbps,
-        )
+        for outer in itertools.product(*(candidates for candidates, _ in grids[:-1])):
+            offsets = dict(zip(names, outer))
+            for candidate, value in self._scores(offsets, last, grids[-1]):
+                if value < best_value - 1e-12:
+                    best_value = value
+                    best_offsets = {**offsets, names[last]: candidate}
+                    if best_value <= 1e-9:
+                        return self._schedule(best_offsets, best_value)
+        return self._schedule(best_offsets, best_value)
 
     def _coordinate_descent(self, start: dict[str, float]) -> Schedule:
         offsets = dict(start)
@@ -230,24 +316,27 @@ class CentralizedScheduler:
         while improved and sweep_guard < 50:
             improved = False
             sweep_guard += 1
-            for job in self.jobs:
+            for index, job in enumerate(self.jobs):
                 best_offset = offsets[job.name]
                 best_value = value
-                for candidate in self._offset_candidates(job):
-                    offsets[job.name] = float(candidate)
-                    candidate_value = self.contention(offsets)
+                for candidate, candidate_value in self._scores(
+                    offsets, index, self._grids[index]
+                ):
                     if candidate_value < best_value - 1e-12:
                         best_value = candidate_value
-                        best_offset = float(candidate)
+                        best_offset = candidate
                 offsets[job.name] = best_offset
                 if best_value < value - 1e-12:
                     value = best_value
                     improved = True
             if value <= 1e-9:
                 break
+        return self._schedule(offsets, value)
+
+    def _schedule(self, offsets: dict[str, float], contention: float) -> Schedule:
         return Schedule(
             offsets=offsets,
-            contention=value,
+            contention=contention,
             hyper_period=self.hyper_period,
             capacity_gbps=self.capacity_gbps,
         )

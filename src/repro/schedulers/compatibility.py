@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..workloads.job import JobSpec
 from .centralized import CentralizedScheduler, Schedule
 
@@ -40,13 +38,7 @@ def compatibility_score(
     )
     if offsets is None:
         offsets = {job.name: job.start_offset for job in jobs}
-    total = np.zeros(scheduler._bins)
-    for job in jobs:
-        shift_bins = int(
-            round(offsets.get(job.name, 0.0) / scheduler.time_resolution)
-        )
-        total += np.roll(scheduler._profiles[job.name], shift_bins)
-    return float((total <= capacity_gbps + 1e-9).mean())
+    return _fit_fraction(scheduler, offsets)
 
 
 def best_compatibility(
@@ -59,10 +51,12 @@ def best_compatibility(
         jobs, capacity_gbps, time_resolution=time_resolution
     )
     schedule = scheduler.optimize()
-    score = compatibility_score(
-        jobs, capacity_gbps, offsets=schedule.offsets, time_resolution=time_resolution
-    )
-    return score, schedule
+    return _fit_fraction(scheduler, schedule.offsets), schedule
+
+
+def _fit_fraction(scheduler: CentralizedScheduler, offsets: dict[str, float]) -> float:
+    fits = scheduler.total_demand(offsets) <= scheduler.capacity_gbps + 1e-9
+    return float(fits.mean())
 
 
 def are_compatible(

@@ -147,7 +147,8 @@ class Simulator:
         Returns the opaque event entry; pass it to :meth:`cancel` to
         cancel the event (or ignore it — most call sites do).
         """
-        if delay < 0:
+        # Negated so that NaN fails too, still one comparison per call.
+        if not delay >= 0:
             raise ValueError(f"delay must be non-negative, got {delay!r}")
         entry = [self.now + delay, next(self._counter), callback]
         heappush(self._queue, entry)
@@ -155,9 +156,10 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventEntry:
         """Run ``callback`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule in the past: time={time!r} < now={self.now!r}"
+                f"cannot schedule in the past or at NaN: time={time!r}, "
+                f"now={self.now!r}"
             )
         entry = [time, next(self._counter), callback]
         heappush(self._queue, entry)

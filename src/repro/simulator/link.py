@@ -19,29 +19,33 @@ cleanly, so a schedule of faults replays deterministically.
 
 Performance notes (docs/PERFORMANCE.md): for FIFO disciplines the link
 *plans* each packet's serialization at enqueue time — start and finish
-instants are computed by accumulating transmission times exactly as the
-old per-packet event chain did (bit-identical floats), and a single
-delivery event per packet is scheduled up front.  That halves the event
-count of the old design (transmit-complete + delivery per packet) for
-back-to-back bursts.  Planned packets stay in the queue buffer until
-their start instant passes ("settling", done lazily at the next send or
-fault hook), so queue-length observables — DCTCP's marking threshold,
-drop-tail capacity — see exactly the occupancy the old design exposed.
-Fault hooks settle, cancel the not-yet-started deliveries (O(1) each via
-``Simulator.cancel``), and re-plan under the new link state, which
-reproduces the old pop-time semantics for rate changes and ECN storms.
-Priority queues (pFabric) reorder on arrival, so they keep the legacy
-per-packet event chain.
+instants are computed by accumulating transmission times exactly as a
+per-packet transmit-complete chain would (bit-identical floats) — and
+schedules that packet's one delivery event up front.  The link schedules
+no other event.  Planned packets stay in the queue buffer until their
+start instant passes; "settling" pops them lazily, at the next send or
+fault hook, and each of those settles before it reads the buffer.  So
+queue-length observables — DCTCP's marking threshold, drop-tail capacity
+— see exactly the occupancy of a link that pops at transmit time.
+Between those calls ``len(link.queue)`` may still count packets whose
+serialization has started, until the link next settles; ``bits_sent``,
+``packets_sent``, ``storm_marks`` and :meth:`Link.conservation_delta` are
+exact at any instant.  Fault hooks settle, cancel the not-yet-started
+deliveries (O(1) each via ``Simulator.cancel``), and re-plan under the
+new link state, which gives rate changes and ECN storms pop-time
+semantics.  Priority queues (pFabric) reorder on arrival, so they keep
+the per-packet event chain.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, List, Optional
 
 import numpy as np
 
-from .engine import EventEntry, Simulator
+from .engine import Simulator
 from .packet import Packet
 from .queues import DropTailQueue, QueueDiscipline
 
@@ -66,10 +70,14 @@ class Link:
         random_loss: float = 0.0,
         loss_rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if rate_bps <= 0:
-            raise ValueError(f"{name}: rate_bps must be positive, got {rate_bps!r}")
-        if delay < 0:
-            raise ValueError(f"{name}: delay must be non-negative, got {delay!r}")
+        if not (math.isfinite(rate_bps) and rate_bps > 0):
+            raise ValueError(
+                f"{name}: rate_bps must be finite and positive, got {rate_bps!r}"
+            )
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ValueError(
+                f"{name}: delay must be finite and non-negative, got {delay!r}"
+            )
         if not 0.0 <= random_loss < 1.0:
             raise ValueError(f"{name}: random_loss must be in [0, 1), got {random_loss!r}")
         self.sim = sim
@@ -88,7 +96,6 @@ class Link:
         self._wire_free_at = 0.0
         #: Finish instant of the last *settled* (started) transmission.
         self._settled_until = 0.0
-        self._burst_entry: Optional[EventEntry] = None
         # Fault-injection state (see repro.faults.packet).
         self.up = True
         self.rate_factor = 1.0
@@ -128,10 +135,6 @@ class Link:
             if not self.queue.push(packet):
                 return  # tail drop, counted by the queue
             self._plan_packet(packet)
-            if self._burst_entry is None:
-                self._burst_entry = self.sim.schedule_at(
-                    self._wire_free_at, self._on_burst_end
-                )
             return
         if not self.queue.push(packet):
             return  # tail drop, counted by the queue
@@ -170,9 +173,9 @@ class Link:
         already serializing keeps its old rate (same as the pre-planning
         design, where the rate was read at transmission start).
         """
-        if factor <= 0:
+        if not (math.isfinite(factor) and factor > 0):
             raise ValueError(
-                f"{self.name}: rate factor must be positive, got {factor!r}"
+                f"{self.name}: rate factor must be finite and positive, got {factor!r}"
             )
         # Identity check, not a numeric tolerance: re-planning on a no-op
         # factor write would only churn event sequence numbers.
@@ -336,10 +339,6 @@ class Link:
         assert isinstance(self.queue, DropTailQueue)
         for packet in self.queue.buffered():
             self._plan_packet(packet)
-        if self._plan and self._burst_entry is None:
-            self._burst_entry = self.sim.schedule_at(
-                self._wire_free_at, self._on_burst_end
-            )
 
     def _reschedule_unstarted(self) -> None:
         """Re-plan not-yet-started transmissions under new link state."""
@@ -348,17 +347,6 @@ class Link:
         self._settle()
         self._unplan_unstarted()
         self._replan_buffer()
-
-    def _on_burst_end(self) -> None:
-        """Housekeeping event at the planned end of the wire timeline:
-        settles started packets so buffers and counters are exact at rest
-        (between bursts and at the end of a run)."""
-        self._burst_entry = None
-        self._settle()
-        if self._plan:
-            self._burst_entry = self.sim.schedule_at(
-                self._wire_free_at, self._on_burst_end
-            )
 
     # -- legacy per-packet chain (non-FIFO disciplines) --------------------
 

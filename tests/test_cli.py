@@ -257,6 +257,8 @@ CONTRACT_CASES = [
     ["list"],
     ["run", "fig5", "--fast"],
     ["compat", "four.json"],
+    ["compat", "six.json"],
+    ["compat", "overloaded.json"],
     ["cross-rack", *_FABRIC],
     ["chaos", "--campaigns", "1", *_FABRIC],
     ["serve", "--epochs", "3"],
@@ -285,6 +287,8 @@ CONTRACT_CASES = [
     ["compat", "bad.json"],
     [*_ONE_FAULT, "--policies", "bogus", "--substrate", "fluid"],
     ["faults", "--fast", "--schedule", "ghost.json", "--substrate", "fluid",
+     "--policies", "mltcp", "--no-cache"],
+    ["faults", "--fast", "--schedule", "endless.json", "--substrate", "fluid",
      "--policies", "mltcp", "--no-cache"],
     ["guards", "--run", "--cc", "bogus", "--substrate", "fluid"],
     ["bench-compare", _BASELINE, "--baseline", _BASELINE, "--threshold", "nan"],
@@ -326,15 +330,33 @@ def write_contract_inputs(directory: Path) -> None:
     """The files CONTRACT_CASES name."""
     import json
 
-    from repro.workloads import four_job_scenario, save_scenario
+    from repro.workloads import (
+        JobSpec,
+        four_job_scenario,
+        gbit,
+        save_scenario,
+        six_job_scenario,
+    )
 
     save_scenario(directory / "four.json", four_job_scenario())
+    # Six jobs take coordinate descent with restarts; three that each need
+    # the link half the time cannot interleave, so the exhaustive search
+    # runs to the end and descent refines it.
+    save_scenario(directory / "six.json", six_job_scenario())
+    save_scenario(directory / "overloaded.json", [
+        JobSpec(name, comm_bits=gbit(10.0), demand_gbps=50.0, compute_time=0.2)
+        for name in ("A", "B", "C")
+    ])
     (directory / "bad.json").write_text(json.dumps({"jobs": [{"name": 1}]}))
     (directory / "one.md").write_text("```python\nassert 1 + 1 == 2\n```\n")
     # A valid schedule whose straggler names no job: its point fails.
     (directory / "ghost.json").write_text(json.dumps({"seed": 5, "events": [
         {"kind": "straggler", "time": 1.0, "duration": 1.0, "job": "ghost",
          "factor": 2.0},
+    ]}))
+    # A link that never comes back: rejected before any point runs.
+    (directory / "endless.json").write_text(json.dumps({"events": [
+        {"kind": "link_down", "time": 1.0, "duration": float("inf")},
     ]}))
 
 

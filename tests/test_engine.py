@@ -55,6 +55,16 @@ class TestScheduling:
         with pytest.raises(ValueError, match="past"):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_rejects_nan_times(self):
+        # A NaN event would fire with the clock at NaN and pass it on to
+        # everything it schedules.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="delay"):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events() == 0
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):

@@ -7,6 +7,8 @@ re-converges after a link flap and after a job restart in *both*
 simulators, and a seeded schedule replays bit-identically.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,29 @@ class TestScheduleValidation:
         )
         with pytest.raises(ValueError, match="'Ghost' is not in the scenario"):
             restart.validate(job_names=["Job1", "Job2"])
+
+    @pytest.mark.parametrize(
+        "kind, name, fields",
+        [
+            ("link_down", "time", {"time": math.inf, "duration": 1.0}),
+            ("link_down", "duration", {"time": 1.0, "duration": math.inf}),
+            ("job_restart", "restart_delay",
+             {"time": 1.0, "job": "J", "restart_delay": math.inf}),
+            ("straggler", "factor",
+             {"time": 1.0, "duration": 1.0, "job": "J", "factor": math.inf}),
+            ("bandwidth", "factor",
+             {"time": 1.0, "duration": 1.0, "factor": -math.inf}),
+            ("link_down", "time", {"time": "1", "duration": 1.0}),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, kind, name, fields):
+        # inf passes every range check; a run then overflows converting it
+        # to steps, or a straggler that never ends livelocks the fluid loop.
+        # A string from a JSON file raised a TypeError naming no field.
+        with pytest.raises(
+            ValueError, match=rf"event #0 \('{kind}'\): {name} must be finite"
+        ):
+            FaultSchedule(events=(FaultEvent(kind=kind, **fields),))
 
     def test_error_names_the_offending_event(self):
         with pytest.raises(ValueError, match=r"event #1 \('bandwidth'\)"):

@@ -1,13 +1,28 @@
 """Tests for links (serialization, propagation, loss) and nodes."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.faults.packet import install_packet_faults
+from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.harness.packetlab import mltcp_config_for
+from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.node import Host, Switch
 from repro.simulator.packet import ACK_SIZE_BYTES, DATA_HEADER_BYTES, Packet
-from repro.simulator.queues import DropTailQueue
+from repro.simulator.queues import DropTailQueue, EcnQueue
+from repro.simulator.topology import build_dumbbell
+from repro.tcp.base import TcpReceiver, TcpSender
+from repro.tcp.dctcp import DctcpCC
+from repro.tcp.mltcp import MLTCPReno
+from repro.tcp.reno import RenoCC
+from repro.workloads.job import JobSpec
 
 
 def data_packet(seq=0, dst="r", flow="f"):
@@ -118,6 +133,15 @@ class TestLinkTiming:
             Link(sim, "l", rate_bps=1.0, delay=-1.0)
         with pytest.raises(ValueError, match="random_loss"):
             Link(sim, "l", rate_bps=1.0, delay=0.0, random_loss=1.0)
+        link = Link(sim, "l", rate_bps=1.0, delay=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="rate_bps"):
+                Link(sim, "l", rate_bps=bad, delay=0.0)
+            with pytest.raises(ValueError, match="delay"):
+                Link(sim, "l", rate_bps=1.0, delay=bad)
+            with pytest.raises(ValueError, match="rate factor"):
+                link.set_rate_factor(bad)
+        assert link.rate_factor == 1.0
 
 
 class TestHost:
@@ -179,3 +203,137 @@ class TestSwitch:
     def test_route_to_unattached_neighbour_rejected(self):
         with pytest.raises(ValueError, match="no link"):
             Switch("sw").set_route("r", "ghost")
+
+
+@contextlib.contextmanager
+def burst_housekeeping():
+    """Re-add the per-burst housekeeping event, the oracle of lazy settling.
+
+    Each FIFO link once scheduled an event at the planned end of its wire
+    timeline that settled started packets, so its buffer was exact at rest;
+    whenever the plan was non-empty, one such event was pending.
+    """
+    send, replan = Link.send, Link._replan_buffer
+
+    def arm(link):
+        if link._fifo and link._plan and link._burst_entry is None:
+            link._burst_entry = link.sim.schedule_at(
+                link._wire_free_at, lambda: burst_end(link)
+            )
+
+    def burst_end(link):
+        link._burst_entry = None
+        link._settle()
+        arm(link)
+
+    def housekept_send(self, packet):
+        send(self, packet)
+        arm(self)
+
+    def housekept_replan(self):
+        replan(self)
+        arm(self)
+
+    with mock.patch.object(Link, "_burst_entry", None, create=True), \
+            mock.patch.object(Link, "send", housekept_send), \
+            mock.patch.object(Link, "_replan_buffer", housekept_replan):
+        yield
+
+
+_CCS = {
+    "reno": lambda job: RenoCC(),
+    "dctcp": lambda job: DctcpCC(),
+    "mltcp-reno": lambda job: MLTCPReno(mltcp_config_for(job)),
+}
+
+
+def _recording(link, log):
+    """``link``'s receiver, logging each delivered packet and its time."""
+    deliver = link._deliver
+
+    def record(packet):
+        log.append((
+            link.name, packet.flow_id, packet.seq, packet.is_ack, packet.ecn_ce,
+            link.sim.now.hex(),
+        ))
+        deliver(packet)
+
+    return record
+
+
+def _observed_run(scenario):
+    """Delivered packets and link counters of one dumbbell run at each stop,
+    and the events the run processed."""
+    ccs, queue, loss, faults, stops = scenario
+    sim = Simulator()
+    kind, capacity = queue
+    network = build_dumbbell(
+        sim, len(ccs), 1e9,
+        bottleneck_queue=(
+            EcnQueue(capacity, capacity // 2) if kind == "ecn"
+            else DropTailQueue(capacity)
+        ),
+        bottleneck_random_loss=loss, loss_seed=3,
+    )
+    delivered = []
+    for link in network.links.values():
+        link.connect(_recording(link, delivered))
+    rng = np.random.default_rng(1)
+    apps = {}
+    for i, cc_name in enumerate(ccs):
+        job = JobSpec(f"Job{i}", comm_bits=2e6, demand_gbps=1.0, compute_time=0.004)
+        cc = _CCS[cc_name](job)
+        sender = TcpSender(sim, network.hosts[f"s{i}"], job.name, f"r{i}", cc)
+        sender.peer_rx = TcpReceiver(sim, network.hosts[f"r{i}"], job.name, f"s{i}")
+        apps[job.name] = TrainingApp(sim, sender, job, max_iterations=6, rng=rng)
+        apps[job.name].start()
+    install_packet_faults(sim, network, FaultSchedule(events=faults, seed=4), apps=apps)
+    observed = []
+    for stop in stops:
+        sim.run(until=stop)
+        links = {
+            link.name: (
+                link.bits_sent, link.packets_sent, link.storm_marks,
+                link.conservation_delta(), link.queue.drops,
+                link.queue.enqueued, getattr(link.queue, "marks", None),
+            )
+            for link in network.links.values()
+        }
+        observed.append((sim.now.hex(), tuple(delivered), links))
+    return observed, sim.events_processed
+
+
+_fault_events = st.builds(
+    lambda kind, time, duration, link, strength: FaultEvent(
+        kind=kind, time=time, duration=duration, link=link,
+        factor=strength if kind == "bandwidth" else 1.0,
+        loss=strength if kind == "loss_burst" else 0.0,
+    ),
+    kind=st.sampled_from(["link_down", "bandwidth", "ecn_storm", "loss_burst"]),
+    time=st.floats(0.0, 0.04),
+    duration=st.floats(0.0005, 0.01),
+    link=st.sampled_from([None, "sw_r->sw_l", "s0->sw_l"]),
+    strength=st.floats(0.1, 0.9),
+)
+
+
+class TestLazySettling:
+    """Deleting the housekeeping event moves no packet and no counter."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=st.tuples(
+            st.lists(st.sampled_from(sorted(_CCS)), min_size=1, max_size=3),
+            st.tuples(st.sampled_from(["droptail", "ecn"]), st.integers(4, 64)),
+            st.sampled_from([0.0, 0.001, 0.01]),
+            st.lists(_fault_events, max_size=2).map(tuple),
+            st.lists(st.floats(0.0, 0.06), min_size=1, max_size=4).map(sorted),
+        )
+    )
+    def test_matches_housekeeping_event(self, scenario):
+        lazy, lazy_events = _observed_run(scenario)
+        with burst_housekeeping():
+            housekept, housekept_events = _observed_run(scenario)
+        assert lazy == housekept
+        # The oracle ran its extra events: one per burst at least.
+        assert housekept_events > lazy_events or not lazy[-1][1]
