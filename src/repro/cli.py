@@ -488,21 +488,31 @@ def _faults_command(args) -> int:
     """Execute ``repro faults``: the recovery matrix with resilience on."""
     from .faults.schedule import FaultSchedule
     from .harness.checkpoint import RunCheckpoint
-    from .harness.experiments import fault_recovery
+    from .harness.experiments import check_recovery_schedule, fault_recovery
     from .harness.runner import FailedPoint
 
+    substrates = _substrates(args)
     schedule_json: Optional[str] = None
     if args.schedule is not None:
         try:
             schedule_json = Path(args.schedule).read_text()
-            FaultSchedule.from_json(schedule_json)  # fail fast, actionable
+            schedule = FaultSchedule.from_json(Path(args.schedule))  # fail fast
         except (OSError, ValueError) as error:
             return fail(f"cannot use fault schedule {args.schedule}: {error}")
+        # Job and link names differ per substrate: check each before any
+        # point runs, so a typo exits 2 instead of failing every point.
+        for substrate in substrates:
+            try:
+                check_recovery_schedule(schedule, substrate)
+            except ValueError as error:
+                return fail(
+                    f"cannot use fault schedule {args.schedule} on the "
+                    f"{substrate} substrate: {error}"
+                )
 
     faults = ["custom"] if schedule_json else args.classes.split(",")
     policies = args.policies.split(",")
     _check_recovery(args, [f for f in faults if f != "custom"], policies)
-    substrates = _substrates(args)
 
     points = [
         {

@@ -38,6 +38,7 @@ __all__ = [
     "ECN_STORM_CAPACITY_FACTOR",
     "CAPACITY_KINDS",
     "capacity_scale",
+    "FLUID_LINKS",
 ]
 
 #: Fluid stand-in for a marking storm: with every packet of a window CE
@@ -49,7 +50,7 @@ ECN_STORM_CAPACITY_FACTOR = 0.5
 CAPACITY_KINDS = ("link_down", "bandwidth", "loss_burst", "ecn_storm")
 
 #: The only link name the single-bottleneck fluid model knows.
-_FLUID_LINKS = ("bottleneck",)
+FLUID_LINKS = ("bottleneck",)
 
 
 def capacity_scale(event: FaultEvent) -> float:
@@ -81,7 +82,7 @@ class FluidFaultState(InjectionLog):
     def __init__(
         self, schedule: FaultSchedule, job_names: Iterable[str]
     ) -> None:
-        schedule.validate(link_names=_FLUID_LINKS, job_names=job_names)
+        schedule.validate(link_names=FLUID_LINKS, job_names=job_names)
         for event in schedule:
             if event.kind in FABRIC_KINDS:
                 raise ValueError(

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from numbers import Real
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -146,8 +146,10 @@ _DESCRIBE_RECIPES: dict[str, tuple[str, tuple[tuple[str, str], ...]]] = {
 
 
 #: Every numeric field of :class:`FaultEvent`, each required to be a finite
-#: number.
+#: number (a bool is not one).
 _NUMERIC_FIELDS = ("time", "duration", "factor", "loss", "restart_delay")
+#: Every target-name field of :class:`FaultEvent`: a string, or None.
+_NAME_FIELDS = ("link", "job", "spine", "rack")
 
 
 def _check(condition: bool, index: int, event: FaultEvent, message: str) -> None:
@@ -204,15 +206,27 @@ class FaultSchedule:
             fabric_links, spines, racks = _topology_names(fabric)
             if links is None:
                 links = fabric_links
+        seed = self.seed
+        if not (isinstance(seed, Integral) and not isinstance(seed, bool)
+                and seed >= 0):
+            raise ValueError(
+                f"fault schedule seed must be a non-negative integer, got {seed!r}"
+            )
         for i, event in enumerate(self.events):
             _check(
-                event.kind in FAULT_KINDS, i, event,
+                isinstance(event.kind, str) and event.kind in FAULT_KINDS, i, event,
                 f"unknown kind; valid kinds are {sorted(FAULT_KINDS)}",
             )
             for name in _NUMERIC_FIELDS:
                 value = getattr(event, name)
-                _check(isinstance(value, Real) and math.isfinite(value), i, event,
-                       f"{name} must be finite, got {value!r}")
+                number = isinstance(value, Real) and not isinstance(value, bool)
+                _check(number and math.isfinite(value), i, event,
+                       f"{name} must be finite, got {value!r}"
+                       + ("" if number else ", which is not a number"))
+            for name in _NAME_FIELDS:
+                value = getattr(event, name)
+                _check(value is None or isinstance(value, str), i, event,
+                       f"{name} must be a name (a string), got {value!r}")
             _check(event.time >= 0, i, event,
                    f"time must be non-negative, got {event.time!r}")
             _check(event.duration >= 0, i, event,
@@ -348,37 +362,52 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, source: Path | str) -> "FaultSchedule":
-        """Load a schedule from a JSON file path or a JSON string."""
-        text = str(source)
-        if not text.lstrip().startswith("{"):
-            text = Path(source).read_text()
+        """Load a schedule from a JSON file path or a JSON string.
+
+        A :class:`~pathlib.Path` is always read as a file.  A string that
+        opens a JSON object or array is the document itself; any other
+        string is a path.  Every field is checked (see :meth:`validate`),
+        and a bad one raises ``ValueError`` naming it.
+        """
+        if isinstance(source, Path):
+            text = source.read_text()
+        else:
+            text = str(source)
+            if not text.lstrip().startswith(("{", "[")):
+                text = Path(text).read_text()
         try:
             payload = json.loads(text)
         except ValueError as error:
             raise ValueError(f"fault schedule is not valid JSON: {error}") from None
-        if not isinstance(payload, dict) or "events" not in payload:
+        if not isinstance(payload, dict) or not isinstance(payload.get("events"), list):
             raise ValueError(
                 "fault schedule JSON must be an object with an 'events' list "
                 "(and an optional integer 'seed')"
             )
+        keys = [f.name for f in fields(FaultEvent)]
+        required = [
+            f.name for f in fields(FaultEvent)
+            if f.default is MISSING and f.default_factory is MISSING
+        ]
         events = []
         for i, raw in enumerate(payload["events"]):
             if not isinstance(raw, dict):
                 raise ValueError(f"fault event #{i} must be an object, got {raw!r}")
-            unknown = set(raw) - {f.name for f in _event_fields()}
+            unknown = set(raw) - set(keys)
             if unknown:
                 raise ValueError(
                     f"fault event #{i} has unknown keys {sorted(unknown)}; "
-                    f"valid keys: {sorted(f.name for f in _event_fields())}"
+                    f"valid keys: {sorted(keys)}"
                 )
+            for name in required:
+                if name not in raw:
+                    label = f" ({raw['kind']!r})" if "kind" in raw else ""
+                    raise ValueError(
+                        f"fault event #{i}{label}: missing required key {name!r}"
+                    )
             events.append(FaultEvent(**raw))
-        return cls(events=tuple(events), seed=int(payload.get("seed", 0)))
-
-
-def _event_fields():
-    from dataclasses import fields
-
-    return fields(FaultEvent)
+        # Field values, the seed's included, are checked by validate().
+        return cls(events=tuple(events), seed=payload.get("seed", 0))
 
 
 def _topology_names(topology: object) -> tuple[set[str], set[str], set[str]]:

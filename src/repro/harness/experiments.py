@@ -72,6 +72,7 @@ __all__ = [
     "RECOVERY_FAULTS",
     "RECOVERY_POLICIES",
     "fault_recovery",
+    "check_recovery_schedule",
     "CrossRackResult",
     "cross_rack_interleaving",
     "ChaosResult",
@@ -632,12 +633,16 @@ def fault_recovery(
             f"unknown policy {policy!r} for the {substrate} substrate; "
             f"valid: {list(RECOVERY_POLICIES[substrate])}"
         )
-    if schedule_json is None and fault not in RECOVERY_FAULTS:
+    schedule: Optional[FaultSchedule] = None
+    if schedule_json is not None:
+        schedule = FaultSchedule.from_json(schedule_json)
+        check_recovery_schedule(schedule, substrate)
+    elif fault not in RECOVERY_FAULTS:
         raise ValueError(
             f"unknown fault class {fault!r}; valid: {sorted(RECOVERY_FAULTS)}"
         )
+    jobs = _recovery_jobs(substrate)
     if substrate == "fluid":
-        jobs = three_job_scenario()
         allocation = MLTCPWeighted if policy == "mltcp" else FairShare
 
         def run(faults: Optional["FaultSchedule"]) -> FluidResult | PacketLabResult:
@@ -646,15 +651,6 @@ def fault_recovery(
                 max_iterations=iterations, seed=seed, faults=faults, guards=guards,
             )
     else:
-        job_template = JobSpec(
-            name="Job",
-            comm_bits=8e6,
-            demand_gbps=1.0,
-            compute_time=0.010,
-            jitter_sigma=0.0005,
-        )
-        jobs = [job_template.with_name("Job1"), job_template.with_name("Job2")]
-
         def run(faults: Optional["FaultSchedule"]) -> FluidResult | PacketLabResult:
             return run_packet_jobs(
                 jobs, _PACKET_CC[policy], max_iterations=iterations, seed=seed,
@@ -663,9 +659,7 @@ def fault_recovery(
 
     baseline = run(None).mean_iteration_by_round()
     unit = float(baseline[len(baseline) // 2:].mean())
-    if schedule_json is not None:
-        schedule = FaultSchedule.from_json(schedule_json)
-    else:
+    if schedule is None:
         schedule = _fault_schedule_for(fault, unit, jobs[0].name, seed)
     faulted = run(schedule)
     result = _recovery_from_series(
@@ -674,6 +668,51 @@ def fault_recovery(
     )
     result.degradation_episodes = list(faulted.degradation_episodes)
     return result
+
+
+def _recovery_jobs(substrate: str) -> list[JobSpec]:
+    """The job mix :func:`fault_recovery` runs on ``substrate``: three GPT-2
+    jobs in the fluid model, two Figure 6 jobs on the packet dumbbell."""
+    if substrate == "fluid":
+        return three_job_scenario()
+    job_template = JobSpec(
+        name="Job",
+        comm_bits=8e6,
+        demand_gbps=1.0,
+        compute_time=0.010,
+        jitter_sigma=0.0005,
+    )
+    return [job_template.with_name("Job1"), job_template.with_name("Job2")]
+
+
+def check_recovery_schedule(schedule: "FaultSchedule", substrate: str) -> None:
+    """Check a custom :func:`fault_recovery` schedule's targets up front.
+
+    Validates ``schedule`` against ``substrate``'s job names and link names
+    — the checks the run would make only once it reaches the fault — and
+    rejects fabric faults, which need a multi-rack fabric these testbeds do
+    not have.  Raises ``ValueError`` naming the first bad event.
+    """
+    from ..faults.fluid import FLUID_LINKS
+    from ..faults.schedule import FABRIC_KINDS
+    from ..simulator.engine import Simulator
+    from ..simulator.topology import build_dumbbell
+
+    _check_substrate(substrate)
+    jobs = [job.name for job in _recovery_jobs(substrate)]
+    if substrate == "fluid":
+        links: Sequence[str] = FLUID_LINKS
+    else:
+        network = build_dumbbell(Simulator(), len(jobs), 1e9)
+        links = [f"{src}->{dst}" for src, dst in network.links]
+    schedule.validate(link_names=links, job_names=jobs)
+    for i, event in enumerate(schedule.events):
+        if event.kind in FABRIC_KINDS:
+            raise ValueError(
+                f"fault event #{i} ({event.kind!r}): a fabric fault needs a "
+                f"multi-rack fabric; the {substrate} fault_recovery testbed "
+                "has a single bottleneck"
+            )
 
 
 def _recovery_from_series(

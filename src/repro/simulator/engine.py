@@ -14,9 +14,22 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
   mutable so cancellation and firing can overwrite the callback slot
   in place.
 * The entry returned by :meth:`Simulator.schedule` *is* the cancellation
-  token: pass it to :meth:`Simulator.cancel`.  Cancellation is O(1) — it
-  nulls the callback slot and bumps a counter, so
-  :meth:`Simulator.pending_events` never scans the queue.
+  token: pass it to :meth:`Simulator.cancel`.  Cancellation nulls the
+  callback slot and bumps a counter, so :meth:`Simulator.pending_events`
+  never scans the queue.  The dead entry (a tombstone) stays in the heap
+  until it reaches the top — or until tombstones outnumber both
+  ``_COMPACT_FLOOR`` and the live entries (``_COMPACT_SHARE`` of the
+  heap), when ``cancel`` filters them all out in one pass and re-heapifies.
+  A TCP sender cancels and re-arms its RTO timer on every ACK, so without
+  compaction most of a packet run's heap is tombstones and every push and
+  pop sifts through them.  Compaction cannot move dispatch order: every
+  key ``(time, sequence)`` is unique, so the pop order does not depend on
+  the heap's layout, and no comparison ever reaches the callback slot.
+  Amortised, each cancel still costs O(1) list work.
+* Times are checked once per call, never per event: ``schedule`` and
+  ``schedule_at`` reject a negative, NaN or infinite time (an event at
+  infinity would move the clock there for good), and ``run`` rejects a
+  horizon that is NaN, infinite or before the clock.
 * ``run()`` is one loop for every caller: the horizon and the event
   budget are one plain comparison each per event, and a detached monitor
   costs one ``is not None`` test per event.
@@ -25,7 +38,7 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Any, Callable, List, Optional, Protocol
 
@@ -55,6 +68,14 @@ class SimMonitor(Protocol):
 #: callback]``; treat it as opaque outside this module and pass it to
 #: :meth:`Simulator.cancel` / :meth:`Simulator.is_cancelled`.
 EventEntry = List[Any]
+
+#: Compaction: ``cancel`` rebuilds the heap once its tombstones exceed this
+#: floor *and* this share of the heap, i.e. once they outnumber the live
+#: entries.  The floor keeps small heaps from compacting on every cancel.
+_COMPACT_FLOOR = 32
+_COMPACT_SHARE = 0.5
+
+_INF = math.inf
 
 #: Cumulative callbacks executed by every :class:`Simulator` in this process.
 #: The harness telemetry layer (:mod:`repro.harness.telemetry`) snapshots it
@@ -147,36 +168,51 @@ class Simulator:
         Returns the opaque event entry; pass it to :meth:`cancel` to
         cancel the event (or ignore it — most call sites do).
         """
-        # Negated so that NaN fails too, still one comparison per call.
-        if not delay >= 0:
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
-        entry = [self.now + delay, next(self._counter), callback]
+        time = self.now + delay
+        # Negated so that NaN fails too; an infinite delay, or a finite one
+        # that overflows the clock, fails the second test.
+        if not (delay >= 0.0 and time < _INF):
+            raise ValueError(
+                f"delay must be finite and non-negative, got {delay!r}"
+                if not 0.0 <= delay < _INF
+                else f"delay={delay!r} from now={self.now!r} gives an "
+                "infinite event time"
+            )
+        entry = [time, next(self._counter), callback]
         heappush(self._queue, entry)
         return entry
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventEntry:
         """Run ``callback`` at absolute simulation time ``time``."""
-        if not time >= self.now:
+        if not self.now <= time < _INF:
             raise ValueError(
-                f"cannot schedule in the past or at NaN: time={time!r}, "
-                f"now={self.now!r}"
+                f"cannot schedule in the past, at NaN or at infinity: "
+                f"time={time!r}, now={self.now!r}"
             )
         entry = [time, next(self._counter), callback]
         heappush(self._queue, entry)
         return entry
 
     def cancel(self, entry: EventEntry) -> None:
-        """Cancel a scheduled event (O(1), idempotent).
+        """Cancel a scheduled event (amortised O(1), idempotent).
 
         Cancelling an event that already fired is a no-op, matching
         timer semantics: a late ``cancel`` after the callback ran must
-        not corrupt the live-event bookkeeping.
+        not corrupt the live-event bookkeeping.  Once tombstones outnumber
+        the live entries (and ``_COMPACT_FLOOR``), the heap is compacted
+        in place — ``run()`` holds an alias to the list.
         """
         cb = entry[2]
         if cb is None or cb is _FIRED:
             return
         entry[2] = None
-        self._cancelled += 1
+        cancelled = self._cancelled + 1
+        queue = self._queue
+        if cancelled > _COMPACT_FLOOR and cancelled > _COMPACT_SHARE * len(queue):
+            queue[:] = [e for e in queue if e[2] is not None]
+            heapify(queue)
+            cancelled = 0
+        self._cancelled = cancelled
 
     def is_cancelled(self, entry: EventEntry) -> bool:
         """Whether :meth:`cancel` was called before the event fired."""
@@ -190,12 +226,21 @@ class Simulator:
         Stops when the queue empties, the next event lies past ``until``
         (it stays queued, so a later ``run()`` resumes, and the clock stops
         exactly at ``until``), or ``max_events`` callbacks have run (a
-        runaway guard for tests).
+        runaway guard for tests).  ``until`` must be finite and not before
+        the clock; ``None`` runs without a horizon.
         """
         global _TOTAL_EVENTS_PROCESSED
+        if until is None:
+            horizon = _INF
+        elif self.now <= until < _INF:
+            horizon = until
+        else:
+            raise ValueError(
+                f"until must be finite and not before the clock: "
+                f"until={until!r}, now={self.now!r}"
+            )
         queue = self._queue
         pop = heappop
-        horizon = math.inf if until is None else until
         # ``processed`` counts up from 0, so -1 is never reached: no budget.
         # A small int keeps the per-event comparison on CPython's fast
         # int-to-int path, which neither ``math.inf`` nor ``sys.maxsize`` is.

@@ -31,10 +31,19 @@ Between those calls ``len(link.queue)`` may still count packets whose
 serialization has started, until the link next settles; ``bits_sent``,
 ``packets_sent``, ``storm_marks`` and :meth:`Link.conservation_delta` are
 exact at any instant.  Fault hooks settle, cancel the not-yet-started
-deliveries (O(1) each via ``Simulator.cancel``), and re-plan under the
-new link state, which gives rate changes and ECN storms pop-time
-semantics.  Priority queues (pFabric) reorder on arrival, so they keep
-the per-packet event chain.
+deliveries (amortised O(1) each via ``Simulator.cancel``), and re-plan
+under the new link state, which gives rate changes and ECN storms
+pop-time semantics.  Priority queues (pFabric) reorder on arrival, so
+they keep the per-packet event chain.
+
+Most sends find the link idle: after settling, the plan is empty and the
+wire is free.  While the link is up its plan and its buffer hold the same
+unsettled packets, so the buffer is empty too, and such a packet starts
+at once — counted as pushed and settled in one step
+(:meth:`DropTailQueue.admit_idle <repro.simulator.queues.DropTailQueue.admit_idle>`),
+with the same ``start = now``, finish and delivery event a plan entry
+would get, but no buffer push, plan entry or later settle.  So a send
+onto an idle link leaves ``len(link.queue) == 0``.
 """
 
 from __future__ import annotations
@@ -130,8 +139,15 @@ class Link:
             self.fault_drops += 1
             return
         if self._fifo:
-            if self._plan:
+            plan = self._plan
+            if plan:
                 self._settle()
+            # While the link is up its plan and its buffer hold the same
+            # unsettled packets: an empty plan means an empty buffer.
+            if not plan and self._wire_free_at <= self.sim.now:
+                if self.queue.admit_idle(packet):  # type: ignore[attr-defined]
+                    self._start_idle(packet)
+                return
             if not self.queue.push(packet):
                 return  # tail drop, counted by the queue
             self._plan_packet(packet)
@@ -293,6 +309,26 @@ class Link:
         )
         self._plan.append(
             [packet, start, finish, size_bits, delivery, storm_counted, storm_flipped]
+        )
+
+    def _start_idle(self, packet: Packet) -> None:
+        """Start ``packet`` now on an idle wire, settled in one step.
+
+        What :meth:`_plan_packet` then :meth:`_settle` would record — the
+        same ``start = now``, finish and delivery event — without the
+        buffer push, the plan entry or the later pop.
+        """
+        sim = self.sim
+        size_bits = packet.size_bits
+        finish = sim.now + size_bits / (self.rate_bps * self.rate_factor)
+        self._wire_free_at = self._settled_until = finish
+        self._bits_settled += size_bits
+        self._packets_settled += 1
+        if self.ecn_storm and packet.ecn_capable:
+            packet.ecn_ce = True
+            self._storm_settled += 1
+        sim.schedule_at(
+            finish + self.delay, lambda p=packet: self._deliver(p)  # type: ignore[misc]
         )
 
     def _settle(self) -> None:

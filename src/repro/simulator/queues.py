@@ -69,6 +69,19 @@ class DropTailQueue(QueueDiscipline):
         self.enqueued += 1
         return True
 
+    def admit_idle(self, packet: Packet) -> bool:
+        """Admit ``packet`` to an empty buffer whose link starts it at once.
+
+        Counts what :meth:`push` then :meth:`pop` would, and returns True
+        when accepted.  An empty drop-tail buffer never drops
+        (``capacity_packets >= 1``) and an empty :class:`EcnQueue` never
+        marks (``mark_threshold > 0``), so the two steps reduce to one
+        counter.  A subclass whose ``push`` can refuse or alter a packet
+        entering an empty buffer must override this.
+        """
+        self.enqueued += 1
+        return True
+
     def pop(self) -> Optional[Packet]:
         """Dequeue the oldest buffered packet."""
         return self._buffer.popleft() if self._buffer else None

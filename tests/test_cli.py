@@ -290,6 +290,10 @@ CONTRACT_CASES = [
      "--policies", "mltcp", "--no-cache"],
     ["faults", "--fast", "--schedule", "endless.json", "--substrate", "fluid",
      "--policies", "mltcp", "--no-cache"],
+    ["faults", "--fast", "--schedule", "nolink.json", "--substrate", "packet",
+     "--policies", "mltcp", "--no-cache"],
+    ["faults", "--fast", "--schedule", "notime.json", "--substrate", "fluid",
+     "--policies", "mltcp", "--no-cache"],
     ["guards", "--run", "--cc", "bogus", "--substrate", "fluid"],
     ["bench-compare", _BASELINE, "--baseline", _BASELINE, "--threshold", "nan"],
     ["run", "fig5", "--workers", "0"],
@@ -349,14 +353,24 @@ def write_contract_inputs(directory: Path) -> None:
     ])
     (directory / "bad.json").write_text(json.dumps({"jobs": [{"name": 1}]}))
     (directory / "one.md").write_text("```python\nassert 1 + 1 == 2\n```\n")
-    # A valid schedule whose straggler names no job: its point fails.
+    # Each schedule below is rejected before any point runs.  A straggler
+    # that names no job of the scenario:
     (directory / "ghost.json").write_text(json.dumps({"seed": 5, "events": [
         {"kind": "straggler", "time": 1.0, "duration": 1.0, "job": "ghost",
          "factor": 2.0},
     ]}))
-    # A link that never comes back: rejected before any point runs.
+    # A link that never comes back:
     (directory / "endless.json").write_text(json.dumps({"events": [
         {"kind": "link_down", "time": 1.0, "duration": float("inf")},
+    ]}))
+    # A link the packet dumbbell does not have:
+    (directory / "nolink.json").write_text(json.dumps({"events": [
+        {"kind": "link_down", "time": 1.0, "duration": 1.0,
+         "link": "sw_x->sw_r"},
+    ]}))
+    # An event without its strike time:
+    (directory / "notime.json").write_text(json.dumps({"events": [
+        {"kind": "link_down", "duration": 1.0},
     ]}))
 
 
@@ -486,6 +500,17 @@ class TestBadNamesAndFiles:
         assert main([arg.format(kind=kind) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith(
             f"repro: error: unknown fault class(es) ['{kind}']; valid: "
+        )
+
+    @pytest.mark.parametrize("text", ["5", "null", "[]"])
+    def test_faults_schedule_that_is_not_an_object(self, text, contract_inputs, capsys):
+        # The file's content is the document, never a file name.
+        Path("scalar.json").write_text(text)
+        assert main(["faults", "--schedule", "scalar.json", "--substrate", "fluid"]) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: cannot use fault schedule scalar.json: fault schedule "
+            "JSON must be an object with an 'events' list (and an optional "
+            "integer 'seed')\n"
         )
 
     def test_faults_unknown_policy(self, contract_inputs, capsys):

@@ -1,9 +1,17 @@
 """Tests for the discrete-event engine."""
 
+import math
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.guards import GuardRail
+from repro.simulator import engine
 from repro.simulator.engine import Simulator
+
+from .perf_fixtures import packet_fingerprint
 
 
 class TestScheduling:
@@ -65,6 +73,24 @@ class TestScheduling:
             sim.schedule_at(float("nan"), lambda: None)
         assert sim.pending_events() == 0
 
+    def test_rejects_infinite_times(self):
+        # An event at inf would fire with the clock at inf, and every later
+        # relative schedule would land there too.
+        sim = Simulator()
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="delay"):
+                sim.schedule(bad, lambda: None)
+            with pytest.raises(ValueError, match="time="):
+                sim.schedule_at(bad, lambda: None)
+        sim.schedule_at(1e308, lambda: None)
+        sim.run()
+        # A finite delay that overflows the clock is refused the same way.
+        with pytest.raises(ValueError, match="delay=.*infinite event time"):
+            sim.schedule(1e308, lambda: None)
+        assert sim.now == 1e308
+        assert sim.pending_events() == 0
+        assert sim.events_processed == 1
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -125,6 +151,23 @@ class TestRunHorizon:
         sim.schedule(0.001, forever)
         sim.run(max_events=100)
         assert sim.events_processed == 100
+
+    @pytest.mark.parametrize("until", [math.inf, math.nan, -math.inf, 0.5])
+    def test_rejects_horizon_that_breaks_the_clock(self, until):
+        # inf left the clock at inf, NaN ran every event past the horizon,
+        # and a horizon before the clock rewound it.
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.run(until=1.0)
+        with pytest.raises(ValueError, match="until="):
+            sim.run(until=until)
+        assert sim.now == 1.0
+        assert fired == []
+        assert sim.pending_events() == 1
+        sim.run(until=1.0)  # the clock itself is a valid horizon
+        sim.run()
+        assert fired == [2.0]
 
 
 #: Expected outcome of ``_scripted_run`` per bound: dispatch order as
@@ -265,3 +308,137 @@ class TestProcessWideCounter:
         sim.schedule(0.001, forever)
         sim.run(max_events=10)
         assert total_events_processed() == before + 10
+
+
+def _never_compacting_cancel(sim, entry):
+    """The engine's cancel before compaction: tombstones stay until popped."""
+    cb = entry[2]
+    if cb is None or cb is engine._FIRED:
+        return
+    entry[2] = None
+    sim._cancelled += 1
+
+
+#: A callback's scripted side effects: schedule a child after a delay
+#: (or not), then cancel the token at an index (or not).
+_EFFECT = st.tuples(
+    st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.25, 0.5])),
+    st.one_of(st.none(), st.integers(0, 200)),
+)
+#: Delays and offsets from a small set, so event times tie exactly.
+_WHEN = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+_STEP = st.one_of(
+    st.tuples(st.just("schedule"), _WHEN, _EFFECT),
+    st.tuples(st.just("schedule_at"), _WHEN, _EFFECT),
+    st.tuples(st.just("cancel"), st.integers(0, 200)),
+    # An RTO timer: cancel the slot's token and re-arm it, once per delay.
+    st.tuples(st.just("rearm"), st.lists(_WHEN, min_size=1, max_size=60)),
+    # A burst of events, all but every ``stride``-th cancelled at once.
+    st.tuples(st.just("burst"), st.lists(_WHEN, min_size=1, max_size=60),
+              st.integers(1, 4)),
+    st.tuples(st.just("run_until"), _WHEN),
+    st.tuples(st.just("run_max"), st.integers(0, 20)),
+)
+
+
+def _scripted(program):
+    """Run ``program`` on a fresh engine; the fired log and the engine's
+    observables after each step."""
+    sim = Simulator()
+    tokens = []
+    fired = []
+    observed = []
+
+    def callback(tag, effect):
+        def fire():
+            fired.append((tag, sim.now.hex()))
+            child_delay, cancel_index = effect
+            if child_delay is not None:
+                tokens.append(sim.schedule(child_delay, callback(f"{tag}'", (None, None))))
+            if cancel_index is not None and tokens:
+                sim.cancel(tokens[cancel_index % len(tokens)])
+        return fire
+
+    rto = None
+    for i, step in enumerate(program):
+        op = step[0]
+        if op == "schedule":
+            tokens.append(sim.schedule(step[1], callback(i, step[2])))
+        elif op == "schedule_at":
+            tokens.append(sim.schedule_at(sim.now + step[1], callback(i, step[2])))
+        elif op == "cancel" and tokens:
+            sim.cancel(tokens[step[1] % len(tokens)])
+        elif op == "rearm":
+            for n, delay in enumerate(step[1]):
+                if rto is not None:
+                    sim.cancel(rto)
+                rto = sim.schedule(delay, callback(f"rto{i}.{n}", (None, None)))
+                tokens.append(rto)
+        elif op == "burst":
+            burst = [
+                sim.schedule(delay, callback(f"burst{i}.{n}", (None, None)))
+                for n, delay in enumerate(step[1])
+            ]
+            tokens.extend(burst)
+            for n, token in enumerate(burst):
+                if n % step[2]:
+                    sim.cancel(token)
+        elif op == "run_until":
+            sim.run(until=sim.now + step[1])
+        elif op == "run_max":
+            sim.run(max_events=step[1])
+        observed.append(_observables(sim))
+    sim.run()
+    observed.append(_observables(sim))
+    return fired, observed
+
+
+def _observables(sim):
+    return sim.pending_events(), sim.peek_time(), sim.events_processed, sim.now.hex()
+
+
+class TestHeapCompaction:
+    """Compacting cancelled entries out of the heap moves no event."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        program=st.lists(_STEP, max_size=40),
+        floor=st.sampled_from([0, 2, engine._COMPACT_FLOOR]),
+    )
+    def test_matches_never_compacting_cancel(self, program, floor):
+        with mock.patch.object(engine, "_COMPACT_FLOOR", floor):
+            compacted = _scripted(program)
+        with mock.patch.object(Simulator, "cancel", _never_compacting_cancel):
+            oracle = _scripted(program)
+        assert compacted == oracle
+
+    def test_compaction_keeps_the_heap_mostly_live(self):
+        sim = Simulator()
+        fired = []
+        entries = [
+            sim.schedule(0.001 * (i % 7), lambda i=i: fired.append(i))
+            for i in range(200)
+        ]
+        for entry in entries[::4] + entries[1::4] + entries[2::4]:
+            sim.cancel(entry)
+        assert sim.pending_events() == 50
+        assert len(sim._queue) <= 2 * 50
+        assert sim.peek_time() == 0.0
+        sim.run()
+        assert fired == sorted(range(3, 200, 4), key=lambda i: (i % 7, i))
+
+    def test_packet_run_keeps_tombstones_bounded(self):
+        # The TCP sender cancels and re-arms its RTO timer on every ACK;
+        # without compaction tombstones outnumbered live entries 2-9x.
+        checked = []
+
+        def checking_cancel(sim, entry):
+            cancel(sim, entry)
+            live = len(sim._queue) - sim._cancelled
+            checked.append(sim._cancelled <= max(engine._COMPACT_FLOOR, live))
+
+        cancel = Simulator.cancel
+        with mock.patch.object(Simulator, "cancel", checking_cancel):
+            packet_fingerprint()
+        assert len(checked) > 1000
+        assert all(checked)

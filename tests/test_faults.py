@@ -7,10 +7,16 @@ re-converges after a link flap and after a job restart in *both*
 simulators, and a seeded schedule replays bit-identically.
 """
 
+import json
 import math
+from dataclasses import fields
+from numbers import Integral, Real
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     FAULT_KINDS,
@@ -207,6 +213,123 @@ class TestScheduleJson:
             )
 
 
+#: Valid documents the fuzzer mutates: every fault kind and every key.
+_VALID_DOCUMENTS = (
+    {"seed": 5, "events": [{"kind": "link_down", "time": 1.0, "duration": 0.5}]},
+    {"seed": 0, "events": [
+        {"kind": "bandwidth", "time": 0.5, "duration": 1.0, "factor": 0.5,
+         "link": "sw_l->sw_r"},
+        {"kind": "straggler", "time": 1.0, "duration": 1.0, "job": "Job1",
+         "factor": 2.0},
+        {"kind": "job_restart", "time": 2.0, "job": "Job2", "restart_delay": 0.1},
+    ]},
+    {"events": [
+        {"kind": "loss_burst", "time": 0.0, "duration": 1.0, "loss": 0.05},
+        {"kind": "ecn_storm", "time": 1.0, "duration": 1.0},
+        {"kind": "spine_down", "time": 1.0, "duration": 1.0, "spine": "spine0"},
+        {"kind": "uplink_down", "time": 1.0, "duration": 1.0,
+         "link": "rack0->spine1"},
+        {"kind": "rack_partition", "time": 1.0, "duration": 1.0, "rack": "rack1"},
+        {"kind": "ecmp_rehash", "time": 1.0, "duration": 1.0},
+    ]},
+)
+
+_EVENT_KEYS = [f.name for f in fields(FaultEvent)]
+_STRING_KEYS = ("link", "job", "spine", "rack")
+_DROP = object()
+
+#: Replacement values: str, bool, list, null and numbers, negative and
+#: non-finite ones included.
+_JUNK = st.one_of(
+    st.sampled_from(["", "x", "1", "link_down", "Job1"]),
+    st.booleans(),
+    st.lists(st.sampled_from(["a", 1, None]), max_size=2),
+    st.none(),
+    st.integers(-3, 3),
+    st.sampled_from([-1.5, 0.5, 1e308, math.inf, -math.inf, math.nan]),
+    st.just({}),
+)
+
+#: One mutation: (event index or -1 for the top level, key, new value or
+#: _DROP to delete the key).
+_MUTATION = st.tuples(
+    st.integers(-1, 5),
+    st.sampled_from(_EVENT_KEYS + ["seed", "events"]),
+    st.one_of(st.just(_DROP), _JUNK),
+)
+
+
+def _mutated(document, mutations):
+    document = json.loads(json.dumps(document))
+    for target, key, value in mutations:
+        events = document.get("events")
+        if target < 0 or not isinstance(events, list) or not events:
+            key = key if key in ("seed", "events") else "events"
+            holder = document
+        else:
+            holder = events[target % len(events)]
+            if not isinstance(holder, dict):
+                continue
+        if value is _DROP:
+            holder.pop(key, None)
+        else:
+            holder[key] = value
+    return document
+
+
+def _assert_holds_document(schedule, document):
+    """A loaded schedule carries the document's values, each well typed."""
+    seed = document.get("seed", 0)
+    assert schedule.seed == seed
+    assert isinstance(seed, Integral) and not isinstance(seed, bool) and seed >= 0
+    assert len(schedule.events) == len(document["events"])
+    for event, raw in zip(schedule.events, document["events"]):
+        for key, value in raw.items():
+            assert getattr(event, key) == value
+        assert isinstance(event.kind, str)
+        for name in ("time", "duration", "factor", "loss", "restart_delay"):
+            value = getattr(event, name)
+            assert isinstance(value, Real) and not isinstance(value, bool)
+            assert math.isfinite(value)
+        for name in _STRING_KEYS:
+            assert getattr(event, name) is None or isinstance(getattr(event, name), str)
+
+
+#: Documents that escaped as another exception, or loaded silently, before
+#: ``from_json`` checked every field: the shrunk failures of the fuzzer
+#: below, and a top-level array that was read as a file name.  Each comes
+#: with the error, naming the field, it must raise.
+_BAD_SCHEDULES = Path(__file__).resolve().parent / "fixtures" / "bad_fault_schedules.json"
+
+
+class TestScheduleJsonFuzz:
+    """A fault-schedule document loads with exactly its values, or fails
+    with a ValueError; never another exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        document=st.sampled_from(_VALID_DOCUMENTS),
+        mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+    )
+    def test_loads_or_raises_value_error(self, document, mutations):
+        document = _mutated(document, mutations)
+        text = json.dumps(document)
+        try:
+            schedule = FaultSchedule.from_json(text)
+        except ValueError:
+            return
+        _assert_holds_document(schedule, document)
+
+    @pytest.mark.parametrize(
+        "case", json.loads(_BAD_SCHEDULES.read_text()),
+        ids=lambda case: case["name"],
+    )
+    def test_shrunk_failures_name_the_field(self, case):
+        with pytest.raises(ValueError, match=case["error"]):
+            FaultSchedule.from_json(json.dumps(case["document"]))
+
+
 class TestFluidMapping:
     JOBS = ("Job1", "Job2")
 
@@ -389,6 +512,33 @@ class TestRecoveryFluid:
         )
         assert result.fault == "custom"  # with a schedule, fault is a label
         assert any("t=30s" in line for line in result.fault_log)
+
+    @pytest.mark.parametrize("substrate", ["fluid", "packet"])
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            (FaultEvent(kind="straggler", time=1.0, duration=1.0, job="ghost",
+                        factor=2.0), "job 'ghost' is not in the scenario"),
+            (FaultEvent(kind="link_down", time=1.0, duration=1.0,
+                        link="sw_x->sw_r"), "link 'sw_x->sw_r' does not exist"),
+            (FaultEvent(kind="spine_down", time=1.0, duration=1.0,
+                        spine="spine0"), "fabric fault needs a multi-rack fabric"),
+        ],
+        ids=["job", "link", "fabric"],
+    )
+    def test_custom_schedule_targets_checked_before_any_run(
+        self, monkeypatch, substrate, event, message
+    ):
+        from repro.harness import experiments
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the schedule should fail before a run")
+
+        monkeypatch.setattr(experiments, "run_fluid", no_run)
+        monkeypatch.setattr(experiments, "run_packet_jobs", no_run)
+        schedule = FaultSchedule(events=(event,))
+        with pytest.raises(ValueError, match=rf"event #0 .*{message}"):
+            fault_recovery(substrate=substrate, schedule_json=schedule.to_json())
 
     def test_unknown_fault_and_policy_rejected(self):
         with pytest.raises(ValueError, match="link_down"):

@@ -317,19 +317,22 @@ _fault_events = st.builds(
 )
 
 
+#: A dumbbell run for ``_observed_run``: congestion controls, bottleneck
+#: queue, random loss, faults and the ``run(until=t)`` stops.
+_scenarios = st.tuples(
+    st.lists(st.sampled_from(sorted(_CCS)), min_size=1, max_size=3),
+    st.tuples(st.sampled_from(["droptail", "ecn"]), st.integers(4, 64)),
+    st.sampled_from([0.0, 0.001, 0.01]),
+    st.lists(_fault_events, max_size=2).map(tuple),
+    st.lists(st.floats(0.0, 0.06), min_size=1, max_size=4).map(sorted),
+)
+
+
 class TestLazySettling:
     """Deleting the housekeeping event moves no packet and no counter."""
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        scenario=st.tuples(
-            st.lists(st.sampled_from(sorted(_CCS)), min_size=1, max_size=3),
-            st.tuples(st.sampled_from(["droptail", "ecn"]), st.integers(4, 64)),
-            st.sampled_from([0.0, 0.001, 0.01]),
-            st.lists(_fault_events, max_size=2).map(tuple),
-            st.lists(st.floats(0.0, 0.06), min_size=1, max_size=4).map(sorted),
-        )
-    )
+    @given(scenario=_scenarios)
     def test_matches_housekeeping_event(self, scenario):
         lazy, lazy_events = _observed_run(scenario)
         with burst_housekeeping():
@@ -337,3 +340,79 @@ class TestLazySettling:
         assert lazy == housekept
         # The oracle ran its extra events: one per burst at least.
         assert housekept_events > lazy_events or not lazy[-1][1]
+
+
+def _always_planned_send(self, packet):
+    """``Link.send`` before the idle start, the oracle of :class:`TestIdleStart`:
+    every accepted FIFO packet is pushed, planned and settled later."""
+    if self._deliver is None:
+        raise RuntimeError(f"link {self.name} has no receiver connected")
+    if not self.up:
+        self.fault_drops += 1
+        return
+    if self.random_loss > 0.0 and self._loss_rng.random() < self.random_loss:
+        self.random_drops += 1
+        return
+    if self.fault_loss > 0.0 and self._require_fault_rng().random() < self.fault_loss:
+        self.fault_drops += 1
+        return
+    if self._fifo:
+        if self._plan:
+            self._settle()
+        if not self.queue.push(packet):
+            return
+        self._plan_packet(packet)
+        return
+    if not self.queue.push(packet):
+        return
+    if not self._busy:
+        self._transmit_next()
+
+
+class TestIdleStart:
+    """Starting a send onto an idle FIFO link at once moves no packet, no
+    counter and no event."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenario=_scenarios)
+    def test_matches_always_planned_send(self, scenario):
+        started = _observed_run(scenario)
+        with mock.patch.object(Link, "send", _always_planned_send):
+            planned = _observed_run(scenario)
+        assert started == planned
+
+    @pytest.mark.parametrize("queue", [DropTailQueue(4), EcnQueue(4, 1)],
+                             ids=["droptail", "ecn"])
+    def test_idle_send_is_never_buffered(self, queue):
+        sim = Simulator()
+        link = Link(sim, "l", rate_bps=1e6, delay=0.01, queue=queue)
+        arrivals = []
+        link.connect(lambda p: arrivals.append((p.seq, p.ecn_ce, sim.now)))
+        first = data_packet(0)
+        first.ecn_capable = True
+        link.send(first)
+        assert len(link.queue) == 0
+        assert (link.queue.enqueued, link.packets_sent) == (1, 1)
+        assert link.conservation_delta() == 0
+        link.send(data_packet(1))  # the wire is busy: buffered
+        assert len(link.queue) == 1
+        sim.run()
+        tx = first.size_bits / 1e6
+        assert arrivals == [(0, False, tx + 0.01), (1, False, 2 * tx + 0.01)]
+        assert getattr(link.queue, "marks", 0) == 0
+        assert link.conservation_delta() == 0
+
+    def test_storm_marks_an_idle_send(self):
+        sim = Simulator()
+        link = Link(sim, "l", rate_bps=1e6, delay=0.0, queue=EcnQueue(4, 2))
+        marked = []
+        link.connect(lambda p: marked.append(p.ecn_ce))
+        link.set_ecn_storm(True)
+        packet = data_packet()
+        packet.ecn_capable = True
+        link.send(packet)
+        assert packet.ecn_ce and link.storm_marks == 1
+        link.set_ecn_storm(False)  # a started packet keeps its mark
+        sim.run()
+        assert marked == [True]
+        assert link.storm_marks == 1 and link.queue.marks == 0

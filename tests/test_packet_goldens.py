@@ -65,11 +65,11 @@ def _chaos() -> dict:
     }
 
 
-def _fault_recovery(fault: str) -> Callable[[], dict]:
+def _fault_recovery(fault: str, policy: str = "mltcp") -> Callable[[], dict]:
     def run() -> dict:
         from repro.harness.experiments import fault_recovery
 
-        result = fault_recovery(fault, "mltcp", "packet", iterations=40)
+        result = fault_recovery(fault, policy, "packet", iterations=40)
         return {
             "series": result.series,
             "baseline_series": result.baseline_series,
@@ -124,6 +124,11 @@ CASES: dict[str, Callable[[], dict]] = {
     "chaos": _chaos,
     "fault_recovery[link_down]": _fault_recovery("link_down"),
     "fault_recovery[job_restart]": _fault_recovery("job_restart"),
+    # The one ECN-capable congestion control among the goldens: storm CE
+    # marks and DCTCP's step marking on every link, idle ones included.
+    "fault_recovery[ecn_storm, mltcp-dctcp]": _fault_recovery(
+        "ecn_storm", "mltcp-dctcp"
+    ),
     "guarded_placements": _guarded_placements,
 }
 
