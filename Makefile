@@ -150,15 +150,29 @@ chaos-smoke:
 # A short seeded churn run of the service daemon with one injected
 # stepper crash: the supervisor must recover from the write-ahead
 # journal and the run-report (with its service snapshot records) must
-# validate against the schema (docs/SERVICE.md).
+# validate against the schema (docs/SERVICE.md).  Then two more
+# processes read the journal back from disk: --query must count all 10
+# committed epochs, and --resume with the same flags must print the
+# per-job fingerprint of the run that wrote it.
+SERVE_SMOKE_FLAGS = --epochs 10 --rate 0.8 --seed 3 --flash 4:3 --crash-at-epoch 5
 serve-smoke:
 	@tmp=$$(mktemp -d) && \
-	PYTHONPATH=src $(PYTHON) -m repro serve --epochs 10 --rate 0.8 --seed 3 \
-		--flash 4:3 --journal $$tmp/svc.journal --crash-at-epoch 5 \
-		--report $$tmp/svc.run.json && \
+	PYTHONPATH=src $(PYTHON) -m repro serve $(SERVE_SMOKE_FLAGS) \
+		--journal $$tmp/svc.journal --report $$tmp/svc.run.json \
+		> $$tmp/run.out && \
 	PYTHONPATH=src $(PYTHON) -m repro validate-report $$tmp/svc.run.json \
-		--schema docs/run_report.schema.json; \
-	status=$$?; rm -rf $$tmp; exit $$status
+		--schema docs/run_report.schema.json && \
+	PYTHONPATH=src $(PYTHON) -m repro serve --query $$tmp/svc.journal \
+		> $$tmp/query.out && \
+	grep -q '"committed_epochs": 10,' $$tmp/query.out && \
+	PYTHONPATH=src $(PYTHON) -m repro serve $(SERVE_SMOKE_FLAGS) \
+		--journal $$tmp/svc.journal --resume > $$tmp/resume.out && \
+	print=$$(grep -o 'per-job fingerprint [0-9a-f]*' $$tmp/run.out) && \
+	grep -q "$$print" $$tmp/resume.out && \
+	echo "serve-smoke: recovered, queried (10 epochs) and resumed to $$print"; \
+	status=$$?; \
+	if [ $$status -ne 0 ]; then cat $$tmp/*.out 2>/dev/null; fi; \
+	rm -rf $$tmp; exit $$status
 
 # Bounded model checking of Algorithm 1 on each property's reduced smoke
 # grid, with a short per-query solver budget: every property must reach

@@ -1328,7 +1328,13 @@ def _serve_command(args) -> int:
     ``--query`` it summarizes an existing journal instead of running.
     """
     from .faults.schedule import FaultSchedule
-    from .service import ChurnDaemon, ServiceConfig, ServiceCrash, ServiceJournal
+    from .service import (
+        ChurnDaemon,
+        JournalError,
+        ServiceConfig,
+        ServiceCrash,
+        ServiceJournal,
+    )
     from .service.daemon import query_journal
     from .workloads import ArrivalModel, FlashCrowd
     from .workloads.presets import gpt2_fast_job, gpt2_job
@@ -1336,7 +1342,9 @@ def _serve_command(args) -> int:
     if args.query:
         try:
             summary = query_journal(args.query)
-        except (OSError, KeyError) as error:
+        except JournalError as error:
+            return fail(f"cannot query journal {args.query}: {error.detail}")
+        except OSError as error:
             return fail(f"cannot query journal {args.query}: {error}")
         print(json.dumps(summary, indent=2))
         return EXIT_OK
@@ -1390,13 +1398,12 @@ def _serve_command(args) -> int:
     except ValueError as error:
         return fail(str(error))
     telemetry = RunTelemetry("cli.serve")
-    # The daemon only ever restores the latest committed epoch, so keep a
-    # bounded number of states in RAM; the file retains the full history
-    # for --query, which loads without a retain bound.
-    journal = (
-        ServiceJournal(args.journal, retain=2) if args.journal else None
-    )
     try:
+        # The daemon only ever restores the latest committed epoch, so keep
+        # a bounded number of states in RAM; the file keeps the history.
+        journal = (
+            ServiceJournal(args.journal, retain=2) if args.journal else None
+        )
         daemon = ChurnDaemon(
             config,
             journal=journal,
@@ -1406,6 +1413,9 @@ def _serve_command(args) -> int:
             crash_at_epoch=args.crash_at_epoch,
         )
         result = daemon.run()
+    except JournalError as error:
+        verb = "resume from" if args.resume else "use"
+        return fail(f"cannot {verb} journal {args.journal}: {error.detail}")
     except ValueError as error:
         return fail(str(error))
     except ServiceCrash as crash:

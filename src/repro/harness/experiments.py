@@ -8,6 +8,7 @@ quick runs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from dataclasses import dataclass, field
@@ -200,6 +201,7 @@ def fig3_aggressiveness(
             policy=MLTCPWeighted(function),
             max_iterations=iterations,
             seed=seed,
+            record_segments=False,
         )
         series[name] = result.mean_iteration_by_round(max_rounds=iterations)
     return series
@@ -242,11 +244,14 @@ def fig4_six_jobs(
     p99 speedup (paper: 1.59x).
     """
     jobs = six_job_scenario()
+    # Only per-iteration times are read, so no rate segments are recorded.
     reno_result = run_fluid(
-        jobs, capacity_gbps, policy=FairShare(), max_iterations=iterations, seed=seed
+        jobs, capacity_gbps, policy=FairShare(), max_iterations=iterations,
+        seed=seed, record_segments=False,
     )
     mltcp_result = run_fluid(
-        jobs, capacity_gbps, policy=MLTCPWeighted(), max_iterations=iterations, seed=seed
+        jobs, capacity_gbps, policy=MLTCPWeighted(), max_iterations=iterations,
+        seed=seed, record_segments=False,
     )
     reno_times = reno_result.all_iteration_times()
     mltcp_times = mltcp_result.all_iteration_times()
@@ -624,6 +629,9 @@ def fault_recovery(
     the clean and the faulted run (invariant monitors + watchdogs,
     docs/ROBUSTNESS.md); violations accumulate on the rail and MLTCP
     degradation episodes from the faulted run are surfaced on the result.
+    Without a rail, the clean run depends only on the substrate, policy,
+    iterations, seed and capacity, so one process computes it once for
+    every fault class of that cell.
     """
     from ..faults.schedule import FaultSchedule
 
@@ -641,33 +649,62 @@ def fault_recovery(
         raise ValueError(
             f"unknown fault class {fault!r}; valid: {sorted(RECOVERY_FAULTS)}"
         )
-    jobs = _recovery_jobs(substrate)
-    if substrate == "fluid":
-        allocation = MLTCPWeighted if policy == "mltcp" else FairShare
-
-        def run(faults: Optional["FaultSchedule"]) -> FluidResult | PacketLabResult:
-            return run_fluid(
-                jobs, capacity_gbps, policy=allocation(),
-                max_iterations=iterations, seed=seed, faults=faults, guards=guards,
-            )
+    cell = (substrate, policy, iterations, seed, capacity_gbps)
+    if guards is None:
+        # Each result gets its own copy of the shared control series.
+        baseline = _control_series(*cell).copy()
     else:
-        def run(faults: Optional["FaultSchedule"]) -> FluidResult | PacketLabResult:
-            return run_packet_jobs(
-                jobs, _PACKET_CC[policy], max_iterations=iterations, seed=seed,
-                faults=faults, guards=guards,
-            )
-
-    baseline = run(None).mean_iteration_by_round()
+        # A rail must see its own control run.
+        baseline = _recovery_run(*cell, None, guards).mean_iteration_by_round()
     unit = float(baseline[len(baseline) // 2:].mean())
     if schedule is None:
-        schedule = _fault_schedule_for(fault, unit, jobs[0].name, seed)
-    faulted = run(schedule)
+        schedule = _fault_schedule_for(
+            fault, unit, _recovery_jobs(substrate)[0].name, seed
+        )
+    faulted = _recovery_run(*cell, schedule, guards)
     result = _recovery_from_series(
         policy, fault, substrate,
         faulted.mean_iteration_by_round(), baseline, tolerance, faulted.fault_log,
     )
     result.degradation_episodes = list(faulted.degradation_episodes)
     return result
+
+
+def _recovery_run(
+    substrate: str,
+    policy: str,
+    iterations: int,
+    seed: int,
+    capacity_gbps: float,
+    faults: Optional["FaultSchedule"],
+    guards: Optional["GuardRail"],
+) -> FluidResult | PacketLabResult:
+    """One :func:`fault_recovery` run of ``policy`` on ``substrate``."""
+    jobs = _recovery_jobs(substrate)
+    if substrate == "fluid":
+        allocation = MLTCPWeighted if policy == "mltcp" else FairShare
+        return run_fluid(
+            jobs, capacity_gbps, policy=allocation(),
+            max_iterations=iterations, seed=seed, faults=faults, guards=guards,
+        )
+    return run_packet_jobs(
+        jobs, _PACKET_CC[policy], max_iterations=iterations, seed=seed,
+        faults=faults, guards=guards,
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _control_series(
+    substrate: str, policy: str, iterations: int, seed: int, capacity_gbps: float
+) -> np.ndarray:
+    """The fault-free control run's per-round means, computed once per
+    process for every fault class of one sweep cell (read-only: callers
+    copy it)."""
+    series = _recovery_run(
+        substrate, policy, iterations, seed, capacity_gbps, None, None
+    ).mean_iteration_by_round()
+    series.flags.writeable = False
+    return series
 
 
 def _recovery_jobs(substrate: str) -> list[JobSpec]:

@@ -19,7 +19,7 @@ from .daemon import (
     query_journal,
 )
 from .engine import ENGINE_POLICIES, LiveFluidEngine
-from .journal import ServiceJournal
+from .journal import JournalError, ServiceJournal
 
 __all__ = [
     "AdmissionController",
@@ -31,5 +31,6 @@ __all__ = [
     "query_journal",
     "ENGINE_POLICIES",
     "LiveFluidEngine",
+    "JournalError",
     "ServiceJournal",
 ]

@@ -97,7 +97,7 @@ class AdmissionController:
     # carry across a crash (docs/SERVICE.md, "What is journaled").
 
     def state(self) -> dict:
-        """Picklable snapshot of the pending queue."""
+        """Snapshot of the pending queue."""
         return {"pending": list(self.pending)}
 
     def load_state(self, payload: dict) -> None:

@@ -41,7 +41,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 from ..faults.fluid import FluidFaultState
 from ..faults.schedule import FaultSchedule
@@ -51,7 +51,7 @@ from ..workloads.arrivals import ArrivalModel, ArrivalStream
 from ..workloads.job import JobSpec
 from .admission import SHED_POLICIES, AdmissionController
 from .engine import ENGINE_POLICIES, LiveFluidEngine
-from .journal import ServiceJournal
+from .journal import COUNTERS, JournalError, ServiceJournal
 
 __all__ = ["ChurnDaemon", "ServiceConfig", "ServiceCrash", "InjectedCrash"]
 
@@ -237,18 +237,15 @@ class ChurnDaemon:
         self.stream: ArrivalStream = config.arrival.stream(
             config.templates, seed=config.seed + 1
         )
+        # The journal names running and queued jobs by stream position.
+        self._positions = {
+            event.spec.name: i for i, event in enumerate(self.stream.events)
+        }
         self.engine = self._fresh_engine()
         self.admission = AdmissionController(
             config.max_running, config.queue_limit, config.shed_policy
         )
-        self.counters = {
-            "admitted": 0,
-            "deferred": 0,
-            "shed": 0,
-            "degraded": 0,
-            "departed": 0,
-            "recoveries": 0,
-        }
+        self.counters = dict.fromkeys(COUNTERS, 0)
         self._events: list[dict] = []
         self.snapshots: list[dict] = []
         self._next_arrival = 0
@@ -264,11 +261,16 @@ class ChurnDaemon:
                         f"cannot resume: {self.journal.path} has no service "
                         "meta record"
                     )
-                if existing.get("fingerprint") != config.fingerprint():
-                    raise ValueError(
-                        "cannot resume: journal belongs to a different "
-                        "config (fingerprint mismatch)"
-                    )
+                expected = self._meta()
+                for key in sorted(expected.keys() | existing.keys()):
+                    ours, theirs = expected.get(key), existing.get(key)
+                    if type(ours) is not type(theirs) or ours != theirs:
+                        raise JournalError(
+                            self.journal.path, self.journal.meta_line,
+                            f"meta.{key}",
+                            f"is {theirs!r}, but this config's is {ours!r}: "
+                            "the journal belongs to a different config",
+                        )
                 latest = self.journal.latest_epoch()
                 if latest is not None:
                     self._restore(latest)
@@ -281,21 +283,24 @@ class ChurnDaemon:
                         "external kill",
                     )
             else:
-                if existing is not None:
+                if existing is not None or self.journal.commits:
                     raise ValueError(
                         f"journal {self.journal.path} already holds a run; "
                         "pass resume=True or start a fresh journal"
                     )
-                self.journal.write_meta(
-                    {
-                        "fingerprint": config.fingerprint(),
-                        "epochs": config.epochs,
-                        "epoch_s": config.epoch_s,
-                        "cc": config.cc,
-                    }
-                )
+                self.journal.write_meta(self._meta())
         elif resume:
             raise ValueError("cannot resume without a journal")
+
+    def _meta(self) -> dict:
+        """The journal's meta for this run: its identity."""
+        config = self.config
+        return {
+            "fingerprint": config.fingerprint(),
+            "epochs": config.epochs,
+            "epoch_s": config.epoch_s,
+            "cc": config.cc,
+        }
 
     def _fresh_engine(self) -> LiveFluidEngine:
         config = self.config
@@ -378,23 +383,54 @@ class ChurnDaemon:
     # ----------------------------------------------------------- persistence
 
     def _dynamic_state(self) -> dict:
-        return {
-            "engine": self.engine.state(),
-            "admission": self.admission.state(),
-            "counters": dict(self.counters),
-            "events": [dict(e) for e in self._events],
-            "next_arrival": self._next_arrival,
-            "fallback_left": self._fallback_left,
-            "last_factor": self._last_factor,
-            "epoch": self.epoch,
-        }
+        """The journal's service state (``journal.STATE_FIELDS``): the
+        engine's, with its specs as arrival-stream positions."""
+        state = self.engine.state()
+        positions = self._positions
+        del state["names"], state["fallback_engaged"]
+        state["jobs"] = [positions[spec.name] for spec in state.pop("specs")]
+        state["pending"] = [positions[spec.name] for spec in self.admission.pending]
+        state["counters"] = dict(self.counters)
+        state["events"] = [dict(e) for e in self._events]
+        state["next_arrival"] = self._next_arrival
+        state["fallback_left"] = self._fallback_left
+        state["last_factor"] = self._last_factor
+        return state
+
+    def _specs(self, epoch: int, field: str, positions: list[int]) -> list[JobSpec]:
+        """The specs at arrival-stream ``positions``, or a ValueError
+        naming the journal line and field."""
+        events = self.stream.events
+        for position in positions:
+            if position >= len(events):
+                self._bad_state(epoch, field, f"arrival {position}")
+        return [events[i].spec for i in positions]
+
+    def _bad_state(self, epoch: int, field: str, what: str) -> NoReturn:
+        assert self.journal is not None
+        raise JournalError(
+            self.journal.path, self.journal.line_of(epoch), f"state.{field}",
+            f"{what} is past the end of the stream "
+            f"({len(self.stream.events)} arrivals)",
+        )
 
     def _restore(self, epoch: int) -> None:
         assert self.journal is not None
         state = self.journal.epoch_state(epoch)
+        specs = self._specs(epoch, "jobs", state["jobs"])
+        pending = self._specs(epoch, "pending", state["pending"])
+        if state["next_arrival"] > len(self.stream.events):
+            self._bad_state(epoch, "next_arrival", str(state["next_arrival"]))
         self.engine = self._fresh_engine()
-        self.engine.load_state(state["engine"])
-        self.admission.load_state(state["admission"])
+        self.engine.load_state(
+            {
+                **state,
+                "names": [spec.name for spec in specs],
+                "specs": specs,
+                "fallback_engaged": state["fallback_left"] > 0,
+            }
+        )
+        self.admission.load_state({"pending": pending})
         # The journaled count only reflects recoveries committed with a
         # later successful epoch; the in-process count may be ahead of it
         # (a crash loop never reaches the next commit).  Keep whichever is
@@ -410,8 +446,7 @@ class ChurnDaemon:
         self._next_arrival = state["next_arrival"]
         self._fallback_left = state["fallback_left"]
         self._last_factor = state["last_factor"]
-        self.engine.fallback_engaged = self._fallback_left > 0
-        self.epoch = state["epoch"] + 1
+        self.epoch = epoch + 1
 
     # ------------------------------------------------------------ the epochs
 
@@ -726,28 +761,35 @@ def query_journal(path: Path | str) -> dict:
     """Summarize a service journal without running anything.
 
     The ``repro serve --query`` surface: run identity, committed epochs,
-    and the counters of the latest committed state.  Raises
-    ``FileNotFoundError`` when ``path`` does not exist, so a mistyped path
-    does not read as an empty run.
+    and the counters of the latest committed state, the only state it
+    decodes.  Raises ``FileNotFoundError`` when ``path`` does not exist, so
+    a mistyped path does not read as an empty run, and ``ValueError``
+    naming the line and field of a journal that does not decode.
     """
     if not Path(path).exists():
         raise FileNotFoundError(
             errno.ENOENT, "no such service journal", str(path)
         )
-    journal = ServiceJournal(path)
-    meta = journal.meta()
-    epochs = journal.epochs()
+    journal = ServiceJournal(path, retain=1)
+    latest = journal.latest_epoch()
     summary: dict = {
         "path": str(journal.path),
-        "meta": meta,
-        "committed_epochs": len(epochs),
-        "latest_epoch": epochs[-1] if epochs else None,
-        "corrupt_lines": journal.corrupt_lines,
+        "meta": journal.meta(),
+        "committed_epochs": journal.commits,
+        "latest_epoch": latest,
+        # A torn last line (a crash mid-append) is the one bad line a
+        # load skips; any other raises.
+        "corrupt_lines": int(journal.torn_tail),
     }
-    if epochs:
-        state = journal.epoch_state(epochs[-1])
+    if latest is not None:
+        state = journal.epoch_state(latest)
+        if "counters" not in state:
+            raise JournalError(
+                journal.path, journal.line_of(latest), "state",
+                "holds no service state",
+            )
         summary["counters"] = dict(state["counters"])
-        summary["running"] = len(state["engine"]["names"])
-        summary["queue_depth"] = len(state["admission"]["pending"])
-        summary["time"] = float(state["engine"]["now"])
+        summary["running"] = len(state["jobs"])
+        summary["queue_depth"] = len(state["pending"])
+        summary["time"] = float(state["now"])
     return summary

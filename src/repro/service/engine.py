@@ -13,7 +13,7 @@ sorted-name rank and the delivery clamp ``deliver``), wrapped in
 Determinism contract (docs/SERVICE.md): every float the engine computes is
 a pure function of (config, admitted specs in admission order, RNG state).
 ``state()`` captures the whole of that — arrays, the numpy ``Generator``,
-the clock and the completion log — as one picklable dict, and
+the clock and the completion log — as one dict, and
 ``load_state`` restores it exactly.  That is what lets the daemon's
 write-ahead journal replay a killed run to bit-identical telemetry.
 
@@ -51,7 +51,7 @@ from ..workloads.job import JobSpec
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.fluid import FluidFaultState
 
-__all__ = ["LiveFluidEngine", "ENGINE_POLICIES"]
+__all__ = ["LiveFluidEngine", "ENGINE_POLICIES", "COLUMN_DTYPES"]
 
 #: Congestion-control modes the live engine supports.  Both ride the
 #: vectorized water-fill: ``fair`` with unit weights (N synchronized Reno
@@ -76,6 +76,9 @@ _COLUMNS: tuple[tuple[str, type, Callable[[JobSpec, float], object]], ...] = (
     ("iter_time_sum", np.float64, lambda spec, start: 0.0),
     ("arrival", np.float64, lambda spec, start: start),
 )
+
+#: Each per-flow column's dtype, in ``state()`` order.
+COLUMN_DTYPES: dict[str, np.dtype] = {name: np.dtype(dtype) for name, dtype, _ in _COLUMNS}
 
 
 class LiveFluidEngine:
@@ -374,7 +377,7 @@ class LiveFluidEngine:
     # ------------------------------------------------------------ persistence
 
     def state(self) -> dict:
-        """Picklable snapshot of the complete dynamic state."""
+        """Snapshot of the complete dynamic state."""
         payload = {
             "now": self.clock,
             # Value semantics, not a live Generator reference: the journal
@@ -383,7 +386,9 @@ class LiveFluidEngine:
             "rng_state": self.rng.bit_generator.state,
             "names": list(self.names),
             "specs": list(self.specs),
-            "completed": [dict(r) for r in self.completed],
+            # A completion record is never changed once logged, so the
+            # snapshot shares the records and copies only the list.
+            "completed": list(self.completed),
             "fallback_engaged": self.fallback_engaged,
         }
         for name, _, _ in _COLUMNS:

@@ -297,6 +297,9 @@ CONTRACT_CASES = [
     ["guards", "--run", "--cc", "bogus", "--substrate", "fluid"],
     ["bench-compare", _BASELINE, "--baseline", _BASELINE, "--threshold", "nan"],
     ["run", "fig5", "--workers", "0"],
+    ["serve", "--query", "garbage.journal"],
+    ["serve", "--query", "old.journal"],
+    ["serve", "--epochs", "3", "--resume", "--journal", "old.journal"],
 ]
 
 _WALL_SECONDS = re.compile(r"(?m)^(\[runner\] .*)\b\d+\.\d\d s\b")
@@ -372,6 +375,14 @@ def write_contract_inputs(directory: Path) -> None:
     (directory / "notime.json").write_text(json.dumps({"events": [
         {"kind": "link_down", "duration": 1.0},
     ]}))
+    # Serve journals that do not decode: two lines of garbage, and one in
+    # the pickled format older versions wrote.
+    (directory / "garbage.journal").write_text("not a journal\nnor this\n")
+    from repro.harness.checkpoint import RunCheckpoint
+
+    old = RunCheckpoint(directory / "old.journal")
+    old.put("service:meta", {"fingerprint": "0" * 64, "epochs": 3})
+    old.put("epoch:00000000", {"epoch": 0})
 
 
 @pytest.fixture

@@ -114,6 +114,11 @@ class TestFig4:
         last = result.reno_result.mean_iteration_by_round()[-5:]
         assert last.mean() > 1.9
 
+    def test_results_carry_no_segments(self, result):
+        """Only per-iteration times are read, so no rate segment is kept."""
+        assert result.reno_result.segments == []
+        assert result.mltcp_result.segments == []
+
     def test_cdfs_well_formed(self, result):
         cdfs = result.cdfs()
         for _name, (values, probs) in cdfs.items():

@@ -540,6 +540,34 @@ class TestRecoveryFluid:
         with pytest.raises(ValueError, match=rf"event #0 .*{message}"):
             fault_recovery(substrate=substrate, schedule_json=schedule.to_json())
 
+    @pytest.mark.parametrize("substrate", ["fluid", "packet"])
+    def test_one_control_run_per_sweep_cell(self, monkeypatch, substrate):
+        """Two fault classes of one (substrate, policy, seed) share the
+        fault-free control run, and each result owns its series copy."""
+        from repro.harness import experiments
+
+        runs = {"control": 0, "faulted": 0}
+        for name in ("run_fluid", "run_packet_jobs"):
+            real = getattr(experiments, name)
+
+            def counted(*args, real=real, **kwargs):
+                runs["control" if kwargs["faults"] is None else "faulted"] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counted)
+        # A seed no other test uses, so no earlier call shares the cell.
+        results = [
+            fault_recovery(
+                fault=fault, policy="mltcp", substrate=substrate,
+                iterations=30, seed=7919,
+            )
+            for fault in ("link_down", "bandwidth")
+        ]
+        assert runs == {"control": 1, "faulted": 2}
+        first, second = (r.baseline_series for r in results)
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+
     def test_unknown_fault_and_policy_rejected(self):
         with pytest.raises(ValueError, match="link_down"):
             fault_recovery(fault="gremlin", substrate="fluid")
