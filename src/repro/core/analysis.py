@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .aggressiveness import PAPER_INTERCEPT, PAPER_SLOPE
 
@@ -121,6 +120,8 @@ def loss(
     maximal at full overlap (``delta = 0``) and minimal wherever the
     communication phases are disjoint.
     """
+    from scipy import integrate  # only caller: keeps scipy off `import repro`
+
     _validate_model(alpha, period, slope, intercept)
     wrapped = delta % period
 
@@ -230,7 +231,10 @@ def loss_curve(
 
     Cumulative trapezoidal integration of the signed shift — O(samples)
     instead of O(samples) quadratures — normalized so ``Loss(0) = 0`` like
-    Eq. 4.
+    Eq. 4.  The sum is scipy's ``cumulative_trapezoid(y, deltas,
+    initial=0.0)`` written out in numpy with its operation order, so the
+    curve is bit-identical to it (tests/test_analysis.py holds scipy as the
+    oracle) without importing scipy.
     """
     _validate_model(alpha, period, slope, intercept)
     if samples < 3:
@@ -239,7 +243,9 @@ def loss_curve(
     shifts = np.array(
         [signed_shift(d, alpha, period, slope, intercept) for d in deltas]
     )
-    losses = integrate.cumulative_trapezoid(-shifts, deltas, initial=0.0)
+    y = -shifts
+    steps = np.diff(deltas) * (y[1:] + y[:-1]) / 2.0
+    losses = np.concatenate(([0.0], np.cumsum(steps)))
     return deltas, losses
 
 

@@ -11,13 +11,20 @@ where most wall-clock is saved.
 Entries are written as ``<digest[:2]>/<digest>.pkl`` under the cache
 directory: a small magic header, a SHA-256 checksum of the payload, then the
 pickled result.  A corrupted or truncated entry fails the checksum (or the
-unpickle) and is silently discarded and recomputed — never fatal.  Cache-key
-semantics and invalidation are documented in docs/HARNESS.md.
+unpickle) and is silently discarded and recomputed — never fatal.  The
+checksum catches damage, not forgery, so entries (and sweep checkpoints,
+:mod:`repro.harness.checkpoint`) are read by :func:`load_result`, which
+admits only the globals a result can name.  Cache-key semantics and
+invalidation are documented in docs/HARNESS.md.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
+import importlib
+import io
 import json
 import os
 import pickle
@@ -25,7 +32,7 @@ import tempfile
 from pathlib import Path
 from typing import Mapping, Optional, Tuple
 
-__all__ = ["ResultCache", "point_key", "default_cache_dir"]
+__all__ = ["ResultCache", "point_key", "default_cache_dir", "load_result"]
 
 #: Bump to invalidate every previously written entry (format change).
 CACHE_FORMAT_VERSION = 1
@@ -50,6 +57,65 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "repro"
+
+
+#: Globals a result may name besides ``repro`` dataclasses and enums:
+#: numpy's array, dtype and scalar reconstructors (``numpy._core`` in numpy
+#: 2, ``numpy.core`` before; ``_frombuffer`` at pickle protocol 5) and the
+#: builtin types that have no pickle opcode of their own.
+_RESULT_GLOBALS = frozenset({
+    ("numpy", "ndarray"),
+    ("numpy", "dtype"),
+    ("numpy._core.multiarray", "_reconstruct"),
+    ("numpy._core.multiarray", "scalar"),
+    ("numpy._core.numeric", "_frombuffer"),
+    ("numpy.core.multiarray", "_reconstruct"),
+    ("numpy.core.multiarray", "scalar"),
+    ("numpy.core.numeric", "_frombuffer"),
+    ("builtins", "set"),
+    ("builtins", "frozenset"),
+    ("builtins", "complex"),
+})
+
+
+def _repro_type(module: str, name: str) -> Optional[type]:
+    """The dataclass or enum ``module.name`` defined in a ``repro`` module,
+    or None.  ``repro.__main__`` is never imported: importing it runs the CLI."""
+    parts = module.split(".")
+    if parts[0] != "repro" or "__main__" in parts:
+        return None
+    try:
+        found: object = importlib.import_module(module)
+        for attribute in name.split("."):
+            found = getattr(found, attribute)
+    except (ImportError, AttributeError):
+        return None
+    if not isinstance(found, type) or found.__module__.split(".")[0] != "repro":
+        return None
+    if dataclasses.is_dataclass(found) or issubclass(found, enum.Enum):
+        return found
+    return None
+
+
+class _ResultUnpickler(pickle.Unpickler):
+    """An unpickler that resolves only :data:`_RESULT_GLOBALS` and ``repro``
+    dataclasses and enums, so a forged payload cannot call foreign code."""
+
+    def find_class(self, module: str, name: str) -> object:
+        if (module, name) in _RESULT_GLOBALS:
+            return super().find_class(module, name)
+        found = _repro_type(module, name)
+        if found is None:
+            raise pickle.UnpicklingError(
+                f"global '{module}.{name}' is not a result type"
+            )
+        return found
+
+
+def load_result(payload: bytes) -> object:
+    """Unpickle one stored result; any other global raises
+    :class:`pickle.UnpicklingError`."""
+    return _ResultUnpickler(io.BytesIO(payload)).load()
 
 
 def _canonical(value: object) -> object:
@@ -123,9 +189,10 @@ ExperimentRunner` (or to :func:`repro.harness.sweep.sweep` via its ``cache``
     def get(self, key: str) -> Tuple[bool, object]:
         """Look up ``key``; returns ``(hit, value)``.
 
-        A corrupted entry (bad magic, checksum mismatch, unpicklable body) is
-        deleted and reported as a miss, so a damaged cache heals itself on
-        the next run instead of poisoning results or crashing the sweep.
+        A corrupted entry (bad magic, checksum mismatch, unpicklable body, or
+        a body naming a global :func:`load_result` refuses) is deleted and
+        reported as a miss, so a damaged cache heals itself on the next run
+        instead of poisoning results or crashing the sweep.
         """
         path = self._path(key)
         try:
@@ -139,7 +206,7 @@ ExperimentRunner` (or to :func:`repro.harness.sweep.sweep` via its ``cache``
             checksum, payload = blob[len(_MAGIC):digest_end], blob[digest_end:]
             if hashlib.sha256(payload).digest() != checksum:
                 raise ValueError("checksum mismatch")
-            return True, pickle.loads(payload)
+            return True, load_result(payload)
         except Exception:
             # Corrupt entry: discard (best-effort) and recompute.
             try:

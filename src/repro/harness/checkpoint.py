@@ -17,9 +17,13 @@ is deleted (or simply not passed) to start fresh.  Keys are the same
 resumed bit-identically.
 
 Format: JSON Lines, one ``{"key": <digest>, "blob": <base64 pickle>}``
-object per line, flushed per point.  A truncated final line (the crash that
-motivated the resume) is skipped on load; later entries for the same key
-win, so re-running a point simply supersedes it.
+object per line, flushed per point.  A last line without its newline (the
+crash that motivated the resume) is skipped on load and cut off by the next
+:meth:`RunCheckpoint.put`; later entries for the same key win, so re-running
+a point simply supersedes it.  Blobs are read by
+:func:`~repro.harness.cache.load_result`, so a line naming any global but a
+``repro`` dataclass or enum, a numpy array or scalar, or a builtin container
+counts as corrupt instead of running.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import pickle
 from pathlib import Path
 from typing import Optional, Tuple
 
+from .cache import load_result
+
 __all__ = ["RunCheckpoint"]
 
 
@@ -41,22 +47,33 @@ class RunCheckpoint:
         self.path = Path(path)
         self._entries: dict[str, object] = {}
         self.corrupt_lines = 0
+        # Where a last line cut short mid-append begins; the next put cuts
+        # the file back to it before appending.
+        self._torn_at: Optional[int] = None
         self._load()
 
     def _load(self) -> None:
-        if not self.path.exists():
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
             return
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                value = pickle.loads(base64.b64decode(record["blob"]))
-                self._entries[record["key"]] = value
-            except Exception:
-                # A crash mid-append leaves at most one truncated line;
-                # skipping it just means that point is recomputed.
-                self.corrupt_lines += 1
+        start = 0
+        with handle:
+            for raw in handle:
+                if not raw.endswith(b"\n"):
+                    self._torn_at = start
+                    self.corrupt_lines += 1
+                    break
+                start += len(raw)
+                if not raw.strip():
+                    continue
+                try:
+                    record = json.loads(raw)
+                    value = load_result(base64.b64decode(record["blob"]))
+                    self._entries[record["key"]] = value
+                except Exception:
+                    # A damaged or foreign line: that point is recomputed.
+                    self.corrupt_lines += 1
 
     def get(self, key: str) -> Tuple[bool, object]:
         """Look up ``key``; returns ``(hit, value)``."""
@@ -78,6 +95,9 @@ class RunCheckpoint:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a") as handle:
+                if self._torn_at is not None:
+                    os.ftruncate(handle.fileno(), self._torn_at)
+                    self._torn_at = None
                 handle.write(json.dumps({"key": key, "blob": blob}) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -86,14 +106,13 @@ class RunCheckpoint:
         return True
 
     def keys(self) -> tuple[str, ...]:
-        """All journaled keys, sorted.  Sweep checkpoints use opaque point
-        digests and never need this; ordered-key subclasses (the service's
-        write-ahead journal) scan it for the latest committed epoch."""
+        """All journaled keys, sorted."""
         return tuple(sorted(self._entries))
 
     def clear(self) -> None:
         """Forget every journaled point and delete the file (fresh sweep)."""
         self._entries.clear()
+        self._torn_at = None
         try:
             self.path.unlink()
         except OSError:

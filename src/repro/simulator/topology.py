@@ -15,9 +15,8 @@ shortest-path routes, for topologies beyond the paper's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
-import networkx as nx
 import numpy as np
 
 from ..workloads.placement import FabricSpec
@@ -25,6 +24,9 @@ from .engine import Simulator
 from .link import Link
 from .node import Host, Node, Switch
 from .queues import DropTailQueue, QueueDiscipline
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Network",
@@ -305,6 +307,8 @@ def build_from_graph(
     Routes are installed between every pair of hosts along delay-weighted
     shortest paths.
     """
+    import networkx as nx  # only caller: keeps networkx off `import repro`
+
     network = Network(sim=sim)
     for name, data in graph.nodes(data=True):
         if data.get("kind") == "switch":

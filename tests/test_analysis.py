@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from repro.core.analysis import (
     MultiJobDescent,
@@ -122,6 +125,26 @@ class TestLoss:
             assert losses[idx] == pytest.approx(
                 loss(probe, ALPHA, PERIOD), abs=5e-4
             )
+
+    @given(
+        alpha=st.floats(min_value=0.01, max_value=0.5),
+        period=st.floats(min_value=1e-3, max_value=1e3),
+        slope=st.floats(min_value=0.01, max_value=10.0),
+        intercept=st.floats(min_value=0.01, max_value=10.0),
+        samples=st.integers(min_value=3, max_value=1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loss_curve_is_scipys_cumulative_trapezoid(
+        self, alpha, period, slope, intercept, samples
+    ):
+        """The numpy sum reproduces scipy's to the bit, dtype included."""
+        deltas, losses = loss_curve(alpha, period, slope, intercept, samples)
+        shifts = np.array(
+            [signed_shift(d, alpha, period, slope, intercept) for d in deltas]
+        )
+        oracle = cumulative_trapezoid(-shifts, deltas, initial=0.0)
+        assert losses.dtype == oracle.dtype
+        assert losses.tobytes() == oracle.tobytes()
 
     def test_loss_curve_needs_samples(self):
         with pytest.raises(ValueError, match="samples"):

@@ -30,6 +30,16 @@ from repro.harness.telemetry import RunTelemetry, validate_run_report
 # Experiments live at module top level so they pickle by reference into
 # process-pool workers.
 
+class _Touch:
+    """Unpickles as ``Path(target).touch()``: foreign code in a payload."""
+
+    def __init__(self, target: Path) -> None:
+        self.target = target
+
+    def __reduce__(self):
+        return (Path.touch, (self.target,))
+
+
 def _tenfold(value: int) -> int:
     return value * 10
 
@@ -227,6 +237,34 @@ class TestRunCheckpoint:
         reloaded = RunCheckpoint(path)
         assert reloaded.get("good") == (True, [1, 2, 3])
         assert reloaded.corrupt_lines == 2
+
+    def test_put_after_a_torn_tail_cuts_it_off(self, tmp_path):
+        """The first point journaled after a crash is not glued onto the
+        line the crash cut short, so the next load keeps it."""
+        path = tmp_path / "run.jsonl"
+        checkpoint = RunCheckpoint(path)
+        checkpoint.put("a", 1)
+        checkpoint.put("b", 2)
+        os.truncate(path, path.stat().st_size - 10)
+        reloaded = RunCheckpoint(path)
+        assert (reloaded.keys(), reloaded.corrupt_lines) == (("a",), 1)
+
+        reloaded.put("c", 3)
+        final = RunCheckpoint(path)
+        assert (final.keys(), final.corrupt_lines) == (("a", "c"), 0)
+        assert final.get("c") == (True, 3)
+
+    def test_foreign_global_is_corrupt_not_run(self, tmp_path):
+        sentinel = tmp_path / "sentinel"
+        path = tmp_path / "run.jsonl"
+        RunCheckpoint(path).put("good", [1, 2, 3])
+        assert RunCheckpoint(path).put("evil", _Touch(sentinel))
+
+        reloaded = RunCheckpoint(path)
+        assert not sentinel.exists()
+        assert reloaded.get("evil") == (False, None)
+        assert reloaded.get("good") == (True, [1, 2, 3])
+        assert reloaded.corrupt_lines == 1
 
     def test_unpicklable_value_kept_in_memory_only(self, tmp_path):
         checkpoint = RunCheckpoint(tmp_path / "run.jsonl")

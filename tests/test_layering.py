@@ -11,16 +11,30 @@ at module level, inside a function, or under ``TYPE_CHECKING``.
   duck-typed ``SimMonitor`` rather than a ``repro.guards`` rail, and
   ``topology.RoutingProvider`` keeps fault routing out of the simulator.
   ``repro.simulator`` may import none of the layers built on top of it.
+
+The start-up gate at the end is a rule the static table cannot express:
+scipy and networkx may be imported only inside the function bodies that
+call them, so a fresh interpreter's ``import repro`` loads neither.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: What every ``repro`` command and benchmark process imports first.
+STARTUP_MODULES = ("repro", "repro.cli", "repro.harness.experiments", "repro.service")
+#: Packages each served by one function that imports it on first call:
+#: scipy by ``core.analysis.loss``, networkx by ``build_from_graph``.
+CALL_TIME_PACKAGES = ("scipy", "networkx")
 
 #: (importing packages, packages none of them may import), one rule a row.
 LAYER_RULES = [
@@ -102,3 +116,56 @@ def test_import_boundaries(packages, forbidden):
                 if any(_within(name, f"repro.{banned}") for banned in forbidden)
             ]
     assert offenders == []
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+#: The loaded modules of :data:`CALL_TIME_PACKAGES`, as a Python expression.
+_LOADED = (
+    f"sorted(m for m in sys.modules if m.split('.')[0] in {CALL_TIME_PACKAGES!r})"
+)
+
+
+def test_startup_loads_neither_scipy_nor_networkx():
+    imports = "".join(f"import {module}\n" for module in STARTUP_MODULES)
+    code = f"import json, sys\n{imports}print(json.dumps({_LOADED}))\n"
+    loaded = json.loads(_fresh(code))
+    assert loaded == [], f"importing {STARTUP_MODULES} loaded {loaded}"
+
+
+_ON_CALL = f"""
+import json, sys
+import repro
+from repro.core.analysis import loss, loss_closed_form
+from repro.simulator import Simulator, build_from_graph
+
+before = {_LOADED}
+value = loss(0.3, 0.5, 1.8)
+assert abs(value - loss_closed_form(0.3, 0.5, 1.8)) < 1e-8, value
+assert "scipy.integrate" in sys.modules
+
+import networkx as nx
+
+graph = nx.Graph()
+graph.add_node("sw", kind="switch")
+graph.add_edge("a", "sw", delay=1e-6)
+graph.add_edge("sw", "b", delay=1e-6)
+network = build_from_graph(Simulator(), graph)
+assert network.routes[("a", "b")] == ("a", "sw", "b"), network.routes
+print(json.dumps(before))
+"""
+
+
+def test_call_time_imports_still_work():
+    """``loss`` loads scipy on its first call and ``build_from_graph`` runs
+    on a networkx graph, in a process that started without either."""
+    assert json.loads(_fresh(_ON_CALL)) == []

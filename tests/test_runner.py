@@ -8,12 +8,14 @@ the schema checked into docs/.
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.harness.cache import ResultCache, default_cache_dir, point_key
+from repro.fluid.flowsim import Phase
+from repro.harness.cache import ResultCache, default_cache_dir, load_result, point_key
 from repro.harness import runner as runner_module
 from repro.harness.runner import ExperimentRunner
 from repro.harness.sweep import sweep
@@ -46,6 +48,16 @@ def _fluid_final_time(seed: int, jobs: int = 2) -> float:
         seed=seed,
     )
     return float(result.mean_iteration_by_round()[-5:].mean())
+
+
+class _Touch:
+    """Unpickles as ``Path(target).touch()``: foreign code in a payload."""
+
+    def __init__(self, target: Path) -> None:
+        self.target = target
+
+    def __reduce__(self):
+        return (Path.touch, (self.target,))
 
 
 def _marking_square(value: int, marker_dir: str) -> int:
@@ -233,6 +245,54 @@ class TestCache:
             _noisy_metric(1)
         ]
         assert rerun.telemetry.cache_misses == 1
+
+    def test_result_types_round_trip(self, tmp_path):
+        from repro.workloads.presets import gpt2_fast_job
+
+        value = {
+            "job": gpt2_fast_job(),
+            "phase": Phase.COMPUTE,
+            "times": np.linspace(0.0, 1.0, 5),
+            "counts": np.arange(6, dtype=np.int32).reshape(2, 3),
+            "mean": np.float64(0.25),
+            "names": {"a", "b"},
+            "frozen": frozenset({1}),
+            "z": complex(1.0, -2.0),
+        }
+        cache = ResultCache(tmp_path)
+        key = point_key("exp", {}, seed=0, version="1.0")
+        assert cache.put(key, value)
+        hit, loaded = cache.get(key)
+        assert hit
+        for name in ("times", "counts"):
+            array = loaded.pop(name)
+            assert array.dtype == value[name].dtype
+            assert array.tobytes() == value.pop(name).tobytes()
+        assert type(loaded["mean"]) is np.float64
+        assert loaded == value
+
+    def test_forged_entry_is_a_miss_not_run(self, tmp_path):
+        """The checksum catches damage, not forgery: an entry whose valid
+        checksum covers a call to foreign code is deleted unrun."""
+        sentinel = tmp_path / "sentinel"
+        cache = ResultCache(tmp_path / "cache")
+        key = point_key("exp", {}, seed=0, version="1.0")
+        assert cache.put(key, _Touch(sentinel))
+        assert cache.get(key) == (False, None)
+        assert not sentinel.exists()
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("module, name", [
+        ("os", "system"),
+        ("builtins", "eval"),
+        ("repro.fluid.allocation", "FairShare"),  # a class, not a dataclass
+        ("repro.__main__", "main"),  # importing it would run the CLI
+        ("repro.harness.cache", "load_result"),
+    ])
+    def test_load_result_refuses_other_globals(self, module, name):
+        payload = f"c{module}\n{name}\n.".encode("ascii")  # GLOBAL, STOP
+        with pytest.raises(pickle.UnpicklingError, match=f"{module}.{name}"):
+            load_result(payload)
 
     def test_unpicklable_result_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
