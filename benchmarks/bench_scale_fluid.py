@@ -22,7 +22,7 @@ Scenario builders are module-level so the acceptance test in
 """
 
 from repro.fluid.allocation import MLTCPWeighted
-from repro.fluid.fabric import FluidFabric
+from repro.fluid.fabric import place_on_fabric
 from repro.fluid.flowsim import run_fluid
 from repro.fluid.network import run_network_fluid
 from repro.workloads.job import JobSpec
@@ -66,11 +66,10 @@ def scale_fabric_jobs() -> list[JobSpec]:
 
 def run_scale_network_fluid(max_iterations: int = 2):
     """One MLTCP network-fluid pass over the 64-rack fabric."""
-    fabric = FluidFabric.from_spec(SCALE_SPEC)
     placements = place_jobs(scale_fabric_jobs(), SCALE_SPEC, policy="spread")
     return run_network_fluid(
-        fabric.place(placements),
-        fabric.capacities_gbps,
+        place_on_fabric(SCALE_SPEC, placements),
+        SCALE_SPEC.capacities_gbps(),
         mltcp=True,
         max_iterations=max_iterations,
         seed=0,

@@ -1073,7 +1073,8 @@ def _chaos_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--guard-policy", choices=["record", "raise", "off"], default="record",
-        help="guardrail policy for the faulted runs (default: record)",
+        help="guardrail policy for the faulted runs; off = no guardrail "
+        "(default: record)",
     )
     _runner_options(parser)
 
@@ -1104,7 +1105,7 @@ def _chaos_command(args) -> int:
             "iterations": iterations,
             "seed": args.seed,
             "ecmp_seed": args.ecmp_seed,
-            "guard_policy": args.guard_policy,
+            "guard_policy": None if args.guard_policy == "off" else args.guard_policy,
         }
         for substrate in _substrates(args)
     ]

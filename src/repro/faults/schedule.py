@@ -6,8 +6,7 @@ packet-level simulator (:func:`repro.faults.packet.install_packet_faults`)
 and the fluid one (:class:`repro.faults.fluid.FluidFaultState`), and two
 runs with the same schedule and seed are bit-identical.
 
-Schedules validate eagerly, mirroring the sweep-input validation style of
-:mod:`repro.harness.sweep`: a negative time, an unknown kind, or a link
+Schedules validate eagerly: a negative time, an unknown kind, or a link
 name that does not exist in the topology fails immediately with a message
 naming the offending event, not minutes into a simulation.
 
@@ -463,18 +462,3 @@ class InjectionLog:
     def descriptions(self) -> list[str]:
         """The log as human-readable lines, in application order."""
         return [f"t={time:g}s: {text}" for time, text in self.entries]
-
-    def context_for(self, time: float) -> Optional[str]:
-        """The most recent applied transition at or before ``time``.
-
-        Lets a guard-summary reader correlate an
-        :class:`repro.guards.InvariantViolation` (which carries its
-        detection time) with the fault that plausibly provoked it
-        (docs/ROBUSTNESS.md).  ``None`` when no transition had fired yet.
-        """
-        latest: Optional[str] = None
-        for applied_at, text in self.entries:
-            if applied_at > time:
-                break
-            latest = f"t={applied_at:g}s: {text}"
-        return latest

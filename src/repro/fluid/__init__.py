@@ -12,7 +12,7 @@ from .allocation import (
     water_fill_array,
 )
 from .arrays import FlowArrays, link_index_matrix
-from .fabric import FluidFabric, fabric_capacities, place_on_fabric
+from .fabric import place_on_fabric
 from .network import (
     NetworkFluidResult,
     NetworkFluidSimulator,
@@ -54,7 +54,5 @@ __all__ = [
     "run_network_fluid",
     "weighted_max_min",
     "weighted_max_min_array",
-    "FluidFabric",
-    "fabric_capacities",
     "place_on_fabric",
 ]

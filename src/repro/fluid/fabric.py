@@ -12,14 +12,12 @@ Typical use::
     spec = FabricSpec(n_racks=4, hosts_per_rack=4, n_spines=2,
                       oversubscription=2.0)
     placements = place_jobs(jobs, spec, policy="spread")
-    fabric = FluidFabric.from_spec(spec)
-    result = run_network_fluid(fabric.place(placements),
-                               fabric.capacities_gbps, mltcp=True)
+    result = run_network_fluid(place_on_fabric(spec, placements),
+                               spec.capacities_gbps(), mltcp=True)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..faults.fluid import CAPACITY_KINDS, capacity_scale
@@ -29,17 +27,7 @@ from ..workloads.placement import FabricSpec, JobPlacement
 from .arrays import _EPS_TIME
 from .network import PlacedJob
 
-__all__ = [
-    "FluidFabric",
-    "FluidFabricFaults",
-    "fabric_capacities",
-    "place_on_fabric",
-]
-
-
-def fabric_capacities(spec: FabricSpec) -> dict[str, float]:
-    """Per-link capacities (Gbps) of the spec's fabric, keyed ``"a->b"``."""
-    return spec.capacities_gbps()
+__all__ = ["FluidFabricFaults", "place_on_fabric"]
 
 
 def place_on_fabric(
@@ -55,27 +43,6 @@ def place_on_fabric(
         )
         for placement in placements
     )
-
-
-@dataclass(frozen=True)
-class FluidFabric:
-    """A :class:`FabricSpec` resolved for the fluid simulator."""
-
-    spec: FabricSpec
-
-    @classmethod
-    def from_spec(cls, spec: FabricSpec) -> "FluidFabric":
-        """Build the fluid fabric for ``spec`` (mirrors ``build_fat_tree``)."""
-        return cls(spec=spec)
-
-    @property
-    def capacities_gbps(self) -> dict[str, float]:
-        """The capacity map ``run_network_fluid`` consumes."""
-        return fabric_capacities(self.spec)
-
-    def place(self, placements: Sequence[JobPlacement]) -> tuple[PlacedJob, ...]:
-        """Resolve placements into :class:`PlacedJob` instances on this fabric."""
-        return place_on_fabric(self.spec, placements)
 
 
 class FluidFabricFaults(InjectionLog):

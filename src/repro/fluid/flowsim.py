@@ -413,7 +413,7 @@ class FluidSimulator:
         self._arrays = FlowArrays.from_specs(self.jobs)
         #: Every run replays this schedule from its start on a fresh fault
         #: state; ``faults`` is the latest one (built here first, which
-        #: rejects a bad schedule), whose log answers ``context_for``.
+        #: rejects a bad schedule), whose log the result reports.
         self._fault_schedule = faults
         self.faults = self._fault_state()
 

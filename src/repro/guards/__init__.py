@@ -7,18 +7,18 @@ catalogue and the degradation state machine):
    checks for byte/flow conservation per link, cwnd bounds, allocation
    capacity, engine time monotonicity and Algorithm 1 tracker sanity,
    all reporting into one :class:`GuardRail` whose policy is ``record``
-   (experiments), ``raise`` (tests, ``make guards-smoke``) or
-   ``degrade`` (where a fallback exists).  Off by default: without a rail
-   attached no check runs, and the event engine pays one ``is not None``
-   test per event.
+   (experiments) or ``raise`` (tests, ``make guards-smoke``).  Off by
+   default: without a rail attached no check runs, and the event engine
+   pays one ``is not None`` test per event.
 2. **Graceful MLTCP degradation** — not in this package but driven by
    it: when the iteration tracker flags its estimate unreliable,
    :class:`repro.tcp.mltcp.MltcpState` clamps ``F(bytes_ratio)`` to 1
    (vanilla Reno/CUBIC/DCTCP) and reports here with
    ``fallback_engaged=True``.
-3. **Watchdogs** (:mod:`~repro.guards.watchdog`) — engine stall/progress
-   detection and the packet-substrate heartbeat installer; the harness
-   wall-clock watchdog lives in :mod:`repro.harness.runner`.
+3. **Watchdogs** (:mod:`~repro.guards.watchdog`) — the serve stepper's
+   per-epoch progress monitor and the packet-substrate heartbeat
+   installer; the packet engine checks its own clock per event, and the
+   harness wall-clock watchdog lives in :mod:`repro.harness.runner`.
 
 Quick start::
 
@@ -40,7 +40,6 @@ from .monitors import (
     check_tracker_sanity,
 )
 from .watchdog import (
-    EngineWatchdog,
     StepperWatchdog,
     bdp_cwnd_cap,
     certified_cwnd_slack,
@@ -59,7 +58,6 @@ __all__ = [
     "check_reroute_conservation",
     "check_route_liveness",
     "check_tracker_sanity",
-    "EngineWatchdog",
     "StepperWatchdog",
     "bdp_cwnd_cap",
     "certified_cwnd_slack",

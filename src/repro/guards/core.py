@@ -8,8 +8,6 @@ checkable at runtime: monitors (:mod:`repro.guards.monitors`,
 :mod:`repro.guards.watchdog`) call :meth:`GuardRail.violation` whenever an
 invariant is broken, and the rail's *policy* decides what happens:
 
-``off``
-    Drop the report (useful to silence one guard via ``overrides``).
 ``record``
     Accumulate an :class:`InvariantViolation` for the telemetry layer —
     the default for experiments, where one bad step should not kill a
@@ -19,8 +17,8 @@ invariant is broken, and the rail's *policy* decides what happens:
     and smoke-target policy.  Violations whose caller already engaged a
     fallback (``fallback_engaged=True``, e.g. MLTCP degrading to vanilla
     CC) are recorded but never raised: degrading *is* the graceful path.
-``degrade``
-    Like ``record``; names the intent at sites where a fallback exists.
+
+To check nothing, attach no rail.
 
 Everything here is dependency-free (no simulator imports), so any layer —
 engine, fluid, TCP, harness — can hold a rail without import cycles.
@@ -32,7 +30,7 @@ pays one ``is not None`` test per event and no check runs (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List
 
 __all__ = [
     "POLICIES",
@@ -42,7 +40,7 @@ __all__ = [
 ]
 
 #: Valid guard policies, in escalation order.
-POLICIES = ("off", "record", "raise", "degrade")
+POLICIES = ("record", "raise")
 
 
 @dataclass(frozen=True)
@@ -91,40 +89,23 @@ class GuardRail:
 
     One rail is shared by every monitor of a run (both substrates, the
     protocol layer, watchdogs); pass it wherever a ``guards=`` parameter
-    is accepted.  Per-guard ``overrides`` refine the default policy, e.g.
-    ``GuardRail("raise", overrides={"engine-stall": "record"})``.
+    is accepted.
 
     The rail also satisfies the engine's monitor duck-type
     (:class:`repro.simulator.engine.SimMonitor`): the engine calls
     :meth:`violation` directly.
     """
 
-    def __init__(
-        self,
-        policy: str = "record",
-        overrides: Optional[Mapping[str, str]] = None,
-        max_violations: int = 10_000,
-    ) -> None:
+    def __init__(self, policy: str = "record", max_violations: int = 10_000) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown guard policy {policy!r}; expected one of {POLICIES}")
         if max_violations < 1:
             raise ValueError(f"max_violations must be positive, got {max_violations!r}")
-        for guard, override in (overrides or {}).items():
-            if override not in POLICIES:
-                raise ValueError(
-                    f"unknown override policy {override!r} for guard {guard!r}; "
-                    f"expected one of {POLICIES}"
-                )
         self.policy = policy
-        self.overrides: Dict[str, str] = dict(overrides or {})
         self.max_violations = max_violations
         self.violations: List[InvariantViolation] = []
         #: Violations discarded after ``max_violations`` was reached.
         self.dropped = 0
-
-    def policy_for(self, guard: str) -> str:
-        """The effective policy for one guard (override, else default)."""
-        return self.overrides.get(guard, self.policy)
 
     def violation(
         self,
@@ -133,17 +114,14 @@ class GuardRail:
         time: float,
         message: str,
         fallback_engaged: bool = False,
-    ) -> Optional[InvariantViolation]:
-        """Report one violation; record and/or raise according to policy.
+    ) -> InvariantViolation:
+        """Report one violation; record it, and raise under ``raise``.
 
-        Returns the recorded :class:`InvariantViolation` (or ``None`` when
-        the guard's policy is ``off``).  Under ``raise``, violations with
-        no engaged fallback raise :class:`GuardViolationError` *after*
-        being recorded, so a post-mortem still sees them.
+        Returns the recorded :class:`InvariantViolation`.  Under
+        ``raise``, violations with no engaged fallback raise
+        :class:`GuardViolationError` *after* being recorded, so a
+        post-mortem still sees them.
         """
-        policy = self.policy_for(guard)
-        if policy == "off":
-            return None
         violation = InvariantViolation(
             guard=guard,
             subject=subject,
@@ -155,7 +133,7 @@ class GuardRail:
             self.violations.append(violation)
         else:
             self.dropped += 1
-        if policy == "raise" and not fallback_engaged:
+        if self.policy == "raise" and not fallback_engaged:
             raise GuardViolationError(violation)
         return violation
 

@@ -1,8 +1,8 @@
 """Invariant monitors: the pluggable checks behind the guardrail.
 
 Each function checks one physical invariant and reports breaches to a
-:class:`~repro.guards.core.GuardRail`; what happens next (record, raise,
-degrade) is the rail's policy, not the monitor's business.  Monitors are
+:class:`~repro.guards.core.GuardRail`; what happens next (record or
+raise) is the rail's policy, not the monitor's business.  Monitors are
 pure observers — they never mutate the object they inspect — and they are
 only ever called when a rail is attached, so simulations without guards
 run none of them.
@@ -21,7 +21,7 @@ docs/ROBUSTNESS.md.  Call sites:
   :class:`repro.tcp.mltcp.MltcpState` (which reports with
   ``fallback_engaged=True`` when it clamps F to 1).
 * ``engine-monotonic`` / ``engine-stall`` — the engine's monitored event
-  loop and :class:`repro.guards.watchdog.EngineWatchdog`.
+  loop (``Simulator(monitor=rail)``).
 * ``route-liveness`` / ``reroute-conservation`` — after every fabric-fault
   transition in :func:`repro.faults.packet.install_packet_faults` and per
   step in the faulted :class:`repro.fluid.network.NetworkFluidSimulator`.

@@ -1,21 +1,14 @@
-"""Watchdogs: progress monitors for the engine and packet-sim installers.
+"""Watchdogs: the serve stepper's progress monitor and packet-sim installers.
 
-Two complementary stall detectors exist:
-
-* The engine's own monitor checks (``Simulator(monitor=rail)``) test
-  *per event* that dispatch times never run backwards and that the
-  clock keeps advancing (``stall_event_limit`` events at one timestamp is
-  a zero-delay livelock).  Exact, but pays a branch per event.
-* :class:`EngineWatchdog` here samples *per heartbeat*: between beats it
-  bounds scheduling activity (an event storm that outruns
-  ``max_events_per_interval`` is a livelock in wall-clock terms) and
-  checks clock monotonicity.  Coarse, but nearly free.
-
-The third layer — converting a *wall-clock* hang into a
-:class:`repro.harness.runner.FailedPoint` — lives in the experiment
+The packet engine detects its own stalls: ``Simulator(monitor=rail)``
+tests *per event* that dispatch times never run backwards and that the
+clock keeps advancing (``stall_event_limit`` events at one timestamp is a
+zero-delay livelock).  Converting a *wall-clock* hang into a
+:class:`repro.harness.runner.FailedPoint` lives in the experiment
 runner's per-point timeout machinery and is surfaced as ``watchdog``
 records in the telemetry (docs/ROBUSTNESS.md).
 
+:class:`StepperWatchdog` brackets each epoch of the service daemon, and
 :func:`install_packet_guards` wires the periodic packet-substrate checks
 (cwnd bounds, link conservation, tracker sanity) onto a simulation as
 ordinary heartbeat events, so the hot event loop stays untouched.
@@ -34,90 +27,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tcp.base import TcpSender
 
 __all__ = [
-    "EngineWatchdog",
     "StepperWatchdog",
     "bdp_cwnd_cap",
     "certified_cwnd_slack",
     "install_packet_guards",
 ]
-
-
-class EngineWatchdog:
-    """Heartbeat-based progress monitor for one :class:`Simulator`.
-
-    Every ``interval`` seconds of simulation time the watchdog checks
-    that (a) the clock did not run backwards since the previous beat and
-    (b) no more than ``max_events_per_interval`` events were *scheduled*
-    between beats.  Scheduling activity is read off the engine's event
-    sequence counter, which is live mid-run — the engine's
-    ``events_processed`` counter is only flushed when ``run()`` returns,
-    so it cannot drive an in-run check; and for livelock detection the
-    two are equivalent, since a zero-delay livelock schedules (at least)
-    one event per event it burns.  The watchdog stops re-arming once it
-    would be the only pending event, so it never keeps a finished
-    simulation alive.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        rail: GuardRail,
-        interval: float = 0.01,
-        max_events_per_interval: int = 2_000_000,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval!r}")
-        if max_events_per_interval < 1:
-            raise ValueError(
-                f"max_events_per_interval must be positive, got "
-                f"{max_events_per_interval!r}"
-            )
-        self.sim = sim
-        self.rail = rail
-        self.interval = interval
-        self.max_events_per_interval = max_events_per_interval
-        self.beats = 0
-        self._last_now = sim.now
-        self._last_seq = 0
-        self._started = False
-
-    def start(self) -> None:
-        """Arm the first heartbeat."""
-        if self._started:
-            raise RuntimeError("watchdog already started")
-        self._started = True
-        self._last_now = self.sim.now
-        entry = self.sim.schedule(self.interval, self._beat)
-        self._last_seq = int(entry[1])
-
-    def _beat(self) -> None:
-        sim = self.sim
-        now = sim.now
-        self.beats += 1
-        if now < self._last_now:
-            self.rail.violation(
-                "engine-monotonic",
-                "watchdog",
-                now,
-                f"clock ran backwards: {now!r} < previous beat {self._last_now!r}",
-            )
-        self._last_now = now
-        if sim.pending_events() <= 0:
-            return
-        # Re-arm first: the fresh entry's sequence number brackets exactly
-        # one interval's worth of schedule() calls (minus this arming).
-        entry = sim.schedule(self.interval, self._beat)
-        seq = int(entry[1])
-        delta = seq - self._last_seq - 1
-        self._last_seq = seq
-        if delta > self.max_events_per_interval:
-            self.rail.violation(
-                "engine-stall",
-                "watchdog",
-                now,
-                f"{delta} events scheduled in one {self.interval:.6g} s beat "
-                f"(limit {self.max_events_per_interval}); zero-delay livelock?",
-            )
 
 
 class StepperWatchdog:
@@ -129,10 +43,10 @@ class StepperWatchdog:
     (a) simulated time never ran backwards, (b) the step actually reached
     its target time (a stepper that returns early is stalled), and (c) —
     when a wall clock is supplied — the step stayed within its wall-clock
-    budget.  Violations go through the usual :class:`GuardRail` policies:
-    under ``"raise"`` they abort; under ``"record"``/``"degrade"`` the
-    daemon sees ``check()`` return ``True`` and triggers a supervised
-    restart from the journal.
+    budget.  It reports (a) as ``service-monotonic`` and (b) and (c) as
+    ``service-stall`` (docs/SERVICE.md).  Under the rail's ``"raise"``
+    policy they abort; under ``"record"`` the daemon sees ``check()``
+    return ``True`` and triggers a supervised restart from the journal.
 
     The wall clock is *injected* (e.g. ``time.monotonic`` from the
     daemon) rather than read here, so this module stays free of ambient

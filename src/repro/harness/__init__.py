@@ -5,18 +5,16 @@ The pipeline, end to end:
 1. :mod:`~repro.harness.experiments` — one callable per paper figure/claim.
 2. :mod:`~repro.harness.packetlab` — assembles packet-level runs (jobs on a
    dumbbell with per-job congestion control) for the figures that need them.
-3. :mod:`~repro.harness.sweep` — crosses an experiment with seeds and a
-   parameter grid (:func:`repeat_with_seeds` / :func:`sweep`).
-4. :mod:`~repro.harness.runner` — executes the resulting points: optional
+3. :mod:`~repro.harness.runner` — executes lists of points: optional
    process-pool parallelism (``workers=N``), content-addressed result
    caching (:mod:`~repro.harness.cache`), per-point instrumentation
    (:mod:`~repro.harness.telemetry`, emitted as a JSON run-report), and
    failure handling — per-point timeouts, retries with backoff, crash
    isolation (:class:`~repro.harness.runner.FailedPoint`) and checkpointed
    resume (:mod:`~repro.harness.checkpoint`).
-5. :mod:`~repro.harness.report` — renders rows/series as terminal text.
+4. :mod:`~repro.harness.report` — renders rows/series as terminal text.
 
-docs/HARNESS.md is the operator-facing guide to steps 3–4; docs/FAULTS.md
+docs/HARNESS.md is the operator-facing guide to step 3; docs/FAULTS.md
 covers the fault-injection and recovery experiments.
 """
 
@@ -46,7 +44,6 @@ from .packetlab import (
 from .cache import ResultCache, default_cache_dir, point_key
 from .checkpoint import RunCheckpoint
 from .runner import ExperimentRunner, FailedPoint, PointTimeoutError
-from .sweep import SeedSummary, repeat_with_seeds, sweep
 from .telemetry import (
     PointRecord,
     RECORD_KINDS,
@@ -81,9 +78,6 @@ __all__ = [
     "render_series",
     "sparkline",
     "format_seconds",
-    "SeedSummary",
-    "repeat_with_seeds",
-    "sweep",
     "ExperimentRunner",
     "FailedPoint",
     "PointTimeoutError",

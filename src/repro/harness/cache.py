@@ -174,8 +174,7 @@ class ResultCache:
     """Directory-backed store of pickled experiment results, keyed by hash.
 
     Role in the pipeline: handed to :class:`repro.harness.runner.\
-ExperimentRunner` (or to :func:`repro.harness.sweep.sweep` via its ``cache``
-    argument) to make repeated sweeps incremental.  All operations are
+ExperimentRunner` to make repeated sweeps incremental.  All operations are
     best-effort: a missing directory, unreadable entry, or unpicklable value
     degrades to a cache miss / no-op rather than an error.
     """

@@ -910,17 +910,16 @@ def _fabric_run(
             placements, spec, _PACKET_CC[policy], max_iterations=iterations,
             seed=seed, faults=schedule, guards=guards,
         )
-    from ..fluid.fabric import FluidFabric, FluidFabricFaults
+    from ..fluid.fabric import FluidFabricFaults, place_on_fabric
     from ..fluid.network import run_network_fluid
 
-    fabric = FluidFabric.from_spec(spec)
     # The default fluid quantum (20 ms) is sized for paper-scale (second-
     # long) iterations; these jobs iterate every ~18 ms, so track the
     # sliding at ~1/10 iteration resolution instead.
     quantum = min(0.02, placements[0].job.ideal_iteration_time / 10.0)
     return run_network_fluid(
-        fabric.place(placements),
-        fabric.capacities_gbps,
+        place_on_fabric(spec, placements),
+        spec.capacities_gbps(),
         mltcp=(policy == "mltcp"),
         max_iterations=iterations,
         seed=seed,

@@ -2,10 +2,9 @@
 
 Role in the pipeline: everything between "here is a list of experiment
 points" and "here are their results" funnels through
-:class:`ExperimentRunner.run_points`.  The seed/grid helpers in
-:mod:`repro.harness.sweep` build their point lists and delegate here; the
-benchmark suite (``benchmarks/_common.runner_from_env``) and the CLI
-(``python -m repro run --workers N``) construct runners directly.
+:class:`ExperimentRunner.run_points`.  The benchmark suite
+(``benchmarks/_common.runner_from_env``) and the CLI (``python -m repro
+run --workers N``) construct runners directly.
 
 Features, all opt-in:
 
@@ -152,10 +151,10 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 #: Reusable process pools, one per worker count.  Pool startup is the
 #: dominant fixed cost of a small parallel sweep (fork + interpreter init
-#: per worker), and ``repeat_with_seeds``/``sweep`` construct a fresh
-#: runner per invocation — so healthy pools are cached at module level and
-#: reused across ``run_points`` calls instead of being torn down each
-#: time.  A pool that broke or stalled is retired (terminated and
+#: per worker), and the benchmark suite builds one runner per bench — so
+#: healthy pools are cached at module level and reused across those
+#: runners instead of being torn down after each bench.  A pool that
+#: broke or stalled is retired (terminated and
 #: dropped); the next run transparently starts a fresh one.  Isolated
 #: re-runs keep their dedicated single-worker pools: blast-radius
 #: containment beats reuse there.

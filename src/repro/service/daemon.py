@@ -45,7 +45,7 @@ from typing import Callable, NoReturn, Optional
 
 from ..faults.fluid import FluidFaultState
 from ..faults.schedule import FaultSchedule
-from ..guards import GuardRail, StepperWatchdog
+from ..guards import POLICIES, GuardRail, StepperWatchdog
 from ..harness.telemetry import RunTelemetry
 from ..workloads.arrivals import ArrivalModel, ArrivalStream
 from ..workloads.job import JobSpec
@@ -144,6 +144,11 @@ class ServiceConfig:
             raise ValueError(
                 f"service config: stall_timeout_s must be positive, got "
                 f"{self.stall_timeout_s!r}"
+            )
+        if self.guard_policy not in POLICIES:
+            raise ValueError(
+                f"service config: guard_policy must be one of {POLICIES}, "
+                f"got {self.guard_policy!r}"
             )
 
     def fingerprint(self) -> str:

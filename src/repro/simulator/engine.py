@@ -226,8 +226,9 @@ class Simulator:
         Stops when the queue empties, the next event lies past ``until``
         (it stays queued, so a later ``run()`` resumes, and the clock stops
         exactly at ``until``), or ``max_events`` callbacks have run (a
-        runaway guard for tests).  ``until`` must be finite and not before
-        the clock; ``None`` runs without a horizon.
+        runaway guard for tests; the clock stays at the last dispatch while
+        live events at or before ``until`` remain).  ``until`` must be
+        finite and not before the clock; ``None`` runs without a horizon.
         """
         global _TOTAL_EVENTS_PROCESSED
         if until is None:
@@ -259,9 +260,7 @@ class Simulator:
                 entry = queue[0]
                 time = entry[0]
                 if time > horizon:
-                    # Leave the entry queued so a later run() resumes, and
-                    # stop the clock exactly at the horizon.
-                    self.now = horizon
+                    # Leave the entry queued so a later run() resumes.
                     break
                 pop(queue)
                 cb = entry[2]
@@ -295,8 +294,12 @@ class Simulator:
                 self.now = time
                 cb()
                 processed += 1
+            # Stop the clock exactly at the horizon, unless the budget ran
+            # out with live events still due by then.
             if until is not None and self.now < until:
-                self.now = until
+                next_time = self.peek_time()
+                if next_time is None or next_time > until:
+                    self.now = until
         finally:
             self._events_processed += processed
             _TOTAL_EVENTS_PROCESSED += processed

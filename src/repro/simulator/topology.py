@@ -259,8 +259,8 @@ def build_fat_tree(
     rack<->spine pair wired at ``spec.uplink_gbps`` — the oversubscribed
     links.  Rates and paths come from the spec itself
     (:meth:`FabricSpec.capacities_gbps`, :meth:`FabricSpec.path_nodes`),
-    so a fluid run over :func:`repro.fluid.fabric.fabric_capacities` of
-    the same spec shares this fabric's exact capacity model and routes.
+    so a fluid run over the same spec's capacity map shares this fabric's
+    exact capacity model and routes.
     """
     network = Network(sim=sim)
     for spine in range(spec.n_spines):

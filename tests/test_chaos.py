@@ -29,7 +29,7 @@ from repro.faults import (
 )
 from repro.faults.schedule import _DESCRIBE_RECIPES
 from repro.fluid import network
-from repro.fluid.fabric import FluidFabric, FluidFabricFaults, place_on_fabric
+from repro.fluid.fabric import FluidFabricFaults, place_on_fabric
 from repro.fluid.flowsim import IterationResult
 from repro.fluid.network import NetworkFluidSimulator
 from repro.metrics.recovery import (
@@ -384,7 +384,6 @@ class TestInjectorEquivalence:
         return place_jobs(jobs, spec, policy="spread", seed=2)
 
     def test_mid_fault_routes_agree_between_substrates(self):
-        from repro.fluid.fabric import FluidFabric, FluidFabricFaults
         from repro.harness.packetlab import (
             mltcp_config_for,
             run_packet_placements,
@@ -412,7 +411,7 @@ class TestInjectorEquivalence:
         )
         fluid_faults = FluidFabricFaults(spec, schedule)
         fluid_faults.advance_to(mid)
-        placed = FluidFabric.from_spec(spec).place(placements)
+        placed = place_on_fabric(spec, placements)
 
         for placement, fluid_job in zip(placements, placed):
             packet_path = lab.network.routes[(placement.src, placement.dst)]
@@ -426,7 +425,6 @@ class TestInjectorEquivalence:
                 assert "spine0" not in packet_path
 
     def test_whole_run_spine_down_idles_the_same_links(self):
-        from repro.fluid.fabric import FluidFabric, FluidFabricFaults
         from repro.fluid.network import run_network_fluid
         from repro.harness.packetlab import (
             mltcp_config_for,
@@ -441,10 +439,9 @@ class TestInjectorEquivalence:
         )
         iterations = 10
 
-        fabric = FluidFabric.from_spec(spec)
         fluid = run_network_fluid(
-            fabric.place(placements),
-            fabric.capacities_gbps,
+            place_on_fabric(spec, placements),
+            spec.capacities_gbps(),
             mltcp=True,
             max_iterations=iterations,
             seed=2,
@@ -546,7 +543,6 @@ class TestFluidFabricReplay:
         to the next."""
         monkeypatch.setattr(network, "_VECTORIZED_MIN_FLOWS", min_flows)
         spec = small_spec()
-        fabric = FluidFabric.from_spec(spec)
         placements = place_jobs(
             cross_rack_scenario(spec.n_hosts // 2, jitter_sigma=0.0),
             spec,
@@ -565,8 +561,8 @@ class TestFluidFabricReplay:
         )
         faults = FluidFabricFaults(spec, schedule)
         simulator = NetworkFluidSimulator(
-            fabric.place(placements),
-            fabric.capacities_gbps,
+            place_on_fabric(spec, placements),
+            spec.capacities_gbps(),
             quantum=min(0.02, placements[0].job.ideal_iteration_time / 10.0),
             fabric_faults=faults,
         )
@@ -730,6 +726,50 @@ class TestRecoveryMetrics:
         record = slos[0].as_record()
         assert record["fault"].startswith("spine_down on spine0")
         assert record["interleavable"] is True
+
+
+#: A hand-built schedule: a windowed fault, two faults striking at one
+#: time, and an instant (zero-duration) fault.
+CONTEXT_SCHEDULE = FaultSchedule(
+    events=(
+        spine_down("spine0", time=1.0, duration=0.5),
+        spine_down("spine1", time=3.0, duration=1.0),
+        FaultEvent(
+            "bandwidth", time=3.0, duration=0.25, link="rack0->spine0", factor=0.5
+        ),
+        FaultEvent("job_restart", time=6.0, job="Job1"),
+    )
+)
+
+
+class TestFaultContext:
+    """The fault transition chaos annotates a guard report with: the
+    latest strike or reversion at or before the report's time."""
+
+    @pytest.mark.parametrize(
+        "time, expected",
+        [
+            (0.5, None),
+            (1.0, "t=1s: spine_down on spine0 at t=1s for 0.5s"),
+            (1.2, "t=1s: spine_down on spine0 at t=1s for 0.5s"),
+            (1.5, "t=1.5s: spine_down on spine0 reverted"),
+            (2.0, "t=1.5s: spine_down on spine0 reverted"),
+            # Two strikes at t=3: the later-listed one applied last.
+            (3.1, "t=3s: bandwidth on rack0->spine0 at t=3s for 0.25s factor=0.5"),
+            (3.5, "t=3.25s: bandwidth on rack0->spine0 reverted"),
+            (5.0, "t=4s: spine_down on spine1 reverted"),
+            # An instant fault has no reversion: its strike stays latest.
+            (7.0, "t=6s: job_restart on Job1 at t=6s restart_delay=0s"),
+        ],
+        ids=[
+            "before-first", "at-strike", "in-window", "at-revert", "after-revert",
+            "same-time-strikes", "same-time-revert", "later-revert", "instant",
+        ],
+    )
+    def test_latest_transition(self, time, expected):
+        from repro.harness.experiments import _fault_context
+
+        assert _fault_context(CONTEXT_SCHEDULE, time) == expected
 
 
 class TestChaosRecoveryAcceptance:

@@ -226,6 +226,33 @@ class TestCrossRack:
         assert "0/2 flows cross racks" in capsys.readouterr().out
 
 
+class TestChaos:
+    def test_guard_policy_off_builds_no_rail(self, tmp_path, capsys):
+        """``--guard-policy off`` runs exactly the events of a rail-less
+        campaign: no engine monitor, packet heartbeat or fabric guard."""
+        import json
+
+        from repro.harness.experiments import chaos_recovery
+        from repro.simulator.engine import total_events_processed
+
+        before = total_events_processed()
+        chaos_recovery(
+            substrate="packet", campaigns=1, n_racks=2, hosts_per_rack=2,
+            iterations=12, seed=2, guard_policy=None,
+        )
+        bare_events = total_events_processed() - before
+
+        report_path = tmp_path / "chaos.run.json"
+        assert main([
+            "chaos", "--substrate", "packet", "--campaigns", "1", "--no-cache",
+            "--racks", "2", "--hosts-per-rack", "2", "--iterations", "12",
+            "--seed", "2", "--guard-policy", "off", "--report", str(report_path),
+        ]) == 0
+        capsys.readouterr()
+        report = json.loads(report_path.read_text())
+        assert report["totals"]["events_processed"] == bare_events
+
+
 class TestDocsCheck:
     def test_docs_tree_passes(self, capsys):
         assert main(["docs-check"]) == 0

@@ -4,7 +4,7 @@ the cross-rack interleaving experiment on both substrates."""
 import numpy as np
 import pytest
 
-from repro.fluid import FluidFabric, place_on_fabric
+from repro.fluid import place_on_fabric
 from repro.harness.experiments import cross_rack_interleaving
 from repro.harness.packetlab import mltcp_config_for, run_packet_placements
 from repro.harness.telemetry import RunTelemetry, validate_run_report
@@ -75,9 +75,8 @@ class TestFluidFabric:
     def test_placed_jobs_carry_spec_paths(self):
         spec = _spec()
         placements = place_jobs(cross_rack_scenario(2), spec, policy="spread")
-        fabric = FluidFabric.from_spec(spec)
-        placed = fabric.place(placements)
-        assert place_on_fabric(spec, placements) == placed
+        placed = place_on_fabric(spec, placements)
+        assert [job.job for job in placed] == [p.job for p in placements]
         for fluid_job, placement in zip(placed, placements):
             assert fluid_job.links == placement.links(spec)
             assert fluid_job.src == placement.src
@@ -85,11 +84,12 @@ class TestFluidFabric:
 
     def test_capacities_come_from_spec(self):
         spec = _spec(oversubscription=2.0)
-        fabric = FluidFabric.from_spec(spec)
-        assert fabric.capacities_gbps == spec.capacities_gbps()
-        assert fabric.capacities_gbps["rack0->spine0"] == pytest.approx(
-            spec.uplink_gbps
-        )
+        capacities = spec.capacities_gbps()
+        assert capacities["rack0->spine0"] == pytest.approx(spec.uplink_gbps)
+        # Every link a placed fluid flow crosses has a capacity.
+        placements = place_jobs(cross_rack_scenario(2), spec, policy="spread")
+        for fluid_job in place_on_fabric(spec, placements):
+            assert set(fluid_job.links) <= set(capacities)
 
 
 class TestPacketPlacements:

@@ -190,6 +190,19 @@ SCRIPTED_OUTCOMES = {
         0.2, 3, 2, 0.3,
     ),
     "zero_budget": ({"max_events": 0}, [], 0.0, 0, 4, 0.1),
+    # The budget runs out with events still due before the horizon: the
+    # clock must not jump past them, or the next run() dispatches them
+    # into the past.
+    "budget_before_until": (
+        {"until": 0.4, "max_events": 2},
+        [("a", 0.1), ("b", 0.2)],
+        0.2, 2, 3, 0.2,
+    ),
+    "budget_empties_queue": (
+        {"until": 0.6, "max_events": 5},
+        [("a", 0.1), ("b", 0.2), ("b0", 0.2), ("c", 0.3), ("d", 0.5)],
+        0.6, 5, 0, None,
+    ),
 }
 
 

@@ -453,21 +453,20 @@ class TestEngineDispatch:
         link, which the record-mode rail logs as ``route-liveness``.
         """
         from repro.faults import FaultEvent, FaultSchedule
-        from repro.fluid.fabric import FluidFabric, FluidFabricFaults
+        from repro.fluid.fabric import FluidFabricFaults, place_on_fabric
         from repro.fluid.network import run_network_fluid
         from repro.guards import GuardRail
         from repro.workloads import cross_rack_scenario
         from repro.workloads.placement import place_jobs
 
         spec = small_spec()
-        fabric = FluidFabric.from_spec(spec)
         placements = place_jobs(
             cross_rack_scenario(spec.n_hosts // 2, jitter_sigma=0.0005),
             spec,
             policy="spread",
             seed=2,
         )
-        placed = fabric.place(placements)
+        placed = place_on_fabric(spec, placements)
         schedule = FaultSchedule(
             events=(
                 FaultEvent("spine_down", time=0.05, duration=0.3, spine="spine0"),
@@ -486,7 +485,7 @@ class TestEngineDispatch:
             rail = GuardRail("record")
             result = run_network_fluid(
                 placed,
-                fabric.capacities_gbps,
+                spec.capacities_gbps(),
                 mltcp=True,
                 max_iterations=10,
                 seed=3,

@@ -18,7 +18,6 @@ from repro.fluid.flowsim import Phase
 from repro.harness.cache import ResultCache, default_cache_dir, load_result, point_key
 from repro.harness import runner as runner_module
 from repro.harness.runner import ExperimentRunner
-from repro.harness.sweep import sweep
 from repro.harness.telemetry import (
     RUN_REPORT_SCHEMA,
     RunTelemetry,
@@ -145,43 +144,33 @@ class TestSharedPool:
 
 
 class TestSweepParallel:
+    """A seeded sweep of points on a pool equals the sequential run."""
+
     def test_sweep_workers4_identical_to_sequential(self):
         """Acceptance: seeded sweep with workers=4 == sequential, bit for bit."""
-        grid = {"scale": [1.0, 2.0, 3.0]}
-        seeds = [1, 2, 3, 4]
-        sequential = sweep(_noisy_metric, grid=grid, seeds=seeds)
-        parallel = sweep(_noisy_metric, grid=grid, seeds=seeds, workers=4)
-        assert len(parallel) == len(sequential) == 3
-        for row_s, row_p in zip(sequential, parallel):
-            assert row_p["scale"] == row_s["scale"]
-            assert row_p["summary"].values == row_s["summary"].values
-            assert row_p["summary"].mean == row_s["summary"].mean
+        points = [
+            {"scale": scale, "seed": seed}
+            for scale in (1.0, 2.0, 3.0)
+            for seed in (1, 2, 3, 4)
+        ]
+        sequential = ExperimentRunner(name="noisy").run_points(_noisy_metric, points)
+        parallel = ExperimentRunner(name="noisy", workers=4).run_points(
+            _noisy_metric, points
+        )
+        assert len(parallel) == len(sequential) == 12
+        assert parallel == sequential
 
     @pytest.mark.slow
     def test_fluid_experiment_parallel_identical(self):
-        seeds = [1, 2, 3]
-        sequential = sweep(_fluid_final_time, grid={"jobs": [2]}, seeds=seeds)
-        parallel = sweep(
-            _fluid_final_time, grid={"jobs": [2]}, seeds=seeds, workers=4
+        points = [{"jobs": 2, "seed": seed} for seed in (1, 2, 3)]
+        sequential = ExperimentRunner(name="fluid").run_points(
+            _fluid_final_time, points
         )
-        assert parallel[0]["summary"].values == sequential[0]["summary"].values
-        assert sequential[0]["summary"].mean == pytest.approx(1.8, rel=0.05)
-
-    def test_sweep_rejects_empty_seeds(self):
-        with pytest.raises(ValueError, match="seed"):
-            sweep(_noisy_metric, grid={"scale": [1.0]}, seeds=[])
-
-    def test_sweep_rejects_empty_value_list(self):
-        with pytest.raises(ValueError, match="scale.*empty|empty.*scale"):
-            sweep(_noisy_metric, grid={"scale": []}, seeds=[1])
-
-    def test_sweep_rejects_string_grid_values(self):
-        with pytest.raises(ValueError, match="wrap the values in"):
-            sweep(_noisy_metric, grid={"scale": "abc"}, seeds=[1])
-
-    def test_sweep_rejects_non_sequence_grid_values(self):
-        with pytest.raises(ValueError, match="sequence"):
-            sweep(_noisy_metric, grid={"scale": 1.0}, seeds=[1])
+        parallel = ExperimentRunner(name="fluid", workers=4).run_points(
+            _fluid_final_time, points
+        )
+        assert parallel == sequential
+        assert float(np.mean(sequential)) == pytest.approx(1.8, rel=0.05)
 
 
 class TestCache:

@@ -289,12 +289,18 @@ _PLAIN_JOB = JobSpec("J", comm_bits=1e9, demand_gbps=25.0, compute_time=0.1)
 
 class TestCapacityValidation:
     """NaN passes `x <= 0`; the serve path and the fluid engines must
-    still reject NaN and infinity, naming the field."""
+    still reject NaN and infinity, naming the field.  A bad config field
+    of any kind fails at construction, not inside the daemon."""
 
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
     def test_config_rejects_capacity(self, capacity):
         with pytest.raises(ValueError, match="capacity_gbps"):
             _config(capacity_gbps=capacity)
+
+    @pytest.mark.parametrize("policy", ["bogus", "off"])
+    def test_config_rejects_guard_policy(self, policy):
+        with pytest.raises(ValueError, match="^service config: guard_policy"):
+            _config(guard_policy=policy)
 
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
     def test_engine_rejects_capacity(self, capacity):

@@ -34,7 +34,7 @@ from repro.fluid.arrays import (
     FlowArrays,
     link_index_matrix,
 )
-from repro.fluid.fabric import FluidFabric
+from repro.fluid.fabric import place_on_fabric
 from repro.fluid.network import weighted_max_min, weighted_max_min_array
 from repro.workloads import FabricSpec, JobSpec, place_jobs
 from repro.workloads.presets import cross_rack_scenario
@@ -285,12 +285,11 @@ network_demand_values = st.one_of(
 def _fabric_8x8x2() -> tuple[tuple[tuple[str, tuple[str, ...]], ...], dict]:
     """The 32 cross-rack flows of the 8x8x2 fat tree and its link capacities."""
     spec = FabricSpec(n_racks=8, hosts_per_rack=8, n_spines=2, oversubscription=2.0)
-    fabric = FluidFabric.from_spec(spec)
-    placed = fabric.place(
-        place_jobs(cross_rack_scenario(spec.n_hosts // 2), spec, seed=2)
+    placed = place_on_fabric(
+        spec, place_jobs(cross_rack_scenario(spec.n_hosts // 2), spec, seed=2)
     )
     capacities = {
-        link: bps_from_gbps(gbps) for link, gbps in fabric.capacities_gbps.items()
+        link: bps_from_gbps(gbps) for link, gbps in spec.capacities_gbps().items()
     }
     return tuple((p.job.name, p.links) for p in placed), capacities
 
