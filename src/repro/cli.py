@@ -12,8 +12,7 @@ Usage::
     python -m repro bench-compare current.json --baseline bench_reports/perf_baseline.json
     python -m repro lint src
     python -m repro lint --list-rules
-    python -m repro faults --fast --workers 4
-    python -m repro faults --resume --report faults.run.json
+    python -m repro faults --fast --workers 4 --report faults.run.json
     python -m repro faults --schedule my_faults.json --substrate packet
     python -m repro guards my_run.run.json
     python -m repro guards --run --policy raise --substrate both
@@ -37,8 +36,9 @@ run-report; ``validate-report`` checks such a report against the schema in
 
 ``faults`` sweeps the fault-recovery matrix (every fault class x policy x
 substrate, see docs/FAULTS.md) with the runner's resilience features on:
-per-point timeouts, retries, crash isolation, and a checkpoint file so
-``--resume`` re-runs only the points that failed or never ran.
+per-point timeouts, retries and crash isolation.  Finished points land in
+the result cache as they complete, so re-running the same command re-runs
+only the points that failed or never ran.
 
 ``bench-compare`` checks a pytest-benchmark report against a committed
 performance baseline (docs/PERFORMANCE.md) and fails on regressions beyond
@@ -435,10 +435,6 @@ def _recovery_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-#: Default journal for ``repro faults`` sweeps (``--checkpoint`` overrides).
-DEFAULT_FAULTS_CHECKPOINT = "faults.checkpoint.jsonl"
-
-
 def _faults_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--classes",
@@ -469,25 +465,11 @@ def _faults_options(parser: argparse.ArgumentParser) -> None:
         "--retries", action=NonNegativeInt, default=1, metavar="N",
         help="re-run a failed point up to N times with backoff (default 1)",
     )
-    parser.add_argument(
-        "--checkpoint",
-        metavar="PATH",
-        default=DEFAULT_FAULTS_CHECKPOINT,
-        help="sweep journal for --resume "
-        f"(default: {DEFAULT_FAULTS_CHECKPOINT})",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip points already in the checkpoint (re-runs only failed "
-        "or missing points); without this flag the checkpoint is reset",
-    )
 
 
 def _faults_command(args) -> int:
     """Execute ``repro faults``: the recovery matrix with resilience on."""
     from .faults.schedule import FaultSchedule
-    from .harness.checkpoint import RunCheckpoint
     from .harness.experiments import check_recovery_schedule, fault_recovery
     from .harness.runner import FailedPoint
 
@@ -530,16 +512,8 @@ def _faults_command(args) -> int:
         for policy in policies
     ]
 
-    checkpoint = RunCheckpoint(args.checkpoint)
-    if not args.resume and len(checkpoint):
-        checkpoint.clear()  # fresh sweep unless --resume asked to keep it
-
     runner = _runner(
-        args,
-        timeout=args.timeout,
-        retries=args.retries,
-        isolate_failures=True,
-        checkpoint=checkpoint,
+        args, timeout=args.timeout, retries=args.retries, isolate_failures=True
     )
     results = runner.run_points(fault_recovery, points)
 
@@ -573,10 +547,16 @@ def _faults_command(args) -> int:
         )
     )
     if failed:
+        retry = (
+            "--no-cache kept no finished point, so re-running recomputes "
+            "them all."
+            if args.no_cache
+            else "Re-run the same command to retry only those: finished "
+            "points come back from the result cache."
+        )
         print(
             f"\n{failed} point(s) failed; details in the run-report's "
-            f"crash, error, timeout and retry records. Re-run with --resume "
-            f"to retry only those."
+            f"crash, error, timeout and retry records. {retry}"
         )
     return _finish(args, runner.telemetry)
 
@@ -1555,7 +1535,8 @@ SUBCOMMANDS: tuple[Subcommand, ...] = (
                "precondition"),
     Subcommand("faults", _faults_options, _faults_command,
                "fault-recovery matrix: inject faults, measure reconvergence "
-               "(crash-isolated, checkpointed; see docs/FAULTS.md)"),
+               "(crash-isolated, resumes from the result cache; see "
+               "docs/FAULTS.md)"),
     Subcommand("lint", _lint_options, run_lint,
                "run the AST-based determinism/unit-safety analyzer "
                "(rule catalog: docs/LINTING.md)"),

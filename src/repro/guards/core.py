@@ -144,11 +144,6 @@ class GuardRail:
             counts[violation.guard] = counts.get(violation.guard, 0) + 1
         return {guard: counts[guard] for guard in sorted(counts)}
 
-    def clear(self) -> None:
-        """Forget every recorded violation (between sweep points)."""
-        self.violations.clear()
-        self.dropped = 0
-
     def __len__(self) -> int:
         return len(self.violations)
 

@@ -9,9 +9,10 @@ The pipeline, end to end:
    process-pool parallelism (``workers=N``), content-addressed result
    caching (:mod:`~repro.harness.cache`), per-point instrumentation
    (:mod:`~repro.harness.telemetry`, emitted as a JSON run-report), and
-   failure handling — per-point timeouts, retries with backoff, crash
-   isolation (:class:`~repro.harness.runner.FailedPoint`) and checkpointed
-   resume (:mod:`~repro.harness.checkpoint`).
+   failure handling — per-point timeouts, retries with backoff and crash
+   isolation (:class:`~repro.harness.runner.FailedPoint`).  The cache is
+   also the resume store: re-running a sweep recomputes only the points
+   that failed or never ran.
 4. :mod:`~repro.harness.report` — renders rows/series as terminal text.
 
 docs/HARNESS.md is the operator-facing guide to step 3; docs/FAULTS.md
@@ -42,7 +43,6 @@ from .packetlab import (
     throughput_timeline,
 )
 from .cache import ResultCache, default_cache_dir, point_key
-from .checkpoint import RunCheckpoint
 from .runner import ExperimentRunner, FailedPoint, PointTimeoutError
 from .telemetry import (
     PointRecord,
@@ -81,7 +81,6 @@ __all__ = [
     "ExperimentRunner",
     "FailedPoint",
     "PointTimeoutError",
-    "RunCheckpoint",
     "ResultCache",
     "point_key",
     "default_cache_dir",

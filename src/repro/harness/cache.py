@@ -12,10 +12,13 @@ Entries are written as ``<digest[:2]>/<digest>.pkl`` under the cache
 directory: a small magic header, a SHA-256 checksum of the payload, then the
 pickled result.  A corrupted or truncated entry fails the checksum (or the
 unpickle) and is silently discarded and recomputed — never fatal.  The
-checksum catches damage, not forgery, so entries (and sweep checkpoints,
-:mod:`repro.harness.checkpoint`) are read by :func:`load_result`, which
-admits only the globals a result can name.  Cache-key semantics and
-invalidation are documented in docs/HARNESS.md.
+checksum catches damage, not forgery, so entries are read by
+:func:`load_result`, which admits only the globals a result can name.
+
+The cache is also how an interrupted sweep resumes: each finished point is
+written (and fsynced) as it completes and failures never are, so re-running
+the same sweep recomputes only the points that failed or never ran.
+Cache-key semantics and invalidation are documented in docs/HARNESS.md.
 """
 
 from __future__ import annotations
@@ -219,8 +222,9 @@ ExperimentRunner` to make repeated sweeps incremental.  All operations are
 
         Unpicklable values (e.g. results holding open simulators) are
         skipped silently — the sweep still returns them, they just will not
-        be cache hits next time.  Writes are atomic (temp file + rename) so
-        a crashed run never leaves a truncated entry behind.
+        be cache hits next time.  Writes are atomic (temp file + rename)
+        and the temp file is fsynced before the rename, so a crashed run or
+        host never leaves a truncated entry behind.
         """
         try:
             payload = pickle.dumps(value)
@@ -235,6 +239,8 @@ ExperimentRunner` to make repeated sweeps incremental.  All operations are
                     handle.write(_MAGIC)
                     handle.write(hashlib.sha256(payload).digest())
                     handle.write(payload)
+                    handle.flush()
+                    os.fsync(handle.fileno())
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

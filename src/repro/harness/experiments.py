@@ -975,10 +975,6 @@ class ChaosResult:
         some_policy = next(iter(self.slos))
         return float(sum(s.time_to_reroute for s in self.slos[some_policy]))
 
-    def goodput_lost(self, policy: str) -> float:
-        """Total goodput (bits) ``policy`` lost across this campaign."""
-        return float(sum(s.goodput_lost_bits for s in self.slos[policy]))
-
 
 def _fault_context(schedule: "FaultSchedule", time: float) -> Optional[str]:
     """The latest fault transition at or before ``time``, rendered like the

@@ -27,10 +27,11 @@ Features, all opt-in:
   ``retries=`` re-runs a failed point with exponential backoff and
   deterministic jitter; ``isolate_failures=True`` converts a point that
   still fails — including one that kills its pool worker outright — into a
-  :class:`FailedPoint` result instead of aborting the sweep;
-  ``checkpoint=`` journals completed points so an interrupted sweep resumes
-  where it left off.  Every timeout, retry and failure lands in the
-  telemetry as a ``timeout`` / ``retry`` / ``crash`` / ``error`` record.
+  :class:`FailedPoint` result instead of aborting the sweep.  Every
+  timeout, retry and failure lands in the telemetry as a ``timeout`` /
+  ``retry`` / ``crash`` / ``error`` record.  Failures are never cached, so
+  re-running the same sweep on the same cache recomputes exactly the
+  points that failed or never ran.
 
 The default (no timeout, no retries, ``isolate_failures=False``) preserves
 the historical contract: the first experiment exception propagates to the
@@ -53,7 +54,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from ..simulator.engine import total_events_processed
 from .cache import ResultCache, point_key
-from .checkpoint import RunCheckpoint
 from .telemetry import RunTelemetry
 
 __all__ = ["ExperimentRunner", "FailedPoint", "PointTimeoutError"]
@@ -231,12 +231,6 @@ class ExperimentRunner:
         failure propagates, as it always did.  Crash/timeout isolation
         needs a pool (``workers >= 2``): in-process execution cannot
         survive a hard crash of itself.
-    checkpoint:
-        A :class:`~repro.harness.checkpoint.RunCheckpoint` journaling
-        completed points.  Points already in the journal are served from it
-        (mode ``"resumed"``) without touching cache or pool; successful new
-        points are appended as they finish, so an interrupted or partially
-        failed sweep re-runs only what is missing.
     """
 
     def __init__(
@@ -249,7 +243,6 @@ class ExperimentRunner:
         retries: int = 0,
         retry_backoff_s: float = 0.05,
         isolate_failures: bool = False,
-        checkpoint: Optional[RunCheckpoint] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -270,7 +263,6 @@ class ExperimentRunner:
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
         self.isolate_failures = isolate_failures
-        self.checkpoint = checkpoint
 
     def run_points(
         self,
@@ -298,31 +290,19 @@ class ExperimentRunner:
         pending: list[int] = []
 
         for i, params in enumerate(points):
-            if self.cache is not None or self.checkpoint is not None:
+            if self.cache is not None:
                 lookup_start = time.perf_counter()
                 bare = {k: v for k, v in params.items() if k != "seed"}
                 key = point_key(self.name, bare, seed=params.get("seed"))
                 keys[i] = key
-                if self.checkpoint is not None:
-                    hit, value = self.checkpoint.get(key)
-                    if hit:
-                        results[i] = value
-                        done[i] = True
-                        stats[i] = (
-                            time.perf_counter() - lookup_start, 0, False, "resumed",
-                        )
-                        continue
-                if self.cache is not None:
-                    hit, value = self.cache.get(key)
-                    if hit:
-                        results[i] = value
-                        done[i] = True
-                        stats[i] = (
-                            time.perf_counter() - lookup_start, 0, True, "cached",
-                        )
-                        if self.checkpoint is not None and keys[i] is not None:
-                            self.checkpoint.put(keys[i], value)
-                        continue
+                hit, value = self.cache.get(key)
+                if hit:
+                    results[i] = value
+                    done[i] = True
+                    stats[i] = (
+                        time.perf_counter() - lookup_start, 0, True, "cached",
+                    )
+                    continue
             pending.append(i)
 
         if pending:
@@ -679,5 +659,3 @@ class ExperimentRunner:
         stats[i] = (wall, events, False, mode)
         if self.cache is not None and keys[i] is not None:
             self.cache.put(keys[i], value)
-        if self.checkpoint is not None and keys[i] is not None:
-            self.checkpoint.put(keys[i], value)

@@ -5,7 +5,7 @@ experiment runner (:mod:`repro.harness.runner`) and records, for every
 executed point, the wall time, the number of discrete-event callbacks the
 simulators processed (via :func:`repro.simulator.engine.\
 total_events_processed`), whether the point was a cache hit, and how it ran
-(cached / sequential / pool worker / resumed from a checkpoint / failed).
+(cached / sequential / pool worker / failed).
 Everything else a run wants to explain — retries and injected faults,
 guardrail events, link utilization, recovery SLOs, model-checking verdicts,
 service snapshots — is a typed record (:meth:`RunTelemetry.record`): a
@@ -224,9 +224,10 @@ class PointRecord:
 
     ``mode`` says where the value came from: ``"cached"`` (served from the
     result cache), ``"sequential"`` (computed in-process), ``"worker"``
-    (computed in a process-pool worker), ``"resumed"`` (served from a sweep
-    checkpoint) or ``"failed"`` (the point exhausted its attempts and its
-    result slot holds a :class:`repro.harness.runner.FailedPoint`).
+    (computed in a process-pool worker) or ``"failed"`` (the point
+    exhausted its attempts and its result slot holds a
+    :class:`repro.harness.runner.FailedPoint`).  The schema also admits
+    ``"resumed"``, which reports written by earlier versions may carry.
     ``events_processed`` counts the simulator callbacks the point triggered
     (0 for cache hits).
     """
@@ -341,11 +342,6 @@ class RunTelemetry:
         """Points that failed terminally (mode ``"failed"``)."""
         return sum(1 for p in self.points if p.mode == "failed")
 
-    @property
-    def resumed_points(self) -> int:
-        """Points served from a sweep checkpoint (mode ``"resumed"``)."""
-        return sum(1 for p in self.points if p.mode == "resumed")
-
     def as_report(self) -> dict:
         """The structured run-report (validated by ``RUN_REPORT_SCHEMA``)."""
         from .. import __version__  # deferred: avoids import cycle
@@ -361,7 +357,6 @@ class RunTelemetry:
                 "cache_misses": self.cache_misses,
                 "cache_hit_rate": self.cache_hit_rate,
                 "failed_points": self.failed_points,
-                "resumed_points": self.resumed_points,
                 "wall_time_s": time.perf_counter() - self._started,
                 "point_wall_time_s": sum(p.wall_time_s for p in self.points),
                 "events_processed": self.events_processed,
@@ -449,6 +444,7 @@ RUN_REPORT_SCHEMA: dict = {
                 "cache_misses": {"type": "integer", "minimum": 0},
                 "cache_hit_rate": {"type": "number", "minimum": 0},
                 "failed_points": {"type": "integer", "minimum": 0},
+                # No longer written; reports from earlier versions may carry it.
                 "resumed_points": {"type": "integer", "minimum": 0},
                 "wall_time_s": {"type": "number", "minimum": 0},
                 "point_wall_time_s": {"type": "number", "minimum": 0},
@@ -478,7 +474,7 @@ RUN_REPORT_SCHEMA: dict = {
                             "cached",
                             "sequential",
                             "worker",
-                            "resumed",
+                            "resumed",  # no longer written, as above
                             "failed",
                         ]
                     },

@@ -1,9 +1,10 @@
 """Determinism rules (DET001–DET005).
 
 The simulators promise bit-identical replays given a seed — fault replay,
-``--resume`` and the result cache all depend on it.  These rules catch the
-ways that promise quietly breaks: process-global RNGs, wall-clock reads,
-hash-order-dependent iteration, and mutable default arguments.
+``serve --resume`` and the result cache all depend on it.  These rules
+catch the ways that promise quietly breaks: process-global RNGs,
+wall-clock reads, hash-order-dependent iteration, and mutable default
+arguments.
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ RULES: tuple[Rule, ...] = (
         rationale=(
             "The process-global RNG is shared mutable state: any import-order "
             "or call-order change reshuffles every downstream draw, and "
-            "seeded replay (faults, --resume, the result cache) breaks."
+            "seeded replay (faults, serve --resume, the result cache) breaks."
         ),
         checker=_check_det001,
     ),

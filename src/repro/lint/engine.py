@@ -386,12 +386,3 @@ def terminal_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
     return None
-
-
-def walk_names(node: ast.expr) -> Iterator[str]:
-    """Every identifier (Name ids and Attribute attrs) inside ``node``."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name):
-            yield child.id
-        elif isinstance(child, ast.Attribute):
-            yield child.attr

@@ -170,10 +170,22 @@ def write_artifact(artifact: dict, directory: Optional[Path] = None) -> Path:
 
 
 def load_artifact(path: Path) -> dict:
-    """Read one artifact file (``ValueError`` on a non-artifact JSON)."""
+    """Read one artifact file (``ValueError`` on a non-artifact JSON, or
+    one whose ``property`` is not a string or whose ``params`` is not an
+    object, naming the file and the field)."""
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or "property" not in data:
         raise ValueError(f"{path} is not a verification artifact")
+    if not isinstance(data["property"], str):
+        raise ValueError(
+            f"{path}: field 'property' must be a string, got "
+            f"{data['property']!r}"
+        )
+    if not isinstance(data.get("params", {}), dict):
+        raise ValueError(
+            f"{path}: field 'params' must be a JSON object, got "
+            f"{data['params']!r}"
+        )
     return data
 
 

@@ -250,11 +250,3 @@ class ArrivalStream:
                 f"arrival stream: window end {end!r} precedes start {start!r}"
             )
         return tuple(e for e in self.events if start < e.time <= end)
-
-    def offered_load_gbps(self) -> float:
-        """Mean offered load if every arrival were admitted (Gbps)."""
-        total_bits = sum(
-            e.spec.comm_bits * (e.spec.iteration_limit or 1)
-            for e in self.events
-        )
-        return total_bits / self.model.horizon_s / 1e9

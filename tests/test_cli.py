@@ -362,7 +362,9 @@ def contract_call(argv: list[str]) -> dict:
 
 def write_contract_inputs(directory: Path) -> None:
     """The files CONTRACT_CASES name."""
+    import base64
     import json
+    import pickle
 
     from repro.workloads import (
         JobSpec,
@@ -405,11 +407,15 @@ def write_contract_inputs(directory: Path) -> None:
     # Serve journals that do not decode: two lines of garbage, and one in
     # the pickled format older versions wrote.
     (directory / "garbage.journal").write_text("not a journal\nnor this\n")
-    from repro.harness.checkpoint import RunCheckpoint
-
-    old = RunCheckpoint(directory / "old.journal")
-    old.put("service:meta", {"fingerprint": "0" * 64, "epochs": 3})
-    old.put("epoch:00000000", {"epoch": 0})
+    old = {
+        "service:meta": {"fingerprint": "0" * 64, "epochs": 3},
+        "epoch:00000000": {"epoch": 0},
+    }
+    (directory / "old.journal").write_text("".join(
+        json.dumps({"key": key, "blob": base64.b64encode(pickle.dumps(value)).decode()})
+        + "\n"
+        for key, value in old.items()
+    ))
 
 
 @pytest.fixture

@@ -93,14 +93,6 @@ class TestGuardRail:
         assert len(rail) == 3
         assert rail.dropped == 2
 
-    def test_clear_forgets_everything(self):
-        rail = GuardRail("record", max_violations=1)
-        rail.violation("cwnd-bounds", "a", 0.0, "x")
-        rail.violation("cwnd-bounds", "b", 0.0, "x")
-        rail.clear()
-        assert len(rail) == 0
-        assert rail.dropped == 0
-
     def test_violation_render_and_dict(self):
         violation = InvariantViolation("g", "s", 0.125, "msg", fallback_engaged=True)
         assert violation.render() == "[g] t=0.125 s: msg [fallback engaged]"
@@ -399,19 +391,25 @@ class TestTelemetryGuardEvents:
 
 
 def _raised_guards() -> set:
-    """Guard names ``src/`` passes as a literal first argument of ``.violation(...)``."""
+    """Guard names ``src/`` passes as a literal first argument of
+    ``.violation(...)``, or as a literal ``guard=`` keyword of any call (a
+    record written straight into telemetry, past the rail)."""
     names = set()
     for path in (REPO_ROOT / "src").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            arguments = [k.value for k in node.keywords if k.arg == "guard"]
             if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+                isinstance(node.func, ast.Attribute)
                 and node.func.attr == "violation"
                 and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
             ):
-                names.add(node.args[0].value)
+                arguments.append(node.args[0])
+            names.update(
+                a.value for a in arguments
+                if isinstance(a, ast.Constant) and isinstance(a.value, str)
+            )
     return names
 
 
@@ -425,7 +423,8 @@ def _catalogued_guards() -> set:
 class TestGuardCatalogue:
     def test_catalogue_names_exactly_the_raised_guards(self):
         raised, catalogued = _raised_guards(), _catalogued_guards()
-        assert "engine-stall" in raised  # the scan sees the call sites
+        # The scan sees the rail's call sites and the telemetry records.
+        assert {"engine-stall", "service-journal"} <= raised
         assert catalogued == raised, (
             f"raised but not catalogued: {sorted(raised - catalogued)}; "
             f"catalogued but never raised: {sorted(catalogued - raised)}"

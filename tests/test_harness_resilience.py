@@ -1,14 +1,14 @@
 """Tests for the harness's self-healing features (docs/HARNESS.md).
 
-Covers the four resilience knobs of
+Covers the three resilience knobs of
 :class:`repro.harness.runner.ExperimentRunner` — per-point timeouts,
-bounded retries, crash isolation, checkpoint/resume — plus the
-:class:`RunCheckpoint` journal itself and the ``python -m repro faults``
-CLI that wires them together.  The overriding contract: with every knob
-off, behavior is exactly the historical one (first exception propagates),
-and with them on, a sweep survives crashing/hanging/flaky points, records
-each degradation in the run-report, and a resumed run serves completed
-points bit-identically while re-running exactly the failures.
+bounded retries, crash isolation — resuming a sweep from the result cache,
+and the ``python -m repro faults`` CLI that wires them together.  The
+overriding contract: with every knob off, behavior is exactly the
+historical one (first exception propagates), and with them on, a sweep
+survives crashing/hanging/flaky points, records each degradation in the
+run-report, and a re-run on the same cache serves completed points
+bit-identically while re-running exactly the failures.
 """
 
 import json
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.checkpoint import RunCheckpoint
+from repro.harness.cache import ResultCache
 from repro.harness.runner import (
     ExperimentRunner,
     FailedPoint,
@@ -29,16 +29,6 @@ from repro.harness.telemetry import RunTelemetry, validate_run_report
 
 # Experiments live at module top level so they pickle by reference into
 # process-pool workers.
-
-class _Touch:
-    """Unpickles as ``Path(target).touch()``: foreign code in a payload."""
-
-    def __init__(self, target: Path) -> None:
-        self.target = target
-
-    def __reduce__(self):
-        return (Path.touch, (self.target,))
-
 
 def _tenfold(value: int) -> int:
     return value * 10
@@ -57,8 +47,8 @@ def _crash_twice(value: int, crash_value: int, marker_dir: str) -> int:
     """Die hard on the first two attempts for one value, then succeed.
 
     The marker files carry the attempt count across worker processes, so a
-    later run with *identical parameters* (the checkpoint/resume scenario)
-    sees the earlier attempts and heals.
+    later run with *identical parameters* (the resume scenario) sees the
+    earlier attempts and heals.
     """
     attempt = _mark(marker_dir, value)
     if value == crash_value and attempt <= 2:
@@ -212,73 +202,11 @@ class TestTimeouts:
             ExperimentRunner(retries=-1)
 
 
-class TestRunCheckpoint:
-    def test_roundtrip_and_persistence(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        checkpoint = RunCheckpoint(path)
-        assert checkpoint.get("k1") == (False, None)
-        assert checkpoint.put("k1", {"answer": 42})
-        assert checkpoint.get("k1") == (True, {"answer": 42})
-
-        reloaded = RunCheckpoint(path)  # fresh instance, same file
-        assert len(reloaded) == 1
-        assert reloaded.get("k1") == (True, {"answer": 42})
-        reloaded.clear()
-        assert len(RunCheckpoint(path)) == 0
-
-    def test_corrupt_lines_skipped_not_fatal(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        checkpoint = RunCheckpoint(path)
-        checkpoint.put("good", [1, 2, 3])
-        with open(path, "a") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"key": "half"')  # truncated write
-
-        reloaded = RunCheckpoint(path)
-        assert reloaded.get("good") == (True, [1, 2, 3])
-        assert reloaded.corrupt_lines == 2
-
-    def test_put_after_a_torn_tail_cuts_it_off(self, tmp_path):
-        """The first point journaled after a crash is not glued onto the
-        line the crash cut short, so the next load keeps it."""
-        path = tmp_path / "run.jsonl"
-        checkpoint = RunCheckpoint(path)
-        checkpoint.put("a", 1)
-        checkpoint.put("b", 2)
-        os.truncate(path, path.stat().st_size - 10)
-        reloaded = RunCheckpoint(path)
-        assert (reloaded.keys(), reloaded.corrupt_lines) == (("a",), 1)
-
-        reloaded.put("c", 3)
-        final = RunCheckpoint(path)
-        assert (final.keys(), final.corrupt_lines) == (("a", "c"), 0)
-        assert final.get("c") == (True, 3)
-
-    def test_foreign_global_is_corrupt_not_run(self, tmp_path):
-        sentinel = tmp_path / "sentinel"
-        path = tmp_path / "run.jsonl"
-        RunCheckpoint(path).put("good", [1, 2, 3])
-        assert RunCheckpoint(path).put("evil", _Touch(sentinel))
-
-        reloaded = RunCheckpoint(path)
-        assert not sentinel.exists()
-        assert reloaded.get("evil") == (False, None)
-        assert reloaded.get("good") == (True, [1, 2, 3])
-        assert reloaded.corrupt_lines == 1
-
-    def test_unpicklable_value_kept_in_memory_only(self, tmp_path):
-        checkpoint = RunCheckpoint(tmp_path / "run.jsonl")
-        assert not checkpoint.put("fn", lambda: None)
-        hit, _ = checkpoint.get("fn")
-        assert hit  # served within this run...
-        assert len(RunCheckpoint(tmp_path / "run.jsonl")) == 0  # ...not across runs
-
-
 class TestResume:
     def test_resume_skips_completed_points_bit_identically(self, tmp_path):
         marker_dir = tmp_path / "markers"
         marker_dir.mkdir()
-        journal = tmp_path / "run.jsonl"
+        cache_dir = tmp_path / "cache"
         # Identical params in both passes — the whole point of resume.  The
         # crash point dies on its first two attempts (pool + isolated re-run)
         # and would succeed on the third, which only the resumed run reaches.
@@ -289,7 +217,7 @@ class TestResume:
 
         first = ExperimentRunner(
             name="resume", workers=2, isolate_failures=True,
-            checkpoint=RunCheckpoint(journal),
+            cache=ResultCache(cache_dir),
         )
         first_results = first.run_points(_crash_twice, points)
         assert isinstance(first_results[2], FailedPoint)
@@ -297,13 +225,13 @@ class TestResume:
         good_first = [first_results[i] for i in (0, 1, 3)]
         before = {v: _attempts(marker_dir, v) for v in range(4)}
 
-        # Second pass: same journal, same points.  The three successes come
-        # back from the journal without re-running (the marker counts prove
+        # Second pass: same cache, same points.  The three successes come
+        # back from the cache without re-running (the marker counts prove
         # it) and bit-identical; only the failure recomputes — and heals.
         telemetry = RunTelemetry("resume")
         second = ExperimentRunner(
             name="resume", workers=2, isolate_failures=True,
-            checkpoint=RunCheckpoint(journal), telemetry=telemetry,
+            cache=ResultCache(cache_dir), telemetry=telemetry,
         )
         second_results = second.run_points(_crash_twice, points)
         assert second_results == [0, 10, 20, 30]
@@ -314,21 +242,21 @@ class TestResume:
 
         report = telemetry.as_report()
         assert validate_run_report(report) == []
-        assert report["totals"]["resumed_points"] == 3
+        assert report["totals"]["cache_hits"] == 3
         modes = [p["mode"] for p in report["points"]]
-        assert modes.count("resumed") == 3
+        assert modes == ["cached", "cached", "worker", "cached"]
 
     def test_failures_never_journaled(self, tmp_path):
-        journal = tmp_path / "run.jsonl"
+        cache = ResultCache(tmp_path / "cache")
         runner = ExperimentRunner(
             name="nofail", retries=0, retry_backoff_s=0.001,
-            isolate_failures=True, checkpoint=RunCheckpoint(journal),
+            isolate_failures=True, cache=cache,
         )
         results = runner.run_points(
             _flaky, [{"value": 1, "marker_dir": str(tmp_path), "failures": 99}]
         )
         assert isinstance(results[0], FailedPoint)
-        assert len(RunCheckpoint(journal)) == 0
+        assert len(cache) == 0
 
 
 class TestCliFaults:
@@ -351,6 +279,36 @@ class TestCliFaults:
         report = json.loads(report_path.read_text())
         assert validate_run_report(report) == []
         assert any(r["kind"] == "fault" for r in report["records"])
+
+    def test_rerun_resumes_from_the_cache(self, tmp_path, capsys):
+        """Re-running the same sweep is the resume: every point comes back
+        from the result cache, and the working directory gains no file."""
+        from repro.cli import main
+
+        argv = [
+            "faults", "--fast", "--classes", "link_down,job_restart",
+            "--policies", "mltcp,reno", "--substrate", "fluid",
+        ]
+        modes = []
+        for name in ("first.run.json", "second.run.json"):
+            assert main([*argv, "--report", name]) == 0
+            report = json.loads((tmp_path / name).read_text())
+            assert validate_run_report(report) == []
+            modes.append([p["mode"] for p in report["points"]])
+        capsys.readouterr()
+        assert modes == [["sequential"] * 4, ["cached"] * 4]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cache", "first.run.json", "second.run.json",
+        ]
+
+    @pytest.mark.parametrize("flag", [["--resume"], ["--checkpoint", "c.jsonl"]])
+    def test_sweep_journal_flags_are_gone(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["faults", "--fast", "--substrate", "fluid", *flag])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_class_fails_fast(self, capsys):
         from repro.cli import main

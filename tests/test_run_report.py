@@ -8,6 +8,7 @@ kind.
 """
 
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -332,16 +333,20 @@ def _mutate(report, mutation):
             records[index]["kind"] = kind
         return report
     path = args[0]
+    # Insert a fresh copy: sampled values are shared between examples, and
+    # a later mutation writing into a shared value (even into itself) would
+    # leak into other examples or build a cycle no JSON file can hold.
+    value = copy.deepcopy(args[1]) if len(args) > 1 else None
     try:
         parent = _get(report, path[:-1]) if path else None
         if op == "set" and not path:
-            return args[1]
+            return value
         if op == "set":
-            parent[path[-1]] = args[1]
+            parent[path[-1]] = value
         elif op == "drop":
             del parent[path[-1]]
         elif op == "append":
-            _get(report, path).append(args[1])
+            _get(report, path).append(value)
     except (KeyError, IndexError, TypeError, AttributeError):
         pass  # an earlier mutation removed or retyped this path
     return report

@@ -8,6 +8,7 @@ the schema checked into docs/.
 """
 
 import json
+import os
 import pickle
 from pathlib import Path
 
@@ -282,6 +283,18 @@ class TestCache:
         payload = f"c{module}\n{name}\n.".encode("ascii")  # GLOBAL, STOP
         with pytest.raises(pickle.UnpicklingError, match=f"{module}.{name}"):
             load_result(payload)
+
+    def test_put_fsyncs_each_entry(self, tmp_path, monkeypatch):
+        """A sweep resumes from the cache, so a finished point must survive
+        a host crash: every entry written is fsynced, once."""
+        synced = []
+        fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), fsync(fd)))
+        cache = ResultCache(tmp_path)
+        for x in range(3):
+            assert cache.put(point_key("exp", {"x": x}, seed=0, version="1.0"), x)
+        assert not cache.put(point_key("exp", {}, seed=0, version="1.0"), lambda: None)
+        assert len(synced) == 3
 
     def test_unpicklable_result_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)

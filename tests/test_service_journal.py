@@ -12,6 +12,7 @@ import base64
 import functools
 import json
 import math
+import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -21,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.checkpoint import RunCheckpoint
 from repro.service import ChurnDaemon, JournalError, ServiceConfig, ServiceJournal
 from repro.service import journal as journal_module
 from repro.workloads import ArrivalModel, FlashCrowd
@@ -309,7 +309,8 @@ class TestJournalFuzz:
 
     def test_old_pickled_format_is_refused_by_name(self, tmp_path):
         path = tmp_path / "old.journal"
-        RunCheckpoint(path).put("service:meta", {"fingerprint": "abc"})
+        blob = base64.b64encode(pickle.dumps({"fingerprint": "abc"})).decode()
+        path.write_text(json.dumps({"key": "service:meta", "blob": blob}) + "\n")
         with pytest.raises(JournalError, match="line 1: field 'blob'.*old RunCheckpoint format"):
             ServiceJournal(path)
 

@@ -392,6 +392,26 @@ class TestVerifyCli:
         assert code == 1
         assert "no committed artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("property", ["starvation-bound"]),
+        ("property", {"name": "starvation-bound"}),
+        ("property", 5),
+        ("property", None),
+        ("params", "oops"),
+    ])
+    def test_mistyped_artifact_field_is_named(self, tmp_path, capsys, field, value):
+        name = artifact_filename(PROPERTIES["starvation-bound"])
+        artifact = json.loads((CERTIFICATE_DIR / name).read_text())
+        artifact[field] = value
+        (tmp_path / name).write_text(json.dumps(artifact))
+        assert main([
+            "verify", "starvation-bound", "--fast", "--backend", "exhaustive",
+            "--write-dir", str(tmp_path),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"unreadable artifact {tmp_path / name}: " in err
+        assert f"field '{field}' must be" in err
+
     def test_write_then_check_roundtrip(self, tmp_path, capsys):
         assert main([
             "verify", "starvation-bound", "--fast", "--write",
