@@ -54,6 +54,13 @@ def _clamp_ratio(bytes_ratio: float) -> float:
     return min(1.0, max(0.0, bytes_ratio))
 
 
+def _check_finite(**params: float) -> None:
+    """Raise ``ValueError`` naming the first parameter that is NaN or infinite."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 class AggressivenessFunction(ABC):
     """A bandwidth aggressiveness function ``F: [0, 1] -> (0, inf)``.
 
@@ -71,10 +78,10 @@ class AggressivenessFunction(ABC):
 
     def __call__(self, bytes_ratio: float) -> float:
         value = self._evaluate(_clamp_ratio(bytes_ratio))
-        if value < 0.0:
+        if not 0.0 <= value < math.inf:  # NaN fails this test too
             raise ValueError(
-                f"{self.name} produced a negative aggressiveness {value!r}; "
-                "aggressiveness must be non-negative"
+                f"{self.name} produced an aggressiveness of {value!r}; "
+                "aggressiveness must be finite and non-negative"
             )
         return value
 
@@ -109,6 +116,7 @@ class LinearAggressiveness(AggressivenessFunction):
     name: str = "F1-linear"
 
     def __post_init__(self) -> None:
+        _check_finite(slope=self.slope, intercept=self.intercept)
         if self.intercept <= 0.0:
             raise ValueError(
                 f"intercept must be positive so flows never fully stall, "
@@ -130,6 +138,9 @@ class QuadraticAggressiveness(AggressivenessFunction):
     coefficient: float = PAPER_SLOPE
     intercept: float = PAPER_INTERCEPT
     name: str = "F2-quadratic"
+
+    def __post_init__(self) -> None:
+        _check_finite(coefficient=self.coefficient, intercept=self.intercept)
 
     def _evaluate(self, bytes_ratio: float) -> float:
         return self.coefficient * bytes_ratio**2 + self.intercept
@@ -192,6 +203,7 @@ class ConstantAggressiveness(AggressivenessFunction):
     name: str = "constant"
 
     def __post_init__(self) -> None:
+        _check_finite(value=self.value)
         if self.value <= 0.0:
             raise ValueError(f"constant aggressiveness must be positive, got {self.value!r}")
 

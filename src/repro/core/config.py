@@ -10,6 +10,7 @@ simulator, and the analysis module all agree on parameter semantics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -99,6 +100,10 @@ class MLTCPConfig:
     drift_warmup_iterations: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("total_bytes", "comp_time", "gap_rtt_multiplier", "drift_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.total_bytes is not None and self.total_bytes <= 0:
             raise ValueError(f"total_bytes must be positive, got {self.total_bytes!r}")
         if self.comp_time is not None and self.comp_time <= 0:

@@ -20,6 +20,7 @@ comparison points:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Hashable, Mapping, Optional, Sequence
 
@@ -74,9 +75,10 @@ class FlowView:
     Performance note (docs/PERFORMANCE.md): this used to be a frozen
     dataclass that the fluid simulator rebuilt — and re-validated — for
     every active flow at every allocation refresh.  It is now a mutable
-    ``__slots__`` class so the simulator can build one view per job and
-    sync the two progress fields in place between events.  Policies must
-    not retain views across ``allocate`` calls.
+    ``__slots__`` class, and the scalar engines' per-flow runtimes
+    subclass it: each runtime is its view, validated once per run, whose
+    progress fields the step loop advances in place.  Policies must not
+    retain views across ``allocate`` calls.
     """
 
     __slots__ = ("flow_id", "demand_bps", "remaining_bits", "sent_bits", "total_bits")
@@ -89,6 +91,14 @@ class FlowView:
         sent_bits: float,
         total_bits: float,
     ) -> None:
+        for name, value in (
+            ("demand_bps", demand_bps),
+            ("remaining_bits", remaining_bits),
+            ("sent_bits", sent_bits),
+            ("total_bits", total_bits),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{flow_id}: {name} must be finite, got {value!r}")
         if demand_bps <= 0:
             raise ValueError(f"{flow_id}: demand_bps must be positive")
         if total_bits <= 0:
@@ -141,8 +151,26 @@ class AllocationPolicy(ABC):
         return None
 
     def _check_capacity(self, capacity_bps: float) -> None:
-        if capacity_bps <= 0:
-            raise ValueError(f"capacity_bps must be positive, got {capacity_bps!r}")
+        if not 0.0 < capacity_bps < math.inf:  # NaN fails this test too
+            raise ValueError(
+                f"capacity_bps must be finite and positive, got {capacity_bps!r}"
+            )
+
+
+def _weight_error(fid: str, weight: float) -> ValueError:
+    """The error for a flow whose weight is negative, NaN or infinite."""
+    if not math.isfinite(weight):
+        return ValueError(f"{fid}: weight must be finite, got {weight!r}")
+    return ValueError(f"{fid}: weight must be non-negative, got {weight!r}")
+
+
+def _first_weight_error(
+    bad: np.ndarray, weights: np.ndarray, ids: Optional[Sequence[str]]
+) -> ValueError:
+    """:func:`_weight_error` for the first flow flagged in ``bad``."""
+    first = int(np.argmax(bad))
+    fid = ids[first] if ids is not None else f"flow[{first}]"
+    return _weight_error(fid, float(weights[first]))
 
 
 def water_fill(
@@ -155,11 +183,12 @@ def water_fill(
     refilled among the rest.  Runs in O(n^2) worst case, fine for the job
     counts here.
     """
-    if capacity <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity!r}")
+    inf = math.inf
+    if not 0.0 < capacity < inf:  # NaN fails this test too
+        raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     for fid, weight in weights.items():
-        if weight < 0:
-            raise ValueError(f"{fid}: weight must be non-negative, got {weight!r}")
+        if not 0.0 <= weight < inf:
+            raise _weight_error(fid, weight)
     rates: dict[str, float] = {}
     # Single up-front sort; capped flows are filtered out preserving order,
     # so every per-round accumulation below visits flows in exactly the
@@ -250,8 +279,8 @@ def water_fill_array(
     ``water_fill`` remains the property-test oracle
     (tests/test_vectorized_allocation.py).
     """
-    if capacity <= 0:
-        raise ValueError(f"capacity must be positive, got {capacity!r}")
+    if not 0.0 < capacity < math.inf:  # NaN fails this test too
+        raise ValueError(f"capacity must be finite and positive, got {capacity!r}")
     demands = np.ascontiguousarray(demands, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if demands.shape != weights.shape or demands.ndim != 1:
@@ -261,11 +290,7 @@ def water_fill_array(
         )
     negative = weights < 0.0
     if negative.any():
-        first = int(np.argmax(negative))
-        fid = ids[first] if ids is not None else f"flow[{first}]"
-        raise ValueError(
-            f"{fid}: weight must be non-negative, got {weights[first]!r}"
-        )
+        raise _first_weight_error(negative, weights, ids)
     n = demands.shape[0]
     if rank is None:
         order = np.arange(n, dtype=np.intp)
@@ -285,6 +310,12 @@ def water_fill_array(
         # Strictly sequential left-to-right sum: bit-identical to the
         # scalar reference's running ``total_weight`` accumulation.
         total = float(np.add.accumulate(w_u)[-1])
+        if not total < math.inf:
+            # The first round sums every weight, none negative, so a NaN
+            # or infinite one shows here; only then is it looked for.
+            nonfinite = ~np.isfinite(weights)
+            if nonfinite.any():
+                raise _first_weight_error(nonfinite, weights, ids)
         d_u = demands[idx]
         if total <= 0.0:
             equal = remaining / idx.size

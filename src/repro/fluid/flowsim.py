@@ -116,6 +116,13 @@ class Phase(enum.Enum):
     DONE = "done"
 
 
+#: The members bound once: the scalar engines test phases per flow per
+#: step, and a ``Phase.X`` load goes through the Enum metaclass at several
+#: times the cost of a global (docs/PERFORMANCE.md, "Enum member loads").
+_WAITING, _COMM = Phase.WAITING, Phase.COMM
+_COMPUTE, _DONE = Phase.COMPUTE, Phase.DONE
+
+
 @dataclass(frozen=True)
 class RateSegment:
     """Constant bottleneck allocation over ``[start, end)``."""
@@ -125,40 +132,33 @@ class RateSegment:
     rates_bps: dict[str, float]
 
 
-@dataclass
-class _JobRuntime:
-    """Per-flow state of both simulators' scalar (small-population) engines."""
+class _JobRuntime(FlowView):
+    """Per-flow state of both simulators' scalar (small-population) engines.
 
-    spec: JobSpec
-    phase: Phase = Phase.WAITING
-    remaining_bits: float = 0.0
-    sent_bits: float = 0.0
-    iteration_index: int = 0
-    comm_start: float = math.nan
-    comm_end: float = math.nan
-    phase_deadline: float = 0.0  # start_offset or compute end
-    #: Iterations after which the flow departs (``None``: it never does).
-    departure: Optional[int] = None
-    #: Lazily built policy-facing view; progress fields are synced in place
-    #: on every ``flow_view()`` call instead of reconstructing (and
-    #: re-validating) a fresh FlowView per allocation event.
-    view: Optional[FlowView] = None
+    A runtime is its own :class:`FlowView`: ``flow_id``, ``demand_bps``
+    and ``total_bits`` are the job's name, demand and nominal volume, and
+    the step loop advances ``remaining_bits``/``sent_bits`` in place, so
+    the active runtimes go to the policy as they are.
+    """
 
-    def flow_view(self) -> FlowView:
-        """Snapshot of this job's flow for the allocation policy."""
-        view = self.view
-        if view is None:
-            self.view = view = FlowView(
-                flow_id=self.spec.name,
-                demand_bps=self.spec.demand_bps,
-                remaining_bits=self.remaining_bits,
-                sent_bits=self.sent_bits,
-                total_bits=self.spec.comm_bits,
-            )
-        else:
-            view.remaining_bits = self.remaining_bits
-            view.sent_bits = self.sent_bits
-        return view
+    __slots__ = (
+        "spec", "phase", "iteration_index", "comm_start", "comm_end",
+        "phase_deadline", "departure",
+    )
+
+    def __init__(
+        self, spec: JobSpec, phase_deadline: float, departure: Optional[int]
+    ) -> None:
+        super().__init__(spec.name, spec.demand_bps, 0.0, 0.0, spec.comm_bits)
+        self.spec = spec
+        self.phase = _WAITING
+        self.iteration_index = 0
+        self.comm_start = math.nan
+        self.comm_end = math.nan
+        #: The start offset, then the end of each compute phase.
+        self.phase_deadline = phase_deadline
+        #: Iterations after which the flow departs (``None``: it never does).
+        self.departure = departure
 
 
 @dataclass
@@ -230,21 +230,21 @@ def _sweep_scalar(
     finished = True
     for rt in runtimes:  # repro-lint: disable=PRF002
         phase = rt.phase
-        if phase is Phase.WAITING:
+        if phase is _WAITING:
             if now >= rt.phase_deadline - _EPS_TIME:
                 _start_comm_scalar(rt, now, rng)
-                phase = Phase.COMM
-        elif phase is Phase.COMM and rt.remaining_bits <= _EPS_BITS:
+                phase = _COMM
+        elif phase is _COMM and rt.remaining_bits <= _EPS_BITS:
             rt.comm_end = now
             compute = rt.spec.sample_compute_time(rng)
             if compute_scale is not None:
-                compute *= compute_scale(rt.spec.name, now)
-            rt.phase = phase = Phase.COMPUTE
+                compute *= compute_scale(rt.flow_id, now)
+            rt.phase = phase = _COMPUTE
             rt.phase_deadline = now + compute
-        elif phase is Phase.COMPUTE and now >= rt.phase_deadline - _EPS_TIME:
+        elif phase is _COMPUTE and now >= rt.phase_deadline - _EPS_TIME:
             iterations.append(
                 IterationResult(
-                    job=rt.spec.name,
+                    job=rt.flow_id,
                     index=rt.iteration_index,
                     comm_start=rt.comm_start,
                     comm_end=rt.comm_end,
@@ -254,13 +254,13 @@ def _sweep_scalar(
             rt.iteration_index += 1
             limit = rt.departure
             if limit is not None and rt.iteration_index >= limit:
-                rt.phase = phase = Phase.DONE  # training finished: departs
+                rt.phase = phase = _DONE  # training finished: departs
             else:
                 _start_comm_scalar(rt, now, rng)
-                phase = Phase.COMM
-        if phase is Phase.COMM:
+                phase = _COMM
+        if phase is _COMM:
             active.append(rt)
-        if finished and phase is not Phase.DONE:
+        if finished and phase is not _DONE:
             if max_iterations is None or rt.iteration_index < max_iterations:
                 finished = False
     return active, finished
@@ -269,7 +269,7 @@ def _sweep_scalar(
 def _start_comm_scalar(
     rt: _JobRuntime, now: float, rng: Optional[np.random.Generator]
 ) -> None:
-    rt.phase = Phase.COMM
+    rt.phase = _COMM
     rt.remaining_bits = rt.spec.sample_comm_bits(rng)
     rt.sent_bits = 0.0
     rt.comm_start = now
@@ -284,13 +284,13 @@ def _next_event_scalar(
     rates_get = rates.get
     for rt in runtimes:  # repro-lint: disable=PRF002
         phase = rt.phase
-        if phase is Phase.COMM:
-            rate = rates_get(rt.spec.name, 0.0)
+        if phase is _COMM:
+            rate = rates_get(rt.flow_id, 0.0)
             if rate > 0:
                 candidate = rt.remaining_bits / rate
                 if _EPS_TIME < candidate < best:
                     best = candidate
-        elif phase is not Phase.DONE:
+        elif phase is not _DONE:
             candidate = rt.phase_deadline - now
             if _EPS_TIME < candidate < best:
                 best = candidate
@@ -301,7 +301,7 @@ def _deliver_scalar(rt: _JobRuntime, delivered: float) -> None:
     """Scalar twin of :func:`repro.fluid.arrays.deliver` for one flow."""
     remaining = rt.remaining_bits - delivered
     rt.remaining_bits = remaining if remaining > 0.0 else 0.0
-    total = rt.spec.comm_bits
+    total = rt.total_bits
     sent = rt.sent_bits + delivered
     rt.sent_bits = sent if sent < total else total
 
@@ -430,9 +430,9 @@ class FluidSimulator:
         of ``_VECTORIZED_MIN_FLOWS`` or more under one of
         ``_ARRAY_POLICIES`` run on the array engine, everything else on
         the scalar engine; the two are bit-identical.  Both stay because
-        each wins at its size (docs/PERFORMANCE.md, "Size dispatch"): the
-        paper's figures run 2.5x faster on the scalar one, the 10k-flow
-        scale benchmark needs the array one.
+        each wins at its size (docs/PERFORMANCE.md, "Size dispatch"):
+        fig4's six jobs run about 7x faster on the scalar one, the
+        10k-flow scale benchmark needs the array one.
         """
         if end_time is None and max_iterations is None:
             raise ValueError("provide end_time and/or max_iterations")
@@ -631,12 +631,11 @@ class FluidSimulator:
                     last_capacity_factor = factor
                 capacity *= factor
             if active and capacity > 0:
-                views = [rt.flow_view() for rt in active]
-                key = policy_cache_key(views, capacity)
+                key = policy_cache_key(active, capacity)
                 if key is not None and key == last_key:
                     rates = last_rates
                 else:
-                    rates = allocate(views, capacity)
+                    rates = allocate(active, capacity)
                     last_key = key
                     last_rates = rates
                     if guards is not None and rates:
@@ -656,7 +655,7 @@ class FluidSimulator:
                 )
             rates_get = rates.get
             for rt in active:
-                rate = rates_get(rt.spec.name, 0.0)
+                rate = rates_get(rt.flow_id, 0.0)
                 # Identity check, not a numeric tolerance: a literal zero rate
                 # delivers nothing, so skipping the writes is bit-identical.
                 if rate == 0.0:  # repro-lint: disable=FLT001
@@ -785,11 +784,11 @@ class FluidSimulator:
     ) -> None:
         """Scalar twin of ``_apply_restarts`` over runtime objects."""
         for event in faults.due_restarts(now):
-            rt = next(r for r in runtimes if r.spec.name == event.job)
-            if rt.phase is Phase.DONE:
+            rt = next(r for r in runtimes if r.flow_id == event.job)
+            if rt.phase is _DONE:
                 faults.record(now, f"job_restart on {event.job}: already done, no-op")
                 continue
-            rt.phase = Phase.WAITING
+            rt.phase = _WAITING
             rt.phase_deadline = event.time + event.restart_delay
             rt.remaining_bits = 0.0
             rt.sent_bits = 0.0

@@ -1,8 +1,15 @@
 """Tests for the fluid bandwidth-allocation policies."""
 
+import numpy as np
 import pytest
 
-from repro.core.aggressiveness import ConstantAggressiveness, LinearAggressiveness
+from repro.core.aggressiveness import (
+    AggressivenessFunction,
+    ConstantAggressiveness,
+    LinearAggressiveness,
+    QuadraticAggressiveness,
+)
+from repro.core.config import MLTCPConfig
 from repro.fluid.allocation import (
     FairShare,
     FlowView,
@@ -11,6 +18,7 @@ from repro.fluid.allocation import (
     PIAS,
     SRPT,
     water_fill,
+    water_fill_array,
 )
 
 
@@ -216,3 +224,84 @@ class TestPIAS:
 
     def test_empty(self):
         assert PIAS().allocate([], 50e9) == {}
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class _Returns(AggressivenessFunction):
+    """An F that evaluates to one fixed value, valid or not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def _evaluate(self, bytes_ratio):
+        return self.value
+
+
+def _water_fill_array(weights, capacity=1e9):
+    return water_fill_array(
+        np.array([1e9, 1e9]), np.array(weights), capacity, ids=["a", "b"]
+    )
+
+
+#: (id, call, the error text naming the field): one NaN or infinity per
+#: row, each accepted silently before the boundary checked finiteness.
+NON_FINITE_CASES = [
+    ("linear-slope-nan", lambda: LinearAggressiveness(slope=NAN), "slope must be finite"),
+    ("linear-intercept-inf", lambda: LinearAggressiveness(intercept=INF),
+     "intercept must be finite"),
+    ("quadratic-coefficient-nan", lambda: QuadraticAggressiveness(coefficient=NAN),
+     "coefficient must be finite"),
+    ("quadratic-intercept-inf", lambda: QuadraticAggressiveness(intercept=INF),
+     "intercept must be finite"),
+    ("constant-nan", lambda: ConstantAggressiveness(NAN), "value must be finite"),
+    ("constant-inf", lambda: ConstantAggressiveness(INF), "value must be finite"),
+    ("f-returns-nan", lambda: _Returns(NAN)(0.5), "aggressiveness of nan"),
+    ("f-returns-inf", lambda: _Returns(INF)(0.5), "aggressiveness of inf"),
+    ("config-total-bytes-nan", lambda: MLTCPConfig(total_bytes=NAN),
+     "total_bytes must be finite"),
+    ("config-comp-time-nan", lambda: MLTCPConfig(comp_time=NAN),
+     "comp_time must be finite"),
+    ("config-gap-rtt-multiplier-inf", lambda: MLTCPConfig(gap_rtt_multiplier=INF),
+     "gap_rtt_multiplier must be finite"),
+    ("config-drift-threshold-nan", lambda: MLTCPConfig(drift_threshold=NAN),
+     "drift_threshold must be finite"),
+    ("view-demand-nan", lambda: flow("a", demand=NAN), "a: demand_bps must be finite"),
+    ("view-remaining-nan", lambda: flow("a", remaining=NAN),
+     "a: remaining_bits must be finite"),
+    ("view-sent-inf", lambda: flow("a", sent=INF), "a: sent_bits must be finite"),
+    ("view-total-inf", lambda: flow("a", total=INF), "a: total_bits must be finite"),
+    ("water-fill-weight-nan",
+     lambda: water_fill({"a": 1e9, "b": 1e9}, {"a": NAN, "b": 1.0}, 1e9),
+     "a: weight must be finite"),
+    ("water-fill-weight-inf",
+     lambda: water_fill({"a": 1e9, "b": 1e9}, {"a": 1.0, "b": INF}, 1e9),
+     "b: weight must be finite"),
+    ("water-fill-capacity-nan",
+     lambda: water_fill({"a": 1e9}, {"a": 1.0}, NAN), "capacity must be finite"),
+    ("water-fill-capacity-inf",
+     lambda: water_fill({"a": 1e9}, {"a": 1.0}, INF), "capacity must be finite"),
+    ("water-fill-array-weight-nan", lambda: _water_fill_array([NAN, 1.0]),
+     "a: weight must be finite"),
+    ("water-fill-array-weight-inf", lambda: _water_fill_array([1.0, INF]),
+     "b: weight must be finite"),
+    ("water-fill-array-capacity-nan", lambda: _water_fill_array([1.0, 1.0], NAN),
+     "capacity must be finite"),
+    ("pdq-capacity-nan", lambda: PDQ().allocate([flow("a"), flow("b")], NAN),
+     "capacity_bps must be finite"),
+]
+
+
+class TestNonFiniteInputsFailAtTheBoundary:
+    """NaN and infinity are refused where they enter, naming the field."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [case[1:] for case in NON_FINITE_CASES],
+        ids=[case[0] for case in NON_FINITE_CASES],
+    )
+    def test_refused_naming_the_field(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -271,7 +271,7 @@ class TestDocsCheck:
 
 REPO = Path(__file__).resolve().parent.parent
 CONTRACT = Path(__file__).resolve().parent / "fixtures" / "cli_contract.json"
-_REPORT = "{repo}/bench_reports/fault_recovery.run.json"
+_REPORT = "{repo}/tests/fixtures/fault_recovery.run.json"
 _BASELINE = "{repo}/bench_reports/perf_baseline.json"
 _FABRIC = ["--fast", "--racks", "2", "--hosts-per-rack", "2", "--no-cache"]
 _ONE_FAULT = ["faults", "--fast", "--classes", "link_down", "--no-cache"]

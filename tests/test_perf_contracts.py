@@ -15,11 +15,17 @@ Two halves:
 
 Plus the allocation-cache protocol the fluid fast path leans on:
 ``AllocationPolicy.cache_key`` must be stable exactly when reusing the
-previous rates is sound; and the size dispatch between the scalar and
-array fluid engines, which must be invisible in every output.
+previous rates is sound; the size dispatch between the scalar and
+array fluid engines, which must be invisible in every output; and a
+static gate: no function of a hot-path module loads an Enum member.
 """
 
+import ast
+import enum
+import importlib
 import json
+import re
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -53,6 +59,8 @@ from repro.workloads import JobSpec
 
 from .perf_fixtures import (
     FIXTURE_PATH,
+    SCALAR_CASES,
+    SCALAR_GOLDENS_PATH,
     fluid_fingerprint,
     network_fluid_fingerprint,
     packet_fingerprint,
@@ -80,6 +88,84 @@ class TestSeedEquivalence:
 
     def test_water_fill_vectors_are_bit_identical(self, seed_fixture):
         assert water_fill_fingerprint() == seed_fixture["water_fill"]
+
+
+class TestScalarEngineGoldens:
+    """The scalar fluid paths the seed fixture does not reach, pinned by hex.
+
+    PDQ and PIAS allocate through ``FlowView`` progress fields, F3 reads
+    ``FlowView.bytes_ratio`` instead of the inline linear weights, the
+    guarded fault run goes through ``_apply_restarts_scalar``,
+    ``compute_scale`` and ``_check_allocation``, and the fabric run steps
+    the network simulator's scalar engine through a reroute.
+    """
+
+    @pytest.mark.parametrize("name", list(SCALAR_CASES))
+    def test_matches_golden(self, name):
+        golden = json.loads(SCALAR_GOLDENS_PATH.read_text())
+        assert SCALAR_CASES[name]() == golden[name]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+_HOT_PATH_MARKER = re.compile(r"^# repro-lint: hot-path-module$", re.MULTILINE)
+
+
+def _hot_path_modules():
+    """``repro`` modules declaring themselves hot-path, as dotted names."""
+    return sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for path in SRC.joinpath("repro").rglob("*.py")
+        if _HOT_PATH_MARKER.search(path.read_text())
+    )
+
+
+def _enum_member_loads(module_name):
+    """``(function, line, source)`` of each Enum attribute load in a function.
+
+    An attribute load whose base name is a module global bound to an
+    ``enum.Enum`` subclass goes through the Enum metaclass on every
+    execution (``EnumType.__getattr__`` on CPython 3.11), several times the
+    cost of a module-global load.
+    """
+    module = importlib.import_module(module_name)
+    enum_globals = {
+        name
+        for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, enum.Enum)
+    }
+    tree = ast.parse(Path(module.__file__).read_text())
+    loads = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for statement in func.body:
+            for node in ast.walk(statement):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in enum_globals
+                ):
+                    loads.append((func.name, node.lineno, ast.unparse(node)))
+    return loads
+
+
+class TestHotPathEnumLoads:
+    """No function of a hot-path module loads an Enum member.
+
+    The fluid engines test phases once per flow per step; through the
+    Enum metaclass each such load costs several times a module constant
+    (docs/PERFORMANCE.md, "Enum member loads").  Bind members to module
+    constants once instead.  No output shows the difference, so this
+    gate is what keeps it from coming back.
+    """
+
+    def test_hot_path_modules_are_found(self):
+        assert "repro.fluid.flowsim" in _hot_path_modules()
+
+    @pytest.mark.parametrize("module_name", _hot_path_modules())
+    def test_no_enum_member_load_in_a_function(self, module_name):
+        assert _enum_member_loads(module_name) == []
 
 
 def _stat(name, min_s, mean_s=None, rounds=10):
