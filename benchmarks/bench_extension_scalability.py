@@ -40,7 +40,7 @@ def _mltcp_cluster_convergence(n_uplinks: int) -> int | None:
             job = gpt2_heavy_job(jitter_sigma=0.005).with_name(f"U{u}J{k}")
             placements.append(PlacedJob(job=job, links=(f"up{u}",)))
     caps = {f"up{u}": 50.0 for u in range(n_uplinks)}
-    result = run_network_fluid(placements, caps, mltcp=True, max_iterations=40, seed=3)
+    result = run_network_fluid(placements, caps, max_iterations=40, seed=3)
     rounds = result.mean_iteration_by_round()
     report = detect_convergence(rounds, target=1.8, tolerance=0.05)
     return report.converged_at

@@ -70,7 +70,7 @@ def run_scale_network_fluid(max_iterations: int = 2):
     return run_network_fluid(
         place_on_fabric(SCALE_SPEC, placements),
         SCALE_SPEC.capacities_gbps(),
-        mltcp=True,
+        policy=MLTCPWeighted(),
         max_iterations=max_iterations,
         seed=0,
         quantum=0.05,

@@ -13,7 +13,7 @@ Run:  python examples/cluster_scale.py
 
 import numpy as np
 
-from repro.fluid import PlacedJob, run_network_fluid
+from repro.fluid import FairShare, MLTCPWeighted, PlacedJob, run_network_fluid
 from repro.harness import render_series, render_table
 from repro.workloads import gpt2_heavy_job, gpt3_job
 
@@ -37,11 +37,11 @@ def main() -> None:
         "(fair share vs MLTCP)\n"
     )
     rows = []
-    for mltcp in (False, True):
+    for policy in (FairShare(), MLTCPWeighted()):
         result = run_network_fluid(
-            placements, capacities, mltcp=mltcp, max_iterations=40, seed=3
+            placements, capacities, policy=policy, max_iterations=40, seed=3
         )
-        label = "mltcp" if mltcp else "tcp-fair"
+        label = policy.name
         rounds = result.mean_iteration_by_round()
         print(render_series(f"{label:>8} cluster mean iteration", rounds, unit="s"))
         heavy_tail = np.mean(

@@ -16,6 +16,9 @@ comparison points:
 * :class:`PIAS` — multi-level feedback by bytes *sent* (information-agnostic
   LAS approximation): flows demote through priority levels as they send;
   levels are served in strict priority, fairly within a level.
+
+Only the first two turn progress into weights (``weights`` on views,
+``weights_array`` on array columns); every weighted fluid engine calls them.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "PIAS",
     "water_fill",
     "water_fill_array",
-    "mltcp_weights_array",
     "allocation_excess",
 ]
 
@@ -291,6 +293,12 @@ def water_fill_array(
     negative = weights < 0.0
     if negative.any():
         raise _first_weight_error(negative, weights, ids)
+    if not capacity > 1e-12:
+        # No filling round runs, and the first round's weight total is
+        # where a NaN or infinite weight shows: look for it here instead.
+        nonfinite = ~np.isfinite(weights)
+        if nonfinite.any():
+            raise _first_weight_error(nonfinite, weights, ids)
     n = demands.shape[0]
     if rank is None:
         order = np.arange(n, dtype=np.intp)
@@ -359,29 +367,18 @@ def water_fill_array(
     return np.where(rates > 0.0, rates, 0.0)
 
 
-def mltcp_weights_array(
-    function: AggressivenessFunction,
-    sent_bits: np.ndarray,
-    total_bits: np.ndarray,
-) -> np.ndarray:
-    """``F(bytes_ratio)`` per flow: the MLTCP weights of the array engines.
-
-    ``bytes_ratio`` is ``sent_bits / total_bits`` clamped to 1.  The
-    paper's linear F is ``slope * ratio + intercept`` over the whole array,
-    the same floats as :class:`MLTCPWeighted`'s inline path; any other F
-    is called once per flow.
-    """
-    quotient = sent_bits / total_bits
-    ratio = np.where(quotient < 1.0, quotient, 1.0)
-    if type(function) is LinearAggressiveness:
-        return function.slope * ratio + function.intercept
-    return np.array([function(r) for r in ratio.tolist()])
-
-
 class FairShare(AllocationPolicy):
     """Equal-weight max-min share: N competing TCP flows in steady state."""
 
     name = "tcp-fair"
+
+    def weights(self, flows: Sequence[FlowView]) -> dict[str, float]:
+        """Unit weight per flow id."""
+        return {f.flow_id: 1.0 for f in flows}
+
+    def weights_array(self, sent_bits: np.ndarray, total_bits: np.ndarray) -> np.ndarray:
+        """Unit weight per flow of an array engine's columns."""
+        return np.ones(sent_bits.shape[0])
 
     def allocate(
         self, flows: Sequence[FlowView], capacity_bps: float
@@ -391,8 +388,7 @@ class FairShare(AllocationPolicy):
         if not flows:
             return {}
         demands = {f.flow_id: f.demand_bps for f in flows}
-        weights = {f.flow_id: 1.0 for f in flows}
-        return water_fill(demands, weights, capacity_bps)
+        return water_fill(demands, self.weights(flows), capacity_bps)
 
     def cache_key(
         self, flows: Sequence[FlowView], capacity_bps: float
@@ -429,6 +425,28 @@ class MLTCPWeighted(AllocationPolicy):
         else:
             self._linear = None
 
+    def weights(self, flows: Sequence[FlowView]) -> dict[str, float]:
+        """``F(bytes_ratio)`` per flow id."""
+        if self._linear is None:
+            return {f.flow_id: self.function(f.bytes_ratio) for f in flows}
+        slope, intercept = self._linear
+        weights: dict[str, float] = {}
+        for f in flows:  # repro-lint: disable=PRF002
+            ratio = f.sent_bits / f.total_bits
+            if ratio > 1.0:
+                ratio = 1.0
+            weights[f.flow_id] = slope * ratio + intercept
+        return weights
+
+    def weights_array(self, sent_bits: np.ndarray, total_bits: np.ndarray) -> np.ndarray:
+        """:meth:`weights`' floats on an array engine's columns."""
+        quotient = sent_bits / total_bits
+        ratio = np.where(quotient < 1.0, quotient, 1.0)
+        if self._linear is None:
+            return np.array([self.function(r) for r in ratio.tolist()])
+        slope, intercept = self._linear
+        return slope * ratio + intercept
+
     def allocate(
         self, flows: Sequence[FlowView], capacity_bps: float
     ) -> dict[str, float]:
@@ -437,18 +455,7 @@ class MLTCPWeighted(AllocationPolicy):
         if not flows:
             return {}
         demands = {f.flow_id: f.demand_bps for f in flows}
-        linear = self._linear
-        if linear is not None:
-            slope, intercept = linear
-            weights: dict[str, float] = {}
-            for f in flows:  # repro-lint: disable=PRF002
-                ratio = f.sent_bits / f.total_bits
-                if ratio > 1.0:
-                    ratio = 1.0
-                weights[f.flow_id] = slope * ratio + intercept
-        else:
-            weights = {f.flow_id: self.function(f.bytes_ratio) for f in flows}
-        return water_fill(demands, weights, capacity_bps)
+        return water_fill(demands, self.weights(flows), capacity_bps)
 
     def cache_key(
         self, flows: Sequence[FlowView], capacity_bps: float

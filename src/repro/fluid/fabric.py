@@ -13,7 +13,7 @@ Typical use::
                       oversubscription=2.0)
     placements = place_jobs(jobs, spec, policy="spread")
     result = run_network_fluid(place_on_fabric(spec, placements),
-                               spec.capacities_gbps(), mltcp=True)
+                               spec.capacities_gbps(), policy=MLTCPWeighted())
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ representation (:func:`_next_event_scalar` / :func:`_deliver_scalar` here,
 ``arrays.next_event_dt`` / ``arrays.deliver``).  ``e2e_bench/tracing.py``
 counts steps by the per-step hooks ``_next_event_dt`` and
 ``_next_event_dt_scalar`` and wraps ``_check_allocation``, by name.  The
-array engine allocates only for ``FairShare`` and ``MLTCPWeighted``; every
-other policy runs on the scalar engine at any size.
+array engine allocates only for ``FairShare`` and ``MLTCPWeighted``, on
+their ``weights_array``; every other policy runs on the scalar engine.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ from .allocation import (
     FairShare,
     FlowView,
     MLTCPWeighted,
-    allocation_excess,
-    mltcp_weights_array,
     water_fill_array,
 )
 from .arrays import (
@@ -80,11 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # (PRF002: flow state lives in FlowArrays and must be advanced with
 # whole-array numpy passes; per-flow Python loops over view/runtime
 # sequences are flagged in this module.)
-
-#: Relative tolerance for the inline allocation-capacity guard; mirrors
-#: repro.guards.monitors.ALLOCATION_REL_TOL (kept literal here so this
-#: module never imports the guards package — guards imports allocation).
-_ALLOCATION_REL_TOL = 1e-6
 
 __all__ = [
     "Phase",
@@ -518,10 +511,9 @@ class FluidSimulator:
         demand_bps = fa.demand_bps
         total_bits = fa.total_bits
         rank = fa.rank
-        # ``run`` sends only _ARRAY_POLICIES here: FairShare's unit weights
-        # or MLTCPWeighted's F(bytes_ratio) feed water_fill_array directly.
+        assert isinstance(policy, _ARRAY_POLICIES)  # ``run`` sends only these
+        weights_array = policy.weights_array
         fair = type(policy) is FairShare
-        mltcp_function = policy.function if type(policy) is MLTCPWeighted else None
         # Allocation reuse mirrors the scalar policies' cache tokens
         # bit-for-bit (AllocationPolicy.cache_key): FairShare's token is
         # (capacity, active ids + demands); ids and demands are static per
@@ -552,12 +544,7 @@ class FluidSimulator:
                 if key is not None and key == last_key:
                     alloc = last_alloc
                 else:
-                    if mltcp_function is None:
-                        weights = np.ones(active_idx.size)
-                    else:
-                        weights = mltcp_weights_array(
-                            mltcp_function, sent[active_idx], total_bits[active_idx]
-                        )
+                    weights = weights_array(sent[active_idx], total_bits[active_idx])
                     alloc = water_fill_array(
                         demand_bps[active_idx], weights, capacity, rank=rank[active_idx]
                     )
@@ -683,24 +670,9 @@ class FluidSimulator:
         policy_name: str,
     ) -> None:
         """Enforce the ``AllocationPolicy.allocate`` contract at runtime."""
-        excess = allocation_excess(rates, capacity)
-        if excess > _ALLOCATION_REL_TOL * capacity:
-            guards.violation(
-                "allocation-capacity",
-                policy_name,
-                now,
-                f"allocated {capacity + excess:.6g} bps exceeds capacity "
-                f"{capacity:.6g} bps by {excess:.6g} bps",
-            )
-        for flow_id in sorted(rates):
-            rate = rates[flow_id]
-            if rate < 0.0:
-                guards.violation(
-                    "allocation-negative",
-                    str(flow_id),
-                    now,
-                    f"negative allocated rate {rate!r} bps from {policy_name}",
-                )
+        from ..guards.monitors import check_allocation
+
+        check_allocation(guards, rates, capacity, now=now, subject=policy_name)
 
     def _horizon(self, max_iterations: Optional[int]) -> float:
         assert max_iterations is not None

@@ -9,10 +9,11 @@ fix the rates of the flows crossing it in proportion to their weights, and
 continue with residual capacities.  Demand caps are virtual per-flow links,
 so the same machinery handles them.
 
-With unit weights this is classic max-min TCP sharing; with
-``F(bytes_ratio)`` weights it is network-wide MLTCP — each congested link
-independently develops the sliding effect, which is the paper's
-distributed-scalability argument ("easily deployable and scalable").
+The weights are the run policy's: ``FairShare``'s unit weights give
+classic max-min TCP sharing, the default ``MLTCPWeighted``'s
+``F(bytes_ratio)`` network-wide MLTCP — each congested link independently
+develops the sliding effect, which is the paper's distributed-scalability
+argument ("easily deployable and scalable").
 
 The allocator has two entry points, one per engine: :func:`weighted_max_min`
 takes a dict of flows (the scalar engine) and :func:`weighted_max_min_array`
@@ -41,14 +42,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..core.aggressiveness import (
-    AggressivenessFunction,
-    LinearAggressiveness,
-    default_aggressiveness,
-)
 from ..core.units import bps_from_gbps
 from ..workloads.job import IterationResult, JobSpec, _IterationLog
-from .allocation import mltcp_weights_array
+from .allocation import FairShare, MLTCPWeighted
 from .arrays import (
     _EPS_TIME,
     PHASE_COMM,
@@ -58,6 +54,7 @@ from .arrays import (
     next_event_dt,
 )
 from .flowsim import (
+    _ARRAY_POLICIES,
     _VECTORIZED_MIN_FLOWS,
     _deliver_scalar,
     _JobRuntime,
@@ -415,8 +412,7 @@ class NetworkFluidSimulator:
         self,
         placements: Sequence[PlacedJob],
         capacities_gbps: dict[str, float],
-        mltcp_function: Optional[AggressivenessFunction] = None,
-        fair_share: bool = False,
+        policy: Optional[FairShare | MLTCPWeighted] = None,
         seed: Optional[int] = 0,
         quantum: float = 0.02,
         fabric_faults: Optional["FluidFabricFaults"] = None,
@@ -449,12 +445,14 @@ class NetworkFluidSimulator:
                 )
         if not 0.0 < quantum < math.inf:  # NaN fails this test too
             raise ValueError(f"quantum must be finite and positive, got {quantum!r}")
+        policy = MLTCPWeighted() if policy is None else policy
+        if type(policy) not in _ARRAY_POLICIES:  # the single link's array rule
+            raise ValueError(
+                f"policy must be FairShare or MLTCPWeighted, got {type(policy).__name__}"
+            )
         self.placements = tuple(placements)
         self.capacities_gbps = dict(capacities_gbps)
-        self.fair_share = fair_share
-        self.function = (
-            mltcp_function if mltcp_function is not None else default_aggressiveness()
-        )
+        self.policy = policy
         self.quantum = quantum
         self._rng = np.random.default_rng(seed) if seed is not None else None
         # Array-backed flow state (one struct-of-arrays, reset per run)
@@ -499,7 +497,7 @@ class NetworkFluidSimulator:
         result = NetworkFluidResult(
             placements=self.placements,
             capacities_gbps=self.capacities_gbps,
-            policy_name="tcp-fair" if self.fair_share else "mltcp",
+            policy_name=self.policy.name,
         )
         longest = max(p.job.ideal_iteration_time for p in self.placements)
         max_steps = int(
@@ -549,7 +547,7 @@ class NetworkFluidSimulator:
         demand_bps = fa.demand_bps
         iterations = result.iterations
         rng = self._rng
-        function = None if self.fair_share else self.function
+        weights_array = self.policy.weights_array
         capacities_bps = self._capacities_bps
         now = 0.0
 
@@ -612,12 +610,7 @@ class NetworkFluidSimulator:
             rates_arr.fill(0.0)
             weights: Optional[np.ndarray] = None
             if a_idx.size:
-                if function is None:
-                    weights = np.ones(a_idx.size)
-                else:
-                    weights = mltcp_weights_array(
-                        function, sent[a_idx], total_bits[a_idx]
-                    )
+                weights = weights_array(sent[a_idx], total_bits[a_idx])
                 rates_arr[a_idx] = weighted_max_min_array(
                     weights,
                     demand_bps[a_idx],
@@ -679,27 +672,9 @@ class NetworkFluidSimulator:
         ]
         iterations = result.iterations
         rng = self._rng
+        weights_of = self.policy.weights
         capacities_bps = self._capacities_bps
         now = 0.0
-
-        # Same inline fast path as MLTCPWeighted.allocate: the paper's linear
-        # F evaluated as ``slope * ratio + intercept`` directly is the exact
-        # arithmetic of the AggressivenessFunction call chain (bit-identical),
-        # minus three Python calls per flow per round.
-        linear: Optional[tuple[float, float]] = None
-        if not self.fair_share and type(self.function) is LinearAggressiveness:
-            linear = (self.function.slope, self.function.intercept)
-
-        def flow_weight(rt: _JobRuntime) -> float:
-            if self.fair_share:
-                return 1.0
-            ratio = rt.sent_bits / rt.spec.comm_bits
-            if ratio > 1.0:
-                ratio = 1.0
-            if linear is not None:
-                slope, intercept = linear
-                return slope * ratio + intercept
-            return self.function(ratio)
 
         # Fabric-fault state: the capacity and reroute updates are gated on
         # ``faults`` being attached, so a fault-free run keeps the nominal
@@ -737,6 +712,7 @@ class NetworkFluidSimulator:
             active, finished = _sweep_scalar(runtimes, now, iterations, rng)
             if finished:
                 return now, True
+            weights = weights_of(active)
             flow_specs: dict[str, tuple[float, float, tuple[str, ...]]] = {}
             for rt in active:
                 links = flow_links[rt.spec.name]
@@ -746,7 +722,7 @@ class NetworkFluidSimulator:
                     # fluid rendering of a blackhole.
                     continue
                 flow_specs[rt.spec.name] = (
-                    flow_weight(rt),
+                    weights[rt.flow_id],
                     rt.spec.demand_bps,
                     links,
                 )
@@ -848,8 +824,7 @@ class NetworkFluidSimulator:
 def run_network_fluid(
     placements: Sequence[PlacedJob],
     capacities_gbps: dict[str, float],
-    mltcp: bool = True,
-    mltcp_function: Optional[AggressivenessFunction] = None,
+    policy: Optional[FairShare | MLTCPWeighted] = None,
     max_iterations: int = 40,
     seed: Optional[int] = 0,
     quantum: float = 0.02,
@@ -860,8 +835,7 @@ def run_network_fluid(
     simulator = NetworkFluidSimulator(
         placements,
         capacities_gbps,
-        mltcp_function=mltcp_function,
-        fair_share=not mltcp,
+        policy=policy,
         seed=seed,
         quantum=quantum,
         fabric_faults=fabric_faults,

@@ -10,10 +10,10 @@ run none of them.
 The guard catalogue (names, layers, failure meanings) is documented in
 docs/ROBUSTNESS.md.  Call sites:
 
-* ``allocation-capacity`` / ``allocation-negative`` — per fluid step in
-  :class:`repro.fluid.flowsim.FluidSimulator` (inline, via
-  :func:`repro.fluid.allocation.allocation_excess`) and here for ad-hoc
-  policy checks.
+* ``allocation-capacity`` / ``allocation-negative`` — every fresh
+  allocation in :class:`repro.fluid.flowsim.FluidSimulator` (its
+  ``_check_allocation`` calls :func:`check_allocation` with the policy's
+  name as ``subject``) and ad-hoc policy checks.
 * ``link-conservation`` — packet heartbeats
   (:func:`repro.guards.watchdog.install_packet_guards`).
 * ``cwnd-bounds`` — same heartbeats, against a BDP-derived cap.
@@ -83,7 +83,7 @@ def check_allocation(
                 "allocation-negative",
                 str(flow_id),
                 now,
-                f"negative allocated rate {rate!r} bps",
+                f"negative allocated rate {rate!r} bps from {subject}",
             )
 
 

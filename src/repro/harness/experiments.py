@@ -920,7 +920,7 @@ def _fabric_run(
     return run_network_fluid(
         place_on_fabric(spec, placements),
         spec.capacities_gbps(),
-        mltcp=(policy == "mltcp"),
+        policy=MLTCPWeighted() if policy == "mltcp" else FairShare(),
         max_iterations=iterations,
         seed=seed,
         quantum=quantum,

@@ -24,7 +24,7 @@ slice of simulated time) the daemon:
 Graceful degradation: when one epoch's churn (admissions + departures)
 exceeds ``churn_limit``, the iteration-progress signal MLTCP weights by
 is stale for a meaningful fraction of flows, so the engine clamps to
-vanilla CC (unit weights) for ``degrade_epochs`` epochs — the fluid
+vanilla CC (unit weights) for :data:`DEGRADE_EPOCHS` epochs — the fluid
 analogue of the tracker fallback (docs/ROBUSTNESS.md).
 
 Wall-clock sources (``time.monotonic`` / ``time.sleep``) are injectable
@@ -58,6 +58,17 @@ __all__ = ["ChurnDaemon", "ServiceConfig", "ServiceCrash", "InjectedCrash"]
 #: Backoff delays are capped here no matter the attempt count.
 MAX_BACKOFF_S = 2.0
 
+#: The live engine's integration quantum and SLO factor
+#: (:class:`LiveFluidEngine`).
+QUANTUM_S = 0.05
+SLO_FACTOR = 1.5
+#: Epochs the churn fallback stays engaged.
+DEGRADE_EPOCHS = 2
+#: Wall-clock budgets, seconds: one journal commit or snapshot line, and
+#: one supervised epoch before the watchdog fires.
+OP_TIMEOUT_S = 5.0
+STALL_TIMEOUT_S = 30.0
+
 
 class ServiceCrash(RuntimeError):
     """The stepper died mid-epoch; the supervisor may restart it."""
@@ -81,21 +92,16 @@ class ServiceConfig:
     capacity_gbps: float = 50.0
     cc: str = "mltcp"
     seed: int = 0
-    quantum: float = 0.05
     epoch_s: float = 1.0
     epochs: int = 30
     max_running: int = 8
     queue_limit: int = 16
     shed_policy: str = "defer"
-    slo_factor: float = 1.5
     snapshot_every: int = 5
     churn_limit: int = 4
-    degrade_epochs: int = 2
     max_recoveries: int = 3
-    op_timeout_s: float = 5.0
     op_attempts: int = 3
     backoff_base_s: float = 0.05
-    stall_timeout_s: float = 30.0
     guard_policy: str = "record"
     faults: Optional[FaultSchedule] = None
 
@@ -104,14 +110,15 @@ class ServiceConfig:
             raise ValueError("service config: need at least one job template")
         if self.cc not in ENGINE_POLICIES:
             raise ValueError(
-                f"unknown cc {self.cc!r}; expected one of {ENGINE_POLICIES}"
+                f"unknown cc {self.cc!r}; expected one of "
+                f"{tuple(ENGINE_POLICIES)}"
             )
         if self.shed_policy not in SHED_POLICIES:
             raise ValueError(
                 f"unknown shed policy {self.shed_policy!r}; expected one of "
                 f"{SHED_POLICIES}"
             )
-        for name in ("epoch_s", "capacity_gbps", "quantum", "slo_factor"):
+        for name in ("epoch_s", "capacity_gbps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(
@@ -126,24 +133,16 @@ class ServiceConfig:
                     f"service config: {name} must be >= 1, got "
                     f"{getattr(self, name)!r}"
                 )
-        for name in (
-            "queue_limit", "churn_limit", "degrade_epochs", "max_recoveries",
-        ):
+        for name in ("queue_limit", "churn_limit", "max_recoveries"):
             if getattr(self, name) < 0:
                 raise ValueError(
                     f"service config: {name} must be non-negative, got "
                     f"{getattr(self, name)!r}"
                 )
-        if self.op_timeout_s <= 0 or self.backoff_base_s < 0:
+        if self.backoff_base_s < 0:
             raise ValueError(
-                "service config: op_timeout_s must be positive and "
-                f"backoff_base_s non-negative, got {self.op_timeout_s!r}, "
+                "service config: backoff_base_s must be non-negative, got "
                 f"{self.backoff_base_s!r}"
-            )
-        if self.stall_timeout_s <= 0:
-            raise ValueError(
-                f"service config: stall_timeout_s must be positive, got "
-                f"{self.stall_timeout_s!r}"
             )
         if self.guard_policy not in POLICIES:
             raise ValueError(
@@ -152,22 +151,26 @@ class ServiceConfig:
             )
 
     def fingerprint(self) -> str:
-        """Digest of every field that shapes simulated results."""
+        """Digest of every field that shapes simulated results.
+
+        ``QUANTUM_S``, ``SLO_FACTOR`` and ``DEGRADE_EPOCHS`` keep the keys
+        they had as config fields, so older journals still resume.
+        """
         payload = {
             "arrival": repr(self.arrival),
             "templates": [repr(t) for t in self.templates],
             "capacity_gbps": self.capacity_gbps,
             "cc": self.cc,
             "seed": self.seed,
-            "quantum": self.quantum,
+            "quantum": QUANTUM_S,
             "epoch_s": self.epoch_s,
             "epochs": self.epochs,
             "max_running": self.max_running,
             "queue_limit": self.queue_limit,
             "shed_policy": self.shed_policy,
-            "slo_factor": self.slo_factor,
+            "slo_factor": SLO_FACTOR,
             "churn_limit": self.churn_limit,
-            "degrade_epochs": self.degrade_epochs,
+            "degrade_epochs": DEGRADE_EPOCHS,
             "faults": (
                 [e.describe() for e in self.faults.sorted_events()]
                 if self.faults is not None
@@ -229,7 +232,7 @@ class ChurnDaemon:
 
         self.rail = GuardRail(config.guard_policy)
         self.watchdog = StepperWatchdog(
-            self.rail, stall_timeout_s=config.stall_timeout_s, clock=clock
+            self.rail, stall_timeout_s=STALL_TIMEOUT_S, clock=clock
         )
         if config.faults is not None:
             # The single-bottleneck service only replays capacity-affecting
@@ -313,8 +316,8 @@ class ChurnDaemon:
             config.capacity_gbps,
             config.cc,
             seed=config.seed,
-            quantum=config.quantum,
-            slo_factor=config.slo_factor,
+            quantum=QUANTUM_S,
+            slo_factor=SLO_FACTOR,
             faults=self._fabric,
         )
 
@@ -343,7 +346,7 @@ class ChurnDaemon:
         records an ``error`` and returns False — the daemon sheds the side
         effect rather than the simulation (mirrors the experiment runner's
         backoff idiom).  An attempt that *returns* but blows the
-        ``op_timeout_s`` budget is still a success: the side effect (a
+        :data:`OP_TIMEOUT_S` budget is still a success: the side effect (a
         journal append, a snapshot line) cannot be un-done, so re-running
         it would duplicate it.  The overrun is recorded as a ``timeout``
         record for observability only.
@@ -358,11 +361,11 @@ class ChurnDaemon:
                 failure = f"{type(error).__name__}: {error}"
             elapsed = self._clock() - started
             if failure is None:
-                if elapsed > config.op_timeout_s and self.telemetry is not None:
+                if elapsed > OP_TIMEOUT_S and self.telemetry is not None:
                     self.telemetry.record(
                         "timeout",
                         detail=f"{op}: attempt {attempt} took {elapsed:.3g} s "
-                        f"(budget {config.op_timeout_s:.3g} s)",
+                        f"(budget {OP_TIMEOUT_S:.3g} s)",
                         attempt=attempt,
                     )
                 return True
@@ -576,12 +579,12 @@ class ChurnDaemon:
             self._fallback_left -= 1
             if self._fallback_left == 0:
                 self.engine.fallback_engaged = False
-        if churn > config.churn_limit and config.degrade_epochs > 0:
+        if churn > config.churn_limit:
             if self._fallback_left == 0:
                 detail = (
                     f"churn {churn} > limit {config.churn_limit} in epoch "
                     f"{self.epoch}; clamping to vanilla CC for "
-                    f"{config.degrade_epochs} epoch(s)"
+                    f"{DEGRADE_EPOCHS} epoch(s)"
                 )
                 self._event("fallback", detail)
                 if self.telemetry is not None:
@@ -592,7 +595,7 @@ class ChurnDaemon:
                         subject="engine",
                         time=float(self.engine.now),
                     )
-            self._fallback_left = config.degrade_epochs
+            self._fallback_left = DEGRADE_EPOCHS
             self.engine.fallback_engaged = True
 
     # ------------------------------------------------------------- snapshots

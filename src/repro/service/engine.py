@@ -6,9 +6,10 @@ dynamics — two-phase periodic jobs sharing one bottleneck under
 water-filling — but over an *open* population: jobs are admitted while the
 clock runs, and depart when their iteration budget is spent.  This module
 is that engine: struct-of-arrays state stepped with the batch engines'
-array helpers (``mltcp_weights_array``, ``water_fill_array``, the
-sorted-name rank and the delivery clamp ``deliver``), wrapped in
-``admit`` / ``step`` / ``state`` instead of a one-shot ``run``.
+array helpers (``water_fill_array``, the sorted-name rank and the
+delivery clamp ``deliver``), wrapped in ``admit`` / ``step`` / ``state``
+instead of a one-shot ``run``; ``cc`` picks the policy whose
+``weights_array`` gives the weights (:data:`ENGINE_POLICIES`).
 
 Determinism contract (docs/SERVICE.md): every float the engine computes is
 a pure function of (config, admitted specs in admission order, RNG state).
@@ -33,9 +34,8 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..core.aggressiveness import default_aggressiveness
 from ..core.units import bps_from_gbps
-from ..fluid.allocation import mltcp_weights_array, water_fill_array
+from ..fluid.allocation import FairShare, MLTCPWeighted, water_fill_array
 from ..fluid.arrays import (
     _EPS_BITS,
     _EPS_TIME,
@@ -53,10 +53,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["LiveFluidEngine", "ENGINE_POLICIES", "COLUMN_DTYPES"]
 
-#: Congestion-control modes the live engine supports.  Both ride the
-#: vectorized water-fill: ``fair`` with unit weights (N synchronized Reno
-#: flows), ``mltcp`` with the paper's linear ``F(bytes_ratio)`` weights.
-ENGINE_POLICIES = ("fair", "mltcp")
+#: Congestion-control modes the live engine supports, and their policies.
+#: Both ride the vectorized water-fill: ``fair`` with unit weights (N
+#: synchronized Reno flows), ``mltcp`` with the paper's linear
+#: ``F(bytes_ratio)`` weights.
+ENGINE_POLICIES: dict[str, type[FairShare | MLTCPWeighted]] = {
+    "fair": FairShare, "mltcp": MLTCPWeighted,
+}
+#: The weights while the churn fallback is engaged: vanilla CC's.
+_FALLBACK = FairShare()
 
 #: The per-flow columns, in ``state()`` order: attribute name, dtype, and
 #: the value an admitted job starts with, given its spec and the time
@@ -135,15 +140,15 @@ class LiveFluidEngine:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if cc not in ENGINE_POLICIES:
             raise ValueError(
-                f"unknown cc {cc!r}; expected one of {ENGINE_POLICIES}"
+                f"unknown cc {cc!r}; expected one of {tuple(ENGINE_POLICIES)}"
             )
         self.capacity_bps = bps_from_gbps(capacity_gbps)
         self.cc = cc
         self.quantum = quantum
         self.slo_factor = slo_factor
         self._faults = faults
-        # The paper's deployed F (Eq. 2), the batch engines' default too.
-        self._function = default_aggressiveness()
+        # ``mltcp`` runs the paper's deployed F (Eq. 2), as the batch engines.
+        self._policy = ENGINE_POLICIES[cc]()
         #: Clamp to vanilla CC (unit weights) while True — the fluid
         #: analogue of MLTCP's tracker fallback when churn outpaces the
         #: iteration signal (docs/ROBUSTNESS.md).
@@ -280,9 +285,8 @@ class LiveFluidEngine:
         return departed
 
     def _weights(self, active: np.ndarray) -> np.ndarray:
-        if self.fallback_engaged or self.cc == "fair":
-            return np.ones(active.size)
-        return mltcp_weights_array(self._function, self.sent[active], self.cur_total[active])
+        policy = _FALLBACK if self.fallback_engaged else self._policy
+        return policy.weights_array(self.sent[active], self.cur_total[active])
 
     def step(self, until: float, max_steps: Optional[int] = None) -> list[dict]:
         """Advance the fluid state to ``until``; returns departure records.

@@ -292,6 +292,7 @@ def _guarded_faulted_mltcp() -> dict[str, Any]:
 def _network_fair_fabric_fault() -> dict[str, Any]:
     """Fair share on a fabric under 32 jobs, a spine failing mid-run."""
     from repro.faults import FaultEvent, FaultSchedule
+    from repro.fluid import FairShare
     from repro.fluid.fabric import FluidFabricFaults, place_on_fabric
     from repro.fluid.network import NetworkFluidSimulator
     from repro.workloads import cross_rack_scenario
@@ -313,7 +314,7 @@ def _network_fair_fabric_fault() -> dict[str, Any]:
     result = NetworkFluidSimulator(
         placed,
         spec.capacities_gbps(),
-        fair_share=True,
+        policy=FairShare(),
         seed=3,
         quantum=min(0.02, placements[0].job.ideal_iteration_time / 10.0),
         fabric_faults=FluidFabricFaults(spec, schedule),

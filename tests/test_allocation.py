@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.aggressiveness import (
     AggressivenessFunction,
     ConstantAggressiveness,
     LinearAggressiveness,
     QuadraticAggressiveness,
+    ReciprocalAggressiveness,
 )
 from repro.core.config import MLTCPConfig
 from repro.fluid.allocation import (
@@ -135,6 +138,59 @@ class TestMLTCPWeighted:
         flows = [flow(f"f{i}", sent=i * 0.4e9) for i in range(5)]
         rates = MLTCPWeighted().allocate(flows, 50e9)
         assert all(rate > 0 for rate in rates.values())
+
+
+@st.composite
+def _views(draw):
+    """1-8 flows; ``sent_bits`` runs to twice ``total_bits``, so the
+    ``bytes_ratio`` clamp at 1 is hit."""
+    views = []
+    for i in range(draw(st.integers(1, 8))):
+        total = draw(st.floats(1.0, 1e11))
+        views.append(
+            FlowView(f"f{i}", 25e9, 0.0, draw(st.floats(0.0, 2.0 * total)), total)
+        )
+    return views
+
+
+_FUNCTIONS = st.one_of(
+    st.sampled_from(
+        [
+            LinearAggressiveness(),
+            ReciprocalAggressiveness(),
+            QuadraticAggressiveness(),
+            ConstantAggressiveness(1.0),
+        ]
+    ),
+    st.builds(
+        LinearAggressiveness, slope=st.floats(0.0, 10.0), intercept=st.floats(1e-3, 10.0)
+    ),
+)
+
+
+class TestPolicyWeights:
+    """Each policy's scalar and array weights against ``F(bytes_ratio)``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(views=_views(), function=_FUNCTIONS)
+    def test_mltcp_weights_are_f_of_bytes_ratio(self, views, function):
+        policy = MLTCPWeighted(function)
+        sent = np.array([v.sent_bits for v in views])
+        total = np.array([v.total_bits for v in views])
+        expected = [function(v.bytes_ratio).hex() for v in views]
+        scalar = policy.weights(views)
+        assert list(scalar) == [v.flow_id for v in views]
+        assert [w.hex() for w in scalar.values()] == expected
+        assert [w.hex() for w in policy.weights_array(sent, total).tolist()] == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(views=_views())
+    def test_fair_share_weights_are_unit(self, views):
+        policy = FairShare()
+        sent = np.array([v.sent_bits for v in views])
+        total = np.array([v.total_bits for v in views])
+        assert policy.weights(views) == {v.flow_id: 1.0 for v in views}
+        assert policy.weights_array(sent, total).tolist() == [1.0] * len(views)
 
 
 class TestSRPT:
@@ -289,6 +345,12 @@ NON_FINITE_CASES = [
      "b: weight must be finite"),
     ("water-fill-array-capacity-nan", lambda: _water_fill_array([1.0, 1.0], NAN),
      "capacity must be finite"),
+    # Below 1e-12 bps no filling round runs, so no round's total shows
+    # the bad weight: the oracle's up-front check must still refuse it.
+    ("water-fill-array-weight-nan-no-round",
+     lambda: _water_fill_array([NAN, 1.0], 1e-13), "a: weight must be finite, got nan"),
+    ("water-fill-array-weight-inf-no-round",
+     lambda: _water_fill_array([1.0, INF], 1e-13), "b: weight must be finite, got inf"),
     ("pdq-capacity-nan", lambda: PDQ().allocate([flow("a"), flow("b")], NAN),
      "capacity_bps must be finite"),
 ]

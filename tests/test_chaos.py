@@ -442,7 +442,6 @@ class TestInjectorEquivalence:
         fluid = run_network_fluid(
             place_on_fabric(spec, placements),
             spec.capacities_gbps(),
-            mltcp=True,
             max_iterations=iterations,
             seed=2,
             quantum=min(0.02, placements[0].job.ideal_iteration_time / 10.0),

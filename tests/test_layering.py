@@ -12,6 +12,13 @@ at module level, inside a function, or under ``TYPE_CHECKING``.
   ``topology.RoutingProvider`` keeps fault routing out of the simulator.
   ``repro.simulator`` may import none of the layers built on top of it.
 
+One sharing rule: only ``repro.fluid.allocation`` turns progress into
+weights.  Every fluid engine, the serve engine included, holds a
+``FairShare`` or ``MLTCPWeighted`` and calls its ``weights`` or
+``weights_array``, so no other module of ``repro.fluid`` or
+``repro.service`` may import or name the aggressiveness function behind
+them.
+
 The start-up gate at the end is a rule the static table cannot express:
 scipy and networkx may be imported only inside the function bodies that
 call them, so a fresh interpreter's ``import repro`` loads neither.
@@ -114,6 +121,59 @@ def test_import_boundaries(packages, forbidden):
                 f"{module} imports {name}"
                 for name in sorted(names)
                 if any(_within(name, f"repro.{banned}") for banned in forbidden)
+            ]
+    assert offenders == []
+
+
+#: The names that compute ``F(bytes_ratio)`` outside a policy object.
+WEIGHT_NAMES = ("LinearAggressiveness", "default_aggressiveness", "mltcp_weights_array")
+#: The one module that may use them, and the packages it is guarded in.
+WEIGHT_OWNER = "repro.fluid.allocation"
+WEIGHT_PACKAGES = ("fluid", "service")
+
+
+def weight_uses(source: str, module: str, is_package: bool = False) -> list[str]:
+    """Each import or load of a :data:`WEIGHT_NAMES` name in ``source``."""
+    uses = [
+        f"imports {name}"
+        for name in sorted(imported_modules(source, module, is_package))
+        if name.rpartition(".")[2] in WEIGHT_NAMES
+    ]
+    loads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in WEIGHT_NAMES:
+            loads.append((node.lineno, node.col_offset, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in WEIGHT_NAMES:
+            loads.append((node.lineno, node.col_offset, f".{node.attr}"))
+    return uses + [f"line {line}: loads {name}" for line, _, name in sorted(loads)]
+
+
+def test_weight_uses_sees_imports_and_loads():
+    source = (
+        "from ..core.aggressiveness import LinearAggressiveness\n"
+        "import repro.fluid.allocation as alloc\n"
+        "def f(x):\n"
+        "    return type(x) is LinearAggressiveness or alloc.mltcp_weights_array\n"
+    )
+    assert weight_uses(source, "repro.service.engine") == [
+        "imports repro.core.aggressiveness.LinearAggressiveness",
+        "line 4: loads LinearAggressiveness",
+        "line 4: loads .mltcp_weights_array",
+    ]
+
+
+def test_only_allocation_turns_progress_into_weights():
+    offenders = []
+    for package in WEIGHT_PACKAGES:
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            parts = path.relative_to(SRC).with_suffix("").parts
+            is_package = parts[-1] == "__init__"
+            module = ".".join(parts[:-1] if is_package else parts)
+            if module == WEIGHT_OWNER:
+                continue
+            offenders += [
+                f"{module}: {use}"
+                for use in weight_uses(path.read_text(), module, is_package)
             ]
     assert offenders == []
 

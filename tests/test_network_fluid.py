@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.fluid import network
+from repro.fluid.allocation import PDQ, PIAS, SRPT, AllocationPolicy, FairShare
 from repro.fluid.network import (
     NetworkFluidSimulator,
     PlacedJob,
@@ -23,6 +24,17 @@ from repro.workloads.presets import (
 
 def place(job, *links):
     return PlacedJob(job=job, links=tuple(links))
+
+
+class _RatesOnly(AllocationPolicy):
+    """A policy with rates but no weights."""
+
+    def allocate(self, flows, capacity_bps):
+        return {f.flow_id: 0.0 for f in flows}
+
+
+class _FairShareSubclass(FairShare):
+    """A subclass: the network engines never call an ``allocate`` override."""
 
 
 class TestWeightedMaxMin:
@@ -119,6 +131,17 @@ class TestSimulatorBasics:
         with pytest.raises(ValueError, match="link 'l': capacity"):
             NetworkFluidSimulator([place(gpt2_job(), "l")], {"l": capacity})
 
+    @pytest.mark.parametrize(
+        "policy",
+        [SRPT(), PDQ(), PIAS(), _RatesOnly(), _FairShareSubclass()],
+        ids=["srpt", "pdq", "pias", "bare-subclass", "fair-subclass"],
+    )
+    def test_takes_only_fair_share_or_mltcp(self, policy):
+        """Exactly those two classes, the single link's array-engine rule;
+        the error names the class."""
+        with pytest.raises(ValueError, match=f"got {type(policy).__name__}$"):
+            NetworkFluidSimulator([place(gpt2_job(), "l")], {"l": 50.0}, policy=policy)
+
     def test_rejects_volume_jitter(self):
         """Both engines load the nominal ``comm_bits`` every iteration, so
         a jittered job would otherwise run silently unjittered."""
@@ -164,8 +187,10 @@ class TestMultiBottleneckConvergence:
                 job = gpt2_heavy_job(jitter_sigma=0.005).with_name(f"G{g}J{k}")
                 placements.append(place(job, up))
         caps = {"up0": 50.0, "up1": 50.0}
-        mltcp = run_network_fluid(placements, caps, mltcp=True, max_iterations=40, seed=1)
-        fair = run_network_fluid(placements, caps, mltcp=False, max_iterations=40, seed=1)
+        mltcp = run_network_fluid(placements, caps, max_iterations=40, seed=1)
+        fair = run_network_fluid(
+            placements, caps, policy=FairShare(), max_iterations=40, seed=1
+        )
         assert mltcp.mean_iteration_by_round()[-5:].mean() == pytest.approx(1.8, rel=0.02)
         assert fair.mean_iteration_by_round()[-5:].mean() > 2.2
 
@@ -181,7 +206,7 @@ class TestMultiBottleneckConvergence:
             place(j3, "up1", "spine"),
         ]
         caps = {"up0": 50.0, "up1": 50.0, "spine": 50.0}
-        result = run_network_fluid(placements, caps, mltcp=True, max_iterations=60, seed=2)
+        result = run_network_fluid(placements, caps, max_iterations=60, seed=2)
         assert result.iteration_times("J1")[-10:].mean() == pytest.approx(1.2, rel=0.05)
         assert result.iteration_times("J2")[-10:].mean() == pytest.approx(1.8, rel=0.05)
         assert result.iteration_times("J3")[-10:].mean() == pytest.approx(1.8, rel=0.05)
@@ -193,7 +218,6 @@ class TestMultiBottleneckConvergence:
         result = run_network_fluid(
             [place(fast, "big"), place(slow, "small")],
             {"big": 50.0, "small": 20.0},
-            mltcp=True,
             max_iterations=20,
             seed=1,
         )

@@ -33,6 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core.aggressiveness import (
+    LinearAggressiveness,
+    QuadraticAggressiveness,
+    ReciprocalAggressiveness,
+)
 from repro.faults import FaultEvent, FaultSchedule
 from repro.fluid import (
     PDQ,
@@ -521,12 +526,13 @@ class TestEngineDispatch:
             for i, job in enumerate(_jobs(jitter_sigma=0.002))
         ]
         caps = {"up": 50.0, "spine": 30.0}
+        policy = MLTCPWeighted() if mltcp else FairShare()
         scalar = run_network_fluid(
-            placements, caps, mltcp=mltcp, max_iterations=4, seed=3
+            placements, caps, policy=policy, max_iterations=4, seed=3
         )
         monkeypatch.setattr("repro.fluid.network._VECTORIZED_MIN_FLOWS", 1)
         array = run_network_fluid(
-            placements, caps, mltcp=mltcp, max_iterations=4, seed=3
+            placements, caps, policy=policy, max_iterations=4, seed=3
         )
         assert _fingerprint(scalar) == _fingerprint(array)
 
@@ -572,7 +578,6 @@ class TestEngineDispatch:
             result = run_network_fluid(
                 placed,
                 spec.capacities_gbps(),
-                mltcp=True,
                 max_iterations=10,
                 seed=3,
                 quantum=min(0.02, placements[0].job.ideal_iteration_time / 10.0),
@@ -666,6 +671,19 @@ def _single_link_scenarios(draw):
     )
 
 
+#: Both policies the network engines take, MLTCP under a linear F (the
+#: paper's or a drawn one) and two of the paper's non-linear ones.
+_network_policies = st.one_of(
+    st.just(FairShare()),
+    st.sampled_from(
+        [LinearAggressiveness(), ReciprocalAggressiveness(), QuadraticAggressiveness()]
+    ).map(MLTCPWeighted),
+    st.builds(
+        LinearAggressiveness, slope=st.floats(0.0, 4.0), intercept=st.floats(0.05, 2.0)
+    ).map(MLTCPWeighted),
+)
+
+
 @st.composite
 def _network_scenarios(draw):
     links = [f"link{k}" for k in range(draw(st.integers(1, 4)))]
@@ -680,7 +698,7 @@ def _network_scenarios(draw):
     return dict(
         placements=placements,
         capacities_gbps={link: draw(st.floats(10.0, 100.0)) for link in links},
-        mltcp=draw(st.booleans()),
+        policy=draw(_network_policies),
         max_iterations=draw(st.integers(1, 5)),
         seed=draw(st.integers(0, 2**16)),
     )

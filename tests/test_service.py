@@ -332,6 +332,37 @@ class TestCapacityValidation:
             build(value)
 
 
+class TestConfigFingerprint:
+    """Digests recorded when ``quantum``, ``slo_factor``, ``degrade_epochs``,
+    ``op_timeout_s`` and ``stall_timeout_s`` were still config fields.  The
+    daemon's constants keep the three that were hashed under the same keys
+    and values, so a journal written then still resumes."""
+
+    def test_default_knobs_keep_their_digest(self):
+        assert _config().fingerprint() == (
+            "34b4ff19c0e2babc60cbeec35cf7c0a80ccccb72ed3330a4257274531fa804b8"
+        )
+
+    def test_fair_faulted_config_keeps_its_digest(self):
+        config = _config(
+            arrival=_model(
+                rate_per_s=1.5, horizon_s=14.0, flash_crowds=(FlashCrowd(5.0, 6),)
+            ),
+            epochs=14,
+            max_running=4,
+            queue_limit=3,
+            snapshot_every=3,
+            cc="fair",
+            churn_limit=1,
+            faults=FaultSchedule(
+                events=(FaultEvent("bandwidth", time=2.0, duration=1.5, factor=0.5),)
+            ),
+        )
+        assert config.fingerprint() == (
+            "bb80ad9efea2dcb2cff1f90322e4b62e4d6311c7c4280c8fbd8ea5e8306ae40b"
+        )
+
+
 class TestDaemonRuns:
     def test_uninterrupted_run(self, tmp_path):
         daemon = ChurnDaemon(_config())
