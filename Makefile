@@ -215,7 +215,7 @@ figures:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script =="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$script || exit 1; \
 	done
 
 clean:

@@ -133,7 +133,8 @@ class IterationTracker:
             if boundary_gap is not None and gap > boundary_gap:
                 self._finish_iteration(end_time=self.prev_ack_tstamp)
                 self._start_iteration(now)
-            else:
+            elif self.config.comp_time is None:
+                # Only COMP_TIME learning (_learn_from) reads the gaps.
                 self._observed_gaps.append(gap)
 
         self.bytes_sent += acked_bytes

@@ -292,7 +292,9 @@ def water_fill_array(
         )
     negative = weights < 0.0
     if negative.any():
-        raise _first_weight_error(negative, weights, ids)
+        # Name the flow the oracle's one pass in axis order names: a NaN
+        # or infinite weight before the first negative one comes first.
+        raise _first_weight_error(negative | ~np.isfinite(weights), weights, ids)
     if not capacity > 1e-12:
         # No filling round runs, and the first round's weight total is
         # where a NaN or infinite weight shows: look for it here instead.

@@ -20,12 +20,16 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
   until it reaches the top — or until tombstones outnumber both
   ``_COMPACT_FLOOR`` and the live entries (``_COMPACT_SHARE`` of the
   heap), when ``cancel`` filters them all out in one pass and re-heapifies.
-  A TCP sender cancels and re-arms its RTO timer on every ACK, so without
-  compaction most of a packet run's heap is tombstones and every push and
-  pop sifts through them.  Compaction cannot move dispatch order: every
-  key ``(time, sequence)`` is unique, so the pop order does not depend on
-  the heap's layout, and no comparison ever reaches the callback slot.
-  Amortised, each cancel still costs O(1) list work.
+  A pFabric sender cancels and re-arms its timer on every ACK, and a link
+  fault re-plan cancels every delivery not yet started, so without
+  compaction their tombstones would fill the heap and every push and pop
+  would sift through them.  A TCP sender's RTO is a deadline that ACKs
+  move without a cancel (:class:`repro.tcp.base.TcpSender`); it cancels
+  only when the deadline moves earlier than its armed entry.  Compaction
+  cannot move dispatch order: every key ``(time, sequence)`` is unique, so
+  the pop order does not depend on the heap's layout, and no comparison
+  ever reaches the callback slot.  Amortised, each cancel still costs O(1)
+  list work.
 * Times are checked once per call, never per event: ``schedule`` and
   ``schedule_at`` reject a negative, NaN or infinite time (an event at
   infinity would move the clock there for good), and ``run`` rejects a

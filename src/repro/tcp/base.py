@@ -220,7 +220,15 @@ class TcpReceiver:
 
 
 class TcpSender:
-    """Send side of one flow: window clocking, loss recovery, timers."""
+    """Send side of one flow: window clocking, loss recovery, timers.
+
+    The retransmission timer is a deadline that ACKs move, like Linux's
+    ``icsk_timeout``: a restart stores ``now + timeout`` and touches the
+    event heap only when no entry is armed or the deadline moved earlier
+    than the armed one.  An entry that fires before the deadline re-arms
+    itself there, as ``tcp_write_timer_handler`` does, so an RTO still
+    fires exactly ``timeout`` after the last restart.
+    """
 
     def __init__(
         self,
@@ -267,6 +275,10 @@ class TcpSender:
         self.rto = 4 * min_rto
         self._rto_backoff = 1.0
         self._rto_timer: Optional[EventEntry] = None
+        #: When the retransmission timer expires; ACKs move it.
+        self._rto_deadline = 0.0
+        #: When the armed heap entry fires: never after ``_rto_deadline``.
+        self._rto_armed_at = 0.0
 
         #: Peer receiver, wired by the experiment assembly (packetlab) so an
         #: aborted transfer can resync the cumulative-ACK point — the
@@ -468,11 +480,18 @@ class TcpSender:
         )
 
     def _restart_rto_timer(self) -> None:
-        self._cancel_rto_timer()
         if self.flight_size() <= 0:
+            self._cancel_rto_timer()
             return
-        timeout = min(self.max_rto, self.rto * self._rto_backoff)
-        self._rto_timer = self.sim.schedule(timeout, self._on_rto)
+        sim = self.sim
+        deadline = sim.now + min(self.max_rto, self.rto * self._rto_backoff)
+        self._rto_deadline = deadline
+        # A later deadline leaves the armed entry alone: it fires early and
+        # re-arms itself (see _on_rto).  Only an earlier one replaces it.
+        if self._rto_timer is None or deadline < self._rto_armed_at:
+            self._cancel_rto_timer()
+            self._rto_timer = sim.schedule_at(deadline, self._on_rto)
+            self._rto_armed_at = deadline
 
     def _cancel_rto_timer(self) -> None:
         if self._rto_timer is not None:
@@ -482,6 +501,12 @@ class TcpSender:
     def _on_rto(self) -> None:
         self._rto_timer = None
         if self.flight_size() <= 0:
+            return
+        deadline = self._rto_deadline
+        if self.sim.now < deadline:
+            # ACKs moved the deadline since this entry was armed.
+            self._rto_timer = self.sim.schedule_at(deadline, self._on_rto)
+            self._rto_armed_at = deadline
             return
         self.timeouts += 1
         self.cc.on_rto(self)

@@ -56,7 +56,12 @@ DEGRADED_AGGRESSIVENESS = 1.0
 
 
 class MltcpState:
-    """Per-flow MLTCP bookkeeping shared by all MLTCP-X variants."""
+    """Per-flow MLTCP bookkeeping shared by all MLTCP-X variants.
+
+    Per ACK, :meth:`observe_ack` makes one :meth:`IterationTracker.on_ack`
+    call and syncs the degradation episode log only while the estimate is
+    distrusted or once an episode exists.
+    """
 
     def __init__(self, config: MLTCPConfig | None = None) -> None:
         self.config = config if config is not None else MLTCPConfig()
@@ -78,19 +83,18 @@ class MltcpState:
 
     def observe_ack(self, newly_acked: int, conn: TcpSender) -> None:
         """Algorithm 1 lines 7–17: update bytes_sent / bytes_ratio."""
-        self.tracker.on_ack(
-            now=conn.sim.now,
-            acked_bytes=newly_acked * conn.mss_bytes,
-            smoothed_rtt=conn.smoothed_rtt,
-        )
-        # Test doubles may omit flow_id; the label is cosmetic here.
-        self._sync_degradation(conn.sim.now, getattr(conn, "flow_id", ""))
+        tracker, now = self.tracker, conn.sim.now
+        tracker.on_ack(now, newly_acked * conn.mss_bytes, conn.smoothed_rtt)
+        if tracker.estimate_unreliable or self.degradation_episodes:
+            # Test doubles may omit flow_id; the label is cosmetic here.
+            self._sync_degradation(now, getattr(conn, "flow_id", ""))
 
     def aggressiveness(self) -> float:
         """``F(bytes_ratio)``, clamped to 1 (vanilla CC) while degraded."""
-        if self.tracker.estimate_unreliable:
+        tracker = self.tracker
+        if tracker.estimate_unreliable:
             return DEGRADED_AGGRESSIVENESS
-        return self.tracker.aggressiveness()
+        return tracker.config.function(tracker.bytes_ratio)
 
     def reset_iteration(self, now: float, flow: str = "") -> None:
         """Drop *all* Algorithm 1 state at a job kill/restart.

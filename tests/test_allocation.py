@@ -351,6 +351,12 @@ NON_FINITE_CASES = [
      lambda: _water_fill_array([NAN, 1.0], 1e-13), "a: weight must be finite, got nan"),
     ("water-fill-array-weight-inf-no-round",
      lambda: _water_fill_array([1.0, INF], 1e-13), "b: weight must be finite, got inf"),
+    # A NaN or infinity before a negative weight: the oracle's one pass in
+    # axis order meets it first, so the array must name it too.
+    ("water-fill-array-nan-before-negative",
+     lambda: _water_fill_array([NAN, -1.0]), "a: weight must be finite, got nan"),
+    ("water-fill-array-inf-before-negative",
+     lambda: _water_fill_array([INF, -2.0]), "a: weight must be finite, got inf"),
     ("pdq-capacity-nan", lambda: PDQ().allocate([flow("a"), flow("b")], NAN),
      "capacity_bps must be finite"),
 ]
@@ -367,3 +373,37 @@ class TestNonFiniteInputsFailAtTheBoundary:
     def test_refused_naming_the_field(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+#: A weight ``water_fill`` refuses: NaN, an infinity or a negative number.
+_BAD_WEIGHT = st.one_of(
+    st.sampled_from([NAN, INF, -INF]),
+    st.floats(max_value=-1e-300, allow_infinity=False),
+)
+
+
+class TestBadWeightsNameTheSameFlow:
+    """``water_fill_array`` refuses a bad weight with the very message of its
+    oracle ``water_fill``, whichever kinds of bad weight come in which order
+    and whether or not a filling round runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(0.0, 10.0), _BAD_WEIGHT), min_size=1, max_size=6
+        ),
+        bad=st.tuples(st.integers(0, 5), _BAD_WEIGHT),
+        capacity=st.one_of(
+            st.floats(1e-300, 1e-12), st.floats(1e-12, 1e12, exclude_min=True)
+        ),
+    )
+    def test_same_error_as_oracle(self, weights, bad, capacity):
+        position, weight = bad
+        weights[position % len(weights)] = weight
+        ids = [f"f{i}" for i in range(len(weights))]
+        demands = [1e9] * len(weights)
+        with pytest.raises(ValueError) as array_error:
+            water_fill_array(np.array(demands), np.array(weights), capacity, ids=ids)
+        with pytest.raises(ValueError) as oracle_error:
+            water_fill(dict(zip(ids, demands)), dict(zip(ids, weights)), capacity)
+        assert str(array_error.value) == str(oracle_error.value)

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 from repro.guards import GuardRail
 from repro.simulator import engine
 from repro.simulator.engine import Simulator
+from repro.simulator.queues import PriorityQueue
+from repro.simulator.topology import build_dumbbell
+from repro.tcp.base import TcpReceiver
+from repro.tcp.pfabric import PFabricSender
 
 from .perf_fixtures import packet_fingerprint
 
@@ -441,17 +445,40 @@ class TestHeapCompaction:
         assert fired == sorted(range(3, 200, 4), key=lambda i: (i % 7, i))
 
     def test_packet_run_keeps_tombstones_bounded(self):
-        # The TCP sender cancels and re-arms its RTO timer on every ACK;
-        # without compaction tombstones outnumbered live entries 2-9x.
-        checked = []
-
-        def checking_cancel(sim, entry):
-            cancel(sim, entry)
-            live = len(sim._queue) - sim._cancelled
-            checked.append(sim._cancelled <= max(engine._COMPACT_FLOOR, live))
-
-        cancel = Simulator.cancel
-        with mock.patch.object(Simulator, "cancel", checking_cancel):
-            packet_fingerprint()
+        # The pFabric sender cancels and re-arms its timer on every ACK;
+        # without compaction its tombstones would pile up for a whole RTO.
+        checked = _checked_cancels(_pfabric_transfer)
         assert len(checked) > 1000
         assert all(checked)
+        # The TCP sender's RTO is a deadline that ACKs move without a
+        # cancel: only a deadline moved earlier replaces the armed entry.
+        checked = _checked_cancels(packet_fingerprint)
+        assert len(checked) < 100
+        assert all(checked)
+
+
+def _checked_cancels(run):
+    """Run ``run()``; after each ``cancel``, whether the tombstones were
+    within the compaction bound."""
+    checked = []
+    cancel = Simulator.cancel
+
+    def checking_cancel(sim, entry):
+        cancel(sim, entry)
+        live = len(sim._queue) - sim._cancelled
+        checked.append(sim._cancelled <= max(engine._COMPACT_FLOOR, live))
+
+    with mock.patch.object(Simulator, "cancel", checking_cancel):
+        run()
+    return checked
+
+
+def _pfabric_transfer():
+    """One 4 MB pFabric transfer over a dumbbell: ~1,400 timer cancels."""
+    sim = Simulator()
+    net = build_dumbbell(sim, 1, bottleneck_bps=1e9, bottleneck_queue=PriorityQueue(32))
+    sender = PFabricSender(sim, net.hosts["s0"], "f", "r0")
+    TcpReceiver(sim, net.hosts["r0"], "f", "s0")
+    sender.send_bytes(4_000_000)
+    sim.run(until=0.5)
+    assert sender.all_acked()

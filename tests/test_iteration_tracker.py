@@ -1,5 +1,7 @@
 """Unit tests for the Algorithm 1 state machine (IterationTracker)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.config import MLTCPConfig
@@ -265,3 +267,30 @@ class TestRestartReset:
         tracker.reset_after_restart(10.0)
         assert tracker.total_bytes == 3000  # configured: ground truth
         assert not tracker.estimate_unreliable
+
+
+class TestGapLog:
+    """Only COMP_TIME learning reads the intra-iteration ACK gaps, so a
+    tracker with a configured COMP_TIME keeps none of them (with COMP_TIME
+    unset, TestOnlineLearning covers the learning from them)."""
+
+    def test_fairness_share_run_keeps_no_gaps(self):
+        from repro.harness import experiments
+        from repro.tcp.mltcp import MLTCPReno
+
+        made = []
+
+        class Recorded(MLTCPReno):
+            def __init__(self, config=None):
+                super().__init__(config)
+                made.append(self)
+
+        with mock.patch.object(experiments, "MLTCPReno", Recorded):
+            experiments.fairness_competition_share(
+                loss_probs=(0.0,), horizon=0.1, seeds=(1,)
+            )
+        (cc,) = made
+        tracker = cc.mltcp.tracker
+        assert tracker.config.comp_time == 1e9
+        assert tracker.bytes_sent > 1000 * 1460  # over a thousand ACKs
+        assert tracker._observed_gaps == []
