@@ -162,10 +162,6 @@ class IterationTracker:
         self.prev_ack_tstamp = now
         return self.bytes_ratio
 
-    def aggressiveness(self) -> float:
-        """Evaluate the configured F at the current ``bytes_ratio``."""
-        return self.config.function(self.bytes_ratio)
-
     def notify_iteration_boundary(self, now: float) -> None:
         """Explicitly mark an iteration boundary (fluid-simulator hook).
 

@@ -17,19 +17,14 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
   token: pass it to :meth:`Simulator.cancel`.  Cancellation nulls the
   callback slot and bumps a counter, so :meth:`Simulator.pending_events`
   never scans the queue.  The dead entry (a tombstone) stays in the heap
-  until it reaches the top — or until tombstones outnumber both
-  ``_COMPACT_FLOOR`` and the live entries (``_COMPACT_SHARE`` of the
-  heap), when ``cancel`` filters them all out in one pass and re-heapifies.
-  A pFabric sender cancels and re-arms its timer on every ACK, and a link
-  fault re-plan cancels every delivery not yet started, so without
-  compaction their tombstones would fill the heap and every push and pop
-  would sift through them.  A TCP sender's RTO is a deadline that ACKs
-  move without a cancel (:class:`repro.tcp.base.TcpSender`); it cancels
-  only when the deadline moves earlier than its armed entry.  Compaction
-  cannot move dispatch order: every key ``(time, sequence)`` is unique, so
-  the pop order does not depend on the heap's layout, and no comparison
-  ever reaches the callback slot.  Amortised, each cancel still costs O(1)
-  list work.
+  until it reaches the top, so no caller may cancel per packet or per
+  ACK.  None does: a retransmission timer is a :class:`DeadlineTimer`,
+  whose restarts move a deadline and cancel only when it moves earlier
+  than the armed entry or the timer stops (all in-flight data
+  acknowledged).  The other cancels are bounded too: a delayed-ACK timer
+  cancels once per coalesced ACK, DCQCN's periodic timers once per
+  transfer, and a link fault re-plan once per buffered packet per
+  transition.
 * Times are checked once per call, never per event: ``schedule`` and
   ``schedule_at`` reject a negative, NaN or infinite time (an event at
   infinity would move the clock there for good), and ``run`` rejects a
@@ -42,7 +37,7 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
 from __future__ import annotations
 
 import math
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, List, Optional, Protocol
 
@@ -50,6 +45,7 @@ __all__ = [
     "Simulator",
     "SimMonitor",
     "EventEntry",
+    "DeadlineTimer",
     "total_events_processed",
 ]
 
@@ -72,12 +68,6 @@ class SimMonitor(Protocol):
 #: callback]``; treat it as opaque outside this module and pass it to
 #: :meth:`Simulator.cancel` / :meth:`Simulator.is_cancelled`.
 EventEntry = List[Any]
-
-#: Compaction: ``cancel`` rebuilds the heap once its tombstones exceed this
-#: floor *and* this share of the heap, i.e. once they outnumber the live
-#: entries.  The floor keeps small heaps from compacting on every cancel.
-_COMPACT_FLOOR = 32
-_COMPACT_SHARE = 0.5
 
 _INF = math.inf
 
@@ -198,25 +188,17 @@ class Simulator:
         return entry
 
     def cancel(self, entry: EventEntry) -> None:
-        """Cancel a scheduled event (amortised O(1), idempotent).
+        """Cancel a scheduled event (O(1), idempotent).
 
         Cancelling an event that already fired is a no-op, matching
         timer semantics: a late ``cancel`` after the callback ran must
-        not corrupt the live-event bookkeeping.  Once tombstones outnumber
-        the live entries (and ``_COMPACT_FLOOR``), the heap is compacted
-        in place — ``run()`` holds an alias to the list.
+        not corrupt the live-event bookkeeping.
         """
         cb = entry[2]
         if cb is None or cb is _FIRED:
             return
         entry[2] = None
-        cancelled = self._cancelled + 1
-        queue = self._queue
-        if cancelled > _COMPACT_FLOOR and cancelled > _COMPACT_SHARE * len(queue):
-            queue[:] = [e for e in queue if e[2] is not None]
-            heapify(queue)
-            cancelled = 0
-        self._cancelled = cancelled
+        self._cancelled += 1
 
     def is_cancelled(self, entry: EventEntry) -> bool:
         """Whether :meth:`cancel` was called before the event fired."""
@@ -329,3 +311,58 @@ class Simulator:
     def pending_events(self) -> int:
         """Live (non-cancelled) events still queued — O(1)."""
         return len(self._queue) - self._cancelled
+
+
+class DeadlineTimer:
+    """A one-shot timer whose deadline restarts move, like Linux's
+    ``icsk_timeout``.
+
+    :meth:`restart` stores ``now + timeout`` in :attr:`deadline` and
+    touches the event heap only when no entry is armed or the deadline
+    moved earlier than the armed one (then it cancels that entry).  An
+    entry that fires before the deadline re-arms itself there, as
+    ``tcp_write_timer_handler`` does, so ``callback`` still runs exactly
+    ``timeout`` after the last restart.  A timer restarted on every ACK
+    thus pushes about one entry per timeout instead of one per ACK.
+    """
+
+    __slots__ = ("deadline", "armed", "_sim", "_callback", "_entry")
+
+    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
+        self._sim = sim
+        self._callback = callback
+        #: When the timer expires; restarts move it.
+        self.deadline = 0.0
+        #: Whether a heap entry is pending; it never fires after
+        #: :attr:`deadline`.
+        self.armed = False
+        self._entry: Optional[EventEntry] = None
+
+    def restart(self, timeout: float) -> None:
+        """Expire ``timeout`` seconds from now, whatever was set before."""
+        sim = self._sim
+        deadline = sim.now + timeout
+        self.deadline = deadline
+        entry = self._entry
+        if entry is None or deadline < entry[0]:
+            if entry is not None:
+                sim.cancel(entry)
+            self._entry = sim.schedule_at(deadline, self._fire)
+            self.armed = True
+
+    def cancel(self) -> None:
+        """Stop the timer; a no-op when it is not armed."""
+        if self._entry is not None:
+            self._sim.cancel(self._entry)
+            self._entry = None
+            self.armed = False
+
+    def _fire(self) -> None:
+        deadline = self.deadline
+        if self._sim.now < deadline:
+            # Restarts moved the deadline since this entry was armed.
+            self._entry = self._sim.schedule_at(deadline, self._fire)
+            return
+        self._entry = None
+        self.armed = False
+        self._callback()

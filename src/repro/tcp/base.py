@@ -17,7 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
 
-from ..simulator.engine import EventEntry, Simulator
+from ..simulator.engine import DeadlineTimer, EventEntry, Simulator
 from ..simulator.node import Host
 from ..simulator.packet import Packet
 
@@ -38,7 +38,9 @@ class CongestionControl(ABC):
 
     The algorithm owns ``cwnd`` (float, segments) and ``ssthresh``; the
     connection reads ``cwnd`` to clock transmissions and calls the hooks on
-    protocol events.
+    protocol events.  Each ``on_ack`` calls :meth:`_observe` once and
+    scales its window-increase step by :meth:`_ai_scale`: the two hooks
+    Algorithm 1 plugs into (``repro.tcp.mltcp._MltcpMixin``).
     """
 
     #: Whether data packets should be marked ECN-capable.
@@ -77,6 +79,14 @@ class CongestionControl(ABC):
 
     def on_ecn_echo(self, echoed: int, total: int, conn: "TcpSender") -> None:
         """ECN feedback for one window (DCTCP-style algorithms override)."""
+
+    def _observe(self, newly_acked: int, conn: "TcpSender") -> None:
+        """Per-ACK observation hook (MLTCP feeds its iteration tracker)."""
+
+    def _ai_scale(self, conn: "TcpSender") -> float:
+        """Window-increase scale: 1 for the base algorithm, F(bytes_ratio)
+        for MLTCP."""
+        return 1.0
 
     def on_transfer_abort(self, conn: "TcpSender") -> None:
         """The application aborted mid-transfer (job kill/restart).
@@ -222,12 +232,9 @@ class TcpReceiver:
 class TcpSender:
     """Send side of one flow: window clocking, loss recovery, timers.
 
-    The retransmission timer is a deadline that ACKs move, like Linux's
-    ``icsk_timeout``: a restart stores ``now + timeout`` and touches the
-    event heap only when no entry is armed or the deadline moved earlier
-    than the armed one.  An entry that fires before the deadline re-arms
-    itself there, as ``tcp_write_timer_handler`` does, so an RTO still
-    fires exactly ``timeout`` after the last restart.
+    The retransmission timer is a :class:`DeadlineTimer`: ACKs move its
+    deadline without touching the event heap, and an RTO still fires
+    exactly ``timeout`` after the last restart.
     """
 
     def __init__(
@@ -274,11 +281,7 @@ class TcpSender:
         self.rttvar: Optional[float] = None
         self.rto = 4 * min_rto
         self._rto_backoff = 1.0
-        self._rto_timer: Optional[EventEntry] = None
-        #: When the retransmission timer expires; ACKs move it.
-        self._rto_deadline = 0.0
-        #: When the armed heap entry fires: never after ``_rto_deadline``.
-        self._rto_armed_at = 0.0
+        self._rto_timer = DeadlineTimer(sim, self._on_rto)
 
         #: Peer receiver, wired by the experiment assembly (packetlab) so an
         #: aborted transfer can resync the cumulative-ACK point — the
@@ -337,7 +340,7 @@ class TcpSender:
         hook fires last (MLTCP resets ``bytes_sent`` there).
         """
         aborted_bytes = max(0, (self.target - self.snd_una)) * self.mss_bytes
-        self._cancel_rto_timer()
+        self._rto_timer.cancel()
         self.in_recovery = False
         self.dup_acks = 0
         self._rto_backoff = 1.0
@@ -417,7 +420,7 @@ class TcpSender:
         self._last_activity = self.sim.now
         self._restart_rto_timer()
         if self.all_acked() and self.on_all_acked is not None and self.target > 0:
-            self._cancel_rto_timer()
+            self._rto_timer.cancel()
             self.on_all_acked()
 
     def _on_dup_ack(self) -> None:
@@ -436,7 +439,7 @@ class TcpSender:
         while self.snd_nxt < self.target and self.snd_nxt < self.snd_una + window:
             self._transmit(self.snd_nxt, retransmission=False)
             self.snd_nxt += 1
-        if self.flight_size() > 0 and self._rto_timer is None:
+        if self.flight_size() > 0 and not self._rto_timer.armed:
             self._restart_rto_timer()
 
     def _transmit(self, seq: int, retransmission: bool) -> None:
@@ -480,33 +483,13 @@ class TcpSender:
         )
 
     def _restart_rto_timer(self) -> None:
-        if self.flight_size() <= 0:
-            self._cancel_rto_timer()
-            return
-        sim = self.sim
-        deadline = sim.now + min(self.max_rto, self.rto * self._rto_backoff)
-        self._rto_deadline = deadline
-        # A later deadline leaves the armed entry alone: it fires early and
-        # re-arms itself (see _on_rto).  Only an earlier one replaces it.
-        if self._rto_timer is None or deadline < self._rto_armed_at:
-            self._cancel_rto_timer()
-            self._rto_timer = sim.schedule_at(deadline, self._on_rto)
-            self._rto_armed_at = deadline
-
-    def _cancel_rto_timer(self) -> None:
-        if self._rto_timer is not None:
-            self.sim.cancel(self._rto_timer)
-            self._rto_timer = None
+        if self.snd_nxt > self.snd_una:
+            self._rto_timer.restart(min(self.max_rto, self.rto * self._rto_backoff))
+        else:
+            self._rto_timer.cancel()
 
     def _on_rto(self) -> None:
-        self._rto_timer = None
         if self.flight_size() <= 0:
-            return
-        deadline = self._rto_deadline
-        if self.sim.now < deadline:
-            # ACKs moved the deadline since this entry was armed.
-            self._rto_timer = self.sim.schedule_at(deadline, self._on_rto)
-            self._rto_armed_at = deadline
             return
         self.timeouts += 1
         self.cc.on_rto(self)

@@ -70,15 +70,6 @@ class CubicCC(CongestionControl):
         self._register_loss()
         super().on_rto(conn)
 
-    # -- hooks MLTCP overrides ---------------------------------------------
-
-    def _observe(self, newly_acked: int, conn: TcpSender) -> None:
-        """Per-ACK observation hook (MLTCP feeds its iteration tracker)."""
-
-    def _ai_scale(self, conn: TcpSender) -> float:
-        """Window-increase scale; 1 for plain CUBIC, F(bytes_ratio) for MLTCP."""
-        return 1.0
-
     # -- internals ----------------------------------------------------------
 
     def _register_loss(self) -> None:

@@ -10,7 +10,9 @@ module provides a paced :class:`RateSender` driven by a
 * A periodic timer raises the rate through DCQCN's fast-recovery stages
   (binary approach to the target rate) followed by additive increase.
 * :class:`MltcpDcqcnController` scales the additive-increase step ``R_AI``
-  by ``F(bytes_ratio)`` — the rate-based analogue of Eq. 1.
+  by ``F(bytes_ratio)`` — the rate-based analogue of Eq. 1 — from the same
+  :class:`~repro.tcp.mltcp.MltcpState` the window-based MLTCP-X use, so it
+  degrades to plain DCQCN while the tracker distrusts its estimate.
 
 Simplifications: the fabric is assumed lossless for rate-based flows (as
 RoCE/PFC provides); byte counters replace per-QP hardware state; timer
@@ -22,11 +24,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..core.config import MLTCPConfig
-from ..core.iteration import IterationTracker
 from ..simulator.engine import EventEntry, Simulator
 from ..simulator.node import Host
 from ..simulator.packet import Packet
 from .base import DEFAULT_MSS_BYTES
+from .mltcp import MltcpState
 
 __all__ = ["DcqcnController", "MltcpDcqcnController", "RateSender"]
 
@@ -85,8 +87,9 @@ class DcqcnController:
             0.5 * (self.current_rate_bps + self.target_rate_bps),
         )
 
-    def observe_delivery(self, now: float, acked_bytes: int, rtt: Optional[float]) -> None:
-        """Delivery notification hook (MLTCP feeds its tracker here)."""
+    def observe_delivery(self, newly_acked: int, conn: "RateSender") -> None:
+        """``newly_acked`` segments of ``conn`` delivered (MLTCP feeds its
+        tracker here)."""
 
     def _ai_step(self) -> float:
         """Additive-increase step; MLTCP-DCQCN scales this by F."""
@@ -114,15 +117,14 @@ class MltcpDcqcnController(DcqcnController):
             g=g,
             fast_recovery_stages=fast_recovery_stages,
         )
-        self.config = config if config is not None else MLTCPConfig()
-        self.tracker = IterationTracker(self.config)
+        self.mltcp = MltcpState(config)
 
-    def observe_delivery(self, now: float, acked_bytes: int, rtt: Optional[float]) -> None:
-        """Feed Algorithm 1's tracker with newly delivered bytes."""
-        self.tracker.on_ack(now=now, acked_bytes=acked_bytes, smoothed_rtt=rtt)
+    def observe_delivery(self, newly_acked: int, conn: "RateSender") -> None:
+        """Algorithm 1 lines 7–17 for the newly delivered segments."""
+        self.mltcp.observe_ack(newly_acked, conn)
 
     def _ai_step(self) -> float:
-        return self.tracker.aggressiveness() * self.rate_ai_bps
+        return self.mltcp.aggressiveness() * self.rate_ai_bps
 
 
 class RateSender:
@@ -206,9 +208,7 @@ class RateSender:
             for seq in range(self.snd_una, ack - 1):
                 self._send_times.pop(seq, None)
             self.snd_una = ack
-            self.controller.observe_delivery(
-                self.sim.now, newly * self.mss_bytes, self._srtt
-            )
+            self.controller.observe_delivery(newly, self)
         if packet.ecn_echo and self.sim.now - self._last_cnp_time >= self.cnp_interval:
             self._last_cnp_time = self.sim.now
             self.controller.on_congestion()

@@ -52,15 +52,6 @@ class DctcpCC(CongestionControl):
             # Marks end slow start immediately (as in the DCTCP paper).
             self.ssthresh = min(self.ssthresh, self.cwnd)
 
-    # -- hooks MLTCP overrides ---------------------------------------------
-
-    def _observe(self, newly_acked: int, conn: TcpSender) -> None:
-        """Per-ACK observation hook (MLTCP feeds its iteration tracker)."""
-
-    def _ai_scale(self, conn: TcpSender) -> float:
-        """Additive-increase scale; 1 for plain DCTCP, F(bytes_ratio) for MLTCP."""
-        return 1.0
-
     # -- internals ----------------------------------------------------------
 
     def _end_window(self, conn: TcpSender) -> None:

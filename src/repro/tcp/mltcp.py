@@ -1,15 +1,19 @@
 """MLTCP congestion-control variants (paper §3, Algorithm 1).
 
-Each MLTCP-X class derives from its base algorithm X and does exactly two
-things, mirroring the paper's kernel module:
+Each MLTCP-X class is :class:`_MltcpMixin` plus its base algorithm X, and
+overrides exactly the two hooks every :class:`CongestionControl` declares,
+mirroring the paper's kernel module:
 
-1. On every ACK it feeds the :class:`~repro.core.iteration.IterationTracker`
-   (Algorithm 1's state: ``bytes_sent``, ``bytes_ratio``, iteration-boundary
-   detection via ACK gaps, optional online learning of TOTAL_BYTES and
-   COMP_TIME).
-2. It scales the base algorithm's window-increase step by
+1. ``_observe``: on every ACK it feeds the
+   :class:`~repro.core.iteration.IterationTracker` (Algorithm 1's state:
+   ``bytes_sent``, ``bytes_ratio``, iteration-boundary detection via ACK
+   gaps, optional online learning of TOTAL_BYTES and COMP_TIME).
+2. ``_ai_scale``: it scales the base algorithm's window-increase step by
    ``F(bytes_ratio)`` — Eq. 1 for Reno, and "other congestion control
-   schemes are augmented in a similar way" (§6) for CUBIC and DCTCP.
+   schemes are augmented in a similar way" (§6) for CUBIC, DCTCP and
+   Swift (:class:`repro.tcp.swift.MLTCPSwift`).  The rate-based
+   MLTCP-DCQCN (:mod:`repro.tcp.dcqcn`) holds the same
+   :class:`MltcpState`.
 
 Everything else — slow start, loss recovery, timers — is inherited
 unchanged, which is the paper's deployability argument.
@@ -26,7 +30,7 @@ raises even under the ``raise`` policy).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..core.config import MLTCPConfig
 from ..core.iteration import IterationTracker
@@ -37,6 +41,7 @@ from .reno import RenoCC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..guards.core import GuardRail
+    from .dcqcn import RateSender
 
 __all__ = [
     "DEGRADED_AGGRESSIVENESS",
@@ -81,7 +86,7 @@ class MltcpState:
         """Whether F is currently clamped to 1 (vanilla base CC)."""
         return self.tracker.estimate_unreliable
 
-    def observe_ack(self, newly_acked: int, conn: TcpSender) -> None:
+    def observe_ack(self, newly_acked: int, conn: "TcpSender | RateSender") -> None:
         """Algorithm 1 lines 7–17: update bytes_sent / bytes_ratio."""
         tracker, now = self.tracker, conn.sim.now
         tracker.on_ack(now, newly_acked * conn.mss_bytes, conn.smoothed_rtt)
@@ -142,11 +147,12 @@ class _MltcpMixin(CongestionControl):
     ``super().__init__()`` / ``super().on_transfer_abort()`` calls are
     statically known to resolve; in the concrete MLTCP-X classes the MRO
     places the base algorithm X between this mixin and
-    :class:`CongestionControl`, so X's hooks still run.
+    :class:`CongestionControl`, so X's hooks still run.  Keyword arguments
+    after ``config`` go to X's constructor.
     """
 
-    def __init__(self, config: MLTCPConfig | None = None) -> None:
-        super().__init__()
+    def __init__(self, config: MLTCPConfig | None = None, **base_kwargs: Any) -> None:
+        super().__init__(**base_kwargs)
         self.mltcp = MltcpState(config)
 
     def _observe(self, newly_acked: int, conn: TcpSender) -> None:

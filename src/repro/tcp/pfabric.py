@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..simulator.engine import EventEntry, Simulator
+from ..simulator.engine import DeadlineTimer, Simulator
 from ..simulator.node import Host
 from ..simulator.packet import Packet
 from .base import DEFAULT_MSS_BYTES
@@ -32,7 +32,9 @@ class PFabricSender:
     ``priority`` is the flow's remaining byte count at transmit time, so the
     fabric serves the shortest remaining flow first.  Loss recovery is a
     simple per-flow retransmission timer with go-back-N, as in pFabric's
-    minimal transport.
+    minimal transport.  ACKs move the timer's deadline
+    (:class:`~repro.simulator.engine.DeadlineTimer`): it expires ``rto``
+    after the last ACK that advanced ``snd_una``.
     """
 
     def __init__(
@@ -66,7 +68,7 @@ class PFabricSender:
         self.retransmissions = 0
         self.timeouts = 0
         self.acked_bytes_log: list[tuple[float, int]] = []
-        self._timer: Optional[EventEntry] = None
+        self._timer = DeadlineTimer(sim, self._on_timeout)
         host.register_flow(flow_id, self)
 
     # -- application interface ---------------------------------------------
@@ -102,7 +104,7 @@ class PFabricSender:
             self.acked_bytes_log.append((self.sim.now, newly * self.mss_bytes))
             self._restart_timer()
         if self.all_acked() and self.target > 0:
-            self._cancel_timer()
+            # Nothing is in flight, so _restart_timer has stopped the timer.
             if self.on_all_acked is not None:
                 self.on_all_acked()
             return
@@ -114,8 +116,8 @@ class PFabricSender:
         while self.snd_nxt < self.target and self.snd_nxt < self.snd_una + self.window:
             self._transmit(self.snd_nxt)
             self.snd_nxt += 1
-        if self.snd_nxt > self.snd_una and self._timer is None:
-            self._restart_timer()
+        if self.snd_nxt > self.snd_una and not self._timer.armed:
+            self._timer.restart(self.rto)
 
     def _transmit(self, seq: int) -> None:
         remaining = (self.target - self.snd_una) * self.mss_bytes
@@ -133,17 +135,12 @@ class PFabricSender:
         self.host.send(packet)
 
     def _restart_timer(self) -> None:
-        self._cancel_timer()
         if self.snd_nxt > self.snd_una:
-            self._timer = self.sim.schedule(self.rto, self._on_timeout)
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self.sim.cancel(self._timer)
-            self._timer = None
+            self._timer.restart(self.rto)
+        else:
+            self._timer.cancel()
 
     def _on_timeout(self) -> None:
-        self._timer = None
         if self.all_acked():
             return
         self.timeouts += 1

@@ -28,12 +28,3 @@ class RenoCC(CongestionControl):
             return
         # Additive increase: Eq. 1 with F == _ai_scale() (1.0 for plain Reno).
         self.cwnd += self._ai_scale(conn) * newly_acked / self.cwnd
-
-    # -- hooks MLTCP overrides ---------------------------------------------
-
-    def _observe(self, newly_acked: int, conn: TcpSender) -> None:
-        """Per-ACK observation hook (MLTCP feeds its iteration tracker)."""
-
-    def _ai_scale(self, conn: TcpSender) -> float:
-        """Additive-increase scale; plain Reno is 1, MLTCP is F(bytes_ratio)."""
-        return 1.0

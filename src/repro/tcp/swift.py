@@ -16,12 +16,8 @@ from the base class.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .base import CongestionControl, MIN_CWND, TcpSender
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.config import MLTCPConfig
+from .mltcp import _MltcpMixin
 
 __all__ = ["SwiftCC", "MLTCPSwift"]
 
@@ -76,44 +72,10 @@ class SwiftCC(CongestionControl):
         self.cwnd = max(MIN_CWND, self.cwnd * (1.0 - excess))
         self.ssthresh = min(self.ssthresh, self.cwnd)
 
-    # -- hooks MLTCP overrides ---------------------------------------------
 
-    def _observe(self, newly_acked: int, conn: TcpSender) -> None:
-        """Per-ACK observation hook (MLTCP feeds its iteration tracker)."""
-
-    def _ai_scale(self, conn: TcpSender) -> float:
-        """Additive-increase scale; 1 for Swift, F(bytes_ratio) for MLTCP."""
-        return 1.0
-
-
-class MLTCPSwift(SwiftCC):
-    """Swift with the additive increase scaled by ``F(bytes_ratio)``."""
+class MLTCPSwift(_MltcpMixin, SwiftCC):
+    """Swift with the additive increase scaled by ``F(bytes_ratio)``;
+    ``MLTCPSwift(config, target_delay=...)`` passes Swift's keyword
+    arguments through."""
 
     name = "mltcp-swift"
-
-    def __init__(
-        self,
-        config: "MLTCPConfig | None" = None,
-        target_delay: float = 400e-6,
-        ai: float = 1.0,
-        beta: float = 0.8,
-        max_mdf: float = 0.5,
-    ) -> None:
-        from ..core.config import MLTCPConfig
-        from .mltcp import MltcpState
-
-        super().__init__(
-            target_delay=target_delay, ai=ai, beta=beta, max_mdf=max_mdf
-        )
-        self.mltcp = MltcpState(config if config is not None else MLTCPConfig())
-
-    def _observe(self, newly_acked: int, conn: TcpSender) -> None:
-        self.mltcp.observe_ack(newly_acked, conn)
-
-    def _ai_scale(self, conn: TcpSender) -> float:
-        return self.mltcp.aggressiveness()
-
-    def on_transfer_abort(self, conn: TcpSender) -> None:
-        """Transfer aborted (job kill/restart): full Algorithm 1 reset."""
-        super().on_transfer_abort(conn)
-        self.mltcp.reset_iteration(conn.sim.now, getattr(conn, "flow_id", ""))

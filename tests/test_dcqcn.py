@@ -1,5 +1,7 @@
 """Tests for the rate-based DCQCN controller and MLTCP-DCQCN."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import MLTCPConfig
@@ -74,6 +76,14 @@ class TestController:
             DcqcnController(line_rate_bps=1e9, g=0.0)
 
 
+def _conn(now, mss_bytes, srtt=0.001):
+    """What MLTCP reads from a sender: the clock, MSS, SRTT and flow."""
+    return SimpleNamespace(
+        sim=SimpleNamespace(now=now), mss_bytes=mss_bytes, smoothed_rtt=srtt,
+        flow_id="q",
+    )
+
+
 class TestMltcpDcqcn:
     def test_ai_step_scaled_by_f(self):
         """The rate-based analogue of Eq. 1: R_AI * F(bytes_ratio)."""
@@ -83,17 +93,40 @@ class TestMltcpDcqcn:
         )
         # No deliveries yet: ratio 0 -> F = 0.25.
         assert controller._ai_step() == pytest.approx(0.25 * 10e6)
-        controller.observe_delivery(0.0, acked_bytes=1000, rtt=0.001)
+        controller.observe_delivery(1, _conn(0.0, mss_bytes=1000))
         # Ratio 1 -> F = 2.
         assert controller._ai_step() == pytest.approx(2.0 * 10e6)
 
     def test_tracker_resets_at_boundary(self):
         config = MLTCPConfig(total_bytes=1000, comp_time=0.01)
         controller = MltcpDcqcnController(line_rate_bps=1e9, config=config)
-        controller.observe_delivery(0.0, 1000, 0.001)
-        assert controller.tracker.bytes_ratio == 1.0
-        controller.observe_delivery(1.0, 500, 0.001)  # gap > comp_time
-        assert controller.tracker.bytes_ratio == pytest.approx(0.5)
+        controller.observe_delivery(2, _conn(0.0, mss_bytes=500))
+        assert controller.mltcp.tracker.bytes_ratio == 1.0
+        controller.observe_delivery(1, _conn(1.0, mss_bytes=500))  # gap > comp_time
+        assert controller.mltcp.tracker.bytes_ratio == pytest.approx(0.5)
+
+    def test_unreliable_estimate_degrades_to_dcqcn(self):
+        """Five 1,460-byte segments overrun a 1,000-byte TOTAL_BYTES: the
+        tracker flags a missed boundary, and F is clamped to 1 as in every
+        window-based MLTCP-X, so the step is plain DCQCN's ``R_AI``."""
+        sim = Simulator()
+        net = build_dumbbell(sim, 1, bottleneck_bps=1e9)
+        controller = MltcpDcqcnController(
+            1e9, config=MLTCPConfig(total_bytes=1000, comp_time=1.0), rate_ai_bps=10e6
+        )
+        sender = RateSender(sim, net.hosts["s0"], "q", "r0", controller)
+        TcpReceiver(sim, net.hosts["r0"], "q", "s0")
+        sender.send_bytes(5 * 1460)
+        sim.run(until=0.01)
+        assert sender.all_acked()
+        assert controller._ai_step() == 10e6
+        tracker = controller.mltcp.tracker
+        assert tracker.estimate_unreliable
+        assert tracker.bytes_ratio == 1.0
+        assert [
+            (episode["flow"], episode["reason"], episode["end"])
+            for episode in controller.mltcp.degradation_episodes
+        ] == [("q", "missed-boundary", None)]
 
 
 class TestRateSender:

@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine."""
 
+import bisect
 import math
 from unittest import mock
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.guards import GuardRail
-from repro.simulator import engine
 from repro.simulator.engine import Simulator
 from repro.simulator.queues import PriorityQueue
 from repro.simulator.topology import build_dumbbell
@@ -327,13 +327,49 @@ class TestProcessWideCounter:
         assert total_events_processed() == before + 10
 
 
-def _never_compacting_cancel(sim, entry):
-    """The engine's cancel before compaction: tombstones stay until popped."""
-    cb = entry[2]
-    if cb is None or cb is engine._FIRED:
-        return
-    entry[2] = None
-    sim._cancelled += 1
+class _SortedList:
+    """The reference engine: the live events in one list sorted by
+    ``(time, sequence)``; a cancel removes its event."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._live = []
+        self._sequence = 0
+
+    def schedule(self, delay, callback):
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback):
+        event = (time, self._sequence, callback)
+        self._sequence += 1
+        bisect.insort(self._live, event)
+        return event
+
+    def cancel(self, event):
+        if event in self._live:
+            self._live.remove(event)
+
+    def run(self, until=None, max_events=None):
+        horizon = math.inf if until is None else until
+        processed = 0
+        while self._live and processed != max_events and self._live[0][0] <= horizon:
+            time, _, callback = self._live.pop(0)
+            self.now = time
+            callback()
+            processed += 1
+        self.events_processed += processed
+        # The clock stops at the horizon unless live events due by then remain.
+        if until is not None and self.now < until:
+            next_time = self.peek_time()
+            if next_time is None or next_time > until:
+                self.now = until
+
+    def peek_time(self):
+        return self._live[0][0] if self._live else None
+
+    def pending_events(self):
+        return len(self._live)
 
 
 #: A callback's scripted side effects: schedule a child after a delay
@@ -348,7 +384,7 @@ _STEP = st.one_of(
     st.tuples(st.just("schedule"), _WHEN, _EFFECT),
     st.tuples(st.just("schedule_at"), _WHEN, _EFFECT),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
-    # An RTO timer: cancel the slot's token and re-arm it, once per delay.
+    # A timer that cancels its token and re-arms it, once per delay.
     st.tuples(st.just("rearm"), st.lists(_WHEN, min_size=1, max_size=60)),
     # A burst of events, all but every ``stride``-th cancelled at once.
     st.tuples(st.just("burst"), st.lists(_WHEN, min_size=1, max_size=60),
@@ -358,10 +394,10 @@ _STEP = st.one_of(
 )
 
 
-def _scripted(program):
-    """Run ``program`` on a fresh engine; the fired log and the engine's
-    observables after each step."""
-    sim = Simulator()
+def _scripted(program, engine=Simulator):
+    """Run ``program`` on a fresh ``engine()``; the fired log and the
+    engine's observables after each step."""
+    sim = engine()
     tokens = []
     fired = []
     observed = []
@@ -414,71 +450,55 @@ def _observables(sim):
     return sim.pending_events(), sim.peek_time(), sim.events_processed, sim.now.hex()
 
 
-class TestHeapCompaction:
-    """Compacting cancelled entries out of the heap moves no event."""
+class TestScriptedPrograms:
+    """Generated schedule, cancel and run programs fire the same events in
+    the same order, and leave the same clock, queue and counters after
+    every step, as the sorted-list reference."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        program=st.lists(_STEP, max_size=40),
-        floor=st.sampled_from([0, 2, engine._COMPACT_FLOOR]),
-    )
-    def test_matches_never_compacting_cancel(self, program, floor):
-        with mock.patch.object(engine, "_COMPACT_FLOOR", floor):
-            compacted = _scripted(program)
-        with mock.patch.object(Simulator, "cancel", _never_compacting_cancel):
-            oracle = _scripted(program)
-        assert compacted == oracle
+    @given(program=st.lists(_STEP, max_size=40))
+    def test_match_the_sorted_list_reference(self, program):
+        assert _scripted(program) == _scripted(program, _SortedList)
 
-    def test_compaction_keeps_the_heap_mostly_live(self):
-        sim = Simulator()
-        fired = []
-        entries = [
-            sim.schedule(0.001 * (i % 7), lambda i=i: fired.append(i))
-            for i in range(200)
-        ]
-        for entry in entries[::4] + entries[1::4] + entries[2::4]:
-            sim.cancel(entry)
-        assert sim.pending_events() == 50
-        assert len(sim._queue) <= 2 * 50
-        assert sim.peek_time() == 0.0
-        sim.run()
-        assert fired == sorted(range(3, 200, 4), key=lambda i: (i % 7, i))
 
+class TestTombstones:
     def test_packet_run_keeps_tombstones_bounded(self):
-        # The pFabric sender cancels and re-arms its timer on every ACK;
-        # without compaction its tombstones would pile up for a whole RTO.
-        checked = _checked_cancels(_pfabric_transfer)
-        assert len(checked) > 1000
-        assert all(checked)
-        # The TCP sender's RTO is a deadline that ACKs move without a
-        # cancel: only a deadline moved earlier replaces the armed entry.
-        checked = _checked_cancels(packet_fingerprint)
-        assert len(checked) < 100
-        assert all(checked)
+        # A cancelled entry stays in the heap until it reaches the top, so
+        # no transport may cancel per ACK.  The retransmission timers are
+        # deadlines that ACKs move: they cancel when all in-flight data is
+        # acknowledged, or when the deadline moves earlier.
+        for loss in (0.0, 0.01):
+            assert _live_cancels(lambda: _pfabric_transfer(loss)) < 100
+        assert _live_cancels(packet_fingerprint) < 100
 
 
-def _checked_cancels(run):
-    """Run ``run()``; after each ``cancel``, whether the tombstones were
-    within the compaction bound."""
-    checked = []
+def _live_cancels(run):
+    """Run ``run()``; how many ``cancel`` calls turned a live entry into a
+    tombstone."""
+    live = 0
     cancel = Simulator.cancel
 
-    def checking_cancel(sim, entry):
+    def counting_cancel(sim, entry):
+        nonlocal live
+        pending = sim.pending_events()
         cancel(sim, entry)
-        live = len(sim._queue) - sim._cancelled
-        checked.append(sim._cancelled <= max(engine._COMPACT_FLOOR, live))
+        live += pending - sim.pending_events()
 
-    with mock.patch.object(Simulator, "cancel", checking_cancel):
+    with mock.patch.object(Simulator, "cancel", counting_cancel):
         run()
-    return checked
+    return live
 
 
-def _pfabric_transfer():
-    """One 4 MB pFabric transfer over a dumbbell: ~1,400 timer cancels."""
+def _pfabric_transfer(loss):
+    """One 4 MB pFabric transfer over a dumbbell with random loss."""
     sim = Simulator()
-    net = build_dumbbell(sim, 1, bottleneck_bps=1e9, bottleneck_queue=PriorityQueue(32))
+    net = build_dumbbell(
+        sim, 1, bottleneck_bps=1e9, bottleneck_queue=PriorityQueue(32),
+        bottleneck_random_loss=loss,
+    )
     sender = PFabricSender(sim, net.hosts["s0"], "f", "r0")
     TcpReceiver(sim, net.hosts["r0"], "f", "s0")
     sender.send_bytes(4_000_000)
     sim.run(until=0.5)
     assert sender.all_acked()
+    assert (sender.timeouts > 0) == (loss > 0)

@@ -35,7 +35,7 @@ class TestBytesRatio:
         tracker = make_tracker(total_bytes=3000)
         tracker.on_ack(0.0, 1500)
         # F(0.5) with the paper's linear function = 1.125.
-        assert tracker.aggressiveness() == pytest.approx(1.75 * 0.5 + 0.25)
+        assert tracker.config.function(tracker.bytes_ratio) == pytest.approx(1.75 * 0.5 + 0.25)
 
     def test_rejects_negative_bytes(self):
         with pytest.raises(ValueError, match="acked_bytes"):
@@ -111,7 +111,7 @@ class TestOnlineLearning:
         tracker = IterationTracker(MLTCPConfig(comp_time=0.05))
         tracker.on_ack(0.0, 1500)
         assert tracker.bytes_ratio == 0.0
-        assert tracker.aggressiveness() == pytest.approx(0.25)
+        assert tracker.config.function(tracker.bytes_ratio) == pytest.approx(0.25)
 
     def test_learns_comp_time_from_rtt_gaps(self):
         """Boundary detection falls back to an SRTT multiple (§3.2)."""

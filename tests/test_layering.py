@@ -19,6 +19,12 @@ weights.  Every fluid engine, the serve engine included, holds a
 ``repro.service`` may import or name the aggressiveness function behind
 them.
 
+One MLTCP hook pair: under ``repro.tcp`` only ``CongestionControl`` (the
+no-op defaults) and ``_MltcpMixin`` (Algorithm 1) define ``_observe`` and
+``_ai_scale``, and only ``MltcpState`` constructs an ``IterationTracker``,
+so every MLTCP variant, window- or rate-based, shares one tracker clamp
+and one degradation log.
+
 The start-up gate at the end is a rule the static table cannot express:
 scipy and networkx may be imported only inside the function bodies that
 call them, so a fresh interpreter's ``import repro`` loads neither.
@@ -175,6 +181,73 @@ def test_only_allocation_turns_progress_into_weights():
                 f"{module}: {use}"
                 for use in weight_uses(path.read_text(), module, is_package)
             ]
+    assert offenders == []
+
+
+#: Algorithm 1's two hooks on a congestion control's window increase.
+MLTCP_HOOKS = ("_observe", "_ai_scale")
+#: The classes that may define them: the defaults and MLTCP's overrides.
+HOOK_OWNERS = ("CongestionControl", "_MltcpMixin")
+#: The one class that may construct Algorithm 1's per-flow state.
+TRACKER_OWNER = "MltcpState"
+
+
+def mltcp_plumbing(source: str) -> list[tuple[str, str]]:
+    """``(class, name)`` for each :data:`MLTCP_HOOKS` method a class of
+    ``source`` defines and each ``IterationTracker`` it constructs (class
+    ``""`` at module level), in source order."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(node, ast.ClassDef)
+                and isinstance(child, ast.FunctionDef)
+                and child.name in MLTCP_HOOKS
+            ):
+                found.append((owner, child.name))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if called == "IterationTracker":
+                    found.append((owner, called))
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_mltcp_plumbing_sees_hooks_and_trackers():
+    source = (
+        "class Reno(CongestionControl):\n"
+        "    def _ai_scale(self, conn):\n"
+        "        return 1.0\n"
+        "    class Inner:\n"
+        "        def _observe(self, newly_acked, conn): ...\n"
+        "def _observe(newly_acked, conn): ...\n"
+        "class State:\n"
+        "    def __init__(self, config):\n"
+        "        self.tracker = iteration.IterationTracker(config)\n"
+        "tracker = IterationTracker(config)\n"
+    )
+    assert mltcp_plumbing(source) == [
+        ("Reno", "_ai_scale"),
+        ("Inner", "_observe"),
+        ("State", "IterationTracker"),
+        ("", "IterationTracker"),
+    ]
+
+
+def test_one_mltcp_hook_pair_and_one_tracker_owner():
+    offenders = []
+    for path in sorted((SRC / "repro" / "tcp").rglob("*.py")):
+        for owner, name in mltcp_plumbing(path.read_text()):
+            allowed = HOOK_OWNERS if name in MLTCP_HOOKS else (TRACKER_OWNER,)
+            if owner not in allowed:
+                offenders.append(f"{path.name}: {owner or '<module>'} {name}")
     assert offenders == []
 
 
