@@ -2,9 +2,9 @@
 
 §6: "Other congestion control schemes are augmented in a similar way to
 induce shifts in communication start times."  This bench runs the two-job
-packet-level scenario under MLTCP-Reno, MLTCP-CUBIC and MLTCP-DCTCP (ECN
-bottleneck for the latter) and a rate-based MLTCP-DCQCN single-flow sanity
-check, reporting convergence for each.
+packet-level scenario under four window-based variants — MLTCP-Reno,
+MLTCP-CUBIC, MLTCP-Swift and MLTCP-DCTCP (ECN bottleneck for the latter) —
+reporting convergence for each.
 """
 
 import numpy as np
@@ -40,14 +40,11 @@ def _run_family(name: str):
         "mltcp-swift": lambda j: MLTCPSwift(mltcp_config_for(j), target_delay=400e-6),
         "mltcp-dctcp": lambda j: MLTCPDctcp(mltcp_config_for(j)),
     }
-    kwargs = {}
     if name == "mltcp-dctcp":
-        from repro.simulator.queues import EcnQueue
-
         # DCTCP needs an ECN-marking bottleneck; run_packet_jobs uses
         # DropTail, so assemble manually for this variant.
         return _run_dctcp(jobs, ideal)
-    lab = run_packet_jobs(jobs, factories[name], max_iterations=40, seed=2, **kwargs)
+    lab = run_packet_jobs(jobs, factories[name], max_iterations=40, seed=2)
     rounds = lab.mean_iteration_by_round()
     report = detect_convergence(rounds, target=ideal, tolerance=0.08)
     return {

@@ -2,8 +2,10 @@
 
 The fast-path work documented in docs/PERFORMANCE.md got its wins largely
 by hoisting per-event allocation out of the simulators' inner loops:
-plain tuples on the event heap, pooled packets, flow views mutated in
-place.  PRF001 keeps that property from eroding — constructing a
+plain lists on the event heap that carry a delivery's packet instead of
+a closure, packets built by positional constructors, fluid runtimes that
+are their own flow views, mutated in place.  PRF001 keeps that property
+from eroding — constructing a
 dataclass inside an event handler (``on_*``), a dispatch loop
 (``_dispatch``), or an allocation policy (``allocate``) puts a
 ``__init__`` + ``__eq__``-capable object allocation back on the hottest

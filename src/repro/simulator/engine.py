@@ -1,18 +1,24 @@
 """Discrete-event simulation engine.
 
 A minimal, fast event core: a binary heap of plain ``[time, sequence,
-callback]`` list entries.  Everything in the packet-level simulator —
-link serialization, propagation, TCP timers, application phases — is
-built on :class:`Simulator.schedule`.
+callback, argument]`` list entries.  Everything in the packet-level
+simulator — link serialization, propagation, TCP timers, application
+phases — is built on :meth:`Simulator.schedule` and its two siblings.
 
 Performance notes (see docs/PERFORMANCE.md for measurements):
 
-* Heap entries are plain lists, not dataclasses.  A ``[t, seq, cb]``
+* Heap entries are plain lists, not dataclasses.  A ``[t, seq, cb, arg]``
   literal costs ~50 ns to build; a ``@dataclass(order=True)`` instance
   costs ~5x that and drags rich comparison through ``__lt__`` on every
   sift.  Tuples would be marginally cheaper still, but entries must be
   mutable so cancellation and firing can overwrite the callback slot
   in place.
+* :meth:`Simulator.schedule_call` stores one argument in the entry, and
+  ``run`` calls ``callback(argument)``.  A link delivers every packet
+  this way: no closure is built to carry the packet, and firing costs
+  one Python call instead of two.  ``schedule`` and ``schedule_at``
+  store a private sentinel in the argument slot, which ``run`` tests by
+  identity, so any argument — ``None`` included — reaches its callback.
 * The entry returned by :meth:`Simulator.schedule` *is* the cancellation
   token: pass it to :meth:`Simulator.cancel`.  Cancellation nulls the
   callback slot and bumps a counter, so :meth:`Simulator.pending_events`
@@ -25,10 +31,11 @@ Performance notes (see docs/PERFORMANCE.md for measurements):
   cancels once per coalesced ACK, DCQCN's periodic timers once per
   transfer, and a link fault re-plan once per buffered packet per
   transition.
-* Times are checked once per call, never per event: ``schedule`` and
-  ``schedule_at`` reject a negative, NaN or infinite time (an event at
-  infinity would move the clock there for good), and ``run`` rejects a
-  horizon that is NaN, infinite or before the clock.
+* Times are checked once per call, never per event: ``schedule``,
+  ``schedule_at`` and ``schedule_call`` reject a negative, NaN or
+  infinite time (an event at infinity would move the clock there for
+  good), and ``run`` rejects a horizon that is NaN, infinite or before
+  the clock.
 * ``run()`` is one loop for every caller: the horizon and the event
   budget are one plain comparison each per event, and a detached monitor
   costs one ``is not None`` test per event.
@@ -65,8 +72,8 @@ class SimMonitor(Protocol):
         ...
 
 #: Opaque token for a scheduled event.  Layout is ``[time, sequence,
-#: callback]``; treat it as opaque outside this module and pass it to
-#: :meth:`Simulator.cancel` / :meth:`Simulator.is_cancelled`.
+#: callback, argument]``; treat it as opaque outside this module and pass
+#: it to :meth:`Simulator.cancel` / :meth:`Simulator.is_cancelled`.
 EventEntry = List[Any]
 
 _INF = math.inf
@@ -105,6 +112,8 @@ class _Sentinel:
 
 #: Callback-slot sentinel: the event already fired (cancel is a no-op).
 _FIRED = _Sentinel("<fired>")
+#: Argument-slot sentinel: the callback takes no argument.
+_NO_ARG = _Sentinel("<no argument>")
 
 
 class Simulator:
@@ -172,7 +181,7 @@ class Simulator:
                 else f"delay={delay!r} from now={self.now!r} gives an "
                 "infinite event time"
             )
-        entry = [time, next(self._counter), callback]
+        entry = [time, next(self._counter), callback, _NO_ARG]
         heappush(self._queue, entry)
         return entry
 
@@ -183,7 +192,24 @@ class Simulator:
                 f"cannot schedule in the past, at NaN or at infinity: "
                 f"time={time!r}, now={self.now!r}"
             )
-        entry = [time, next(self._counter), callback]
+        entry = [time, next(self._counter), callback, _NO_ARG]
+        heappush(self._queue, entry)
+        return entry
+
+    def schedule_call(
+        self, time: float, callback: Callable[[Any], object], arg: Any
+    ) -> EventEntry:
+        """Run ``callback(arg)`` at absolute simulation time ``time``.
+
+        Checks ``time`` as :meth:`schedule_at` does; ``arg`` may be any
+        object, ``None`` included.
+        """
+        if not self.now <= time < _INF:
+            raise ValueError(
+                f"cannot schedule in the past, at NaN or at infinity: "
+                f"time={time!r}, now={self.now!r}"
+            )
+        entry = [time, next(self._counter), callback, arg]
         heappush(self._queue, entry)
         return entry
 
@@ -278,7 +304,11 @@ class Simulator:
                             )
                 entry[2] = _FIRED
                 self.now = time
-                cb()
+                arg = entry[3]
+                if arg is _NO_ARG:
+                    cb()
+                else:
+                    cb(arg)
                 processed += 1
             # Stop the clock exactly at the horizon, unless the budget ran
             # out with live events still due by then.

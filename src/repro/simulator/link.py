@@ -22,7 +22,12 @@ Performance notes (docs/PERFORMANCE.md): for FIFO disciplines the link
 instants are computed by accumulating transmission times exactly as a
 per-packet transmit-complete chain would (bit-identical floats) — and
 schedules that packet's one delivery event up front.  The link schedules
-no other event.  Planned packets stay in the queue buffer until their
+no other event.  Every event a link schedules carries its packet in the
+heap entry (:meth:`Simulator.schedule_call
+<repro.simulator.engine.Simulator.schedule_call>`), so no method here
+builds a closure per packet, and the receiver is bound when a delivery
+is scheduled: :meth:`Link.connect` belongs to topology build, before
+any traffic.  Planned packets stay in the queue buffer until their
 start instant passes; "settling" pops them lazily, at the next send or
 fault hook, and each of those settles before it reads the buffer.  So
 queue-length observables — DCTCP's marking threshold, drop-tail capacity
@@ -34,7 +39,7 @@ exact at any instant.  Fault hooks settle, cancel the not-yet-started
 deliveries (amortised O(1) each via ``Simulator.cancel``), and re-plan
 under the new link state, which gives rate changes and ECN storms
 pop-time semantics.  Priority queues (pFabric) reorder on arrival, so
-they keep the per-packet event chain.
+they keep the per-packet event chain: transmit complete, then delivery.
 
 Most sends find the link idle: after settling, the plan is empty and the
 wire is free.  While the link is up its plan and its buffer hold the same
@@ -120,7 +125,11 @@ class Link:
         self.fault_drops = 0
 
     def connect(self, deliver: Callable[[Packet], None]) -> None:
-        """Attach the receiving node's packet handler."""
+        """Attach the receiving node's packet handler.
+
+        Call it before any traffic: a delivery already scheduled keeps
+        the handler it was scheduled with.
+        """
         self._deliver = deliver
 
     def send(self, packet: Packet) -> None:
@@ -304,8 +313,8 @@ class Link:
             if not packet.ecn_ce:
                 packet.ecn_ce = True
                 storm_flipped = True
-        delivery = sim.schedule_at(
-            finish + self.delay, lambda p=packet: self._deliver(p)  # type: ignore[misc]
+        delivery = sim.schedule_call(
+            finish + self.delay, self._deliver, packet  # type: ignore[arg-type]
         )
         self._plan.append(
             [packet, start, finish, size_bits, delivery, storm_counted, storm_flipped]
@@ -327,8 +336,8 @@ class Link:
         if self.ecn_storm and packet.ecn_capable:
             packet.ecn_ce = True
             self._storm_settled += 1
-        sim.schedule_at(
-            finish + self.delay, lambda p=packet: self._deliver(p)  # type: ignore[misc]
+        sim.schedule_call(
+            finish + self.delay, self._deliver, packet  # type: ignore[arg-type]
         )
 
     def _settle(self) -> None:
@@ -401,9 +410,12 @@ class Link:
         tx_time = packet.size_bits / (self.rate_bps * self.rate_factor)
         self._bits_settled += packet.size_bits
         self._packets_settled += 1
-        self.sim.schedule(tx_time, lambda p=packet: self._on_tx_complete(p))
+        sim = self.sim
+        sim.schedule_call(sim.now + tx_time, self._on_tx_complete, packet)
 
     def _on_tx_complete(self, packet: Packet) -> None:
-        assert self._deliver is not None
-        self.sim.schedule(self.delay, lambda p=packet: self._deliver(p))
+        sim = self.sim
+        sim.schedule_call(
+            sim.now + self.delay, self._deliver, packet  # type: ignore[arg-type]
+        )
         self._transmit_next()

@@ -6,18 +6,22 @@ packets ("Following Linux's implementation … the congestion window (cwnd) is
 expressed in packets", paper §3.1).  ACKs are pure (no piggybacked data).
 
 Performance notes (docs/PERFORMANCE.md): :class:`Packet` is a ``__slots__``
-class, not a dataclass — packet construction sits directly on the
-per-segment hot path, and slots cut both allocation cost and attribute
-access latency.  ``size_bytes``/``size_bits`` are precomputed at
-construction instead of being recomputed properties.
+class, not a dataclass, and transports build every segment and ACK through
+one of two positional constructors, :meth:`Packet.data` and
+:meth:`Packet.ack`.  Each is one Python call that fills the slots of a
+bare instance: no ``__init__`` frame, and no keyword arguments, which
+CPython binds by matching each name against the parameter list.  Each
+keeps only the checks its arguments can still fail, and
+``size_bytes``/``size_bits`` are set at construction instead of being
+recomputed properties.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from ..core.units import bits_from_bytes
+from ..core.units import BITS_PER_BYTE, bits_from_bytes
 
 __all__ = [
     "Packet",
@@ -29,12 +33,32 @@ __all__ = [
 DATA_HEADER_BYTES = 40
 #: Size of a pure ACK on the wire.
 ACK_SIZE_BYTES = 40
+_ACK_SIZE_BITS = bits_from_bytes(ACK_SIZE_BYTES)
 
 _packet_ids = itertools.count()
 
+#: ``object.__new__``: a bare instance, whose slots the constructors fill.
+_new: Callable[[type], Any] = object.__new__
+
 
 class Packet:
-    """One packet on the wire (data segment or pure ACK)."""
+    """One packet on the wire (data segment or pure ACK).
+
+    Build one with :meth:`data` or :meth:`ack`.  Fields:
+
+    * ``seq`` — data: the segment's sequence number (segment index, not
+      bytes); ACK: the cumulative acknowledgement (next expected segment).
+    * ``payload_bytes`` — 0 for ACKs.
+    * ``sent_time`` — when the *original* transmission of the segment left
+      the sender, for RTT sampling; an ACK echoes its trigger's.
+    * ``retransmitted`` — a retransmission (Karn: no RTT sample).
+    * ``ecn_capable``/``ecn_ce`` — the sender marks capability, a queue or
+      link sets congestion-experienced; ``ecn_echo`` — an ACK reflects CE.
+    * ``priority`` — for priority queues (pFabric: remaining bytes; lower
+      value = higher priority).
+    * ``uid`` — one process-wide sequence; ``size_bytes``/``size_bits`` —
+      wire size including headers.
+    """
 
     __slots__ = (
         "flow_id",
@@ -54,58 +78,92 @@ class Packet:
         "size_bits",
     )
 
-    def __init__(
-        self,
+    flow_id: str
+    src: str
+    dst: str
+    is_ack: bool
+    seq: int
+    payload_bytes: int
+    sent_time: Optional[float]
+    retransmitted: bool
+    ecn_capable: bool
+    ecn_ce: bool
+    ecn_echo: bool
+    priority: float
+    uid: int
+    size_bytes: int
+    size_bits: float
+
+    @staticmethod
+    def data(
         flow_id: str,
         src: str,
         dst: str,
-        is_ack: bool,
-        #: Data: sequence number of this segment (segment index, not bytes).
-        #: ACK: cumulative acknowledgement (next expected segment index).
         seq: int,
-        #: Payload bytes (0 for ACKs).
         payload_bytes: int,
-        #: Simulation time the *original* transmission of this segment left
-        #: the sender; used for RTT sampling (Karn's rule clears it on
-        #: retransmit).
         sent_time: Optional[float] = None,
-        #: True when this is a retransmission (Karn: no RTT sample).
         retransmitted: bool = False,
-        #: ECN: sender marks capability; queue sets congestion-experienced.
         ecn_capable: bool = False,
-        ecn_ce: bool = False,
-        #: ECN echo bit on ACKs (receiver reflects CE back to the sender).
-        ecn_echo: bool = False,
-        #: Scheduling priority for priority queues (e.g. pFabric: remaining
-        #: bytes; lower value = higher priority).
         priority: float = 0.0,
-    ) -> None:
-        if payload_bytes < 0:
-            raise ValueError(
-                f"payload_bytes must be non-negative, got {payload_bytes!r}"
-            )
-        if is_ack and payload_bytes != 0:
-            raise ValueError("pure ACKs carry no payload")
-        if not is_ack and payload_bytes == 0:
-            raise ValueError("data segments must carry payload")
+    ) -> Packet:
+        """A data segment carrying ``payload_bytes`` (> 0) of segment ``seq``."""
+        if payload_bytes <= 0 or seq < 0:
+            if payload_bytes < 0:
+                raise ValueError(
+                    f"payload_bytes must be non-negative, got {payload_bytes!r}"
+                )
+            if payload_bytes == 0:
+                raise ValueError("data segments must carry payload")
+            raise ValueError(f"seq must be non-negative, got {seq!r}")
+        packet: Packet = _new(Packet)
+        packet.flow_id = flow_id
+        packet.src = src
+        packet.dst = dst
+        packet.is_ack = False
+        packet.seq = seq
+        packet.payload_bytes = payload_bytes
+        packet.sent_time = sent_time
+        packet.retransmitted = retransmitted
+        packet.ecn_capable = ecn_capable
+        packet.ecn_ce = False
+        packet.ecn_echo = False
+        packet.priority = priority
+        packet.uid = next(_packet_ids)
+        size = payload_bytes + DATA_HEADER_BYTES
+        packet.size_bytes = size
+        packet.size_bits = size * BITS_PER_BYTE
+        return packet
+
+    @staticmethod
+    def ack(
+        flow_id: str,
+        src: str,
+        dst: str,
+        seq: int,
+        sent_time: Optional[float] = None,
+        retransmitted: bool = False,
+        ecn_echo: bool = False,
+    ) -> Packet:
+        """A pure cumulative ACK of every segment before ``seq``."""
         if seq < 0:
             raise ValueError(f"seq must be non-negative, got {seq!r}")
-        self.flow_id = flow_id
-        self.src = src
-        self.dst = dst
-        self.is_ack = is_ack
-        self.seq = seq
-        self.payload_bytes = payload_bytes
-        self.sent_time = sent_time
-        self.retransmitted = retransmitted
-        self.ecn_capable = ecn_capable
-        self.ecn_ce = ecn_ce
-        self.ecn_echo = ecn_echo
-        self.priority = priority
-        self.uid = next(_packet_ids)
-        #: Wire size including headers (bytes / bits).
-        self.size_bytes = ACK_SIZE_BYTES if is_ack else payload_bytes + DATA_HEADER_BYTES
-        self.size_bits = bits_from_bytes(self.size_bytes)
+        packet: Packet = _new(Packet)
+        packet.flow_id = flow_id
+        packet.src = src
+        packet.dst = dst
+        packet.is_ack = True
+        packet.seq = seq
+        packet.payload_bytes = 0
+        packet.sent_time = sent_time
+        packet.retransmitted = retransmitted
+        packet.ecn_capable = False
+        packet.ecn_ce = False
+        packet.ecn_echo = ecn_echo
+        packet.priority = 0.0
+        packet.uid = next(_packet_ids)
+        packet.size_bytes = ACK_SIZE_BYTES
+        packet.size_bits = _ACK_SIZE_BITS
+        return packet
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"

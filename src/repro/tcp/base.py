@@ -191,16 +191,14 @@ class TcpReceiver:
         # The ACK echoes the newest data packet's original send time and
         # retransmission flag (RFC 1323 timestamps), so the sender can take
         # accurate RTT samples even across recovery episodes.
-        ack = Packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.peer,
-            is_ack=True,
-            seq=self.recv_next,
-            payload_bytes=0,
-            ecn_echo=self._pending_echo,
-            sent_time=self._pending_ts,
-            retransmitted=self._pending_retransmitted,
+        ack = Packet.ack(
+            self.flow_id,
+            self.host.name,
+            self.peer,
+            self.recv_next,
+            self._pending_ts,
+            self._pending_retransmitted,
+            self._pending_echo,
         )
         self._pending_echo = False
         self.acks_sent += 1
@@ -443,17 +441,16 @@ class TcpSender:
             self._restart_rto_timer()
 
     def _transmit(self, seq: int, retransmission: bool) -> None:
-        packet = Packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.peer,
-            is_ack=False,
-            seq=seq,
-            payload_bytes=self.mss_bytes,
-            sent_time=self.sim.now,
-            retransmitted=retransmission,
-            ecn_capable=self.cc.ecn_enabled,
-            priority=float(self.target - self.snd_una),
+        packet = Packet.data(
+            self.flow_id,
+            self.host.name,
+            self.peer,
+            seq,
+            self.mss_bytes,
+            self.sim.now,
+            retransmission,
+            self.cc.ecn_enabled,
+            float(self.target - self.snd_una),
         )
         if retransmission:
             self.retransmissions += 1

@@ -228,15 +228,15 @@ class RateSender:
         if self.snd_nxt >= self.target:
             self._emitting = False
             return
-        packet = Packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.peer,
-            is_ack=False,
-            seq=self.snd_nxt,
-            payload_bytes=self.mss_bytes,
-            sent_time=self.sim.now,
-            ecn_capable=True,
+        packet = Packet.data(
+            self.flow_id,
+            self.host.name,
+            self.peer,
+            self.snd_nxt,
+            self.mss_bytes,
+            self.sim.now,
+            False,
+            True,
         )
         self._send_times[self.snd_nxt] = self.sim.now
         self.snd_nxt += 1

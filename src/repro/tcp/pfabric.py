@@ -103,11 +103,14 @@ class PFabricSender:
             self.snd_nxt = max(self.snd_nxt, self.snd_una)
             self.acked_bytes_log.append((self.sim.now, newly * self.mss_bytes))
             self._restart_timer()
-        if self.all_acked() and self.target > 0:
-            # Nothing is in flight, so _restart_timer has stopped the timer.
-            if self.on_all_acked is not None:
-                self.on_all_acked()
-            return
+            if self.all_acked():
+                # Only the ACK that acknowledges the last segment completes
+                # the transfer: go-back-N resends segments the receiver has,
+                # and their duplicate ACKs find everything acknowledged too.
+                # Nothing is in flight, so _restart_timer has stopped the timer.
+                if self.on_all_acked is not None:
+                    self.on_all_acked()
+                return
         self._pump()
 
     # -- internals --------------------------------------------------------------
@@ -121,15 +124,16 @@ class PFabricSender:
 
     def _transmit(self, seq: int) -> None:
         remaining = (self.target - self.snd_una) * self.mss_bytes
-        packet = Packet(
-            flow_id=self.flow_id,
-            src=self.host.name,
-            dst=self.peer,
-            is_ack=False,
-            seq=seq,
-            payload_bytes=self.mss_bytes,
-            sent_time=self.sim.now,
-            priority=float(remaining),
+        packet = Packet.data(
+            self.flow_id,
+            self.host.name,
+            self.peer,
+            seq,
+            self.mss_bytes,
+            self.sim.now,
+            False,
+            False,
+            float(remaining),
         )
         self.segments_sent += 1
         self.host.send(packet)

@@ -66,6 +66,9 @@ class TestScheduling:
         sim.run()
         with pytest.raises(ValueError, match="past"):
             sim.schedule_at(0.5, lambda: None)
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_call(0.5, print, "packet")
+        assert sim.pending_events() == 0
 
     def test_rejects_nan_times(self):
         # A NaN event would fire with the clock at NaN and pass it on to
@@ -75,6 +78,8 @@ class TestScheduling:
             sim.schedule(float("nan"), lambda: None)
         with pytest.raises(ValueError, match="NaN"):
             sim.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule_call(float("nan"), print, "packet")
         assert sim.pending_events() == 0
 
     def test_rejects_infinite_times(self):
@@ -86,6 +91,8 @@ class TestScheduling:
                 sim.schedule(bad, lambda: None)
             with pytest.raises(ValueError, match="time="):
                 sim.schedule_at(bad, lambda: None)
+            with pytest.raises(ValueError, match="time="):
+                sim.schedule_call(bad, print, "packet")
         sim.schedule_at(1e308, lambda: None)
         sim.run()
         # A finite delay that overflows the clock is refused the same way.
@@ -340,11 +347,14 @@ class _SortedList:
     def schedule(self, delay, callback):
         return self.schedule_at(self.now + delay, callback)
 
-    def schedule_at(self, time, callback):
-        event = (time, self._sequence, callback)
+    def schedule_at(self, time, callback, args=()):
+        event = (time, self._sequence, callback, args)
         self._sequence += 1
         bisect.insort(self._live, event)
         return event
+
+    def schedule_call(self, time, callback, arg):
+        return self.schedule_at(time, callback, (arg,))
 
     def cancel(self, event):
         if event in self._live:
@@ -354,9 +364,9 @@ class _SortedList:
         horizon = math.inf if until is None else until
         processed = 0
         while self._live and processed != max_events and self._live[0][0] <= horizon:
-            time, _, callback = self._live.pop(0)
+            time, _, callback, args = self._live.pop(0)
             self.now = time
-            callback()
+            callback(*args)
             processed += 1
         self.events_processed += processed
         # The clock stops at the horizon unless live events due by then remain.
@@ -380,9 +390,12 @@ _EFFECT = st.tuples(
 )
 #: Delays and offsets from a small set, so event times tie exactly.
 _WHEN = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0])
+#: ``schedule_call`` arguments; ``None`` must reach its callback too.
+_ARG = st.sampled_from([None, 0, "packet"])
 _STEP = st.one_of(
     st.tuples(st.just("schedule"), _WHEN, _EFFECT),
     st.tuples(st.just("schedule_at"), _WHEN, _EFFECT),
+    st.tuples(st.just("schedule_call"), _WHEN, _EFFECT, _ARG),
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     # A timer that cancels its token and re-arms it, once per delay.
     st.tuples(st.just("rearm"), st.lists(_WHEN, min_size=1, max_size=60)),
@@ -403,11 +416,15 @@ def _scripted(program, engine=Simulator):
     observed = []
 
     def callback(tag, effect):
-        def fire():
-            fired.append((tag, sim.now.hex()))
+        def fire(*args):
+            fired.append((tag, sim.now.hex(), args))
             child_delay, cancel_index = effect
             if child_delay is not None:
-                tokens.append(sim.schedule(child_delay, callback(f"{tag}'", (None, None))))
+                child = callback(f"{tag}'", (None, None))
+                if args:  # a called event's child carries its argument on
+                    tokens.append(sim.schedule_call(sim.now + child_delay, child, *args))
+                else:
+                    tokens.append(sim.schedule(child_delay, child))
             if cancel_index is not None and tokens:
                 sim.cancel(tokens[cancel_index % len(tokens)])
         return fire
@@ -419,6 +436,10 @@ def _scripted(program, engine=Simulator):
             tokens.append(sim.schedule(step[1], callback(i, step[2])))
         elif op == "schedule_at":
             tokens.append(sim.schedule_at(sim.now + step[1], callback(i, step[2])))
+        elif op == "schedule_call":
+            tokens.append(
+                sim.schedule_call(sim.now + step[1], callback(i, step[2]), step[3])
+            )
         elif op == "cancel" and tokens:
             sim.cancel(tokens[step[1] % len(tokens)])
         elif op == "rearm":
@@ -451,9 +472,10 @@ def _observables(sim):
 
 
 class TestScriptedPrograms:
-    """Generated schedule, cancel and run programs fire the same events in
-    the same order, and leave the same clock, queue and counters after
-    every step, as the sorted-list reference."""
+    """Generated schedule, schedule_call, cancel and run programs fire the
+    same events in the same order with the same arguments, and leave the
+    same clock, queue and counters after every step, as the sorted-list
+    reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=st.lists(_STEP, max_size=40))

@@ -43,8 +43,7 @@ class TestFabricStructure:
         sink = _Recorder()
         net.hosts["h1_0"].register_flow("f", sink)
         net.hosts["h0_0"].send(
-            Packet(flow_id="f", src="h0_0", dst="h1_0", is_ack=False,
-                   seq=0, payload_bytes=100)
+            Packet.data("f", "h0_0", "h1_0", 0, 100)
         )
         sim.run()
         assert len(sink.packets) == 1
@@ -57,8 +56,7 @@ class TestFabricStructure:
         sink = _Recorder()
         net.hosts["h0_1"].register_flow("f", sink)
         net.hosts["h0_0"].send(
-            Packet(flow_id="f", src="h0_0", dst="h0_1", is_ack=False,
-                   seq=0, payload_bytes=100)
+            Packet.data("f", "h0_0", "h0_1", 0, 100)
         )
         sim.run()
         assert len(sink.packets) == 1
@@ -120,8 +118,7 @@ class TestMultiSpine:
         sink = _Recorder()
         net.hosts["h1_1"].register_flow("f", sink)
         net.hosts["h0_0"].send(
-            Packet(flow_id="f", src="h0_0", dst="h1_1", is_ack=False,
-                   seq=0, payload_bytes=100)
+            Packet.data("f", "h0_0", "h1_1", 0, 100)
         )
         sim.run()
         assert len(sink.packets) == 1
@@ -173,8 +170,7 @@ class TestFatTree:
         sink = _Recorder()
         net.hosts["h1_0"].register_flow("f", sink)
         net.hosts["h0_0"].send(
-            Packet(flow_id="f", src="h0_0", dst="h1_0", is_ack=False,
-                   seq=0, payload_bytes=1500)
+            Packet.data("f", "h0_0", "h1_0", 0, 1500)
         )
         sim.run()
         used = {k for k, v in net.link_utilization().items() if v > 0}

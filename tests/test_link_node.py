@@ -15,8 +15,10 @@ from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.node import Host, Switch
+from repro.core.units import bits_from_bytes
+from repro.simulator import packet as packet_module
 from repro.simulator.packet import ACK_SIZE_BYTES, DATA_HEADER_BYTES, Packet
-from repro.simulator.queues import DropTailQueue, EcnQueue
+from repro.simulator.queues import DropTailQueue, EcnQueue, PriorityQueue
 from repro.simulator.topology import build_dumbbell
 from repro.tcp.base import TcpReceiver, TcpSender
 from repro.tcp.dctcp import DctcpCC
@@ -26,9 +28,7 @@ from repro.workloads.job import JobSpec
 
 
 def data_packet(seq=0, dst="r", flow="f"):
-    return Packet(
-        flow_id=flow, src="s", dst=dst, is_ack=False, seq=seq, payload_bytes=1460
-    )
+    return Packet.data(flow, "s", dst, seq, 1460)
 
 
 class TestPacket:
@@ -36,19 +36,163 @@ class TestPacket:
         assert data_packet().size_bytes == 1460 + DATA_HEADER_BYTES
 
     def test_ack_wire_size(self):
-        ack = Packet(flow_id="f", src="r", dst="s", is_ack=True, seq=5, payload_bytes=0)
+        ack = Packet.ack("f", "r", "s", 5)
         assert ack.size_bytes == ACK_SIZE_BYTES
 
     def test_ack_with_payload_rejected(self):
-        with pytest.raises(ValueError, match="ACK"):
-            Packet(flow_id="f", src="r", dst="s", is_ack=True, seq=5, payload_bytes=10)
+        # An ACK's constructor takes no payload at all.
+        with pytest.raises(TypeError, match="payload_bytes"):
+            Packet.ack("f", "r", "s", 5, payload_bytes=10)
+        assert Packet.ack("f", "r", "s", 5).payload_bytes == 0
 
     def test_data_without_payload_rejected(self):
         with pytest.raises(ValueError, match="payload"):
-            Packet(flow_id="f", src="s", dst="r", is_ack=False, seq=0, payload_bytes=0)
+            Packet.data("f", "s", "r", 0, 0)
 
     def test_unique_uids(self):
         assert data_packet().uid != data_packet().uid
+
+
+class _KeywordPacket:
+    """The former keyword constructor, verbatim: the oracle of
+    :class:`TestPositionalConstructors`."""
+
+    __slots__ = Packet.__slots__
+
+    def __init__(
+        self,
+        flow_id,
+        src,
+        dst,
+        is_ack,
+        #: Data: sequence number of this segment (segment index, not bytes).
+        #: ACK: cumulative acknowledgement (next expected segment index).
+        seq,
+        #: Payload bytes (0 for ACKs).
+        payload_bytes,
+        #: Simulation time the *original* transmission of this segment left
+        #: the sender; used for RTT sampling (Karn's rule clears it on
+        #: retransmit).
+        sent_time=None,
+        #: True when this is a retransmission (Karn: no RTT sample).
+        retransmitted=False,
+        #: ECN: sender marks capability; queue sets congestion-experienced.
+        ecn_capable=False,
+        ecn_ce=False,
+        #: ECN echo bit on ACKs (receiver reflects CE back to the sender).
+        ecn_echo=False,
+        #: Scheduling priority for priority queues (e.g. pFabric: remaining
+        #: bytes; lower value = higher priority).
+        priority=0.0,
+    ):
+        if payload_bytes < 0:
+            raise ValueError(
+                f"payload_bytes must be non-negative, got {payload_bytes!r}"
+            )
+        if is_ack and payload_bytes != 0:
+            raise ValueError("pure ACKs carry no payload")
+        if not is_ack and payload_bytes == 0:
+            raise ValueError("data segments must carry payload")
+        if seq < 0:
+            raise ValueError(f"seq must be non-negative, got {seq!r}")
+        self.flow_id = flow_id
+        self.src = src
+        self.dst = dst
+        self.is_ack = is_ack
+        self.seq = seq
+        self.payload_bytes = payload_bytes
+        self.sent_time = sent_time
+        self.retransmitted = retransmitted
+        self.ecn_capable = ecn_capable
+        self.ecn_ce = ecn_ce
+        self.ecn_echo = ecn_echo
+        self.priority = priority
+        self.uid = next(packet_module._packet_ids)
+        #: Wire size including headers (bytes / bits).
+        self.size_bytes = ACK_SIZE_BYTES if is_ack else payload_bytes + DATA_HEADER_BYTES
+        self.size_bits = bits_from_bytes(self.size_bytes)
+
+
+_PACKET_FIELDS = st.fixed_dictionaries({
+    "flow_id": st.sampled_from(["f", "Job1"]),
+    "src": st.sampled_from(["s0", "h0_1"]),
+    "dst": st.sampled_from(["r0", "h1_0"]),
+    # Half the draws near zero, where the checks refuse.
+    "seq": st.one_of(st.integers(-2, 2), st.integers(0, 1 << 40)),
+    "payload_bytes": st.one_of(st.integers(-2, 2), st.integers(0, 9000)),
+    "sent_time": st.one_of(st.none(), st.floats(0.0, 10.0)),
+    "retransmitted": st.booleans(),
+    "ecn_capable": st.booleans(),
+    "ecn_echo": st.booleans(),
+    "priority": st.floats(0.0, 1e12),
+})
+
+
+def _built(build):
+    """``build()``'s slots and uid, or its ``ValueError`` message."""
+    try:
+        packet = build()
+    except ValueError as error:
+        return str(error)
+    slots = tuple(
+        (name, type(getattr(packet, name)), getattr(packet, name))
+        for name in Packet.__slots__
+        if name != "uid"
+    )
+    return slots, packet.uid
+
+
+def _next_uid():
+    return Packet.ack("probe", "s", "r", 0).uid + 1
+
+
+class TestPositionalConstructors:
+    """``Packet.data`` and ``Packet.ack`` build what the keyword
+    constructor built: the same slots, uids drawn from the one sequence,
+    and the same ``ValueError`` messages."""
+
+    @staticmethod
+    def _check(old_build, new_build):
+        first = _next_uid()
+        old = _built(old_build)
+        new = _built(new_build)
+        if isinstance(old, str):
+            assert new == old
+            assert _next_uid() == first + 1  # a refused packet draws no uid
+        else:
+            assert new == (old[0], old[1] + 1) and old[1] == first
+            assert _next_uid() == first + 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=_PACKET_FIELDS)
+    def test_data_matches_keyword_constructor(self, f):
+        self._check(
+            lambda: _KeywordPacket(
+                flow_id=f["flow_id"], src=f["src"], dst=f["dst"], is_ack=False,
+                seq=f["seq"], payload_bytes=f["payload_bytes"],
+                sent_time=f["sent_time"], retransmitted=f["retransmitted"],
+                ecn_capable=f["ecn_capable"], priority=f["priority"],
+            ),
+            lambda: Packet.data(
+                f["flow_id"], f["src"], f["dst"], f["seq"], f["payload_bytes"],
+                f["sent_time"], f["retransmitted"], f["ecn_capable"], f["priority"],
+            ),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=_PACKET_FIELDS)
+    def test_ack_matches_keyword_constructor(self, f):
+        self._check(
+            lambda: _KeywordPacket(
+                flow_id=f["flow_id"], src=f["src"], dst=f["dst"], is_ack=True,
+                seq=f["seq"], payload_bytes=0, ecn_echo=f["ecn_echo"],
+                sent_time=f["sent_time"], retransmitted=f["retransmitted"],
+            ),
+            lambda: Packet.ack(
+                f["flow_id"], f["src"], f["dst"], f["seq"], f["sent_time"],
+                f["retransmitted"], f["ecn_echo"],
+            ),
+        )
 
 
 class TestLinkTiming:
@@ -269,10 +413,11 @@ def _observed_run(scenario):
     kind, capacity = queue
     network = build_dumbbell(
         sim, len(ccs), 1e9,
-        bottleneck_queue=(
-            EcnQueue(capacity, capacity // 2) if kind == "ecn"
-            else DropTailQueue(capacity)
-        ),
+        bottleneck_queue={
+            "droptail": DropTailQueue,
+            "ecn": lambda capacity: EcnQueue(capacity, capacity // 2),
+            "priority": PriorityQueue,
+        }[kind](capacity),
         bottleneck_random_loss=loss, loss_seed=3,
     )
     delivered = []
@@ -325,6 +470,11 @@ _scenarios = st.tuples(
     st.sampled_from([0.0, 0.001, 0.01]),
     st.lists(_fault_events, max_size=2).map(tuple),
     st.lists(st.floats(0.0, 0.06), min_size=1, max_size=4).map(sorted),
+)
+#: The same runs over a pFabric-style priority bottleneck, whose link keeps
+#: the per-packet transmit chain.
+_priority_scenarios = _scenarios.map(
+    lambda scenario: (scenario[0], ("priority", scenario[1][1]), *scenario[2:])
 )
 
 
@@ -416,3 +566,103 @@ class TestIdleStart:
         sim.run()
         assert marked == [True]
         assert link.storm_marks == 1 and link.queue.marks == 0
+
+
+# The link's delivery scheduling before ``Simulator.schedule_call``, verbatim:
+# the oracle of :class:`TestDeliveryCalls`.  Each delivery carried its packet
+# in a closure, and the receiver was read when the closure fired.
+
+def _closure_plan_packet(self, packet):
+    sim = self.sim
+    start = self._wire_free_at
+    now = sim.now
+    if start < now:
+        start = now
+    size_bits = packet.size_bits
+    finish = start + size_bits / (self.rate_bps * self.rate_factor)
+    self._wire_free_at = finish
+    storm_counted = False
+    storm_flipped = False
+    if self.ecn_storm and packet.ecn_capable:
+        storm_counted = True
+        if not packet.ecn_ce:
+            packet.ecn_ce = True
+            storm_flipped = True
+    delivery = sim.schedule_at(
+        finish + self.delay, lambda p=packet: self._deliver(p)  # type: ignore[misc]
+    )
+    self._plan.append(
+        [packet, start, finish, size_bits, delivery, storm_counted, storm_flipped]
+    )
+
+
+def _closure_start_idle(self, packet):
+    sim = self.sim
+    size_bits = packet.size_bits
+    finish = sim.now + size_bits / (self.rate_bps * self.rate_factor)
+    self._wire_free_at = self._settled_until = finish
+    self._bits_settled += size_bits
+    self._packets_settled += 1
+    if self.ecn_storm and packet.ecn_capable:
+        packet.ecn_ce = True
+        self._storm_settled += 1
+    sim.schedule_at(
+        finish + self.delay, lambda p=packet: self._deliver(p)  # type: ignore[misc]
+    )
+
+
+def _closure_transmit_next(self):
+    if not self.up:
+        self._busy = False
+        return
+    packet = self.queue.pop()
+    if packet is None:
+        self._busy = False
+        return
+    self._busy = True
+    if self.ecn_storm and packet.ecn_capable:
+        packet.ecn_ce = True
+        self._storm_settled += 1
+    tx_time = packet.size_bits / (self.rate_bps * self.rate_factor)
+    self._bits_settled += packet.size_bits
+    self._packets_settled += 1
+    self.sim.schedule(tx_time, lambda p=packet: self._on_tx_complete(p))
+
+
+def _closure_on_tx_complete(self, packet):
+    assert self._deliver is not None
+    self.sim.schedule(self.delay, lambda p=packet: self._deliver(p))
+    self._transmit_next()
+
+
+@contextlib.contextmanager
+def delivery_closures():
+    """Schedule every link delivery through a closure, as before
+    ``Simulator.schedule_call``."""
+    with mock.patch.object(Link, "_plan_packet", _closure_plan_packet), \
+            mock.patch.object(Link, "_start_idle", _closure_start_idle), \
+            mock.patch.object(Link, "_transmit_next", _closure_transmit_next), \
+            mock.patch.object(Link, "_on_tx_complete", _closure_on_tx_complete):
+        yield
+
+
+class TestDeliveryCalls:
+    """A delivery that carries its packet in the heap entry moves no packet,
+    no counter and no event: FIFO links (planned and idle starts, with
+    faults re-planning them) and a priority link's transmit chain."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=_scenarios)
+    def test_fifo_links_match_delivery_closures(self, scenario):
+        direct = _observed_run(scenario)
+        with delivery_closures():
+            closures = _observed_run(scenario)
+        assert direct == closures
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenario=_priority_scenarios)
+    def test_priority_link_matches_delivery_closures(self, scenario):
+        direct = _observed_run(scenario)
+        with delivery_closures():
+            closures = _observed_run(scenario)
+        assert direct == closures

@@ -173,6 +173,40 @@ class TestHotPathEnumLoads:
         assert _enum_member_loads(module_name) == []
 
 
+def _closures_in_methods(module_name):
+    """``(method, line)`` of each ``lambda`` or nested ``def`` inside a
+    method of a class of ``module_name``."""
+    tree = ast.parse(Path(importlib.import_module(module_name).__file__).read_text())
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for statement in method.body:
+                for node in ast.walk(statement):
+                    if isinstance(
+                        node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
+                    ):
+                        found.append((f"{cls.name}.{method.name}", node.lineno))
+    return found
+
+
+class TestNoPerPacketClosures:
+    """No method of ``repro.simulator.link`` builds a closure.
+
+    A link method runs once per packet per hop; a delivery that carried its
+    packet in a closure cost an allocation when scheduled and an extra
+    Python frame when it fired.  ``Simulator.schedule_call`` keeps the
+    packet in the heap entry instead (docs/PERFORMANCE.md, "Packet path").
+    No output shows the difference, so this gate keeps it from coming back.
+    """
+
+    def test_no_lambda_or_nested_def_in_a_link_method(self):
+        assert _closures_in_methods("repro.simulator.link") == []
+
+
 def _stat(name, min_s, mean_s=None, rounds=10):
     return BenchStat(
         name=name,

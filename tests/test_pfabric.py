@@ -97,32 +97,53 @@ class TestPFabricSender:
             sender.send_bytes(0)
 
 
+def run_figure2b_jobs(until, queue_packets=64, **dumbbell):
+    """Four periodic pFabric jobs, 12 iterations each: J1 with the largest
+    collective and a trio of smaller ones (paper Figure 2(b))."""
+    sim = Simulator()
+    net = build_dumbbell(
+        sim, 4, bottleneck_bps=1e9, bottleneck_queue=PriorityQueue(queue_packets),
+        **dumbbell,
+    )
+    rng = np.random.default_rng(4)
+    big = JobSpec("J1", comm_bits=8e6, demand_gbps=1.0, compute_time=0.010,
+                  jitter_sigma=0.0003)
+    small = JobSpec("Jx", comm_bits=4e6, demand_gbps=1.0, compute_time=0.020,
+                    jitter_sigma=0.0003)
+    jobs = [big] + [small.with_name(f"J{i}") for i in (2, 3, 4)]
+    apps = {}
+    for i, job in enumerate(jobs):
+        sender = PFabricSender(sim, net.hosts[f"s{i}"], job.name, f"r{i}")
+        TcpReceiver(sim, net.hosts[f"r{i}"], job.name, f"s{i}")
+        app = TrainingApp(sim, sender, job, max_iterations=12, rng=rng)
+        app.start()
+        apps[job.name] = app
+    sim.run(until=until)
+    return apps
+
+
 class TestFigure2bAtPacketLevel:
     def test_pfabric_defers_the_big_periodic_job(self):
         """Four periodic jobs over pFabric: the job with the largest
         collective (J1) is head-of-line blocked by the smaller trio —
         the packet-granularity version of paper Figure 2(b)."""
-        sim = Simulator()
-        net = build_dumbbell(
-            sim, 4, bottleneck_bps=1e9, bottleneck_queue=PriorityQueue(64)
-        )
-        rng = np.random.default_rng(4)
-        big = JobSpec("J1", comm_bits=8e6, demand_gbps=1.0, compute_time=0.010,
-                      jitter_sigma=0.0003)
-        small = JobSpec("Jx", comm_bits=4e6, demand_gbps=1.0, compute_time=0.020,
-                        jitter_sigma=0.0003)
-        jobs = [big] + [small.with_name(f"J{i}") for i in (2, 3, 4)]
-        apps = {}
-        for i, job in enumerate(jobs):
-            sender = PFabricSender(sim, net.hosts[f"s{i}"], job.name, f"r{i}")
-            TcpReceiver(sim, net.hosts[f"r{i}"], job.name, f"s{i}")
-            app = TrainingApp(sim, sender, job, max_iterations=12, rng=rng)
-            app.start()
-            apps[job.name] = app
-        sim.run(until=2.0)
-
+        apps = run_figure2b_jobs(until=2.0)
+        big = apps["J1"].job
         overhead = 1500 / 1460
         j1_ideal = big.ideal_comm_time * overhead + big.compute_time
         j1_measured = apps["J1"].iteration_times()[:8].mean()
         # The early iterations show the head-of-line penalty on J1.
         assert j1_measured > 1.25 * j1_ideal
+
+    def test_each_transfer_completes_once(self):
+        """Go-back-N resends segments the receiver already has, and each
+        resend draws a duplicate ACK that finds everything acknowledged;
+        only the ACK that acknowledges the last segment completes the
+        transfer, so every job runs its 12 iterations and no more."""
+        apps = run_figure2b_jobs(
+            until=3.0, queue_packets=8, bottleneck_random_loss=0.02, loss_seed=1
+        )
+        for app in apps.values():
+            assert app.sender.timeouts > 0
+            assert app.sender.target == 12 * -(-app.job.comm_bytes // app.sender.mss_bytes)
+        assert [app.completed for app in apps.values()] == [12] * 4

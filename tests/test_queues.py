@@ -7,15 +7,8 @@ from repro.simulator.queues import DropTailQueue, EcnQueue, PriorityQueue
 
 
 def data_packet(seq=0, priority=0.0, ecn_capable=False):
-    return Packet(
-        flow_id="f",
-        src="s",
-        dst="r",
-        is_ack=False,
-        seq=seq,
-        payload_bytes=1460,
-        priority=priority,
-        ecn_capable=ecn_capable,
+    return Packet.data(
+        "f", "s", "r", seq, 1460, ecn_capable=ecn_capable, priority=priority
     )
 
 

@@ -64,7 +64,7 @@ class TestBulkTransfer:
         receiver_sink = net.hosts["r0"]._flows["f"]
         from repro.simulator.packet import Packet
 
-        ack = Packet(flow_id="f", src="s0", dst="r0", is_ack=True, seq=0, payload_bytes=0)
+        ack = Packet.ack("f", "s0", "r0", 0)
         with pytest.raises(RuntimeError, match="got an ACK"):
             receiver_sink.receive(ack)
 

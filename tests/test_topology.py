@@ -19,7 +19,7 @@ class _Recorder:
 
 
 def data_packet(src, dst, flow="f"):
-    return Packet(flow_id=flow, src=src, dst=dst, is_ack=False, seq=0, payload_bytes=100)
+    return Packet.data(flow, src, dst, 0, 100)
 
 
 class TestDumbbell:
