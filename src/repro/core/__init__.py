@@ -19,13 +19,11 @@ from .aggressiveness import (
 from .analysis import (
     DescentTrajectory,
     MultiJobDescent,
-    TwoJobModel,
     convergence_error_std,
     escape_rate,
     gradient_descent,
     iterations_to_converge,
     loss,
-    loss_closed_form,
     loss_curve,
     predicted_convergence_iterations,
     shift,
@@ -34,7 +32,6 @@ from .analysis import (
 from .config import DEFAULT_MTU_BYTES, MLTCPConfig
 from .validation import (
     ValidationIssue,
-    is_valid_aggressiveness,
     validate_aggressiveness,
 )
 from .iteration import IterationRecord, IterationTracker
@@ -57,13 +54,11 @@ __all__ = [
     "DEFAULT_MTU_BYTES",
     "IterationTracker",
     "IterationRecord",
-    "TwoJobModel",
     "DescentTrajectory",
     "MultiJobDescent",
     "shift",
     "signed_shift",
     "loss",
-    "loss_closed_form",
     "loss_curve",
     "gradient_descent",
     "iterations_to_converge",
@@ -72,5 +67,4 @@ __all__ = [
     "predicted_convergence_iterations",
     "ValidationIssue",
     "validate_aggressiveness",
-    "is_valid_aggressiveness",
 ]

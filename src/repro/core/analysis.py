@@ -35,11 +35,9 @@ from .aggressiveness import PAPER_INTERCEPT, PAPER_SLOPE
 
 __all__ = [
     "CONVERGENCE_TOLERANCE_FRACTION",
-    "TwoJobModel",
     "shift",
     "signed_shift",
     "loss",
-    "loss_closed_form",
     "loss_curve",
     "gradient_descent",
     "DescentTrajectory",
@@ -114,34 +112,7 @@ def loss(
     slope: float = PAPER_SLOPE,
     intercept: float = PAPER_INTERCEPT,
 ) -> float:
-    """Eq. 4: ``Loss(delta) = -integral_0^delta Shift``.
-
-    Uses the signed shift so the loss is defined over the whole circle; it is
-    maximal at full overlap (``delta = 0``) and minimal wherever the
-    communication phases are disjoint.
-    """
-    from scipy import integrate  # only caller: keeps scipy off `import repro`
-
-    _validate_model(alpha, period, slope, intercept)
-    wrapped = delta % period
-
-    def negative_shift(x: float) -> float:
-        return -signed_shift(x, alpha, period, slope, intercept)
-
-    value, _abserr = integrate.quad(
-        negative_shift, 0.0, wrapped, limit=200, epsabs=1e-10, epsrel=1e-10
-    )
-    return value
-
-
-def loss_closed_form(
-    delta: float,
-    alpha: float,
-    period: float,
-    slope: float = PAPER_SLOPE,
-    intercept: float = PAPER_INTERCEPT,
-) -> float:
-    """Eq. 4 in closed form (polynomial division of Eq. 3).
+    """Eq. 4: ``Loss(delta) = -integral_0^delta Shift``, in closed form.
 
     With ``m = alpha*T``, ``k = Slope`` and ``c = m*Intercept``, Eq. 3 is
 
@@ -153,8 +124,10 @@ def loss_closed_form(
         Loss(delta) = delta^2/2 - (m + c/k)*delta
                       + (c*(k*m + c)/k^2) * ln(1 + k*delta/c).
 
-    Beyond ``m`` the loss continues flat through the disjoint plateau and
-    mirrors by the circle symmetry ``Loss(T - x) = Loss(x)`` near ``T``.
+    The loss uses the signed shift, so it is defined over the whole circle:
+    maximal at full overlap (``delta = 0``), flat through the disjoint
+    plateau, and mirrored by the circle symmetry ``Loss(T - x) = Loss(x)``
+    near ``T``.
     """
     _validate_model(alpha, period, slope, intercept)
     wrapped = delta % period
@@ -169,13 +142,11 @@ def loss_closed_form(
             + (c * (k * m + c) / (k * k)) * math.log1p(k * x / c)
         )
 
-    floor = overlap_loss(m)
     if wrapped <= m:
         return overlap_loss(wrapped)
     if wrapped >= period - m:
-        # Mirror: descending into the valley from the other side.
-        return floor + (overlap_loss(m) - overlap_loss(period - wrapped)) * -1.0
-    return floor
+        return overlap_loss(period - wrapped)
+    return overlap_loss(m)
 
 
 def escape_rate(
@@ -189,10 +160,10 @@ def escape_rate(
     iteration — why MLTCP escapes the synchronized (fully overlapped)
     unstable equilibrium within a handful of iterations.
     """
-    if slope <= 0:
-        raise ValueError(f"slope must be positive, got {slope!r}")
-    if intercept <= 0:
-        raise ValueError(f"intercept must be positive, got {intercept!r}")
+    if not 0.0 < slope < math.inf:
+        raise ValueError(f"slope must be positive and finite, got {slope!r}")
+    if not 0.0 < intercept < math.inf:
+        raise ValueError(f"intercept must be positive and finite, got {intercept!r}")
     return 1.0 + slope / intercept
 
 
@@ -315,10 +286,14 @@ def gradient_descent(
     of the two jobs' noises, i.e. Gaussian with std ``sqrt(2) * sigma``.
     """
     _validate_model(alpha, period, slope, intercept)
+    if not -math.inf < delta0 < math.inf:
+        raise ValueError(f"delta0 must be finite, got {delta0!r}")
     if iterations < 1:
         raise ValueError(f"iterations must be positive, got {iterations!r}")
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(
+            f"noise_sigma must be non-negative and finite, got {noise_sigma!r}"
+        )
     if noise_sigma > 0 and rng is None:
         rng = np.random.default_rng(0)
 
@@ -348,12 +323,14 @@ def convergence_error_std(
     intercept: float = PAPER_INTERCEPT,
 ) -> float:
     """Paper §4 bound: steady-state error std = ``2*sigma*(1 + I/S)``."""
-    if noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be non-negative, got {noise_sigma!r}")
-    if slope <= 0:
-        raise ValueError(f"slope must be positive for the bound, got {slope!r}")
-    if intercept < 0:
-        raise ValueError(f"intercept must be non-negative, got {intercept!r}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(
+            f"noise_sigma must be non-negative and finite, got {noise_sigma!r}"
+        )
+    if not 0.0 < slope < math.inf:
+        raise ValueError(f"slope must be positive and finite for the bound, got {slope!r}")
+    if not 0.0 <= intercept < math.inf:
+        raise ValueError(f"intercept must be non-negative and finite, got {intercept!r}")
     return 2.0 * noise_sigma * (1.0 + intercept / slope)
 
 
@@ -372,6 +349,12 @@ def iterations_to_converge(
     (full overlap, ``delta = 0``) or when ``max_iterations`` is exhausted.
     """
     _validate_model(alpha, period, slope, intercept)
+    if not -math.inf < delta0 < math.inf:
+        raise ValueError(f"delta0 must be finite, got {delta0!r}")
+    if not 0.0 <= tolerance_fraction < math.inf:
+        raise ValueError(
+            f"tolerance_fraction must be non-negative and finite, got {tolerance_fraction!r}"
+        )
     comm = alpha * period
     tolerance = tolerance_fraction * period
     current = delta0 % period
@@ -415,9 +398,17 @@ class MultiJobDescent:
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Return offsets per iteration, shape ``(iterations+1, n_jobs)``."""
+        if not 0.0 <= noise_sigma < math.inf:
+            raise ValueError(
+                f"noise_sigma must be non-negative and finite, got {noise_sigma!r}"
+            )
+        if iterations < 0:
+            raise ValueError(f"iterations must be non-negative, got {iterations!r}")
         offsets = np.array([o % self.period for o in offsets0], dtype=float)
         if offsets.ndim != 1 or len(offsets) < 2:
             raise ValueError("need at least two job offsets")
+        if not np.isfinite(offsets).all():
+            raise ValueError(f"offsets0 must be finite, got {list(offsets0)!r}")
         if noise_sigma > 0 and rng is None:
             rng = np.random.default_rng(0)
         history = np.empty((iterations + 1, len(offsets)))
@@ -463,59 +454,14 @@ class MultiJobDescent:
         return (offsets + moves) % self.period
 
 
-@dataclass(frozen=True)
-class TwoJobModel:
-    """Convenience bundle of the §4 two-job parameters."""
-
-    alpha: float
-    period: float
-    slope: float = PAPER_SLOPE
-    intercept: float = PAPER_INTERCEPT
-
-    def __post_init__(self) -> None:
-        _validate_model(self.alpha, self.period, self.slope, self.intercept)
-
-    @property
-    def comm_duration(self) -> float:
-        """Length of each job's communication phase (alpha * T)."""
-        return self.alpha * self.period
-
-    def shift(self, delta: float) -> float:
-        """Signed Eq. 3 shift at ``delta`` for this model."""
-        return signed_shift(delta, self.alpha, self.period, self.slope, self.intercept)
-
-    def loss(self, delta: float) -> float:
-        """Eq. 4 loss at ``delta`` for this model."""
-        return loss(delta, self.alpha, self.period, self.slope, self.intercept)
-
-    def descend(
-        self,
-        delta0: float,
-        iterations: int,
-        noise_sigma: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> DescentTrajectory:
-        """Run :func:`gradient_descent` with this model's parameters."""
-        return gradient_descent(
-            delta0,
-            self.alpha,
-            self.period,
-            iterations,
-            slope=self.slope,
-            intercept=self.intercept,
-            noise_sigma=noise_sigma,
-            rng=rng,
-        )
-
-
 def _validate_model(alpha: float, period: float, slope: float, intercept: float) -> None:
     if not 0.0 < alpha <= 0.5:
         raise ValueError(
             f"alpha must be in (0, 0.5] for a two-job interleave to exist, got {alpha!r}"
         )
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period!r}")
-    if slope <= 0:
-        raise ValueError(f"slope must be positive, got {slope!r}")
-    if intercept <= 0:
-        raise ValueError(f"intercept must be positive, got {intercept!r}")
+    if not 0.0 < period < math.inf:  # NaN fails these tests too
+        raise ValueError(f"period must be positive and finite, got {period!r}")
+    if not 0.0 < slope < math.inf:
+        raise ValueError(f"slope must be positive and finite, got {slope!r}")
+    if not 0.0 < intercept < math.inf:
+        raise ValueError(f"intercept must be positive and finite, got {intercept!r}")

@@ -162,18 +162,6 @@ class IterationTracker:
         self.prev_ack_tstamp = now
         return self.bytes_ratio
 
-    def notify_iteration_boundary(self, now: float) -> None:
-        """Explicitly mark an iteration boundary (fluid-simulator hook).
-
-        The packet path detects boundaries from ACK gaps; flow-level models
-        know them exactly and call this instead.
-        """
-        if self.prev_ack_tstamp is not None:
-            self._finish_iteration(end_time=self.prev_ack_tstamp)
-        self._start_iteration(now)
-        self.prev_ack_tstamp = None
-        self._iteration_start = now
-
     def reset_after_restart(self, now: float) -> None:
         """Discard *all* state after the application restarted.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .aggressiveness import AggressivenessFunction
 
-__all__ = ["ValidationIssue", "validate_aggressiveness", "is_valid_aggressiveness"]
+__all__ = ["ValidationIssue", "validate_aggressiveness"]
 
 #: Default minimum range span for requirement (i).  The paper's functions
 #: all span 1.75; a function spanning less than ~0.5 barely differentiates
@@ -113,11 +113,3 @@ def validate_aggressiveness(
 
     return issues
 
-
-def is_valid_aggressiveness(
-    function: AggressivenessFunction,
-    min_range: float = DEFAULT_MIN_RANGE,
-    samples: int = 257,
-) -> bool:
-    """True when :func:`validate_aggressiveness` finds no violations."""
-    return not validate_aggressiveness(function, min_range=min_range, samples=samples)

@@ -17,6 +17,7 @@ therefore only sampled when ``allow_blackhole=True``.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Optional
@@ -80,16 +81,15 @@ class ChaosBudget:
     allow_blackhole: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.mtbf <= 0:
-            raise ValueError(f"mtbf must be positive, got {self.mtbf!r}")
-        if self.mean_duration <= 0:
+        # NaN fails these tests too; an infinite horizon never stops sampling.
+        for name in ("horizon", "mtbf", "mean_duration"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not 0.0 <= self.start < math.inf:
             raise ValueError(
-                f"mean_duration must be positive, got {self.mean_duration!r}"
+                f"start must be non-negative and finite, got {self.start!r}"
             )
-        if self.start < 0:
-            raise ValueError(f"start must be non-negative, got {self.start!r}")
         if self.max_concurrent < 1:
             raise ValueError(
                 f"max_concurrent must be at least 1, got {self.max_concurrent!r}"

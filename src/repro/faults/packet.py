@@ -48,7 +48,6 @@ def install_packet_faults(
     network: Network,
     schedule: FaultSchedule,
     apps: Optional[Mapping[str, TrainingApp]] = None,
-    log: Optional[InjectionLog] = None,
     fabric: Optional["FabricSpec"] = None,
     guards: Optional["GuardRail"] = None,
 ) -> InjectionLog:
@@ -77,7 +76,7 @@ def install_packet_faults(
     links = _link_names(network)
     job_names = set(apps) if apps is not None else None
     schedule.validate(link_names=links, job_names=job_names, fabric=fabric)
-    log = log if log is not None else InjectionLog()
+    log = InjectionLog()
     loss_rng = np.random.default_rng(schedule.seed)
 
     fabric_events = [e for e in schedule.sorted_events() if e.kind in FABRIC_KINDS]

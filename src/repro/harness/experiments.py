@@ -104,6 +104,10 @@ def fig1_traffic_patterns(
 # Figure 2: centralized vs SRPT vs MLTCP on the four-job mix
 # ---------------------------------------------------------------------------
 
+#: Iterations Figure 2 averages: SRPT's first ones, MLTCP's last ones.
+FIG2_WINDOW = 10
+
+
 @dataclass
 class Fig2Result:
     """Everything Figure 2 (and §2's approximation-error claim) reports."""
@@ -127,15 +131,16 @@ def fig2_schedules(
     iterations: int = 60,
     capacity_gbps: float = BOTTLENECK_GBPS,
     seed: int = 5,
-    early_window: int = 10,
 ) -> Fig2Result:
     """Reproduce Figure 2: optimal (Cassini-like), SRPT (pFabric), MLTCP.
 
     * optimal: centralized offset optimization, zero contention expected;
-    * SRPT: all four jobs start together; averages over the *early* window
-      (the paper's Figure 2(b) shows the first iterations, before fluid-
-      level jitter slowly drifts SRPT's schedule apart);
-    * MLTCP: same synchronized start, converges to the optimal interleave.
+    * SRPT: all four jobs start together; averages over the first
+      :data:`FIG2_WINDOW` iterations (the paper's Figure 2(b) shows the
+      first iterations, before fluid-level jitter slowly drifts SRPT's
+      schedule apart);
+    * MLTCP: same synchronized start, converges to the optimal interleave;
+      averages over the last :data:`FIG2_WINDOW` iterations.
     """
     jobs = four_job_scenario()
     scheduler = CentralizedScheduler([j.with_jitter(0.0) for j in jobs], capacity_gbps)
@@ -146,7 +151,7 @@ def fig2_schedules(
         jobs, capacity_gbps, policy=SRPT(), max_iterations=iterations, seed=seed
     )
     srpt_times = {
-        j.name: float(srpt_result.iteration_times(j.name)[:early_window].mean())
+        j.name: float(srpt_result.iteration_times(j.name)[:FIG2_WINDOW].mean())
         for j in jobs
     }
 
@@ -154,7 +159,7 @@ def fig2_schedules(
         jobs, capacity_gbps, policy=MLTCPWeighted(), max_iterations=iterations, seed=seed
     )
     mltcp_times = {
-        j.name: float(mltcp_result.iteration_times(j.name)[-early_window:].mean())
+        j.name: float(mltcp_result.iteration_times(j.name)[-FIG2_WINDOW:].mean())
         for j in jobs
     }
 

@@ -6,12 +6,7 @@ from .contention import (
     link_contention_report,
     rack_link_loads,
 )
-from .convergence import (
-    ConvergenceReport,
-    detect_convergence,
-    is_stable_after,
-    relative_gap,
-)
+from .convergence import ConvergenceReport, detect_convergence
 from .recovery import (
     FaultWindow,
     RecoverySLO,
@@ -21,26 +16,15 @@ from .recovery import (
     reinterleave_time,
     reroute_outage,
 )
-from .stats import (
-    SeriesSummary,
-    empirical_cdf,
-    jain_fairness,
-    percentile,
-    summarize,
-    tail_speedup,
-)
+from .stats import empirical_cdf, jain_fairness, percentile, tail_speedup
 
 __all__ = [
     "empirical_cdf",
     "percentile",
     "tail_speedup",
     "jain_fairness",
-    "SeriesSummary",
-    "summarize",
     "ConvergenceReport",
     "detect_convergence",
-    "relative_gap",
-    "is_stable_after",
     "LinkContention",
     "hyper_period",
     "link_contention_report",

@@ -34,20 +34,20 @@ __all__ = [
     "link_contention_report",
 ]
 
+#: Quantum, seconds, that :func:`hyper_period` rounds each period to.
+HYPER_PERIOD_RESOLUTION_S = 1e-4
 
-def hyper_period(
-    jobs: Sequence[JobSpec], resolution: float = 1e-4
-) -> float:
+
+def hyper_period(jobs: Sequence[JobSpec]) -> float:
     """Least common multiple of the jobs' ideal iteration periods.
 
-    Periods are quantized to ``resolution`` seconds before the integer
-    LCM, which keeps float periods from exploding the result; identical
-    jobs yield exactly one period.
+    Periods are quantized to :data:`HYPER_PERIOD_RESOLUTION_S` before the
+    integer LCM, which keeps float periods from exploding the result;
+    identical jobs yield exactly one period.
     """
     if not jobs:
         raise ValueError("need at least one job")
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    resolution = HYPER_PERIOD_RESOLUTION_S
     ticks = [
         max(1, int(round(job.ideal_iteration_time / resolution))) for job in jobs
     ]

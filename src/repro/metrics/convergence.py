@@ -3,9 +3,10 @@
 The paper's headline claims are about convergence: "MLTCP converges to an
 interleaved state within 20 iterations … the average iteration times of the
 four jobs converge to within 5% of the optimal centralized schedule, and the
-interleaving remains stable in subsequent iterations" (§2).  These helpers
-turn an iteration-time series into those three numbers: convergence
-iteration, relative gap to a target, stability after convergence.
+interleaving remains stable in subsequent iterations" (§2).
+:func:`detect_convergence` turns an iteration-time series into those three
+numbers: the convergence iteration, the settled mean to compare with a
+target, and whether the series stays settled.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ConvergenceReport", "detect_convergence", "relative_gap", "is_stable_after"]
+__all__ = ["ConvergenceReport", "detect_convergence"]
 
 
 @dataclass(frozen=True)
@@ -75,20 +76,3 @@ def detect_convergence(
         stable=stable,
     )
 
-
-def relative_gap(measured: float, target: float) -> float:
-    """Relative error of ``measured`` against ``target`` (e.g. vs optimal)."""
-    if target <= 0:
-        raise ValueError(f"target must be positive, got {target!r}")
-    return abs(measured - target) / target
-
-
-def is_stable_after(
-    series: Sequence[float], start: int, target: float, tolerance: float = 0.05
-) -> bool:
-    """Whether the series stays within tolerance of target from ``start`` on."""
-    arr = np.asarray(series, dtype=float)
-    if start >= arr.size:
-        raise ValueError(f"start {start} beyond series length {arr.size}")
-    tail = arr[start:]
-    return bool(np.all(np.abs(tail - target) <= tolerance * target))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,8 +10,6 @@ __all__ = [
     "empirical_cdf",
     "percentile",
     "tail_speedup",
-    "SeriesSummary",
-    "summarize",
     "jain_fairness",
 ]
 
@@ -71,46 +68,3 @@ def jain_fairness(allocations: Sequence[float]) -> float:
         raise ValueError("all allocations are zero")
     return total_sq / denom
 
-
-@dataclass(frozen=True)
-class SeriesSummary:
-    """Standard descriptive statistics of one iteration-time series."""
-
-    count: int
-    mean: float
-    std: float
-    p50: float
-    p90: float
-    p99: float
-    minimum: float
-    maximum: float
-
-    def as_row(self) -> dict[str, float]:
-        """Flat mapping for table rendering."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "p50": self.p50,
-            "p90": self.p90,
-            "p99": self.p99,
-            "min": self.minimum,
-            "max": self.maximum,
-        }
-
-
-def summarize(values: Sequence[float]) -> SeriesSummary:
-    """Descriptive statistics of a sample."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return SeriesSummary(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        p50=percentile(arr, 50),
-        p90=percentile(arr, 90),
-        p99=percentile(arr, 99),
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
-    )

@@ -43,12 +43,20 @@ __all__ = ["Schedule", "CentralizedScheduler", "unified_period"]
 #: temporaries out of the process's peak memory.
 _CHUNK_ELEMENTS = 65_536
 
+#: Target width of one demand-profile bin, seconds; the hyper-period is
+#: split into a whole number of bins, and never fewer than 64.
+TIME_RESOLUTION_S = 0.005
+
+#: Largest denominator a period keeps when :func:`unified_period`
+#: rationalizes it.
+MAX_DENOMINATOR = 1000
+
 #: A job's candidate offsets and, for each, the row of the job's window
 #: table (:attr:`CentralizedScheduler._windows`) holding its rolled profile.
 _Grid = tuple[list[float], np.ndarray]
 
 
-def unified_period(periods: Sequence[float], max_denominator: int = 1000) -> float:
+def unified_period(periods: Sequence[float]) -> float:
     """Least common multiple of the jobs' ideal iteration times.
 
     Periods are rationalized (denominator-limited) first, mirroring
@@ -59,7 +67,7 @@ def unified_period(periods: Sequence[float], max_denominator: int = 1000) -> flo
         raise ValueError("need at least one period")
     if any(p <= 0 for p in periods):
         raise ValueError(f"periods must be positive, got {list(periods)}")
-    fractions = [Fraction(p).limit_denominator(max_denominator) for p in periods]
+    fractions = [Fraction(p).limit_denominator(MAX_DENOMINATOR) for p in periods]
     numerator = fractions[0].numerator
     denominator = fractions[0].denominator
     for f in fractions[1:]:
@@ -91,39 +99,27 @@ class Schedule:
 
 
 class CentralizedScheduler:
-    """Offset optimizer over the hyper-period demand profile."""
+    """Offset optimizer over the hyper-period demand profile.
 
-    def __init__(
-        self,
-        jobs: Sequence[JobSpec],
-        capacity_gbps: float,
-        time_resolution: float = 0.005,
-        offset_step: Optional[float] = None,
-    ) -> None:
+    The profile has bins of about :data:`TIME_RESOLUTION_S`
+    (:attr:`time_resolution` is the exact width), and each job's candidate
+    offsets are :attr:`offset_step` apart: one bin, or 1/720 of the
+    hyper-period when that is wider.
+    """
+
+    def __init__(self, jobs: Sequence[JobSpec], capacity_gbps: float) -> None:
         if not jobs:
             raise ValueError("need at least one job")
         if not (math.isfinite(capacity_gbps) and capacity_gbps > 0):
             raise ValueError(
                 f"capacity_gbps must be finite and positive, got {capacity_gbps!r}"
             )
-        if not (math.isfinite(time_resolution) and time_resolution > 0):
-            raise ValueError(
-                f"time_resolution must be finite and positive, got {time_resolution!r}"
-            )
-        if offset_step is not None and not (
-            math.isfinite(offset_step) and offset_step > 0
-        ):
-            raise ValueError(
-                f"offset_step must be finite and positive, got {offset_step!r}"
-            )
         self.jobs = tuple(jobs)
         self.capacity_gbps = capacity_gbps
         self.hyper_period = unified_period([j.ideal_iteration_time for j in jobs])
-        self._bins = max(64, int(round(self.hyper_period / time_resolution)))
+        self._bins = max(64, int(round(self.hyper_period / TIME_RESOLUTION_S)))
         self.time_resolution = self.hyper_period / self._bins
-        if offset_step is None:
-            offset_step = max(self.time_resolution, self.hyper_period / 720.0)
-        self.offset_step = offset_step
+        self.offset_step = max(self.time_resolution, self.hyper_period / 720.0)
         # Row r of a job's table is its offset-0 profile rolled by -r bins: a
         # view into the profile written twice, so no roll copies anything.
         self._windows = {

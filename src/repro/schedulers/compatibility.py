@@ -27,29 +27,22 @@ def compatibility_score(
     jobs: Sequence[JobSpec],
     capacity_gbps: float,
     offsets: dict[str, float] | None = None,
-    time_resolution: float = 0.005,
 ) -> float:
     """Fraction of the hyper-period with total demand <= capacity.
 
     ``offsets`` default to each job's own ``start_offset``.
     """
-    scheduler = CentralizedScheduler(
-        jobs, capacity_gbps, time_resolution=time_resolution
-    )
+    scheduler = CentralizedScheduler(jobs, capacity_gbps)
     if offsets is None:
         offsets = {job.name: job.start_offset for job in jobs}
     return _fit_fraction(scheduler, offsets)
 
 
 def best_compatibility(
-    jobs: Sequence[JobSpec],
-    capacity_gbps: float,
-    time_resolution: float = 0.005,
+    jobs: Sequence[JobSpec], capacity_gbps: float
 ) -> tuple[float, Schedule]:
     """Maximum compatibility score over offsets, with the achieving schedule."""
-    scheduler = CentralizedScheduler(
-        jobs, capacity_gbps, time_resolution=time_resolution
-    )
+    scheduler = CentralizedScheduler(jobs, capacity_gbps)
     schedule = scheduler.optimize()
     return _fit_fraction(scheduler, schedule.offsets), schedule
 
@@ -59,13 +52,7 @@ def _fit_fraction(scheduler: CentralizedScheduler, offsets: dict[str, float]) ->
     return float(fits.mean())
 
 
-def are_compatible(
-    jobs: Sequence[JobSpec],
-    capacity_gbps: float,
-    time_resolution: float = 0.005,
-) -> bool:
+def are_compatible(jobs: Sequence[JobSpec], capacity_gbps: float) -> bool:
     """Whether a zero-contention interleave exists (the §4 precondition)."""
-    score, _schedule = best_compatibility(
-        jobs, capacity_gbps, time_resolution=time_resolution
-    )
+    score, _schedule = best_compatibility(jobs, capacity_gbps)
     return score >= 1.0 - 1e-9

@@ -45,7 +45,7 @@ from typing import Callable, NoReturn, Optional
 
 from ..faults.fluid import FluidFaultState
 from ..faults.schedule import FaultSchedule
-from ..guards import POLICIES, GuardRail, StepperWatchdog
+from ..guards import GuardRail, StepperWatchdog
 from ..harness.telemetry import RunTelemetry
 from ..workloads.arrivals import ArrivalModel, ArrivalStream
 from ..workloads.job import JobSpec
@@ -68,6 +68,10 @@ DEGRADE_EPOCHS = 2
 #: one supervised epoch before the watchdog fires.
 OP_TIMEOUT_S = 5.0
 STALL_TIMEOUT_S = 30.0
+#: Tries per journal commit or snapshot line, and the first backoff delay
+#: between them, seconds (doubling, capped at :data:`MAX_BACKOFF_S`).
+OP_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.05
 
 
 class ServiceCrash(RuntimeError):
@@ -100,9 +104,6 @@ class ServiceConfig:
     snapshot_every: int = 5
     churn_limit: int = 4
     max_recoveries: int = 3
-    op_attempts: int = 3
-    backoff_base_s: float = 0.05
-    guard_policy: str = "record"
     faults: Optional[FaultSchedule] = None
 
     def __post_init__(self) -> None:
@@ -125,9 +126,7 @@ class ServiceConfig:
                     f"service config: {name} must be finite and positive, "
                     f"got {value!r}"
                 )
-        for name in (
-            "epochs", "max_running", "snapshot_every", "op_attempts",
-        ):
+        for name in ("epochs", "max_running", "snapshot_every"):
             if getattr(self, name) < 1:
                 raise ValueError(
                     f"service config: {name} must be >= 1, got "
@@ -139,16 +138,6 @@ class ServiceConfig:
                     f"service config: {name} must be non-negative, got "
                     f"{getattr(self, name)!r}"
                 )
-        if self.backoff_base_s < 0:
-            raise ValueError(
-                "service config: backoff_base_s must be non-negative, got "
-                f"{self.backoff_base_s!r}"
-            )
-        if self.guard_policy not in POLICIES:
-            raise ValueError(
-                f"service config: guard_policy must be one of {POLICIES}, "
-                f"got {self.guard_policy!r}"
-            )
 
     def fingerprint(self) -> str:
         """Digest of every field that shapes simulated results.
@@ -230,7 +219,7 @@ class ChurnDaemon:
         self._crash_epoch = crash_at_epoch
         self._crash_armed = crash_at_epoch is not None
 
-        self.rail = GuardRail(config.guard_policy)
+        self.rail = GuardRail("record")
         self.watchdog = StepperWatchdog(
             self.rail, stall_timeout_s=STALL_TIMEOUT_S, clock=clock
         )
@@ -351,8 +340,7 @@ class ChurnDaemon:
         it would duplicate it.  The overrun is recorded as a ``timeout``
         record for observability only.
         """
-        config = self.config
-        for attempt in range(1, config.op_attempts + 1):
+        for attempt in range(1, OP_ATTEMPTS + 1):
             started = self._clock()
             try:
                 fn()
@@ -375,16 +363,11 @@ class ChurnDaemon:
                     detail=f"{op}: attempt {attempt} failed ({failure})",
                     attempt=attempt,
                 )
-            if attempt < config.op_attempts:
-                delay = min(
-                    MAX_BACKOFF_S,
-                    config.backoff_base_s * (2 ** (attempt - 1)),
-                )
-                if delay > 0:
-                    self._sleep(delay)
+            if attempt < OP_ATTEMPTS:
+                self._sleep(min(MAX_BACKOFF_S, BACKOFF_BASE_S * (2 ** (attempt - 1))))
         if self.telemetry is not None:
             self.telemetry.record(
-                "error", detail=f"{op}: gave up after {config.op_attempts} attempts"
+                "error", detail=f"{op}: gave up after {OP_ATTEMPTS} attempts"
             )
         return False
 
@@ -680,7 +663,7 @@ class ChurnDaemon:
                     # "a crash loses at most the in-flight epoch" bound.
                     detail = (
                         f"journal commit for epoch {epoch} failed after "
-                        f"{config.op_attempts} attempt(s); the recovery "
+                        f"{OP_ATTEMPTS} attempt(s); the recovery "
                         "bound no longer holds — stopping"
                     )
                     if self.telemetry is not None:

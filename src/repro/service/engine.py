@@ -288,7 +288,7 @@ class LiveFluidEngine:
         policy = _FALLBACK if self.fallback_engaged else self._policy
         return policy.weights_array(self.sent[active], self.cur_total[active])
 
-    def step(self, until: float, max_steps: Optional[int] = None) -> list[dict]:
+    def step(self, until: float) -> list[dict]:
         """Advance the fluid state to ``until``; returns departure records.
 
         Raises ``RuntimeError`` on a livelocked integration (the step
@@ -299,9 +299,8 @@ class LiveFluidEngine:
             raise ValueError(
                 f"step target {until!r} precedes current time {self.clock!r}"
             )
-        if max_steps is None:
-            horizon = max(1.0, (until - self.clock) / self.quantum)
-            max_steps = int(50 * max(1, len(self.names)) * horizon)
+        horizon = max(1.0, (until - self.clock) / self.quantum)
+        max_steps = int(50 * max(1, len(self.names)) * horizon)
         faults = self._faults
         departures: list[dict] = []
         steps = 0

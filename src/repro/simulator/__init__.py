@@ -11,7 +11,7 @@ from .link import Link
 from .node import Host, Node, Switch
 from .packet import ACK_SIZE_BYTES, DATA_HEADER_BYTES, Packet
 from .queues import DropTailQueue, EcnQueue, PriorityQueue, QueueDiscipline
-from .topology import Network, build_dumbbell, build_fat_tree, build_from_graph
+from .topology import Network, build_dumbbell, build_fat_tree
 
 __all__ = [
     "Simulator",
@@ -30,7 +30,6 @@ __all__ = [
     "Network",
     "build_dumbbell",
     "build_fat_tree",
-    "build_from_graph",
     "TrainingApp",
     "MultiFlowTrainingApp",
     "RequestApp",

@@ -1,4 +1,4 @@
-"""Topology builders: the paper's dumbbell, a fat tree and a general graph.
+"""Topology builders: the paper's dumbbell and a fat tree.
 
 The paper's testbed is "eight A100 GPU servers connected in a dumbbell
 topology with a single bottleneck link" — each job places its two workers on
@@ -7,15 +7,13 @@ shape: N senders on the left, N receivers on the right, two switches, and a
 single bottleneck link whose rate and queue the experiments control.
 
 :func:`build_fat_tree` realizes a :class:`FabricSpec` two-tier fabric, the
-one multi-rack topology both simulators share.  :func:`build_from_graph`
-accepts any networkx graph with per-edge rate/delay attributes and installs
-shortest-path routes, for topologies beyond the paper's.
+one multi-rack topology both simulators share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -25,15 +23,11 @@ from .link import Link
 from .node import Host, Node, Switch
 from .queues import DropTailQueue, QueueDiscipline
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 __all__ = [
     "Network",
     "RoutingProvider",
     "build_dumbbell",
     "build_fat_tree",
-    "build_from_graph",
 ]
 
 
@@ -187,7 +181,6 @@ def build_dumbbell(
     edge_bps: Optional[float] = None,
     link_delay: float = 5e-6,
     bottleneck_queue: Optional[QueueDiscipline] = None,
-    reverse_queue: Optional[QueueDiscipline] = None,
     edge_queue_capacity: int = 256,
     bottleneck_random_loss: float = 0.0,
     loss_seed: int = 0,
@@ -213,8 +206,6 @@ def build_dumbbell(
     loss_rng = np.random.default_rng(loss_seed)
     if bottleneck_queue is None:
         bottleneck_queue = DropTailQueue(capacity_packets=100)
-    if reverse_queue is None:
-        reverse_queue = DropTailQueue(capacity_packets=1024)
     network.add_link(
         "sw_l",
         "sw_r",
@@ -229,7 +220,7 @@ def build_dumbbell(
         "sw_l",
         bottleneck_bps,
         link_delay,
-        queue=reverse_queue,
+        queue=DropTailQueue(capacity_packets=1024),
     )
 
     for i in range(n_pairs):
@@ -291,48 +282,3 @@ def build_fat_tree(
             network.install_route(src, dst, list(spec.path_nodes(src, dst)))
     return network
 
-
-def build_from_graph(
-    sim: Simulator,
-    graph: nx.Graph,
-    default_rate_bps: float = 1e9,
-    default_delay: float = 5e-6,
-    default_queue_capacity: int = 100,
-) -> Network:
-    """Build a network from a networkx graph and install shortest-path routes.
-
-    Nodes with attribute ``kind="switch"`` become switches; all others are
-    hosts.  Edges may carry ``rate_bps``, ``delay`` and ``queue_capacity``
-    attributes; both directions of each edge become independent links.
-    Routes are installed between every pair of hosts along delay-weighted
-    shortest paths.
-    """
-    import networkx as nx  # only caller: keeps networkx off `import repro`
-
-    network = Network(sim=sim)
-    for name, data in graph.nodes(data=True):
-        if data.get("kind") == "switch":
-            network.add_switch(str(name))
-        else:
-            network.add_host(str(name))
-    for u, v, data in graph.edges(data=True):
-        rate = data.get("rate_bps", default_rate_bps)
-        delay = data.get("delay", default_delay)
-        capacity = data.get("queue_capacity", default_queue_capacity)
-        for a, b in ((str(u), str(v)), (str(v), str(u))):
-            network.add_link(
-                a, b, rate, delay, queue=DropTailQueue(capacity_packets=capacity)
-            )
-    weighted = graph.copy()
-    for u, v, data in weighted.edges(data=True):
-        data["weight"] = data.get("delay", default_delay)
-    host_names = list(network.hosts)
-    for src in host_names:
-        paths = nx.single_source_dijkstra_path(weighted, src, weight="weight")
-        for dst in host_names:
-            if dst == src:
-                continue
-            if dst not in paths:
-                raise ValueError(f"no path from {src} to {dst}")
-            network.install_route(src, dst, [str(n) for n in paths[dst]])
-    return network

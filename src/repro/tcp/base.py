@@ -296,10 +296,6 @@ class TcpSender:
         self.fast_retransmits = 0
         self.transfers_aborted = 0
         self.acked_bytes_log: list[tuple[float, int]] = []
-        #: Optional cwnd trace: (time, cwnd) appended on every new ACK when
-        #: :attr:`record_cwnd` is set (off by default — it grows unbounded).
-        self.record_cwnd = False
-        self.cwnd_log: list[tuple[float, float]] = []
 
         host.register_flow(flow_id, self)
 
@@ -413,8 +409,6 @@ class TcpSender:
             self.cc.on_ecn_echo(1, 1, self)
 
         self.acked_bytes_log.append((self.sim.now, newly_acked * self.mss_bytes))
-        if self.record_cwnd:
-            self.cwnd_log.append((self.sim.now, self.cc.cwnd))
         self._last_activity = self.sim.now
         self._restart_rto_timer()
         if self.all_acked() and self.on_all_acked is not None and self.target > 0:

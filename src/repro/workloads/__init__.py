@@ -25,15 +25,8 @@ from .presets import (
     three_job_scenario,
     two_job_scenario,
 )
-from .traceio import (
-    load_demand_trace,
-    load_iterations,
-    load_scenario,
-    save_demand_trace,
-    save_iterations,
-    save_scenario,
-)
-from .traffic import DOUBLE_HUMP, SQUARE, PulseShape, aggregate_trace, demand_trace
+from .traceio import load_scenario, save_scenario
+from .traffic import DOUBLE_HUMP, SQUARE, PulseShape, demand_trace
 
 __all__ = [
     "ArrivalEvent",
@@ -69,11 +62,6 @@ __all__ = [
     "SQUARE",
     "DOUBLE_HUMP",
     "demand_trace",
-    "aggregate_trace",
-    "save_demand_trace",
-    "load_demand_trace",
-    "save_iterations",
-    "load_iterations",
     "save_scenario",
     "load_scenario",
 ]

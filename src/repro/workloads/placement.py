@@ -33,6 +33,7 @@ substrate picks the same spine and reruns are bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -123,12 +124,10 @@ class FabricSpec:
             )
         if self.n_spines < 1:
             raise ValueError(f"n_spines must be positive, got {self.n_spines!r}")
-        if self.oversubscription <= 0:
-            raise ValueError(
-                f"oversubscription must be positive, got {self.oversubscription!r}"
-            )
-        if self.host_gbps <= 0:
-            raise ValueError(f"host_gbps must be positive, got {self.host_gbps!r}")
+        for name in ("oversubscription", "host_gbps"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails this test too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     # -- derived capacities --------------------------------------------------
 

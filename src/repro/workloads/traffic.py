@@ -3,8 +3,7 @@
 Figure 1 plots each job's network demand over time: pulses of high demand
 (the communication phase of each iteration) separated by near-zero demand
 (the computation phase).  :func:`demand_trace` regenerates such a trace from
-a :class:`~repro.workloads.job.JobSpec`; :func:`aggregate_trace` sums traces
-to show total offered load against link capacity.
+a :class:`~repro.workloads.job.JobSpec`.
 
 Real collectives are not perfectly square — the paper's GPT-2 traces show a
 double-hump per iteration (two all-reduce bursts for different parameter
@@ -15,13 +14,13 @@ volume, so shaped traces remain calibrated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .job import JobSpec
 
-__all__ = ["PulseShape", "SQUARE", "DOUBLE_HUMP", "demand_trace", "aggregate_trace"]
+__all__ = ["PulseShape", "SQUARE", "DOUBLE_HUMP", "demand_trace"]
 
 
 @dataclass(frozen=True)
@@ -104,21 +103,3 @@ def demand_trace(
         phase_start = comm_end + job.sample_compute_time(rng)
     return times, demand
 
-
-def aggregate_trace(
-    jobs: Sequence[JobSpec],
-    duration: float,
-    dt: float = 0.01,
-    shape: PulseShape = SQUARE,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of the jobs' isolated offered loads — the contention picture."""
-    if not jobs:
-        raise ValueError("need at least one job")
-    total: Optional[np.ndarray] = None
-    times: Optional[np.ndarray] = None
-    for job in jobs:
-        times, demand = demand_trace(job, duration, dt=dt, shape=shape, rng=rng)
-        total = demand if total is None else total + demand
-    assert times is not None and total is not None
-    return times, total

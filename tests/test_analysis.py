@@ -1,5 +1,7 @@
 """Unit tests for the §4 theory: shift (Eq. 3), loss (Eq. 4), descent."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from repro.core.analysis import (
     MultiJobDescent,
-    TwoJobModel,
     convergence_error_std,
+    escape_rate,
     gradient_descent,
     iterations_to_converge,
     loss,
@@ -118,7 +120,7 @@ class TestLoss:
         assert losses[0] == pytest.approx(losses[-1], abs=1e-6)
 
     def test_loss_curve_matches_quadrature(self):
-        """Trapezoidal curve agrees with scipy.quad pointwise."""
+        """Trapezoidal curve agrees with the closed-form loss pointwise."""
         deltas, losses = loss_curve(ALPHA, PERIOD, samples=721)
         for probe in (0.3, 0.9, 1.5):
             idx = np.argmin(np.abs(deltas - probe))
@@ -277,15 +279,56 @@ class TestMultiJobDescent:
             MultiJobDescent(alpha=0.25, period=1.0, damping=0.0)
 
 
-class TestTwoJobModel:
-    def test_bundles_parameters(self):
-        model = TwoJobModel(alpha=ALPHA, period=PERIOD)
-        assert model.comm_duration == pytest.approx(0.9)
-        assert model.shift(0.3) == pytest.approx(signed_shift(0.3, ALPHA, PERIOD))
-        assert model.loss(0.3) == pytest.approx(loss(0.3, ALPHA, PERIOD))
+NAN, INF = math.nan, math.inf
 
-    def test_descend_delegates(self):
-        model = TwoJobModel(alpha=ALPHA, period=PERIOD)
-        trajectory = model.descend(0.05, 40)
-        assert trajectory.alpha == ALPHA
-        assert trajectory.period == PERIOD
+
+def _row(call, field, id):
+    return pytest.param(call, field, id=id)
+
+
+#: ``(call, field)``: each NaN, infinite or out-of-range §4 input must fail
+#: naming its field.
+BAD_MODEL_INPUTS = [
+    _row(lambda: gradient_descent(0.1, ALPHA, NAN, 10), "period", "descent-period-nan"),
+    _row(lambda: gradient_descent(0.1, ALPHA, INF, 10), "period", "descent-period-inf"),
+    _row(lambda: gradient_descent(NAN, ALPHA, PERIOD, 10), "delta0", "descent-delta0-nan"),
+    _row(lambda: gradient_descent(INF, ALPHA, PERIOD, 10), "delta0", "descent-delta0-inf"),
+    _row(lambda: gradient_descent(0.1, ALPHA, PERIOD, 10, noise_sigma=NAN), "noise_sigma",
+         "descent-noise-nan"),
+    _row(lambda: gradient_descent(0.1, ALPHA, PERIOD, 10, noise_sigma=INF), "noise_sigma",
+         "descent-noise-inf"),
+    _row(lambda: gradient_descent(0.1, ALPHA, PERIOD, 10, slope=NAN), "slope",
+         "descent-slope-nan"),
+    _row(lambda: gradient_descent(0.1, ALPHA, PERIOD, 10, intercept=INF), "intercept",
+         "descent-intercept-inf"),
+    _row(lambda: shift(0.1, ALPHA, PERIOD, slope=INF), "slope", "shift-slope-inf"),
+    _row(lambda: signed_shift(0.1, ALPHA, NAN), "period", "signed-shift-period-nan"),
+    _row(lambda: loss(0.1, ALPHA, PERIOD, intercept=NAN), "intercept", "loss-intercept-nan"),
+    _row(lambda: loss_curve(ALPHA, INF), "period", "loss-curve-period-inf"),
+    _row(lambda: iterations_to_converge(0.1, ALPHA, PERIOD, slope=NAN), "slope",
+         "converge-slope-nan"),
+    _row(lambda: iterations_to_converge(NAN, ALPHA, PERIOD), "delta0", "converge-delta0-nan"),
+    _row(lambda: iterations_to_converge(0.1, ALPHA, PERIOD, tolerance_fraction=NAN),
+         "tolerance_fraction", "converge-tolerance-nan"),
+    _row(lambda: MultiJobDescent(alpha=0.25, period=NAN), "period", "multi-job-period-nan"),
+    _row(lambda: MultiJobDescent(alpha=0.25, period=1.0).run([0.0, 0.1], 5, noise_sigma=NAN),
+         "noise_sigma", "multi-job-noise-nan"),
+    _row(lambda: MultiJobDescent(alpha=0.25, period=1.0).run([0.0, NAN], 5), "offsets0",
+         "multi-job-offset-nan"),
+    _row(lambda: MultiJobDescent(alpha=0.25, period=1.0).run([0.0, INF], 5), "offsets0",
+         "multi-job-offset-inf"),
+    _row(lambda: MultiJobDescent(alpha=0.25, period=1.0).run([0.0, 0.1], -1), "iterations",
+         "multi-job-iterations-negative"),
+    _row(lambda: convergence_error_std(NAN), "noise_sigma", "bound-noise-nan"),
+    _row(lambda: convergence_error_std(INF), "noise_sigma", "bound-noise-inf"),
+    _row(lambda: convergence_error_std(0.1, slope=NAN), "slope", "bound-slope-nan"),
+    _row(lambda: convergence_error_std(0.1, intercept=INF), "intercept", "bound-intercept-inf"),
+    _row(lambda: escape_rate(slope=NAN), "slope", "escape-rate-slope-nan"),
+    _row(lambda: escape_rate(intercept=INF), "intercept", "escape-rate-intercept-inf"),
+]
+
+
+@pytest.mark.parametrize(("call", "field"), BAD_MODEL_INPUTS)
+def test_bad_model_input_names_its_field(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be"):
+        call()

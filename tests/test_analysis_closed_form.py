@@ -4,28 +4,45 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
+from repro.core.aggressiveness import PAPER_INTERCEPT, PAPER_SLOPE
 from repro.core.analysis import (
     escape_rate,
     iterations_to_converge,
     loss,
-    loss_closed_form,
     predicted_convergence_iterations,
+    signed_shift,
 )
+
+
+def quadrature_loss(
+    delta, alpha, period, slope=PAPER_SLOPE, intercept=PAPER_INTERCEPT
+):
+    """Eq. 4 by numerical integration of the signed shift: the oracle."""
+    value, _abserr = integrate.quad(
+        lambda x: -signed_shift(x, alpha, period, slope, intercept),
+        0.0,
+        delta % period,
+        limit=200,
+        epsabs=1e-10,
+        epsrel=1e-10,
+    )
+    return value
 
 
 class TestClosedFormLoss:
     @pytest.mark.parametrize("delta", [0.0, 0.1, 0.45, 0.9, 1.35, 1.7, 1.8])
     def test_matches_quadrature_alpha_half(self, delta):
-        assert loss_closed_form(delta, 0.5, 1.8) == pytest.approx(
-            loss(delta, 0.5, 1.8), abs=1e-8
+        assert loss(delta, 0.5, 1.8) == pytest.approx(
+            quadrature_loss(delta, 0.5, 1.8), abs=1e-8
         )
 
     @pytest.mark.parametrize("delta", [0.0, 0.2, 0.45, 0.9, 1.35, 1.6])
     def test_matches_quadrature_alpha_quarter(self, delta):
         """Plateau and mirror regions agree too."""
-        assert loss_closed_form(delta, 0.25, 1.8) == pytest.approx(
-            loss(delta, 0.25, 1.8), abs=1e-8
+        assert loss(delta, 0.25, 1.8) == pytest.approx(
+            quadrature_loss(delta, 0.25, 1.8), abs=1e-8
         )
 
     @given(
@@ -36,18 +53,16 @@ class TestClosedFormLoss:
     )
     @settings(max_examples=30, deadline=None)
     def test_matches_quadrature_property(self, delta, alpha, slope, intercept):
-        closed = loss_closed_form(delta, alpha, 1.8, slope, intercept)
-        numeric = loss(delta, alpha, 1.8, slope, intercept)
+        closed = loss(delta, alpha, 1.8, slope, intercept)
+        numeric = quadrature_loss(delta, alpha, 1.8, slope, intercept)
         assert closed == pytest.approx(numeric, abs=1e-6)
 
     def test_symmetry(self):
-        assert loss_closed_form(0.3, 0.5, 1.8) == pytest.approx(
-            loss_closed_form(1.5, 0.5, 1.8), abs=1e-10
-        )
+        assert loss(0.3, 0.5, 1.8) == pytest.approx(loss(1.5, 0.5, 1.8), abs=1e-10)
 
     def test_minimum_at_interleave(self):
         deltas = np.linspace(0, 1.8, 181)
-        values = [loss_closed_form(d, 0.5, 1.8) for d in deltas]
+        values = [loss(d, 0.5, 1.8) for d in deltas]
         assert deltas[int(np.argmin(values))] == pytest.approx(0.9, abs=0.02)
 
 

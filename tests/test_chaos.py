@@ -374,6 +374,27 @@ class TestChaosCampaign:
         with pytest.raises(ValueError, match="widen the horizon"):
             generate_campaign(small_spec(), budget, seed=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", float("inf")),
+            ("horizon", float("nan")),
+            ("mtbf", float("nan")),
+            ("mtbf", float("inf")),
+            ("mean_duration", float("nan")),
+            ("mean_duration", float("inf")),
+            ("start", float("nan")),
+            ("start", float("inf")),
+        ],
+    )
+    def test_non_finite_budget_names_its_field(self, field, value):
+        # Construction only: sampling an infinite horizon never returned,
+        # and NaN failed 64 passes later blaming the horizon or a duration.
+        params = dict(horizon=1.0, mtbf=0.2, mean_duration=0.1, start=0.5)
+        params[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be .* and finite"):
+            ChaosBudget(**params)
+
 
 class TestInjectorEquivalence:
     """Satellite (c): both substrates traverse identical links under the

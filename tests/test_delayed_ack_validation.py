@@ -10,7 +10,7 @@ from repro.core.aggressiveness import (
     LinearAggressiveness,
 )
 from repro.core.config import MLTCPConfig
-from repro.core.validation import is_valid_aggressiveness, validate_aggressiveness
+from repro.core.validation import validate_aggressiveness
 from repro.simulator.app import TrainingApp
 from repro.simulator.engine import Simulator
 from repro.simulator.queues import DropTailQueue
@@ -123,7 +123,6 @@ class _TinyRangeFunction(AggressivenessFunction):
 
 class TestAggressivenessValidation:
     def test_paper_function_is_valid(self):
-        assert is_valid_aggressiveness(LinearAggressiveness())
         assert validate_aggressiveness(LinearAggressiveness()) == []
 
     def test_decreasing_function_flagged(self):
@@ -144,7 +143,7 @@ class TestAggressivenessValidation:
         assert any(i.requirement == "totality" for i in issues)
 
     def test_min_range_configurable(self):
-        assert is_valid_aggressiveness(_TinyRangeFunction(), min_range=0.001)
+        assert validate_aggressiveness(_TinyRangeFunction(), min_range=0.001) == []
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="samples"):

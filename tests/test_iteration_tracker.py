@@ -83,15 +83,6 @@ class TestIterationBoundary:
         tracker.on_ack(0.4, 1500)
         assert tracker.iteration_index == 2
 
-    def test_explicit_boundary_notification(self):
-        tracker = make_tracker(total_bytes=3000, comp_time=0.05)
-        tracker.on_ack(0.0, 3000)
-        assert tracker.bytes_ratio == 1.0
-        tracker.notify_iteration_boundary(0.5)
-        assert tracker.bytes_sent == 0
-        assert tracker.bytes_ratio == 0.0
-        assert len(tracker.completed_iterations) == 1
-
 
 class TestOnlineLearning:
     """§3.2: TOTAL_BYTES and COMP_TIME are learned in the first iterations."""

@@ -25,9 +25,11 @@ no-op defaults) and ``_MltcpMixin`` (Algorithm 1) define ``_observe`` and
 so every MLTCP variant, window- or rate-based, shares one tracker clamp
 and one degradation log.
 
-The start-up gate at the end is a rule the static table cannot express:
-scipy and networkx may be imported only inside the function bodies that
-call them, so a fresh interpreter's ``import repro`` loads neither.
+Dependencies: numpy is the only third-party package ``src/repro`` may
+import, anywhere.  The one exception is the optional SMT backend: ``z3``
+may be imported only inside function bodies of ``repro.verify.solver``,
+which probe for it.  A fresh-interpreter check at the end keeps scipy and
+networkx, which the tests use as oracles, off the start-up path.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: What every ``repro`` command and benchmark process imports first.
 STARTUP_MODULES = ("repro", "repro.cli", "repro.harness.experiments", "repro.service")
-#: Packages each served by one function that imports it on first call:
-#: scipy by ``core.analysis.loss``, networkx by ``build_from_graph``.
-CALL_TIME_PACKAGES = ("scipy", "networkx")
+#: The one third-party package any module of ``src/repro`` may import.
+RUNTIME_DEPENDENCIES = frozenset({"numpy"})
+#: ``(module, package)``: a package the module may import only inside a
+#: function body, so importing the module never needs it.
+CALL_TIME_ONLY = {("repro.verify.solver", "z3")}
 
 #: (importing packages, packages none of them may import), one rule a row.
 LAYER_RULES = [
@@ -262,43 +266,68 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-#: The loaded modules of :data:`CALL_TIME_PACKAGES`, as a Python expression.
-_LOADED = (
-    f"sorted(m for m in sys.modules if m.split('.')[0] in {CALL_TIME_PACKAGES!r})"
-)
+def third_party_imports(source: str) -> list[tuple[str, bool]]:
+    """``(top-level package, inside a function body)`` of every absolute
+    import in ``source`` outside the standard library and ``repro``."""
+    found: list[tuple[str, bool]] = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            names = []
+        for name in names:
+            top = name.split(".")[0]
+            if top != "repro" and top not in sys.stdlib_module_names:
+                found.append((top, in_function))
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        )
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_finds_third_party_imports_at_any_depth():
+    source = (
+        "import os, numpy as np\n"
+        "from typing import TYPE_CHECKING\n"
+        "from . import sibling\n"
+        "if TYPE_CHECKING:\n"
+        "    import networkx\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        from scipy import integrate\n"
+    )
+    assert third_party_imports(source) == [
+        ("numpy", False), ("networkx", False), ("scipy", True),
+    ]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for package, in_function in third_party_imports(path.read_text()):
+            if package in RUNTIME_DEPENDENCIES:
+                continue
+            if in_function and (module, package) in CALL_TIME_ONLY:
+                continue
+            where = "in a function" if in_function else "at module level"
+            offenders.append(f"{module}: {package} ({where})")
+    assert offenders == []
 
 
 def test_startup_loads_neither_scipy_nor_networkx():
     imports = "".join(f"import {module}\n" for module in STARTUP_MODULES)
-    code = f"import json, sys\n{imports}print(json.dumps({_LOADED}))\n"
-    loaded = json.loads(_fresh(code))
-    assert loaded == [], f"importing {STARTUP_MODULES} loaded {loaded}"
-
-
-_ON_CALL = f"""
-import json, sys
-import repro
-from repro.core.analysis import loss, loss_closed_form
-from repro.simulator import Simulator, build_from_graph
-
-before = {_LOADED}
-value = loss(0.3, 0.5, 1.8)
-assert abs(value - loss_closed_form(0.3, 0.5, 1.8)) < 1e-8, value
-assert "scipy.integrate" in sys.modules
-
-import networkx as nx
-
-graph = nx.Graph()
-graph.add_node("sw", kind="switch")
-graph.add_edge("a", "sw", delay=1e-6)
-graph.add_edge("sw", "b", delay=1e-6)
-network = build_from_graph(Simulator(), graph)
-assert network.routes[("a", "b")] == ("a", "sw", "b"), network.routes
-print(json.dumps(before))
-"""
-
-
-def test_call_time_imports_still_work():
-    """``loss`` loads scipy on its first call and ``build_from_graph`` runs
-    on a networkx graph, in a process that started without either."""
-    assert json.loads(_fresh(_ON_CALL)) == []
+    loaded = (
+        "sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx'))"
+    )
+    code = f"import json, sys\n{imports}print(json.dumps({loaded}))\n"
+    loaded_modules = json.loads(_fresh(code))
+    assert loaded_modules == [], f"importing {STARTUP_MODULES} loaded {loaded_modules}"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.metrics.convergence import detect_convergence, is_stable_after, relative_gap
-from repro.metrics.stats import empirical_cdf, percentile, summarize, tail_speedup
+from repro.metrics.convergence import detect_convergence
+from repro.metrics.stats import empirical_cdf, percentile, tail_speedup
 
 
 class TestCdf:
@@ -49,19 +49,6 @@ class TestTailSpeedup:
         assert tail_speedup(baseline, improved, q=100) == pytest.approx(10.0)
 
 
-class TestSummarize:
-    def test_fields(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-
-    def test_as_row_keys(self):
-        row = summarize([1.0, 2.0]).as_row()
-        assert set(row) == {"count", "mean", "std", "p50", "p90", "p99", "min", "max"}
-
-
 class TestDetectConvergence:
     def test_detects_settling_point(self):
         series = [2.7, 2.5, 2.2, 1.85, 1.8, 1.81, 1.79, 1.8]
@@ -94,24 +81,6 @@ class TestDetectConvergence:
             detect_convergence([], target=1.0)
         with pytest.raises(ValueError, match="window"):
             detect_convergence([1.0], target=1.0, window=0)
-
-
-class TestHelpers:
-    def test_relative_gap(self):
-        assert relative_gap(1.86, 1.8) == pytest.approx(1 / 30)
-
-    def test_relative_gap_validation(self):
-        with pytest.raises(ValueError, match="target"):
-            relative_gap(1.0, 0.0)
-
-    def test_is_stable_after(self):
-        series = [3.0, 1.8, 1.81, 1.79]
-        assert is_stable_after(series, start=1, target=1.8)
-        assert not is_stable_after(series, start=0, target=1.8)
-
-    def test_is_stable_after_validates_start(self):
-        with pytest.raises(ValueError, match="beyond"):
-            is_stable_after([1.0], start=5, target=1.0)
 
 
 class TestJainFairness:

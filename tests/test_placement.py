@@ -68,6 +68,14 @@ class TestFabricSpec:
         with pytest.raises(ValueError, match="host_gbps"):
             FabricSpec(host_gbps=-1.0)
 
+    @pytest.mark.parametrize("field", ["oversubscription", "host_gbps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_names_its_field(self, field, value):
+        # NaN oversubscription marked every link non-interleavable with 0.0
+        # overload, and cross_rack_interleaving then blamed a link's capacity.
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+            FabricSpec(**{field: value})
+
     def test_oversubscription_capacity_math(self):
         spec = FabricSpec(
             n_racks=4, hosts_per_rack=4, n_spines=2, oversubscription=2.0

@@ -1,6 +1,7 @@
 """Tests for the centralized (Cassini-like) scheduler."""
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -133,27 +134,6 @@ class TestSchedule:
             CentralizedScheduler([], 50.0)
         with pytest.raises(ValueError, match="capacity"):
             CentralizedScheduler([make_job("A", 1.0, 1.0, 1.0)], 0.0)
-        with pytest.raises(ValueError, match="time_resolution"):
-            CentralizedScheduler(
-                [make_job("A", 1.0, 1.0, 1.0)], 50.0, time_resolution=0.0
-            )
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("time_resolution", float("nan")),
-            ("time_resolution", float("inf")),
-            ("offset_step", 0.0),
-            ("offset_step", -1.0),
-            ("offset_step", float("nan")),
-            ("offset_step", float("inf")),
-        ],
-    )
-    def test_rejects_bad_search_grid(self, field, value):
-        # inf resolution collapsed the grid to 64 bins; a negative step
-        # searched offset 0 alone; zero and NaN failed naming no field.
-        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            CentralizedScheduler([make_job("A", 1.0, 1.0, 1.0)], 50.0, **{field: value})
 
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
     def test_rejects_non_finite_capacity(self, capacity):
@@ -324,8 +304,10 @@ class TestBlockSearchMatchesLoop:
         kwargs = dict(
             restarts=restarts, exhaustive_threshold=exhaustive_threshold, seed=seed
         )
-        block = CentralizedScheduler(jobs, capacity, time_resolution=0.02)
-        loop = LoopScheduler(jobs, capacity, time_resolution=0.02)
+        # Coarse bins keep the loop oracle fast enough for 50 examples.
+        with patch.object(centralized, "TIME_RESOLUTION_S", 0.02):
+            block = CentralizedScheduler(jobs, capacity)
+            loop = LoopScheduler(jobs, capacity)
         assert _hexed(block.optimize(**kwargs)) == _hexed(loop.optimize(**kwargs))
 
     def test_scores_equal_contention_across_chunks(self, monkeypatch):

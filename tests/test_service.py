@@ -44,6 +44,7 @@ from repro.service import (
     ServiceJournal,
     query_journal,
 )
+from repro.service import daemon as daemon_module
 from repro.workloads import ArrivalModel, ArrivalStream, FlashCrowd, JobSpec
 from repro.workloads.presets import gpt2_fast_job
 
@@ -297,11 +298,6 @@ class TestCapacityValidation:
         with pytest.raises(ValueError, match="capacity_gbps"):
             _config(capacity_gbps=capacity)
 
-    @pytest.mark.parametrize("policy", ["bogus", "off"])
-    def test_config_rejects_guard_policy(self, policy):
-        with pytest.raises(ValueError, match="^service config: guard_policy"):
-            _config(guard_policy=policy)
-
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
     def test_engine_rejects_capacity(self, capacity):
         with pytest.raises(ValueError, match="capacity_gbps"):
@@ -464,7 +460,7 @@ class TestDaemonRuns:
         assert daemon.counters["recoveries"] == 3
         assert crashes["n"] == 4  # the initial crash + one per restart
 
-    def test_dead_journal_is_a_hard_stop(self, tmp_path):
+    def test_dead_journal_is_a_hard_stop(self, tmp_path, monkeypatch):
         """A journal commit that fails every attempt voids the at-most-
         one-epoch recovery bound: the daemon must stop loudly, not keep
         advancing uncommitted epochs."""
@@ -473,9 +469,10 @@ class TestDaemonRuns:
             def commit_epoch(self, epoch, state):
                 return False
 
+        monkeypatch.setattr(daemon_module, "BACKOFF_BASE_S", 0.0)
         telemetry = RunTelemetry("test.service")
         daemon = ChurnDaemon(
-            _config(backoff_base_s=0.0),
+            _config(),
             journal=DeadJournal(tmp_path / "svc.journal"),
             telemetry=telemetry,
         )
@@ -853,18 +850,21 @@ class TestLiveEngineSweep:
 
 
 class TestRetryBackoff:
-    def _daemon(self, clock_values, sleeps, **config_overrides):
+    def _daemon(self, monkeypatch, clock_values, sleeps, op_attempts=3,
+                backoff_base_s=0.05):
+        monkeypatch.setattr(daemon_module, "OP_ATTEMPTS", op_attempts)
+        monkeypatch.setattr(daemon_module, "BACKOFF_BASE_S", backoff_base_s)
         ticks = iter(clock_values)
         telemetry = RunTelemetry("test.service")
         daemon = ChurnDaemon(
-            _config(**config_overrides),
+            _config(),
             telemetry=telemetry,
             clock=lambda: next(ticks),
             sleep=sleeps.append,
         )
         return daemon, telemetry
 
-    def test_slow_success_is_not_retried(self):
+    def test_slow_success_is_not_retried(self, monkeypatch):
         # The attempt takes 10 s against a 5 s budget but *completes*:
         # the side effect (journal line, snapshot line) is already on
         # disk, so re-running it would duplicate it.  The overrun is a
@@ -872,7 +872,7 @@ class TestRetryBackoff:
         sleeps = []
         calls = {"n": 0}
         daemon, telemetry = self._daemon(
-            [0.0, 10.0], sleeps, op_attempts=3, backoff_base_s=0.05
+            monkeypatch, [0.0, 10.0], sleeps, op_attempts=3, backoff_base_s=0.05
         )
 
         def slow():
@@ -884,9 +884,10 @@ class TestRetryBackoff:
         kinds = [r["kind"] for r in telemetry.records]
         assert kinds == ["timeout"]
 
-    def test_failing_op_gives_up_after_attempts(self):
+    def test_failing_op_gives_up_after_attempts(self, monkeypatch):
         sleeps = []
         daemon, telemetry = self._daemon(
+            monkeypatch,
             [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
             sleeps,
             op_attempts=3,
@@ -901,10 +902,10 @@ class TestRetryBackoff:
         kinds = [r["kind"] for r in telemetry.records]
         assert kinds == ["retry", "retry", "retry", "error"]
 
-    def test_failing_op_retries_then_succeeds(self):
+    def test_failing_op_retries_then_succeeds(self, monkeypatch):
         sleeps = []
         daemon, telemetry = self._daemon(
-            [0.0, 0.1, 0.2, 0.3], sleeps, op_attempts=3
+            monkeypatch, [0.0, 0.1, 0.2, 0.3], sleeps, op_attempts=3
         )
         calls = {"n": 0}
 
@@ -918,9 +919,10 @@ class TestRetryBackoff:
         assert sleeps == [0.05]
         assert [r["kind"] for r in telemetry.records] == ["retry"]
 
-    def test_backoff_is_capped(self):
+    def test_backoff_is_capped(self, monkeypatch):
         sleeps = []
         daemon, _ = self._daemon(
+            monkeypatch,
             [float(i) for i in range(20)],
             sleeps,
             op_attempts=8,
@@ -933,12 +935,13 @@ class TestRetryBackoff:
         assert daemon._with_retry("op", dead) is False
         assert max(sleeps) == 2.0
 
-    def test_snapshot_sink_failure_sheds_side_effect(self, tmp_path):
+    def test_snapshot_sink_failure_sheds_side_effect(self, tmp_path, monkeypatch):
         """A read-only snapshot sink degrades telemetry, not the run."""
+        monkeypatch.setattr(daemon_module, "BACKOFF_BASE_S", 0.0)
         sink = tmp_path / "denied" / "snapshots.jsonl"
         telemetry = RunTelemetry("test.service")
         daemon = ChurnDaemon(
-            _config(backoff_base_s=0.0),
+            _config(),
             telemetry=telemetry,
             snapshot_path=sink,
         )

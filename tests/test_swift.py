@@ -135,24 +135,3 @@ class TestMltcpSwift:
         rounds = lab.mean_iteration_by_round()
         assert rounds[:3].mean() > 1.15 * ideal
         assert rounds[-5:].mean() == pytest.approx(ideal, rel=0.1)
-
-
-class TestCwndTelemetry:
-    def test_cwnd_log_records_when_enabled(self):
-        # record_cwnd is a post-construction switch:
-        sim = Simulator()
-        net = build_dumbbell(sim, 1, bottleneck_bps=1e9)
-        from repro.tcp.reno import RenoCC
-
-        sender = TcpSender(sim, net.hosts["s0"], "f", "r0", RenoCC())
-        sender.record_cwnd = True
-        TcpReceiver(sim, net.hosts["r0"], "f", "s0")
-        sender.send_bytes(500_000)
-        sim.run(until=0.5)
-        assert len(sender.cwnd_log) > 10
-        times = [t for t, _w in sender.cwnd_log]
-        assert times == sorted(times)
-
-    def test_cwnd_log_off_by_default(self):
-        sender, _t = run_transfer(SwiftCC(), nbytes=200_000)
-        assert sender.cwnd_log == []

@@ -1,11 +1,10 @@
 """Tests for topology builders and routing."""
 
-import networkx as nx
 import pytest
 
 from repro.simulator.engine import Simulator
 from repro.simulator.packet import Packet
-from repro.simulator.topology import Network, build_dumbbell, build_from_graph
+from repro.simulator.topology import Network, build_dumbbell
 
 
 class _Recorder:
@@ -100,47 +99,3 @@ class TestNetworkPrimitives:
         net.add_host("b")
         with pytest.raises(ValueError, match="must run"):
             net.install_route("a", "b", ["b", "a"])
-
-
-class TestGraphBuilder:
-    def test_star_topology_routes(self):
-        graph = nx.Graph()
-        graph.add_node("hub", kind="switch")
-        for i in range(3):
-            graph.add_edge(f"h{i}", "hub", rate_bps=1e9, delay=1e-6)
-        sim = Simulator()
-        net = build_from_graph(sim, graph)
-        sink = _Recorder()
-        net.hosts["h2"].register_flow("f", sink)
-        net.hosts["h0"].send(data_packet("h0", "h2"))
-        sim.run()
-        assert len(sink.packets) == 1
-
-    def test_edge_attributes_respected(self):
-        graph = nx.Graph()
-        graph.add_node("sw", kind="switch")
-        graph.add_edge("a", "sw", rate_bps=7e8)
-        net = build_from_graph(Simulator(), graph)
-        assert net.link("a", "sw").rate_bps == 7e8
-
-    def test_multi_switch_path(self):
-        graph = nx.Graph()
-        graph.add_node("sw1", kind="switch")
-        graph.add_node("sw2", kind="switch")
-        graph.add_edge("a", "sw1")
-        graph.add_edge("sw1", "sw2")
-        graph.add_edge("sw2", "b")
-        sim = Simulator()
-        net = build_from_graph(sim, graph)
-        sink = _Recorder()
-        net.hosts["b"].register_flow("f", sink)
-        net.hosts["a"].send(data_packet("a", "b"))
-        sim.run()
-        assert len(sink.packets) == 1
-
-    def test_disconnected_hosts_rejected(self):
-        graph = nx.Graph()
-        graph.add_node("a")
-        graph.add_node("b")
-        with pytest.raises(ValueError, match="no path"):
-            build_from_graph(Simulator(), graph)

@@ -1,61 +1,11 @@
-"""Tests for artifact persistence (traces, iteration logs, scenarios)."""
+"""Tests for scenario persistence."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.fluid.flowsim import run_fluid
 from repro.workloads.presets import four_job_scenario, gpt2_job
-from repro.workloads.traceio import (
-    load_demand_trace,
-    load_iterations,
-    load_scenario,
-    save_demand_trace,
-    save_iterations,
-    save_scenario,
-)
-from repro.workloads.traffic import demand_trace
-
-
-class TestDemandTraceRoundTrip:
-    def test_round_trip(self, tmp_path):
-        times, demand = demand_trace(gpt2_job(jitter_sigma=0.0), 4.0)
-        path = tmp_path / "trace.csv"
-        save_demand_trace(path, times, demand)
-        t2, d2 = load_demand_trace(path)
-        assert np.allclose(times, t2)
-        assert np.allclose(demand, d2)
-
-    def test_mismatched_lengths_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="align"):
-            save_demand_trace(tmp_path / "x.csv", [0.0, 1.0], [1.0])
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bogus.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="not a demand trace"):
-            load_demand_trace(path)
-
-
-class TestIterationLogRoundTrip:
-    def test_round_trip(self, tmp_path):
-        result = run_fluid(four_job_scenario(), 50.0, max_iterations=5, seed=1)
-        path = tmp_path / "iters.csv"
-        save_iterations(path, result)
-        records = load_iterations(path)
-        assert len(records) == len(result.iterations)
-        for original, loaded in zip(result.iterations, records):
-            assert loaded.job == original.job
-            assert loaded.index == original.index
-            assert loaded.duration == pytest.approx(original.duration)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "bogus.csv"
-        path.write_text("x\n1\n")
-        with pytest.raises(ValueError, match="not an iteration log"):
-            load_iterations(path)
-
+from repro.workloads.traceio import load_scenario, save_scenario
 
 #: One valid scenario entry, as save_scenario writes it.
 _FIELDS = {"name": "J", "comm_bits": 1e9, "demand_gbps": 10.0, "compute_time": 0.1}

@@ -8,7 +8,6 @@ from repro.workloads.traffic import (
     DOUBLE_HUMP,
     SQUARE,
     PulseShape,
-    aggregate_trace,
     demand_trace,
 )
 
@@ -99,15 +98,3 @@ class TestDemandTrace:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
             demand_trace(make_job(), 1.0, dt=2.0)
-
-
-class TestAggregateTrace:
-    def test_sums_components(self):
-        jobs = [make_job(name="A"), make_job(name="B")]
-        _t, total = aggregate_trace(jobs, 2.0, dt=0.001)
-        _t, single = demand_trace(jobs[0], 2.0, dt=0.001)
-        assert np.allclose(total, 2 * single)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            aggregate_trace([], 1.0)
